@@ -11,6 +11,7 @@ package hdr4me
 // driver; cmd/hdrbench offers the same through a CLI.
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -318,5 +319,31 @@ func BenchmarkLdpRegistryLookup(b *testing.B) {
 		if _, err := ldp.ByName("piecewise"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSessionReport is the randomize layer of the performance ledger:
+// one user's Session.Report (sample m of d dimensions, perturb each with
+// ε/m) across the ledger's report shapes. Run with -benchmem; the
+// allocation column should stay at the report's own Dims/Values.
+func BenchmarkSessionReport(b *testing.B) {
+	for _, sh := range []struct{ d, m int }{{32, 1}, {256, 8}, {1024, 32}} {
+		b.Run(fmt.Sprintf("d=%d/m=%d", sh.d, sh.m), func(b *testing.B) {
+			s, err := New(WithMechanism(Piecewise()), WithBudget(0.8), WithDims(sh.d, sh.m))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tuples := make([]Tuple, 64)
+			for i := range tuples {
+				tuples[i] = goldenTuple(i, sh.d)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Report(tuples[i%len(tuples)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -68,7 +68,8 @@ type Estimator interface {
 
 	// Observe perturbs one raw tuple with the caller's randomness and
 	// accumulates the resulting report. The rng must not be shared with
-	// concurrent Observe calls.
+	// concurrent Observe calls, and must not be retained: the caller may
+	// reseed and reuse it once Observe returns.
 	Observe(t Tuple, rng *mathx.RNG) error
 
 	// AddReport accumulates one already-perturbed report, rejecting
@@ -210,7 +211,8 @@ func (l passLane) AddReports(reps []Report) (int, error) { return AddReports(l.e
 // collector, with only reports crossing the wire.
 type Reporter interface {
 	// MakeReport perturbs t with the caller's randomness. The rng must not
-	// be shared with concurrent MakeReport or Observe calls.
+	// be shared with concurrent MakeReport or Observe calls, and must not
+	// be retained past the call (Session reuses it for later reports).
 	MakeReport(t Tuple, rng *mathx.RNG) (Report, error)
 }
 

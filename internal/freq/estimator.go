@@ -71,8 +71,13 @@ func (f *Flat) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error) {
 		}
 	}
 	epsEntry := p.EpsPerEntry()
-	dims := rng.SampleIndices(len(p.Cards), p.M, nil, nil)
-	rep := est.Report{Dims: make([]uint32, len(dims))}
+	var buf [64]int // sample scratch; stays on the stack for m ≤ 64
+	dims := rng.SampleIndices(len(p.Cards), p.M, buf[:0])
+	nvals := 0
+	for _, j := range dims {
+		nvals += p.Cards[j]
+	}
+	rep := est.Report{Dims: make([]uint32, len(dims)), Values: make([]float64, 0, nvals)}
 	for i, j := range dims {
 		rep.Dims[i] = uint32(j)
 		for k := 0; k < p.Cards[j]; k++ {

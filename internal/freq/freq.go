@@ -260,7 +260,7 @@ func Simulate(p Protocol, ds CatDataset, rng *mathx.RNG, workers int) (*Aggregat
 	}
 	agg := NewAggregator(p)
 	d := len(p.Cards)
-	epsEntry := p.EpsPerEntry()
+	pert := ldp.At(p.Mech, p.EpsPerEntry())
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -272,9 +272,9 @@ func Simulate(p Protocol, ds CatDataset, rng *mathx.RNG, workers int) (*Aggregat
 				sums[j] = make([]mathx.KahanSum, v)
 			}
 			counts := make([]int64, d)
-			var dims, scratch []int
+			var dims []int
 			for i := w; i < n; i += workers {
-				dims = wrng.SampleIndices(d, p.M, dims, scratch)
+				dims = wrng.SampleIndices(d, p.M, dims)
 				for _, j := range dims {
 					cat := ds.Value(i, j)
 					for k := 0; k < p.Cards[j]; k++ {
@@ -282,7 +282,7 @@ func Simulate(p Protocol, ds CatDataset, rng *mathx.RNG, workers int) (*Aggregat
 						if k == cat {
 							e = 1.0
 						}
-						sums[j][k].Add(p.Mech.Perturb(wrng, e, epsEntry))
+						sums[j][k].Add(pert.Perturb(wrng, e))
 					}
 					counts[j]++
 				}

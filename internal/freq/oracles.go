@@ -194,9 +194,9 @@ func SimulateOracle(p Protocol, o Oracle, ds CatDataset, rng *mathx.RNG, workers
 				supports[j] = make([]int64, v)
 			}
 			counts := make([]int64, d)
-			var dims, scratch []int
+			var dims []int
 			for i := w; i < n; i += workers {
-				dims = wrng.SampleIndices(d, p.M, dims, scratch)
+				dims = wrng.SampleIndices(d, p.M, dims)
 				for _, j := range dims {
 					rep := o.Perturb(wrng, ds.Value(i, j), p.Cards[j], epsPer)
 					for k := 0; k < p.Cards[j]; k++ {

@@ -171,6 +171,7 @@ func SimulateAllocated(p Protocol, alloc Allocation, ds dataset.Dataset, rng *ma
 		workers = n
 	}
 	agg := NewAggregator(p)
+	pert := perturbers(p.Mech, alloc.Eps)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -180,12 +181,12 @@ func SimulateAllocated(p Protocol, alloc Allocation, ds dataset.Dataset, rng *ma
 			row := make([]float64, p.D)
 			sums := make([]mathx.KahanSum, p.D)
 			counts := make([]int64, p.D)
-			var dims, scratch []int
+			var dims []int
 			for i := w; i < n; i += workers {
 				ds.Row(i, row)
-				dims = wrng.SampleIndices(p.D, p.M, dims, scratch)
+				dims = wrng.SampleIndices(p.D, p.M, dims)
 				for _, j := range dims {
-					sums[j].Add(p.Mech.Perturb(wrng, row[j], alloc.Eps[j]))
+					sums[j].Add(pert[j].Perturb(wrng, row[j]))
 					counts[j]++
 				}
 			}

@@ -44,11 +44,12 @@ func (a *Aggregator) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error)
 	if len(t.Values) != a.P.D {
 		return est.Report{}, fmt.Errorf("highdim: tuple has %d dims, protocol says %d", len(t.Values), a.P.D)
 	}
-	dims := rng.SampleIndices(a.P.D, a.P.M, nil, nil)
+	var buf [64]int // sample scratch; stays on the stack for m ≤ 64
+	dims := rng.SampleIndices(a.P.D, a.P.M, buf[:0])
 	rep := est.Report{Dims: make([]uint32, a.P.M), Values: make([]float64, a.P.M)}
 	for i, j := range dims {
 		rep.Dims[i] = uint32(j)
-		rep.Values[i] = a.P.Mech.Perturb(rng, t.Values[j], a.EpsFor(j))
+		rep.Values[i] = a.perturberFor(j).Perturb(rng, t.Values[j])
 	}
 	return rep, nil
 }

@@ -65,15 +65,15 @@ type Report = est.Report
 // Client is the user side of the protocol. It is not safe for concurrent
 // use; each goroutine should own a Client (they are cheap).
 type Client struct {
-	P       Protocol
-	rng     *mathx.RNG
-	dims    []int
-	scratch []int
+	P    Protocol
+	rng  *mathx.RNG
+	pert ldp.Perturber
+	dims []int
 }
 
 // NewClient returns a user-side perturber drawing randomness from rng.
 func NewClient(p Protocol, rng *mathx.RNG) *Client {
-	return &Client{P: p, rng: rng}
+	return &Client{P: p, rng: rng, pert: ldp.At(p.Mech, p.EpsPerDim())}
 }
 
 // Report samples m dimensions of tuple, perturbs each with ε/m, and returns
@@ -82,15 +82,14 @@ func (c *Client) Report(tuple []float64) Report {
 	if len(tuple) != c.P.D {
 		panic(fmt.Sprintf("highdim: tuple has %d dims, protocol says %d", len(tuple), c.P.D))
 	}
-	epsPer := c.P.EpsPerDim()
-	c.dims = c.rng.SampleIndices(c.P.D, c.P.M, c.dims, c.scratch)
+	c.dims = c.rng.SampleIndices(c.P.D, c.P.M, c.dims)
 	rep := Report{
 		Dims:   make([]uint32, c.P.M),
 		Values: make([]float64, c.P.M),
 	}
 	for i, j := range c.dims {
 		rep.Dims[i] = uint32(j)
-		rep.Values[i] = c.P.Mech.Perturb(c.rng, tuple[j], epsPer)
+		rep.Values[i] = c.pert.Perturb(c.rng, tuple[j])
 	}
 	return rep
 }
@@ -108,13 +107,20 @@ type Aggregator struct {
 	// alloc optionally overrides the uniform ε/m with a per-dimension
 	// budget (see Allocation); nil means uniform.
 	alloc []float64
+	// pert randomizes user-side at EpsFor(j): one Perturber under the
+	// uniform budget, one per dimension under an allocation.
+	pert []ldp.Perturber
 
 	acc *est.Stripes // D sum lanes, D count lanes
 }
 
 // NewAggregator returns an empty collector for protocol p.
 func NewAggregator(p Protocol) *Aggregator {
-	return &Aggregator{P: p, acc: est.NewStripes(est.DefaultStripeCount, p.D, p.D)}
+	return &Aggregator{
+		P:    p,
+		pert: []ldp.Perturber{ldp.At(p.Mech, p.EpsPerDim())},
+		acc:  est.NewStripes(est.DefaultStripeCount, p.D, p.D),
+	}
 }
 
 // NewAllocatedAggregator returns an empty collector whose Observe path
@@ -131,7 +137,17 @@ func NewAllocatedAggregator(p Protocol, alloc Allocation) (*Aggregator, error) {
 	}
 	a := NewAggregator(p)
 	a.alloc = append([]float64(nil), alloc.Eps...)
+	a.pert = perturbers(p.Mech, a.alloc)
 	return a, nil
+}
+
+// perturbers binds mech to each dimension's budget.
+func perturbers(mech ldp.Mechanism, eps []float64) []ldp.Perturber {
+	out := make([]ldp.Perturber, len(eps))
+	for j, e := range eps {
+		out[j] = ldp.At(mech, e)
+	}
+	return out
 }
 
 // EpsFor returns the perturbation budget of dimension j: the allocated
@@ -141,6 +157,15 @@ func (a *Aggregator) EpsFor(j int) float64 {
 		return a.alloc[j]
 	}
 	return a.P.EpsPerDim()
+}
+
+// perturberFor returns the user-side randomizer of dimension j, bound to
+// EpsFor(j).
+func (a *Aggregator) perturberFor(j int) ldp.Perturber {
+	if a.alloc != nil {
+		return a.pert[j]
+	}
+	return a.pert[0]
 }
 
 // validate checks one report against the protocol: paired lists, at most
@@ -356,7 +381,7 @@ func Simulate(p Protocol, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Agg
 		workers = n
 	}
 	agg := NewAggregator(p)
-	epsPer := p.EpsPerDim()
+	pert := agg.pert[0]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -366,12 +391,12 @@ func Simulate(p Protocol, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Agg
 			row := make([]float64, p.D)
 			sums := make([]mathx.KahanSum, p.D)
 			counts := make([]int64, p.D)
-			var dims, scratch []int
+			var dims []int
 			for i := w; i < n; i += workers {
 				ds.Row(i, row)
-				dims = wrng.SampleIndices(p.D, p.M, dims, scratch)
+				dims = wrng.SampleIndices(p.D, p.M, dims)
 				for _, j := range dims {
-					sums[j].Add(p.Mech.Perturb(wrng, row[j], epsPer))
+					sums[j].Add(pert.Perturb(wrng, row[j]))
 					counts[j]++
 				}
 			}

@@ -31,7 +31,11 @@ func (Piecewise) SupportBound(eps float64) float64 {
 
 // Band returns the high-probability band [l(t), r(t)].
 func (p Piecewise) Band(t, eps float64) (l, r float64) {
-	q := p.SupportBound(eps)
+	return pmBand(p.SupportBound(eps), t)
+}
+
+// pmBand is Band for a precomputed Q.
+func pmBand(q, t float64) (l, r float64) {
 	l = (q+1)/2*t - (q-1)/2
 	r = l + q - 1
 	return l, r
@@ -66,11 +70,28 @@ func (p Piecewise) PDF(t, eps, x float64) float64 {
 // output is uniform in the band; otherwise it is uniform over the two low
 // tails (combined length Q+1).
 func (p Piecewise) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	validate(t, eps)
+	return p.at(eps).Perturb(rng, t)
+}
+
+// pmAt is Piecewise bound to one budget ε, with its ε-only constants
+// (Q and the band probability) computed once.
+type pmAt struct {
+	eps   float64
+	q     float64 // Q = (e^{ε/2}+1)/(e^{ε/2}−1)
+	pBand float64 // e^{ε/2}/(e^{ε/2}+1)
+}
+
+func (p Piecewise) at(eps float64) pmAt {
 	c := math.Exp(eps / 2)
-	q := p.SupportBound(eps)
-	l, r := p.Band(t, eps)
-	if rng.Float64() < c/(c+1) {
+	return pmAt{eps: eps, q: p.SupportBound(eps), pBand: c / (c + 1)}
+}
+
+// Perturb implements Perturber.
+func (a pmAt) Perturb(rng *mathx.RNG, t float64) float64 {
+	validate(t, a.eps)
+	q := a.q
+	l, r := pmBand(q, t)
+	if rng.Float64() < a.pBand {
 		return rng.Uniform(l, r)
 	}
 	// Tails: [−Q, l) has length l+Q, (r, Q] has length Q−r; total Q+1.

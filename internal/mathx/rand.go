@@ -2,7 +2,9 @@ package mathx
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 )
 
 // RNG is a deterministic random source with the samplers needed by the LDP
@@ -11,15 +13,30 @@ import (
 // harness run trials in parallel while staying exactly reproducible.
 //
 // RNG is not safe for concurrent use; give each goroutine its own Child.
+// An RNG must not be copied by value (its source points into itself); a
+// hot path that needs many short substreams reuses one RNG through Reseed
+// instead of allocating a Child per substream.
 type RNG struct {
-	src  *rand.Rand
+	pcg  rand.PCG
+	src  rand.Rand // draws from &pcg
 	seed uint64
+	perm permTable // SampleIndices' shuffle state, reused across calls
 }
 
 // NewRNG returns a deterministic RNG seeded with seed.
 func NewRNG(seed uint64) *RNG {
+	r := &RNG{}
+	r.src = *rand.New(&r.pcg)
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed restarts r as the stream NewRNG(seed) would produce, without
+// allocating.
+func (r *RNG) Reseed(seed uint64) {
 	s := splitmix64(seed)
-	return &RNG{src: rand.New(rand.NewPCG(s, splitmix64(s))), seed: seed}
+	r.pcg.Seed(s, splitmix64(s))
+	r.seed = seed
 }
 
 // splitmix64 is the standard SplitMix64 finalizer, used both to whiten seeds
@@ -31,10 +48,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Child derives the i-th independent substream of r's seed.
-func (r *RNG) Child(i uint64) *RNG {
-	return NewRNG(splitmix64(r.seed^0xa5a5a5a5a5a5a5a5) + splitmix64(i)*0x9e3779b97f4a7c15)
+// ChildSeed returns the seed of the i-th substream of the stream seeded
+// with seed: NewRNG(seed).Child(i) is NewRNG(ChildSeed(seed, i)).
+func ChildSeed(seed, i uint64) uint64 {
+	return splitmix64(seed^0xa5a5a5a5a5a5a5a5) + splitmix64(i)*0x9e3779b97f4a7c15
 }
+
+// ChildSeed returns the seed Child(i) would be constructed with.
+func (r *RNG) ChildSeed(i uint64) uint64 { return ChildSeed(r.seed, i) }
+
+// Child derives the i-th independent substream of r's seed.
+func (r *RNG) Child(i uint64) *RNG { return NewRNG(r.ChildSeed(i)) }
 
 // Seed returns the seed the RNG was constructed with.
 func (r *RNG) Seed() uint64 { return r.seed }
@@ -134,36 +158,120 @@ func (r *RNG) poissonPTRS(lambda float64) int {
 }
 
 // SampleIndices fills dst with a uniform random m-subset of [0, d) in
-// increasing order, using a partial Fisher–Yates shuffle over a scratch
-// permutation. It allocates only when dst or scratch are too small.
-func (r *RNG) SampleIndices(d, m int, dst []int, scratch []int) []int {
+// increasing order (m is clamped to d). It runs a partial Fisher–Yates
+// shuffle but stores only the positions the shuffle has displaced, in a
+// table of O(m) ints the RNG owns and reuses. A call therefore costs at
+// most O(m log m) time and O(m) space whatever d is, and allocates only
+// when dst is too small or the table first grows to a larger m. It draws
+// exactly the IntN sequence of a dense Fisher–Yates over a d-int
+// permutation and returns the same subset, so a seed yields the same
+// sample stream as that dense shuffle.
+func (r *RNG) SampleIndices(d, m int, dst []int) []int {
 	if m > d {
 		m = d
-	}
-	if cap(scratch) < d {
-		scratch = make([]int, d)
-	}
-	scratch = scratch[:d]
-	for i := range scratch {
-		scratch[i] = i
 	}
 	if cap(dst) < m {
 		dst = make([]int, m)
 	}
 	dst = dst[:m]
+	r.perm.reset(m)
 	for i := 0; i < m; i++ {
 		j := i + r.src.IntN(d-i)
-		scratch[i], scratch[j] = scratch[j], scratch[i]
-		dst[i] = scratch[i]
+		// Swap positions i and j of the virtual permutation. Position i
+		// is never read again, so only j's new value is recorded.
+		vi := r.perm.get(i)
+		dst[i] = r.perm.swapIn(j, vi)
 	}
-	sortInts(dst)
+	r.perm.sort(dst, d)
 	return dst
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+// permTable is the sparse state of a partial Fisher–Yates shuffle over
+// [0, d): an open-addressed map from displaced position to the value it
+// now holds. A position absent from the table still holds its own index.
+type permTable struct {
+	slots []permSlot
+	shift uint     // 64 − log2(len(slots)), for Fibonacci hashing
+	bits  []uint64 // sort's bitmap over [0, d), when d is small enough
+}
+
+// permSlot is one table entry; key is position+1, so zero marks a free slot.
+type permSlot struct{ key, val int }
+
+// reset empties the table and sizes it for m insertions at load ≤ 1/2.
+func (t *permTable) reset(m int) {
+	n := 8
+	for n < 2*m {
+		n <<= 1
+	}
+	if cap(t.slots) < n {
+		t.slots = make([]permSlot, n)
+	} else {
+		t.slots = t.slots[:n]
+		clear(t.slots)
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// find returns the slot holding position pos, or the free slot where it
+// would be inserted.
+func (t *permTable) find(pos int) *permSlot {
+	mask := len(t.slots) - 1
+	h := int((uint64(pos) * 0x9e3779b97f4a7c15) >> t.shift)
+	for {
+		s := &t.slots[h]
+		if s.key == 0 || s.key == pos+1 {
+			return s
+		}
+		h = (h + 1) & mask
+	}
+}
+
+// get returns the value at position pos.
+func (t *permTable) get(pos int) int {
+	if s := t.find(pos); s.key != 0 {
+		return s.val
+	}
+	return pos
+}
+
+// swapIn stores v at position pos and returns the value it replaces.
+func (t *permTable) swapIn(pos, v int) int {
+	s := t.find(pos)
+	old := pos
+	if s.key != 0 {
+		old = s.val
+	}
+	s.key, s.val = pos+1, v
+	return old
+}
+
+// sort orders the distinct indices in xs, all in [0, d). When a bitmap of
+// [0, d) is at most 4·len(xs) words it sets one bit per index and reads
+// them back in order — O(len(xs)) work that, unlike a comparison sort,
+// has no data-dependent branches to mispredict. Larger domains fall back
+// to slices.Sort.
+func (t *permTable) sort(xs []int, d int) {
+	words := (d + 63) / 64
+	if len(xs) < 2 || words > 4*len(xs) {
+		slices.Sort(xs)
+		return
+	}
+	if cap(t.bits) < words {
+		t.bits = make([]uint64, words)
+	} else {
+		t.bits = t.bits[:words]
+		clear(t.bits)
+	}
+	for _, v := range xs {
+		t.bits[v>>6] |= 1 << (v & 63)
+	}
+	i := 0
+	for w, b := range t.bits {
+		for b != 0 {
+			xs[i] = w<<6 | bits.TrailingZeros64(b)
+			i++
+			b &= b - 1
 		}
 	}
 }

@@ -137,11 +137,11 @@ func TestNormalMoments(t *testing.T) {
 
 func TestSampleIndicesProperties(t *testing.T) {
 	r := NewRNG(8)
-	var dst, scratch []int
+	var dst []int
 	for trial := 0; trial < 200; trial++ {
 		d := 1 + r.IntN(50)
 		m := 1 + r.IntN(d)
-		dst = r.SampleIndices(d, m, dst, scratch)
+		dst = r.SampleIndices(d, m, dst)
 		if len(dst) != m {
 			t.Fatalf("len = %d, want %d", len(dst), m)
 		}
@@ -158,7 +158,7 @@ func TestSampleIndicesProperties(t *testing.T) {
 
 func TestSampleIndicesMClamped(t *testing.T) {
 	r := NewRNG(9)
-	got := r.SampleIndices(3, 10, nil, nil)
+	got := r.SampleIndices(3, 10, nil)
 	if len(got) != 3 {
 		t.Fatalf("m>d must clamp to d, got len %d", len(got))
 	}
@@ -169,9 +169,9 @@ func TestSampleIndicesUniformity(t *testing.T) {
 	r := NewRNG(10)
 	const d, m, trials = 10, 3, 60_000
 	counts := make([]int, d)
-	var dst, scratch []int
+	var dst []int
 	for i := 0; i < trials; i++ {
-		dst = r.SampleIndices(d, m, dst, scratch)
+		dst = r.SampleIndices(d, m, dst)
 		for _, v := range dst {
 			counts[v]++
 		}

@@ -43,6 +43,35 @@ func waitForStats(t *testing.T, srv *Server, d time.Duration, cond func(ServerSt
 	}
 }
 
+// waitForConn polls until the server's accept loop has registered the
+// server side of the client conn c. Dial returns once the handshake
+// completes, before Accept has run, so a Drain issued straight after Dial
+// could otherwise see no connection at all and return at once. reaped,
+// when non-nil, also ends the wait: it reports that the server has
+// already registered and force-closed the conn.
+func waitForConn(t *testing.T, srv *Server, c net.Conn, reaped func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		srv.mu.Lock()
+		registered := false
+		for sc := range srv.conns {
+			if sc.RemoteAddr().String() == c.LocalAddr().String() {
+				registered = true
+				break
+			}
+		}
+		srv.mu.Unlock()
+		if registered || (reaped != nil && reaped()) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server did not register conn %s within 5s", c.LocalAddr())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestIdleTimeoutForceClosesStalledConn: a client that opens a frame
 // and then goes silent must be force-closed once the idle read deadline
 // trips, and counted in DeadlinesTripped.
@@ -131,6 +160,7 @@ func TestDrainBoundedByStalledClient(t *testing.T) {
 		srv, addr := startTestServer(t, proto)
 		conn := stall(t, addr)
 		defer conn.Close()
+		waitForConn(t, srv, conn, nil)
 
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 		defer cancel()
@@ -148,6 +178,7 @@ func TestDrainBoundedByStalledClient(t *testing.T) {
 		srv, addr := startHardenedServer(t, proto, func(s *Server) { s.IdleTimeout = 100 * time.Millisecond })
 		conn := stall(t, addr)
 		defer conn.Close()
+		waitForConn(t, srv, conn, func() bool { return srv.Stats().DeadlinesTripped > 0 })
 
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -51,7 +51,7 @@ func TestServerServesFrequencyEstimator(t *testing.T) {
 			defer cl.Close()
 			rng := mathx.NewRNG(50).Child(uint64(c))
 			for i := c; i < ds.NumUsers(); i += conns {
-				dims := rng.SampleIndices(len(cards), 2, nil, nil)
+				dims := rng.SampleIndices(len(cards), 2, nil)
 				rep := est.Report{Dims: make([]uint32, len(dims))}
 				for di, j := range dims {
 					rep.Dims[di] = uint32(j)

@@ -14,6 +14,7 @@ import (
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/freq"
 	"github.com/hdr4me/hdr4me/internal/highdim"
+	"github.com/hdr4me/hdr4me/internal/mathx"
 	"github.com/hdr4me/hdr4me/internal/recal"
 	"github.com/hdr4me/hdr4me/internal/transport"
 )
@@ -428,11 +429,8 @@ func (s *Session) Kind() string { return s.est.Kind() }
 // is a pure function of the observation counter, so a fixed seed still
 // yields a fixed estimate.
 func (s *Session) Observe(t Tuple) error {
-	s.mu.Lock()
-	rng := s.rng.Child(obsStream).Child(s.obs)
-	idx := s.obs
-	s.obs++
-	s.mu.Unlock()
+	rng, idx := s.obsRNG()
+	defer obsRNGs.Put(rng)
 	if s.lanes != nil {
 		rep, err := s.est.(est.Reporter).MakeReport(t, rng)
 		if err != nil {
@@ -464,11 +462,27 @@ func (s *Session) Report(t Tuple) (Report, error) {
 	if !ok {
 		return Report{}, fmt.Errorf("hdr4me: %s estimator cannot produce detached reports", s.est.Kind())
 	}
+	rng, _ := s.obsRNG()
+	defer obsRNGs.Put(rng)
+	return rp.MakeReport(t, rng)
+}
+
+// obsRNGs recycles the per-call RNGs of Observe and Report: each call
+// reseeds one to its substream instead of allocating a fresh Child.
+var obsRNGs = sync.Pool{New: func() any { return NewRNG(0) }}
+
+// obsRNG claims the next Observe/Report substream index and returns a
+// pooled RNG reseeded to that substream — the stream
+// s.rng.Child(obsStream).Child(idx) would produce. The caller returns it
+// to obsRNGs once the call has finished drawing from it.
+func (s *Session) obsRNG() (rng *RNG, idx uint64) {
 	s.mu.Lock()
-	rng := s.rng.Child(obsStream).Child(s.obs)
+	idx = s.obs
 	s.obs++
 	s.mu.Unlock()
-	return rp.MakeReport(t, rng)
+	rng = obsRNGs.Get().(*RNG)
+	rng.Reseed(mathx.ChildSeed(s.rng.ChildSeed(obsStream), idx))
+	return rng, idx
 }
 
 // Substream namespaces, so Observe and Run never share a child stream.
