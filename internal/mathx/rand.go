@@ -48,14 +48,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// ChildSeed returns the seed of the i-th substream of the stream seeded
-// with seed: NewRNG(seed).Child(i) is NewRNG(ChildSeed(seed, i)).
-func ChildSeed(seed, i uint64) uint64 {
-	return splitmix64(seed^0xa5a5a5a5a5a5a5a5) + splitmix64(i)*0x9e3779b97f4a7c15
-}
-
 // ChildSeed returns the seed Child(i) would be constructed with.
-func (r *RNG) ChildSeed(i uint64) uint64 { return ChildSeed(r.seed, i) }
+func (r *RNG) ChildSeed(i uint64) uint64 {
+	return splitmix64(r.seed^0xa5a5a5a5a5a5a5a5) + splitmix64(i)*0x9e3779b97f4a7c15
+}
 
 // Child derives the i-th independent substream of r's seed.
 func (r *RNG) Child(i uint64) *RNG { return NewRNG(r.ChildSeed(i)) }
@@ -182,7 +178,7 @@ func (r *RNG) SampleIndices(d, m int, dst []int) []int {
 		vi := r.perm.get(i)
 		dst[i] = r.perm.swapIn(j, vi)
 	}
-	r.perm.sort(dst, d)
+	slices.Sort(dst)
 	return dst
 }
 
@@ -191,8 +187,7 @@ func (r *RNG) SampleIndices(d, m int, dst []int) []int {
 // now holds. A position absent from the table still holds its own index.
 type permTable struct {
 	slots []permSlot
-	shift uint     // 64 − log2(len(slots)), for Fibonacci hashing
-	bits  []uint64 // sort's bitmap over [0, d), when d is small enough
+	shift uint // 64 − log2(len(slots)), for Fibonacci hashing
 }
 
 // permSlot is one table entry; key is position+1, so zero marks a free slot.
@@ -244,34 +239,4 @@ func (t *permTable) swapIn(pos, v int) int {
 	}
 	s.key, s.val = pos+1, v
 	return old
-}
-
-// sort orders the distinct indices in xs, all in [0, d). When a bitmap of
-// [0, d) is at most 4·len(xs) words it sets one bit per index and reads
-// them back in order — O(len(xs)) work that, unlike a comparison sort,
-// has no data-dependent branches to mispredict. Larger domains fall back
-// to slices.Sort.
-func (t *permTable) sort(xs []int, d int) {
-	words := (d + 63) / 64
-	if len(xs) < 2 || words > 4*len(xs) {
-		slices.Sort(xs)
-		return
-	}
-	if cap(t.bits) < words {
-		t.bits = make([]uint64, words)
-	} else {
-		t.bits = t.bits[:words]
-		clear(t.bits)
-	}
-	for _, v := range xs {
-		t.bits[v>>6] |= 1 << (v & 63)
-	}
-	i := 0
-	for w, b := range t.bits {
-		for b != 0 {
-			xs[i] = w<<6 | bits.TrailingZeros64(b)
-			i++
-			b &= b - 1
-		}
-	}
 }

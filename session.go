@@ -14,7 +14,6 @@ import (
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/freq"
 	"github.com/hdr4me/hdr4me/internal/highdim"
-	"github.com/hdr4me/hdr4me/internal/mathx"
 	"github.com/hdr4me/hdr4me/internal/recal"
 	"github.com/hdr4me/hdr4me/internal/transport"
 )
@@ -205,6 +204,11 @@ type Session struct {
 	obs   uint64 // Observe substream counter
 	epoch uint64 // Run substream counter
 
+	// obsRoot is rng.Child(obsStream), built once: Observe and Report
+	// reseed to its children. It is never drawn from, so it is read
+	// without mu.
+	obsRoot *RNG
+
 	// Background checkpointer state (WithCheckpointInterval). ckptMu
 	// serializes checkpoint writes (periodic, on-demand, final) and the
 	// restore: each save folds then renames under the lock, so the
@@ -249,6 +253,7 @@ func New(opts ...Option) (*Session, error) {
 		return nil, fmt.Errorf("hdr4me: WithAllocation applies only to the sampled-dimension mean family")
 	}
 	s := &Session{cfg: cfg, workers: cfg.workers, rng: NewRNG(cfg.seed)}
+	s.obsRoot = s.rng.Child(obsStream)
 	e, err := s.newEstimator()
 	if err != nil {
 		return nil, err
@@ -472,16 +477,16 @@ func (s *Session) Report(t Tuple) (Report, error) {
 var obsRNGs = sync.Pool{New: func() any { return NewRNG(0) }}
 
 // obsRNG claims the next Observe/Report substream index and returns a
-// pooled RNG reseeded to that substream — the stream
-// s.rng.Child(obsStream).Child(idx) would produce. The caller returns it
-// to obsRNGs once the call has finished drawing from it.
+// pooled RNG reseeded to that substream — the stream s.obsRoot.Child(idx)
+// would produce. The caller returns it to obsRNGs once the call has
+// finished drawing from it.
 func (s *Session) obsRNG() (rng *RNG, idx uint64) {
 	s.mu.Lock()
 	idx = s.obs
 	s.obs++
 	s.mu.Unlock()
 	rng = obsRNGs.Get().(*RNG)
-	rng.Reseed(mathx.ChildSeed(s.rng.ChildSeed(obsStream), idx))
+	rng.Reseed(s.obsRoot.ChildSeed(idx))
 	return rng, idx
 }
 
