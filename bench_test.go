@@ -347,3 +347,33 @@ func BenchmarkSessionReport(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEnhanced is the query side of the performance ledger: one
+// collector-side Session.EstimateEnhanced (snapshot, naive estimate,
+// per-dimension deviations from the cached §IV moments, one-pass HDR4ME)
+// under L1 and L2 across the ledger's shapes. Run with -benchmem.
+func BenchmarkEnhanced(b *testing.B) {
+	for _, reg := range []Reg{RegL1, RegL2} {
+		for _, sh := range []struct{ d, m int }{{32, 1}, {256, 8}, {1024, 32}} {
+			b.Run(fmt.Sprintf("%s/d=%d/m=%d", reg, sh.d, sh.m), func(b *testing.B) {
+				s, err := New(WithMechanism(Piecewise()), WithBudget(0.8), WithDims(sh.d, sh.m),
+					WithEnhance(DefaultEnhanceConfig(reg)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for u := 0; u < 256; u++ {
+					if err := s.Observe(goldenTuple(u, sh.d)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.EstimateEnhanced(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -155,27 +155,49 @@ type Framework struct {
 	R         float64
 }
 
-// Deviation returns the Lemma 2 (unbounded) or Lemma 3 (bounded) Gaussian
-// for one dimension. spec may be nil for unbounded mechanisms; bounded
-// mechanisms require it and panic otherwise (the framework cannot be
-// evaluated without a data model when moments depend on the data).
-func (f Framework) Deviation(spec *DataSpec) Deviation {
+// Moments is the count-free half of the Lemma 2/3 Gaussian: the residual
+// bias δⱼ and the per-report variance whose r-th part is σⱼ². Neither
+// depends on the report count r — only on the mechanism, the budget and
+// the data model — so a collector evaluates them once per budget and
+// re-derives the deviation for any observed count with At.
+type Moments struct {
+	Delta float64
+	Var   float64
+}
+
+// At returns the deviation Gaussian after r reports: mean δⱼ and
+// σⱼ² = Var/r.
+func (m Moments) At(r float64) Deviation {
+	return Deviation{Delta: m.Delta, Sigma2: m.Var / r}
+}
+
+// Moments returns the count-free Lemma 2 (unbounded) or Lemma 3 (bounded)
+// moments for one dimension; f.R plays no part. spec may be nil for
+// unbounded mechanisms; bounded mechanisms require it and panic otherwise
+// (the framework cannot be evaluated without a data model when moments
+// depend on the data).
+func (f Framework) Moments(spec *DataSpec) Moments {
 	if !f.Mech.Bounded() {
-		// Lemma 2: δ = E[N], σ² = Var[N]/r, independent of the data.
-		return Deviation{
-			Delta:  f.Mech.Bias(0, f.EpsPerDim),
-			Sigma2: f.Mech.Var(0, f.EpsPerDim) / f.R,
-		}
+		// Lemma 2: δ = E[N], Var = Var[N], independent of the data.
+		return Moments{Delta: f.Mech.Bias(0, f.EpsPerDim), Var: f.Mech.Var(0, f.EpsPerDim)}
 	}
 	if spec == nil {
 		panic(fmt.Sprintf("analysis: %s is bounded; Lemma 3 needs a DataSpec", f.Mech.Name()))
 	}
-	return f.deviationDiscrete(*spec)
+	return f.momentsDiscrete(*spec)
 }
 
-// deviationDiscrete applies Lemma 3: δⱼ = Σ_z p_z δ(v_z) and
-// σⱼ² = (Σ_z p_z Var(v_z))/r.
-func (f Framework) deviationDiscrete(spec DataSpec) Deviation {
+// Deviation returns the Lemma 2 (unbounded) or Lemma 3 (bounded) Gaussian
+// for one dimension at f.R reports: f.Moments(spec).At(f.R). The moments
+// do not depend on r, so callers evaluating many counts under one budget
+// should compute Moments once and call At per count.
+func (f Framework) Deviation(spec *DataSpec) Deviation {
+	return f.Moments(spec).At(f.R)
+}
+
+// momentsDiscrete applies Lemma 3: δⱼ = Σ_z p_z δ(v_z) and
+// Var = Σ_z p_z Var(v_z) (so σⱼ² = Var/r).
+func (f Framework) momentsDiscrete(spec DataSpec) Moments {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
@@ -185,7 +207,7 @@ func (f Framework) deviationDiscrete(spec DataSpec) Deviation {
 		db.Add(p * f.Mech.Bias(v, f.EpsPerDim))
 		vb.Add(p * f.Mech.Var(v, f.EpsPerDim))
 	}
-	return Deviation{Delta: db.Value(), Sigma2: vb.Value() / f.R}
+	return Moments{Delta: db.Value(), Var: vb.Value()}
 }
 
 // WorstCaseDeviation returns the data-free upper envelope of the Lemma 3
@@ -204,5 +226,5 @@ func (f Framework) WorstCaseDeviation() Deviation {
 			maxAbsBias = b
 		}
 	}
-	return Deviation{Delta: maxAbsBias, Sigma2: maxVar / f.R}
+	return Moments{Delta: maxAbsBias, Var: maxVar}.At(f.R)
 }

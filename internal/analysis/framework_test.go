@@ -172,3 +172,27 @@ func TestDeviationProbWithinAndSup(t *testing.T) {
 		t.Errorf("PDF(0) = %v", p)
 	}
 }
+
+// TestMomentsAreCountFree: the Lemma 2/3 moments ignore the report count,
+// and Deviation at any r is exactly Moments.At(r) — δ unchanged, σ² the
+// per-report variance divided by r.
+func TestMomentsAreCountFree(t *testing.T) {
+	spec := UniformSpec(-1, -0.2, 0.4, 1)
+	for _, mech := range []ldp.Mechanism{ldp.Laplace{}, ldp.Piecewise{}, ldp.SquareWave{}} {
+		ref := Framework{Mech: mech, EpsPerDim: 0.7, R: 1}.Moments(&spec)
+		for _, r := range []float64{1, 3, 250, 1e6} {
+			fw := Framework{Mech: mech, EpsPerDim: 0.7, R: r}
+			if got := fw.Moments(&spec); got != ref {
+				t.Errorf("%s: moments at r=%v are %+v, at r=1 %+v", mech.Name(), r, got, ref)
+			}
+			dev, want := fw.Deviation(&spec), ref.At(r)
+			if math.Float64bits(dev.Delta) != math.Float64bits(want.Delta) ||
+				math.Float64bits(dev.Sigma2) != math.Float64bits(want.Sigma2) {
+				t.Errorf("%s r=%v: Deviation %+v, Moments.At %+v", mech.Name(), r, dev, want)
+			}
+			if dev.Sigma2 != ref.Var/r {
+				t.Errorf("%s r=%v: σ² = %v, want Var/r = %v", mech.Name(), r, dev.Sigma2, ref.Var/r)
+			}
+		}
+	}
+}

@@ -17,6 +17,7 @@ package freq
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/hdr4me/hdr4me/internal/analysis"
@@ -182,7 +183,17 @@ func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]flo
 	counts := a.Counts()
 	naive = make([][]float64, len(means))
 	enhanced = make([][]float64, len(means))
-	epsEntry := a.P.EpsPerEntry()
+	fw := analysis.Framework{Mech: a.P.Mech, EpsPerDim: a.P.EpsPerEntry()}
+	bounded := a.P.Mech.Bounded()
+	// Unbounded moments ignore the data; bounded ones are re-evaluated per
+	// entry through one reused two-atom spec. Enhance does not keep devs,
+	// so one buffer serves every dimension.
+	var mom analysis.Moments
+	if !bounded {
+		mom = fw.Moments(nil)
+	}
+	spec := analysis.DataSpec{Values: []float64{-1, 1}, Probs: make([]float64, 2)}
+	var devs []analysis.Deviation
 	for j := range means {
 		naive[j] = make([]float64, len(means[j]))
 		for k := range means[j] {
@@ -193,17 +204,14 @@ func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]flo
 			enhanced[j] = mathx.Clone(naive[j])
 			continue
 		}
-		fw := analysis.Framework{Mech: a.P.Mech, EpsPerDim: epsEntry, R: r}
-		devs := make([]analysis.Deviation, len(means[j]))
+		devs = slices.Grow(devs[:0], len(means[j]))[:len(means[j])]
 		for k := range devs {
-			var dev analysis.Deviation
-			if !a.P.Mech.Bounded() {
-				dev = fw.Deviation(nil)
-			} else {
+			if bounded {
 				f := mathx.Clamp(naive[j][k], 1/(10*float64(len(means[j]))), 1)
-				spec := analysis.DataSpec{Values: []float64{-1, 1}, Probs: []float64{1 - f, f}}
-				dev = fw.Deviation(&spec)
+				spec.Probs[0], spec.Probs[1] = 1-f, f
+				mom = fw.Moments(&spec)
 			}
+			dev := mom.At(r)
 			// Map the released-frame Gaussian into the frequency frame:
 			// f = (y+1)/2 halves the bias and quarters the variance.
 			devs[k] = analysis.Deviation{Delta: dev.Delta / 2, Sigma2: dev.Sigma2 / 4}

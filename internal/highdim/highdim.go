@@ -159,6 +159,10 @@ func (a *Aggregator) EpsFor(j int) float64 {
 	return a.P.EpsPerDim()
 }
 
+// Allocated reports whether a per-dimension allocation is attached, i.e.
+// whether EpsFor can vary with j.
+func (a *Aggregator) Allocated() bool { return a.alloc != nil }
+
 // perturberFor returns the user-side randomizer of dimension j, bound to
 // EpsFor(j).
 func (a *Aggregator) perturberFor(j int) ldp.Perturber {

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"github.com/hdr4me/hdr4me/internal/analysis"
+	"github.com/hdr4me/hdr4me/internal/mathx"
 )
 
 // Reg selects the regularization flavor.
@@ -55,17 +56,20 @@ func SoftThreshold(est, lambda []float64) []float64 {
 	checkLens(len(est), len(lambda))
 	out := make([]float64, len(est))
 	for j, v := range est {
-		l := lambda[j]
-		switch {
-		case v > l:
-			out[j] = v - l
-		case v < -l:
-			out[j] = v + l
-		default:
-			out[j] = 0
-		}
+		out[j] = softThreshold(v, lambda[j])
 	}
 	return out
+}
+
+func softThreshold(v, l float64) float64 {
+	switch {
+	case v > l:
+		return v - l
+	case v < -l:
+		return v + l
+	default:
+		return 0
+	}
 }
 
 // Shrink applies the Eq. 42 one-off L2 solver: θ*ⱼ = θ̂ⱼ/(2λⱼ + 1).
@@ -74,13 +78,16 @@ func Shrink(est, lambda []float64) []float64 {
 	checkLens(len(est), len(lambda))
 	out := make([]float64, len(est))
 	for j, v := range est {
-		if math.IsInf(lambda[j], 1) {
-			out[j] = 0
-			continue
-		}
-		out[j] = v / (2*lambda[j] + 1)
+		out[j] = shrink(v, lambda[j])
 	}
 	return out
+}
+
+func shrink(v, l float64) float64 {
+	if math.IsInf(l, 1) {
+		return 0
+	}
+	return v / (2*l + 1)
 }
 
 func checkLens(a, b int) {
@@ -101,20 +108,30 @@ func L1Lambda(dev analysis.Deviation, conf float64) float64 {
 // mechanisms (δⱼ = 0) the weight diverges and Shrink sends the coordinate to
 // zero — exactly the saturation the paper reports on Figs. 4(g,h,j,k)/5.
 func L2LambdaPaper(dev analysis.Deviation, conf float64) float64 {
+	return l2Paper(dev, dev.SupAbs(conf))
+}
+
+// l2Paper is L2LambdaPaper given sup = dev.SupAbs(conf).
+func l2Paper(dev analysis.Deviation, sup float64) float64 {
 	if dev.Delta == 0 {
 		return math.Inf(1)
 	}
-	return dev.SupAbs(conf) / (2 * math.Abs(dev.Delta))
+	return sup / (2 * math.Abs(dev.Delta))
 }
 
 // L2LambdaFloored is the ablation variant: the reference mean is floored at
 // floor > 0 so the weight stays finite even for unbiased mechanisms.
 func L2LambdaFloored(dev analysis.Deviation, conf, floor float64) float64 {
+	return l2Floored(dev, dev.SupAbs(conf), floor)
+}
+
+// l2Floored is L2LambdaFloored given sup = dev.SupAbs(conf).
+func l2Floored(dev analysis.Deviation, sup, floor float64) float64 {
 	ref := math.Abs(dev.Delta)
 	if ref < floor {
 		ref = floor
 	}
-	return dev.SupAbs(conf) / (2 * ref)
+	return sup / (2 * ref)
 }
 
 // Config parameterizes one HDR4ME application.
@@ -154,54 +171,69 @@ func (c Config) threshold() float64 {
 
 // Lambda computes the per-dimension regularization weight for deviation dev.
 func (c Config) Lambda(dev analysis.Deviation) float64 {
-	switch c.Reg {
-	case RegL1:
-		return L1Lambda(dev, c.conf())
-	case RegL2:
-		if c.L2Floor > 0 {
-			return L2LambdaFloored(dev, c.conf(), c.L2Floor)
-		}
-		return L2LambdaPaper(dev, c.conf())
-	default:
+	if c.Reg != RegL1 && c.Reg != RegL2 {
 		return 0
+	}
+	return c.lambdaSup(dev, dev.SupAbs(c.conf()))
+}
+
+// lambdaSup is Lambda for an L1 or L2 configuration given the deviation's
+// sup = dev.SupAbs(c.conf()): L1Lambda, L2LambdaFloored or L2LambdaPaper.
+// Enhance forms sup once per dimension and shares it between the guard and
+// the weight.
+func (c Config) lambdaSup(dev analysis.Deviation, sup float64) float64 {
+	switch {
+	case c.Reg == RegL1:
+		return sup
+	case c.L2Floor > 0:
+		return l2Floored(dev, sup, c.L2Floor)
+	default:
+		return l2Paper(dev, sup)
 	}
 }
 
 // Enhance re-calibrates the naive estimate est given per-dimension framework
 // deviations devs (len(devs) must be 1 — shared by all dimensions — or
 // len(est)). It returns a new slice; est is never modified.
+//
+// It is one pass: the quantile Φ⁻¹((1+conf)/2) is formed once, and each
+// dimension's sup-deviation, weight and solver step follow in place —
+// bit for bit what SoftThreshold or Shrink return for the per-dimension
+// weights Config.Lambda selects.
 func Enhance(est []float64, devs []analysis.Deviation, cfg Config) []float64 {
+	out := make([]float64, len(est))
 	if cfg.Reg == RegNone {
-		out := make([]float64, len(est))
 		copy(out, est)
 		return out
 	}
 	if len(devs) != 1 && len(devs) != len(est) {
 		panic(fmt.Sprintf("recal: %d deviations for %d dims", len(devs), len(est)))
 	}
-	devAt := func(j int) analysis.Deviation {
-		if len(devs) == 1 {
-			return devs[0]
+	if cfg.Reg != RegL1 && cfg.Reg != RegL2 {
+		panic(fmt.Sprintf("recal: unknown regularizer %v", cfg.Reg))
+	}
+	// conf() lies in (0,1) or is NaN, where SymmetricQuantile(conf, σ) is
+	// exactly σ·z: hoisting z keeps every product, and so every bit.
+	z := mathx.StdNormQuantile((1 + cfg.conf()) / 2)
+	for j, v := range est {
+		dev := devs[0]
+		if len(devs) > 1 {
+			dev = devs[j]
 		}
-		return devs[j]
-	}
-	lambda := make([]float64, len(est))
-	for j := range est {
-		dev := devAt(j)
-		if cfg.Guarded && dev.SupAbs(cfg.conf()) <= cfg.threshold() {
-			lambda[j] = lambdaIdentity(cfg.Reg)
-			continue
+		sup := math.Abs(dev.Delta) + dev.Sigma()*z
+		// A guarded dimension under the threshold keeps the identity
+		// weight 0, for which both solvers return θ̂ⱼ unchanged.
+		var l float64
+		if !(cfg.Guarded && sup <= cfg.threshold()) {
+			l = cfg.lambdaSup(dev, sup)
 		}
-		lambda[j] = cfg.Lambda(dev)
+		if cfg.Reg == RegL1 {
+			out[j] = softThreshold(v, l)
+		} else {
+			out[j] = shrink(v, l)
+		}
 	}
-	switch cfg.Reg {
-	case RegL1:
-		return SoftThreshold(est, lambda)
-	case RegL2:
-		return Shrink(est, lambda)
-	default:
-		panic("unreachable")
-	}
+	return out
 }
 
 // ShouldEnhance is the collector's pre-flight check: it returns true when
@@ -222,10 +254,4 @@ func ShouldEnhance(joint analysis.JointDeviation, reg Reg, minProb float64) bool
 	default:
 		return false
 	}
-}
-
-// lambdaIdentity is the weight that makes each solver a no-op.
-func lambdaIdentity(r Reg) float64 {
-	// Soft-threshold with λ=0 and shrink with λ=0 both return θ̂ unchanged.
-	return 0
 }

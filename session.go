@@ -413,7 +413,7 @@ func buildEstimator(c *sessionConfig) (Estimator, error) {
 		if c.enhance != nil {
 			cfg = *c.enhance
 		}
-		return &meanEnhancer{Aggregator: agg, cfg: cfg}, nil
+		return newMeanEnhancer(agg, cfg), nil
 	}
 }
 
@@ -529,7 +529,9 @@ func (s *Session) EstimateEnhanced() ([]float64, error) {
 func (s *Session) EstimateEnhancedWith(cfg EnhanceConfig) ([]float64, error) {
 	switch e := s.est.(type) {
 	case *meanEnhancer:
-		return (&meanEnhancer{Aggregator: e.Aggregator, cfg: cfg}).Enhanced()
+		rebound := *e
+		rebound.cfg = cfg
+		return rebound.Enhanced()
 	case *freq.Flat:
 		rebound := *e
 		rebound.Cfg = cfg
@@ -781,6 +783,31 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 type meanEnhancer struct {
 	*highdim.Aggregator
 	cfg recal.Config
+	// The Lemma 2/3 moments do not depend on the report count, so they are
+	// evaluated once per budget at construction: mom under the uniform
+	// budget, moms[j] per dimension under an allocation (nil otherwise).
+	// A query then only scales them by each dimension's count.
+	mom  analysis.Moments
+	moms []analysis.Moments
+}
+
+func newMeanEnhancer(agg *highdim.Aggregator, cfg recal.Config) *meanEnhancer {
+	m := &meanEnhancer{Aggregator: agg, cfg: cfg}
+	mech := agg.P.Mech
+	var spec *analysis.DataSpec
+	if mech.Bounded() {
+		grid := UniformGridSpec(21)
+		spec = &grid
+	}
+	if !agg.Allocated() {
+		m.mom = analysis.Framework{Mech: mech, EpsPerDim: agg.P.EpsPerDim()}.Moments(spec)
+		return m
+	}
+	m.moms = make([]analysis.Moments, agg.P.D)
+	for j := range m.moms {
+		m.moms[j] = analysis.Framework{Mech: mech, EpsPerDim: agg.EpsFor(j)}.Moments(spec)
+	}
+	return m
 }
 
 // Enhanced implements the est.Enhancer interface. It works from one
@@ -797,23 +824,17 @@ func (m *meanEnhancer) enhancedFrom(snap Snapshot) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	mech := m.Aggregator.P.Mech
-	var spec analysis.DataSpec
-	if mech.Bounded() {
-		spec = UniformGridSpec(21)
-	}
 	devs := make([]analysis.Deviation, len(naive))
 	for j := range devs {
 		r := float64(snap.Counts[j])
 		if r < 1 {
 			r = 1
 		}
-		fw := analysis.Framework{Mech: mech, EpsPerDim: m.Aggregator.EpsFor(j), R: r}
-		if mech.Bounded() {
-			devs[j] = fw.Deviation(&spec)
-		} else {
-			devs[j] = fw.Deviation(nil)
+		mom := m.mom
+		if m.moms != nil {
+			mom = m.moms[j]
 		}
+		devs[j] = mom.At(r)
 	}
 	return recal.Enhance(naive, devs, m.cfg), nil
 }
