@@ -325,15 +325,20 @@ func BenchmarkLdpRegistryLookup(b *testing.B) {
 // BenchmarkSessionReport is the randomize layer of the performance ledger:
 // one user's Session.Report (sample m of d dimensions, perturb each with
 // ε/m) across the ledger's report shapes. Run with -benchmem; the
-// allocation column should stay at the report's own Dims/Values.
+// allocation column should stay at the report's own Dims/Values. The
+// 64-tuple pools stay in cache; the 2048-tuple pool at (1024,32) is 16 MB,
+// so each sampled value load misses cache as it does under a real
+// population.
 func BenchmarkSessionReport(b *testing.B) {
-	for _, sh := range []struct{ d, m int }{{32, 1}, {256, 8}, {1024, 32}} {
-		b.Run(fmt.Sprintf("d=%d/m=%d", sh.d, sh.m), func(b *testing.B) {
+	for _, sh := range []struct{ d, m, pool int }{
+		{32, 1, 64}, {256, 8, 64}, {1024, 32, 64}, {1024, 32, 2048},
+	} {
+		b.Run(fmt.Sprintf("d=%d/m=%d/pool=%d", sh.d, sh.m, sh.pool), func(b *testing.B) {
 			s, err := New(WithMechanism(Piecewise()), WithBudget(0.8), WithDims(sh.d, sh.m))
 			if err != nil {
 				b.Fatal(err)
 			}
-			tuples := make([]Tuple, 64)
+			tuples := make([]Tuple, sh.pool)
 			for i := range tuples {
 				tuples[i] = goldenTuple(i, sh.d)
 			}

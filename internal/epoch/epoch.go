@@ -239,6 +239,15 @@ func (l ringLane) AddReports(reps []est.Report) (int, error) {
 	return accepted, err
 }
 
+// AddColumns implements est.ColumnAdder, so a columnar batch reaches the
+// wrapped estimator's columnar fast path instead of est.AddColumns'
+// per-report fallback.
+func (l ringLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
+	accepted, err := est.AddColumns(l.lane, n, ndims, nvals, dims, vals)
+	l.r.tick(int64(accepted))
+	return accepted, err
+}
+
 // tick advances the report-count rotation trigger.
 func (r *Ring) tick(n int64) {
 	if r.cfg.Every <= 0 || n <= 0 {

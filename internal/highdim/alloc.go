@@ -182,11 +182,15 @@ func SimulateAllocated(p Protocol, alloc Allocation, ds dataset.Dataset, rng *ma
 			sums := make([]mathx.KahanSum, p.D)
 			counts := make([]int64, p.D)
 			var dims []int
+			vals := make([]float64, p.M)
 			for i := w; i < n; i += workers {
 				ds.Row(i, row)
 				dims = wrng.SampleIndices(p.D, p.M, dims)
-				for _, j := range dims {
-					sums[j].Add(pert[j].Perturb(wrng, row[j]))
+				for k, j := range dims { // gather, then perturb
+					vals[k] = row[j]
+				}
+				for k, j := range dims {
+					sums[j].Add(pert[j].Perturb(wrng, vals[k]))
 					counts[j]++
 				}
 			}

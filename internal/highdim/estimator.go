@@ -49,8 +49,8 @@ func (a *Aggregator) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error)
 	rep := est.Report{Dims: make([]uint32, a.P.M), Values: make([]float64, a.P.M)}
 	for i, j := range dims {
 		rep.Dims[i] = uint32(j)
-		rep.Values[i] = a.perturberFor(j).Perturb(rng, t.Values[j])
 	}
+	perturbSample(rep.Values, t.Values, dims, a.pert, rng)
 	return rep, nil
 }
 

@@ -67,13 +67,13 @@ type Report = est.Report
 type Client struct {
 	P    Protocol
 	rng  *mathx.RNG
-	pert ldp.Perturber
+	pert []ldp.Perturber // one entry: the uniform ε/m
 	dims []int
 }
 
 // NewClient returns a user-side perturber drawing randomness from rng.
 func NewClient(p Protocol, rng *mathx.RNG) *Client {
-	return &Client{P: p, rng: rng, pert: ldp.At(p.Mech, p.EpsPerDim())}
+	return &Client{P: p, rng: rng, pert: []ldp.Perturber{ldp.At(p.Mech, p.EpsPerDim())}}
 }
 
 // Report samples m dimensions of tuple, perturbs each with ε/m, and returns
@@ -89,9 +89,30 @@ func (c *Client) Report(tuple []float64) Report {
 	}
 	for i, j := range c.dims {
 		rep.Dims[i] = uint32(j)
-		rep.Values[i] = c.pert.Perturb(c.rng, tuple[j])
 	}
+	perturbSample(rep.Values, tuple, c.dims, c.pert, c.rng)
 	return rep
+}
+
+// perturbSample sets vals[i] to tuple[dims[i]] perturbed by that
+// dimension's randomizer (pert[j] under a per-dimension budget, pert[0]
+// under a uniform one). It gathers up to 64 sampled values before
+// perturbing any, so their loads (cache misses over a large population)
+// are in flight together instead of each waiting on the previous
+// perturbation's branches. The perturbations still run in dimension
+// order, so the draws are unchanged. Raw values stay in a stack buffer
+// and never enter vals.
+func perturbSample(vals, tuple []float64, dims []int, pert []ldp.Perturber, rng *mathx.RNG) {
+	var raw [64]float64
+	for lo := 0; lo < len(dims); lo += len(raw) {
+		chunk := dims[lo:min(lo+len(raw), len(dims))]
+		for k, j := range chunk {
+			raw[k] = tuple[j]
+		}
+		for k, j := range chunk {
+			vals[lo+k] = perturberAt(pert, j).Perturb(rng, raw[k])
+		}
+	}
 }
 
 // Aggregator is the collector side: it accumulates reports and produces the
@@ -163,13 +184,14 @@ func (a *Aggregator) EpsFor(j int) float64 {
 // whether EpsFor can vary with j.
 func (a *Aggregator) Allocated() bool { return a.alloc != nil }
 
-// perturberFor returns the user-side randomizer of dimension j, bound to
-// EpsFor(j).
-func (a *Aggregator) perturberFor(j int) ldp.Perturber {
-	if a.alloc != nil {
-		return a.pert[j]
+// perturberAt returns dimension j's user-side randomizer from pert, which
+// holds one per dimension (bound to EpsFor(j)) under an allocation and a
+// single shared one otherwise.
+func perturberAt(pert []ldp.Perturber, j int) ldp.Perturber {
+	if len(pert) > 1 {
+		return pert[j]
 	}
-	return a.pert[0]
+	return pert[0]
 }
 
 // validate checks one report against the protocol: paired lists, at most
@@ -396,11 +418,15 @@ func Simulate(p Protocol, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Agg
 			sums := make([]mathx.KahanSum, p.D)
 			counts := make([]int64, p.D)
 			var dims []int
+			vals := make([]float64, p.M)
 			for i := w; i < n; i += workers {
 				ds.Row(i, row)
 				dims = wrng.SampleIndices(p.D, p.M, dims)
-				for _, j := range dims {
-					sums[j].Add(pert.Perturb(wrng, row[j]))
+				for k, j := range dims { // gather, then perturb
+					vals[k] = row[j]
+				}
+				for k, j := range dims {
+					sums[j].Add(pert.Perturb(wrng, vals[k]))
 					counts[j]++
 				}
 			}

@@ -12,15 +12,22 @@ import (
 // derives an independent deterministic substream, which lets the experiment
 // harness run trials in parallel while staying exactly reproducible.
 //
+// Its draws are those of math/rand/v2's Rand over the same PCG: Float64,
+// Uniform, IntN and Bernoulli call the PCG directly with the standard
+// library's formulas (the 64-bit IntN reduction on every platform), and
+// the remaining samplers go through a rand.Rand. A seed therefore names
+// one stream whichever entry point consumes it.
+//
 // RNG is not safe for concurrent use; give each goroutine its own Child.
 // An RNG must not be copied by value (its source points into itself); a
 // hot path that needs many short substreams reuses one RNG through Reseed
 // instead of allocating a Child per substream.
 type RNG struct {
 	pcg  rand.PCG
-	src  rand.Rand // draws from &pcg
+	src  rand.Rand // draws from &pcg; for Normal, Exponential and Perm
 	seed uint64
 	perm permTable // SampleIndices' shuffle state, reused across calls
+	bits []uint64  // SampleIndices' ordering bitmap, all zero between calls
 }
 
 // NewRNG returns a deterministic RNG seeded with seed.
@@ -59,27 +66,51 @@ func (r *RNG) Child(i uint64) *RNG { return NewRNG(r.ChildSeed(i)) }
 // Seed returns the seed the RNG was constructed with.
 func (r *RNG) Seed() uint64 { return r.seed }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
+// Float64 returns a uniform value in [0, 1): rand.Rand.Float64's 53-bit
+// formula over one PCG draw.
+func (r *RNG) Float64() float64 { return float64(r.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // Uniform returns a uniform value in [a, b).
-func (r *RNG) Uniform(a, b float64) float64 { return a + (b-a)*r.src.Float64() }
+func (r *RNG) Uniform(a, b float64) float64 { return a + (b-a)*r.Float64() }
 
-// IntN returns a uniform int in [0, n).
-func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
+// IntN returns a uniform int in [0, n). It panics if n <= 0.
+func (r *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("invalid argument to IntN")
+	}
+	return int(r.uint64n(uint64(n)))
+}
+
+// uint64n is rand.Rand's 64-bit reduction of one PCG draw to [0, n): a
+// mask when n is a power of two, otherwise Lemire's multiply-high with
+// rejection of the 2⁶⁴ mod n lowest products (computed only when the
+// first product lands below n).
+func (r *RNG) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.pcg.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.pcg.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.pcg.Uint64(), n)
+		}
+	}
+	return hi
+}
 
 // Perm returns a uniform random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Bernoulli returns true with probability p.
-func (r *RNG) Bernoulli(p float64) bool { return r.src.Float64() < p }
+func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
 
 // Normal returns a N(mu, sigma²) sample.
 func (r *RNG) Normal(mu, sigma float64) float64 { return mu + sigma*r.src.NormFloat64() }
 
 // Laplace returns a Laplace(0, scale) sample (density exp(−|x|/scale)/2scale).
 func (r *RNG) Laplace(scale float64) float64 {
-	u := r.src.Float64() - 0.5
+	u := r.Float64() - 0.5
 	if u < 0 {
 		return scale * math.Log1p(2*u) // log(1 − 2|u|), negative branch
 	}
@@ -98,7 +129,7 @@ func (r *RNG) Geometric(q float64) int {
 	if q <= 0 {
 		return 0
 	}
-	u := r.src.Float64()
+	u := r.Float64()
 	// Invert the CDF: smallest g with 1 − q^{g+1} ≥ u.
 	g := math.Floor(math.Log1p(-u) / math.Log(q))
 	if g < 0 {
@@ -119,7 +150,7 @@ func (r *RNG) Poisson(lambda float64) int {
 		k := 0
 		p := 1.0
 		for {
-			p *= r.src.Float64()
+			p *= r.Float64()
 			if p <= l {
 				return k
 			}
@@ -136,8 +167,8 @@ func (r *RNG) poissonPTRS(lambda float64) int {
 	vr := 0.9277 - 3.6224/(b-2)
 	logLam := math.Log(lambda)
 	for {
-		u := r.src.Float64() - 0.5
-		v := r.src.Float64()
+		u := r.Float64() - 0.5
+		v := r.Float64()
 		us := 0.5 - math.Abs(u)
 		k := math.Floor((2*a/us+b)*u + lambda + 0.43)
 		if us >= 0.07 && v <= vr {
@@ -156,12 +187,12 @@ func (r *RNG) poissonPTRS(lambda float64) int {
 // SampleIndices fills dst with a uniform random m-subset of [0, d) in
 // increasing order (m is clamped to d). It runs a partial Fisher–Yates
 // shuffle but stores only the positions the shuffle has displaced, in a
-// table of O(m) ints the RNG owns and reuses. A call therefore costs at
-// most O(m log m) time and O(m) space whatever d is, and allocates only
-// when dst is too small or the table first grows to a larger m. It draws
-// exactly the IntN sequence of a dense Fisher–Yates over a d-int
-// permutation and returns the same subset, so a seed yields the same
-// sample stream as that dense shuffle.
+// table of O(m) ints the RNG owns and reuses, and then orders the sample
+// (see orderSample). It allocates only when dst is too small or the RNG's
+// scratch first grows to a larger shape. It draws exactly the IntN
+// sequence of a dense Fisher–Yates over a d-int permutation and returns
+// the same subset, so a seed yields the same sample stream as that dense
+// shuffle; the ordering step draws nothing.
 func (r *RNG) SampleIndices(d, m int, dst []int) []int {
 	if m > d {
 		m = d
@@ -170,16 +201,66 @@ func (r *RNG) SampleIndices(d, m int, dst []int) []int {
 		dst = make([]int, m)
 	}
 	dst = dst[:m]
+	// dst holds positions [0, m) of the virtual permutation; the table
+	// holds only the positions ≥ m the shuffle has displaced.
+	for k := range dst {
+		dst[k] = k
+	}
 	r.perm.reset(m)
 	for i := 0; i < m; i++ {
-		j := i + r.src.IntN(d-i)
-		// Swap positions i and j of the virtual permutation. Position i
-		// is never read again, so only j's new value is recorded.
-		vi := r.perm.get(i)
-		dst[i] = r.perm.swapIn(j, vi)
+		j := i + r.IntN(d-i)
+		if j < m {
+			dst[i], dst[j] = dst[j], dst[i]
+		} else {
+			dst[i] = r.perm.swapIn(j, dst[i])
+		}
 	}
-	slices.Sort(dst)
+	r.orderSample(dst, d)
 	return dst
+}
+
+// orderSample sorts the distinct sample dst of [0, d) in increasing order.
+// A bitmap of [0, d) spans w = ⌈d/64⌉ words; when m ≥ 8 and w ≤ m²/8, it
+// sets one bit per index and reads them back in order, in O(w + m);
+// otherwise it calls slices.Sort, in O(m log m). slices.Sort is an
+// insertion sort below 13 elements and mispredicts heavily above, so the
+// break-even w grows faster than m; BenchmarkSampleOrder holds rows on
+// both sides of the rule at m = 8, 16 and 32. The ordering draws
+// nothing, so either branch returns the same slice. (m² overflows only
+// for a dst larger than memory.)
+func (r *RNG) orderSample(dst []int, d int) {
+	m := len(dst)
+	if m < 8 || (d+63)>>6 > m*m/8 {
+		slices.Sort(dst)
+		return
+	}
+	r.orderBitmap(dst, d)
+}
+
+// orderBitmap orders the distinct sample dst of [0, d) through the RNG's
+// bitmap, clearing each word as it is read so the bitmap is all zero
+// again on return.
+func (r *RNG) orderBitmap(dst []int, d int) {
+	words := (d + 63) >> 6
+	if cap(r.bits) < words {
+		r.bits = make([]uint64, words)
+	}
+	bm := r.bits[:words]
+	for _, v := range dst {
+		bm[v>>6] |= 1 << (uint(v) & 63)
+	}
+	k := 0
+	for w := 0; k < len(dst); w++ {
+		b := bm[w]
+		if b == 0 {
+			continue
+		}
+		bm[w] = 0
+		for ; b != 0; b &= b - 1 {
+			dst[k] = w<<6 | bits.TrailingZeros64(b)
+			k++
+		}
+	}
 }
 
 // permTable is the sparse state of a partial Fisher–Yates shuffle over
@@ -220,14 +301,6 @@ func (t *permTable) find(pos int) *permSlot {
 		}
 		h = (h + 1) & mask
 	}
-}
-
-// get returns the value at position pos.
-func (t *permTable) get(pos int) int {
-	if s := t.find(pos); s.key != 0 {
-		return s.val
-	}
-	return pos
 }
 
 // swapIn stores v at position pos and returns the value it replaces.

@@ -61,13 +61,16 @@ func TestSampleIndicesMatchesDenseShuffle(t *testing.T) {
 }
 
 func TestSampleIndicesLargeD(t *testing.T) {
-	// A large domain with a small sample: the sparse table must still
-	// reproduce the dense shuffle exactly.
+	// Large domains with small samples: the sparse table must still
+	// reproduce the dense shuffle exactly, whether the sample is ordered
+	// through the bitmap ((8192, 32)) or by sorting.
 	sparse, dense := NewRNG(5), NewRNG(5)
-	for trial := 0; trial < 50; trial++ {
-		got := sparse.SampleIndices(1<<20, 64, nil)
-		if want := denseSampleIndices(dense, 1<<20, 64); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: sparse %v, dense %v", trial, got, want)
+	for _, sh := range []struct{ d, m int }{{1 << 20, 64}, {8192, 32}, {65536, 32}} {
+		for trial := 0; trial < 50; trial++ {
+			got := sparse.SampleIndices(sh.d, sh.m, nil)
+			if want := denseSampleIndices(dense, sh.d, sh.m); !slices.Equal(got, want) {
+				t.Fatalf("(d=%d, m=%d) trial %d: sparse %v, dense %v", sh.d, sh.m, trial, got, want)
+			}
 		}
 	}
 }
