@@ -269,7 +269,7 @@ func BenchmarkAblation_DuchiMDvsSampling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		agg, err := Simulate(p, ds, NewRNG(uint64(100+i)), 0)
+		agg, err := highdim.Simulate(p, ds, NewRNG(uint64(100+i)), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func BenchmarkSimulateRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(p, ds, rng.Child(uint64(i)), 0); err != nil {
+		if _, err := highdim.Simulate(p, ds, rng.Child(uint64(i)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -105,10 +105,11 @@
 // version on the HELLO exchange (WithProtocolVersion /
 // WithClientProtocolVersion pin it; reconnecting buffered clients
 // negotiate automatically) and un-negotiated connections stay v1, so
-// every legacy peer keeps working unchanged. The deprecated WriteBatch
-// and WriteSeqBatch helpers remain as byte-exact compatibility shims
-// over the v1 grammar. See the README's "Protocol versions &
-// negotiation" section.
+// every legacy peer keeps working unchanged. On the collector, every
+// 0x06 BATCH body — top-level, EPOCH-wrapped or sequenced — goes through
+// one zero-alloc decoder, checked against CodecV1.DecodeBatch by the
+// transport fuzzers. See the README's "Protocol versions & negotiation"
+// section.
 //
 // The invariants all of the above rests on are machine-enforced:
 // cmd/hdrvet, a go vet -vettool multichecker built on the
@@ -130,8 +131,9 @@
 // audited by hdrvet -suppressions. See the README's "Static analysis &
 // enforced invariants" section.
 //
-// The pre-Session facade (Simulate, SimulateAllocated, SimulateDuchiMD,
-// SimulateFreq) remains available as deprecated wrappers over the same
-// internals; see README.md for the migration table and EXPERIMENTS.md for
-// the paper-reproduction results.
+// Session is the only way to run a collection round: the pre-Session
+// Simulate, SimulateAllocated, SimulateDuchiMD and SimulateFreq wrappers
+// are gone, and the README's "Migrating from the flat facade" table maps
+// each one to its Session options. The paper-reproduction harness is
+// cmd/hdrbench.
 package hdr4me

@@ -1,6 +1,7 @@
 package hdr4me
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -39,11 +40,15 @@ func TestFacadeDuchiMD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := SimulateDuchiMD(m, ds, NewRNG(3), 0)
+	sess, err := New(WithWholeTuple(), WithBudget(m.Eps), WithDims(m.D, 0), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mse := MSE(est, ds.TrueMean()); mse > 0.01 {
+	res, err := sess.Run(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mse := MSE(res.Naive, ds.TrueMean()); mse > 0.01 {
 		t.Fatalf("duchi-md facade MSE = %v", mse)
 	}
 }
@@ -61,15 +66,15 @@ func TestFacadeAllocation(t *testing.T) {
 		t.Fatal("heavier weight must get more budget")
 	}
 	ds := NewUniformDataset(2000, 4, 65)
-	p, err := NewProtocol(Laplace(), 1, 4, 2)
+	sess, err := New(WithMechanism(Laplace()), WithBudget(1), WithDims(4, 2), WithAllocation(w), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := SimulateAllocated(p, w, ds, NewRNG(5), 0)
+	res, err := sess.Run(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(agg.Estimate()) != 4 {
+	if len(res.Naive) != 4 {
 		t.Fatal("bad estimate width")
 	}
 	if WeightedMSE([]float64{1, 1}, []float64{0, 0}, []float64{1, 3}) != 1 {
@@ -80,16 +85,24 @@ func TestFacadeAllocation(t *testing.T) {
 func TestFacadeFrequencyOracleTypesCompile(t *testing.T) {
 	// The oracle baselines live in internal/freq; the facade deliberately
 	// exposes only the paper's histogram-encoding pipeline. This test pins
-	// that decision: the public surface has SimulateFreq but the baselines
-	// are reachable for benchmarks via the internal package.
+	// that decision: the public surface collects frequencies through a
+	// WithCards Session, and the baselines are reachable for benchmarks
+	// via the internal package.
 	cards := []int{3, 3}
 	ds := NewUniformCatDataset(500, cards, 67)
-	p := FreqProtocol{Mech: Laplace(), Eps: 2, Cards: cards, M: 1}
-	agg, err := SimulateFreq(p, ds, NewRNG(7), 0)
+	sess, err := New(WithCards(cards), WithMechanism(Laplace()), WithBudget(2), WithDims(len(cards), 1), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	freqs := ProjectSimplex(agg.Estimate())
+	res, err := sess.Run(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := sess.Freqs(res.Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freqs := ProjectSimplex(est)
 	for _, row := range freqs {
 		var sum float64
 		for _, f := range row {

@@ -95,16 +95,6 @@ func NewClient(p Protocol, rng *RNG) *Client { return highdim.NewClient(p, rng) 
 // NewAggregator returns an empty collector for p.
 func NewAggregator(p Protocol) *Aggregator { return highdim.NewAggregator(p) }
 
-// Simulate runs one full collection round over ds with the given worker
-// parallelism (0 = default).
-//
-// Deprecated: build a Session with New(WithMechanism(...), WithBudget(...),
-// WithDims(...)) and call Session.Run — it adds context cancellation,
-// streaming ingestion and shard composition behind the same math.
-func Simulate(p Protocol, ds Dataset, rng *RNG, workers int) (*Aggregator, error) {
-	return highdim.Simulate(p, ds, rng, workers)
-}
-
 // Allocation assigns per-dimension budgets (the §II-B importance-aware
 // extension); see internal/highdim for the privacy constraint.
 type Allocation = highdim.Allocation
@@ -118,15 +108,6 @@ func UniformAllocation(eps float64, d, m int) Allocation {
 // weighted-MSE optimum.
 func OptimalMSEAllocation(eps float64, weights []float64, m int) (Allocation, error) {
 	return highdim.OptimalMSEAllocation(eps, weights, m)
-}
-
-// SimulateAllocated runs a collection round under a per-dimension budget
-// allocation.
-//
-// Deprecated: build a Session with New(..., WithAllocation(alloc)) and
-// call Session.Run.
-func SimulateAllocated(p Protocol, alloc Allocation, ds Dataset, rng *RNG, workers int) (*Aggregator, error) {
-	return highdim.SimulateAllocated(p, alloc, ds, rng, workers)
 }
 
 // WeightedMSE is the importance-weighted error metric the allocators target.
@@ -282,14 +263,6 @@ func NewUniformCatDataset(n int, cards []int, seed uint64) CatDataset {
 // TrueFreqs streams ds and returns the exact per-dimension frequencies.
 func TrueFreqs(ds CatDataset) [][]float64 { return freq.TrueFreqs(ds) }
 
-// SimulateFreq runs one frequency-collection round.
-//
-// Deprecated: build a Session with New(..., WithCards(cards)) and call
-// Session.Run with the CatDataset.
-func SimulateFreq(p FreqProtocol, ds CatDataset, rng *RNG, workers int) (*FreqAggregator, error) {
-	return freq.Simulate(p, ds, rng, workers)
-}
-
 // ProjectSimplex clips and renormalizes frequency estimates per dimension.
 func ProjectSimplex(freqs [][]float64) [][]float64 { return freq.ProjectSimplex(freqs) }
 
@@ -308,14 +281,6 @@ type DuchiMD = highdim.DuchiMD
 
 // NewDuchiMD validates and returns the multidimensional mechanism.
 func NewDuchiMD(d int, eps float64) (DuchiMD, error) { return highdim.NewDuchiMD(d, eps) }
-
-// SimulateDuchiMD runs a whole-tuple collection round.
-//
-// Deprecated: build a Session with New(WithWholeTuple(), WithBudget(eps),
-// WithDims(d, d)) and call Session.Run.
-func SimulateDuchiMD(m DuchiMD, ds Dataset, rng *RNG, workers int) ([]float64, error) {
-	return highdim.SimulateDuchiMD(m, ds, rng, workers)
-}
 
 // CollectorServer is a TCP collector; CollectorClient its network client;
 // BufferedCollectorClient the auto-batching submitter that rides the BATCH

@@ -1,25 +1,29 @@
 package hdr4me
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
-
-	"github.com/hdr4me/hdr4me/internal/core"
 )
 
 func TestFacadeEndToEndMeanEstimation(t *testing.T) {
-	// The doc.go quickstart, verbatim as a test.
+	// The doc.go quickstart as a test, enhanced with the data-informed
+	// framework instead of WithEnhance's uninformative prior.
 	ds := Memoize(NewGaussianDataset(20_000, 50, 1))
+	sess, err := New(WithMechanism(Piecewise()), WithBudget(0.8), WithDims(50, 50), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := res.Naive
 	p, err := NewProtocol(Piecewise(), 0.8, 50, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Simulate(p, ds, NewRNG(7), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive := agg.Estimate()
 	enhanced, err := EnhanceWithFramework(p, ds, naive, DefaultEnhanceConfig(RegL1))
 	if err != nil {
 		t.Fatal(err)
@@ -153,28 +157,6 @@ func TestFacadeNetworkedCollection(t *testing.T) {
 	}
 	if len(est) != 4 {
 		t.Fatalf("estimate dims = %d", len(est))
-	}
-}
-
-func TestCorePackageReexports(t *testing.T) {
-	dev := core.Deviation{Delta: 0, Sigma2: 4}
-	out := core.Enhance([]float64{10}, []core.Deviation{dev}, core.Config{Reg: core.RegL1, Conf: 0.99})
-	if out[0] >= 10 {
-		t.Fatal("core.Enhance inert")
-	}
-	if core.SoftThreshold([]float64{3}, []float64{1})[0] != 2 {
-		t.Fatal("core.SoftThreshold")
-	}
-	if core.Shrink([]float64{3}, []float64{1})[0] != 1 {
-		t.Fatal("core.Shrink")
-	}
-	fw := core.Framework{}
-	_ = fw
-	if core.BerryEsseen(3, 1, 100) <= 0 {
-		t.Fatal("core.BerryEsseen")
-	}
-	if core.RegNone.String() != "none" {
-		t.Fatal("core reg alias")
 	}
 }
 

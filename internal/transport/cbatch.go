@@ -411,8 +411,9 @@ func discardCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int)
 // — returning deep-copied reports; sequenced tells the v1 grammar
 // (whose 0x06 frame is not self-describing) whether the connection's
 // session grammar puts a sequence field after the type byte. DecodeBatch
-// is the reference decode path — tests and fuzzers diff the server's
-// specialized zero-alloc decoders against it.
+// is the reference decode path: the server decodes a 0x06 body with one
+// zero-alloc windowed decoder (decodeBatch, behind readBatchBuffered and
+// readSeqBatch), and tests and fuzzers diff that decoder against it.
 type FrameCodec interface {
 	Version() int
 	AppendBatch(dst []byte, query string, seq uint64, reps []est.Report) ([]byte, error)

@@ -76,22 +76,11 @@ func (s *Server) serveEpoch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScratc
 		}
 		return bw.WriteByte(ack)
 	case frameBatch:
-		add := func([]est.Report) (int, error) { return 0, errNoQuery }
+		var add func([]est.Report) (int, error)
 		if ring != nil {
 			add = func(chunk []est.Report) (int, error) { return ring.AddLate(id, chunk) }
 		}
-		accepted, err := readBatchInto(br, sc, add)
-		if err != nil {
-			return err
-		}
-		var reply [5]byte
-		reply[0] = ackOK
-		if ring == nil {
-			reply[0] = ackErr
-		}
-		binary.BigEndian.PutUint32(reply[1:], accepted)
-		_, err = bw.Write(reply[:])
-		return err
+		return s.serveBatch(br, bw, sc, add)
 	default:
 		return fmt.Errorf("transport: EPOCH must wrap an ingest frame (0x01, 0x05 or 0x06), got 0x%02x", inner)
 	}
@@ -192,13 +181,11 @@ func (q *Query) SendBatchEpoch(id uint64, reps []est.Report) (accepted int, err 
 	if err := q.writeEpochHeaderLocked(id); err != nil {
 		return 0, err
 	}
-	if err := WriteBatch(c.bw, reps); err != nil {
+	n, err := c.encodeAndSendLocked(CodecV1{}, "", 0, reps)
+	if err != nil {
 		return 0, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, err
-	}
-	return c.readBatchAckLocked(len(reps))
+	return c.readBatchAckLocked(n)
 }
 
 // writeEpochHeaderLocked writes this handle's route header plus the

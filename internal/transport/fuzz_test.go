@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -135,103 +136,168 @@ func FuzzRoundTripVecReport(f *testing.F) {
 	})
 }
 
-// decodeBatch collects a batch frame's reports.
-func decodeBatch(data []byte) ([]est.Report, error) {
-	var reps []est.Report
-	_, err := readBatchBody(bytes.NewReader(data), func(r est.Report) error {
-		reps = append(reps, r)
-		return nil
-	})
-	return reps, err
+// refDecodeBatch decodes an unsequenced batch body (count field onward)
+// through the reference decoder, CodecV1{}.DecodeBatch, returning the
+// reports and the bytes left unread after the frame.
+func refDecodeBatch(body []byte) (reps []est.Report, rest []byte, err error) {
+	br := bufio.NewReader(io.MultiReader(bytes.NewReader([]byte{frameBatch}), bytes.NewReader(body)))
+	_, _, reps, err = CodecV1{}.DecodeBatch(br, false)
+	rest, _ = io.ReadAll(br)
+	return reps, rest, err
 }
 
-// FuzzRoundTripBatch: a decodable batch body must survive
-// encode-decode, report by report.
+// servedDecodeBatch decodes an unsequenced batch body the way the
+// server does — count bound, then readBatchBuffered — and returns deep
+// copies of every report the decoder handed to the lane, failure or not.
+func servedDecodeBatch(br *bufio.Reader) ([]est.Report, error) {
+	sc := &decodeScratch{}
+	cnt, err := sc.readUint32(br)
+	if err != nil {
+		return nil, err
+	}
+	if cnt > maxBatch {
+		return nil, fmt.Errorf("transport: batch of %d reports exceeds limit %d", cnt, maxBatch)
+	}
+	var got []est.Report
+	n, err := readBatchBuffered(br, sc, cnt, func(reps []est.Report) (int, error) {
+		got = append(got, cloneReports(reps)...)
+		return len(reps), nil
+	})
+	if int(n) != len(got) {
+		return got, fmt.Errorf("accepted %d but delivered %d reports", n, len(got))
+	}
+	return got, err
+}
+
+// cloneReports deep-copies reports out of a decode scratch.
+func cloneReports(reps []est.Report) []est.Report {
+	out := make([]est.Report, len(reps))
+	for i, rep := range reps {
+		out[i] = est.Report{
+			Dims:   append([]uint32(nil), rep.Dims...),
+			Values: append([]float64(nil), rep.Values...),
+		}
+	}
+	return out
+}
+
+// sameReports fails t unless got and want agree report by report.
+func sameReports(t *testing.T, label string, got, want []est.Report) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: decoded %d reports, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !reportsEqual(got[i], want[i]) {
+			t.Fatalf("%s: report %d mismatch: got %+v, reference %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// FuzzRoundTripBatch: a batch body the reference decoder accepts must
+// survive encode-decode through CodecV1, report by report.
 func FuzzRoundTripBatch(f *testing.F) {
-	var seed bytes.Buffer
-	WriteBatch(&seed, []est.Report{
+	seed, err := CodecV1{}.AppendBatch(nil, "", 0, []est.Report{
 		{Dims: []uint32{0}, Values: []float64{0.5}},
 		{Values: []float64{1, -1}},
 	})
-	f.Add(seed.Bytes()[1:])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed[1:])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})       // hostile count
 	f.Add([]byte{0, 0, 0, 1, 0x07})             // batch embedding a non-report frame
 	f.Add([]byte{0, 0, 0, 2, 0x01, 0, 0, 0, 0}) // truncated second report
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reps, err := decodeBatch(data)
+		reps, _, err := refDecodeBatch(data)
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteBatch(&buf, reps); err != nil {
+		frame, err := CodecV1{}.AppendBatch(nil, "", 0, reps)
+		if err != nil {
 			t.Fatalf("re-encode decoded batch: %v", err)
 		}
-		got, err := decodeBatch(frameBody(t, &buf, frameBatch))
+		got, _, err := refDecodeBatch(frame[1:])
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if len(got) != len(reps) {
-			t.Fatalf("round trip count %d, want %d", len(got), len(reps))
-		}
-		for i := range reps {
-			if !reportsEqual(reps[i], got[i]) {
-				t.Fatalf("report %d mismatch: %+v vs %+v", i, reps[i], got[i])
-			}
-		}
+		sameReports(t, "round trip", got, reps)
 	})
 }
 
-// FuzzBatchDecodeParity: the pooled chunked decoder (readBatchInto, the
-// serving path) must agree with the legacy streaming decoder
-// (readBatchBody, the reference) on every input — same reports, same
-// accepted count, same accept/abort decision.
+// FuzzBatchDecodeParity: the served 0x06 decoder must agree with the
+// reference decoder (CodecV1{}.DecodeBatch) on every input. Over
+// read buffers of 16 and 64 bytes — at 16, frames wider than the window
+// take the readReportPairs/readVecReportRest fallback — the chunked
+// unsequenced path must deliver the same reports and leave the same
+// bytes unread. On inputs the reference rejects it must fail too, and
+// the prefix it delivered before failing must be exactly the reference
+// decode of the same bytes with the count field set to that prefix's
+// length. The sequenced full-decode path must accept exactly what the
+// reference accepts, with the same reports.
 func FuzzBatchDecodeParity(f *testing.F) {
-	var seed bytes.Buffer
-	WriteBatch(&seed, []est.Report{
+	seed, err := CodecV1{}.AppendBatch(nil, "", 0, []est.Report{
 		{Dims: []uint32{0}, Values: []float64{0.5}},
 		{Values: []float64{1, -1}},
 		{Dims: []uint32{1, 3}, Values: []float64{0.25, -0.25}},
 	})
-	f.Add(seed.Bytes()[1:])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed[1:])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})       // hostile count
 	f.Add([]byte{0, 0, 0, 1, 0x07})             // batch embedding a non-report frame
 	f.Add([]byte{0, 0, 0, 2, 0x01, 0, 0, 0, 0}) // truncated second report
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantErr := decodeBatch(data)
+		want, wantRest, wantErr := refDecodeBatch(data)
+		for _, size := range []int{16, 64} {
+			label := fmt.Sprintf("window %d", size)
+			br := bufio.NewReaderSize(bytes.NewReader(data), size)
+			got, gotErr := servedDecodeBatch(br)
+			if wantErr == nil {
+				if gotErr != nil {
+					t.Fatalf("%s: served decoder rejects what the reference accepts: %v", label, gotErr)
+				}
+				sameReports(t, label, got, want)
+				if rest, _ := io.ReadAll(br); !bytes.Equal(rest, wantRest) {
+					t.Fatalf("%s: served decoder left %d bytes unread, reference %d", label, len(rest), len(wantRest))
+				}
+				continue
+			}
+			if gotErr == nil {
+				t.Fatalf("%s: served decoder accepts what the reference rejects (%v)", label, wantErr)
+			}
+			if len(data) < 4 {
+				if len(got) != 0 {
+					t.Fatalf("%s: %d reports delivered without a count field", label, len(got))
+				}
+				continue
+			}
+			prefix := append([]byte(nil), data...)
+			binary.BigEndian.PutUint32(prefix, uint32(len(got)))
+			ref, _, err := refDecodeBatch(prefix)
+			if err != nil {
+				t.Fatalf("%s: reference rejects the %d-report prefix the served decoder delivered: %v", label, len(got), err)
+			}
+			sameReports(t, label+" prefix", got, ref)
+		}
 
-		// Pooled decoder, twice: plain reader (streaming fallback path)
-		// and bufio reader (the serving path's zero-copy peek decode).
-		for _, peek := range []bool{false, true} {
-			var r io.Reader = bytes.NewReader(data)
-			if peek {
-				r = bufio.NewReaderSize(bytes.NewReader(data), 64)
+		// The sequenced path decodes the same body in full.
+		br := bufio.NewReaderSize(bytes.NewReader(data), 16)
+		sc := &decodeScratch{}
+		cnt, err := sc.readUint32(br)
+		if err != nil || cnt > maxBatch {
+			if wantErr == nil {
+				t.Fatalf("reference accepted a batch with no valid count")
 			}
-			var got []est.Report
-			sc := &decodeScratch{}
-			gotN, gotErr := readBatchInto(r, sc, func(reps []est.Report) (int, error) {
-				for _, rep := range reps {
-					// The scratch owns the report's arrays; keep a copy.
-					got = append(got, est.Report{
-						Dims:   append([]uint32(nil), rep.Dims...),
-						Values: append([]float64(nil), rep.Values...),
-					})
-				}
-				return len(reps), nil
-			})
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("peek=%v: decoders disagree on validity: legacy err %v, pooled err %v", peek, wantErr, gotErr)
-			}
-			if int(gotN) != len(got) {
-				t.Fatalf("peek=%v: pooled accepted %d but delivered %d reports", peek, gotN, len(got))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("peek=%v: pooled decoded %d reports, legacy %d", peek, len(got), len(want))
-			}
-			for i := range want {
-				if !reportsEqual(want[i], got[i]) {
-					t.Fatalf("peek=%v: report %d mismatch: legacy %+v, pooled %+v", peek, i, want[i], got[i])
-				}
-			}
+			return
+		}
+		seq, seqErr := readSeqBatch(br, sc, cnt)
+		if (seqErr == nil) != (wantErr == nil) {
+			t.Fatalf("sequenced decoder err %v, reference err %v", seqErr, wantErr)
+		}
+		if seqErr == nil {
+			sameReports(t, "sequenced", seq, want)
 		}
 	})
 }
@@ -371,48 +437,44 @@ func FuzzRoundTripHello(f *testing.F) {
 	})
 }
 
-// FuzzSeqBatchDecodeParity: a sequenced batch encoded by WriteSeqBatch
-// must decode through the full-batch replay path (readBatchAll) to
-// bit-identical reports, for any sequence number and report content.
+// FuzzSeqBatchDecodeParity: a sequenced batch encoded by
+// CodecV1{}.AppendBatch must decode through the served full-batch path
+// (readSeqBatch) to bit-identical reports, for any sequence number and
+// report content. Sequence 0 is skipped: sessions never send it, and
+// AppendBatch omits the sequence field for it.
 func FuzzSeqBatchDecodeParity(f *testing.F) {
 	f.Add(uint64(1), uint32(3), 0.25, -0.75)
 	f.Add(^uint64(0), uint32(0), math.Inf(1), math.NaN())
 	f.Fuzz(func(t *testing.T, seq uint64, dim uint32, v1, v2 float64) {
+		if seq == 0 {
+			t.Skip("sequence 0 is never sent in a session")
+		}
 		reps := []est.Report{
 			{Dims: []uint32{dim}, Values: []float64{v1}},
 			{Dims: []uint32{dim / 2, dim}, Values: []float64{v2, v1}},
 		}
-		var buf bytes.Buffer
-		if err := WriteSeqBatch(&buf, seq, reps); err != nil {
-			t.Fatalf("WriteSeqBatch: %v", err)
+		frame, err := CodecV1{}.AppendBatch(nil, "", seq, reps)
+		if err != nil {
+			t.Fatalf("AppendBatch: %v", err)
 		}
-		ft, err := readFrameType(&buf)
-		if err != nil || ft != frameBatch {
-			t.Fatalf("frame type 0x%02x, err %v; want frameBatch", ft, err)
+		if frame[0] != frameBatch {
+			t.Fatalf("frame type 0x%02x; want frameBatch", frame[0])
 		}
-		var hdr [12]byte
-		if _, err := io.ReadFull(&buf, hdr[:]); err != nil {
-			t.Fatalf("seq+count header: %v", err)
+		if len(frame) < 13 {
+			t.Fatalf("frame of %d bytes has no seq+count header", len(frame))
 		}
-		if got := binary.BigEndian.Uint64(hdr[:8]); got != seq {
+		if got := binary.BigEndian.Uint64(frame[1:9]); got != seq {
 			t.Fatalf("sequence %d; want %d", got, seq)
 		}
-		cnt := binary.BigEndian.Uint32(hdr[8:])
+		cnt := binary.BigEndian.Uint32(frame[9:13])
 		if int(cnt) != len(reps) {
 			t.Fatalf("count %d; want %d", cnt, len(reps))
 		}
 		sc := &decodeScratch{}
-		got, err := readBatchAll(bufio.NewReader(&buf), sc, cnt)
+		got, err := readSeqBatch(bufio.NewReader(bytes.NewReader(frame[13:])), sc, cnt)
 		if err != nil {
-			t.Fatalf("readBatchAll: %v", err)
+			t.Fatalf("readSeqBatch: %v", err)
 		}
-		if len(got) != len(reps) {
-			t.Fatalf("decoded %d reports; want %d", len(got), len(reps))
-		}
-		for i := range reps {
-			if !reportsEqual(got[i], reps[i]) {
-				t.Fatalf("report %d mismatch: %+v vs %+v", i, got[i], reps[i])
-			}
-		}
+		sameReports(t, "sequenced", got, reps)
 	})
 }

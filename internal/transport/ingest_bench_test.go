@@ -22,19 +22,16 @@ import (
 //
 // The striped variants exercise the production v1 path — zero-copy
 // pooled decode plus one stripe-lock acquisition per decoded chunk, each
-// connection pinned to its own stripe. The legacy variants flip
-// Server.LegacyIngest back to the PR 3 baseline — three allocations per
-// report to decode and one estimator-lock acquisition per report — so
-// one run A/Bs the two ingest paths (scripts/benchdiff.sh and the
-// README table consume the ratio). The cbatch variants ship the same
+// connection pinned to its own stripe. The cbatch variants ship the same
 // reports as v2 columnar CBATCH frames — bulk column decode straight
 // into the stripe lanes. Every cell also reports wirebytes/report, the
-// on-the-wire cost the v2 frame exists to shrink.
+// on-the-wire cost the v2 frame exists to shrink (scripts/benchdiff.sh
+// and the README table consume the striped/cbatch ratio).
 func BenchmarkIngest(b *testing.B) {
-	for _, mode := range []string{"legacy", "striped", "cbatch"} {
+	for _, mode := range []string{"striped", "cbatch"} {
 		for _, conns := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/conns=%d", mode, conns), func(b *testing.B) {
-				benchIngest(b, conns, mode == "legacy", mode == "cbatch")
+				benchIngest(b, conns, mode == "cbatch")
 			})
 		}
 	}
@@ -52,28 +49,24 @@ func encodeIngestFrame(b *testing.B, n int, cbatch bool) []byte {
 	for i := range reps {
 		reps[i] = rep
 	}
+	var codec FrameCodec = CodecV1{}
 	if cbatch {
-		buf, err := CodecV2{}.AppendBatch(nil, "", 0, reps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return buf
+		codec = CodecV2{}
 	}
-	var buf bytes.Buffer
-	if err := WriteBatch(&buf, reps); err != nil {
+	buf, err := codec.AppendBatch(nil, "", 0, reps)
+	if err != nil {
 		b.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf
 }
 
-func benchIngest(b *testing.B, conns int, legacy, cbatch bool) {
+func benchIngest(b *testing.B, conns int, cbatch bool) {
 	p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 32, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	agg := highdim.NewAggregator(p)
 	srv := NewServer(agg)
-	srv.LegacyIngest = legacy
 	srv.Logf = func(string, ...any) {}
 	bound, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

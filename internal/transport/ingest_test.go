@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/est"
@@ -71,11 +70,10 @@ func TestBatchWithUndecodableEmbeddedFrameKillsConnection(t *testing.T) {
 	}
 	defer cl.Close()
 
-	var buf bytes.Buffer
-	if err := WriteBatch(&buf, []est.Report{{Dims: []uint32{0}, Values: []float64{0.5}}}); err != nil {
+	raw, err := CodecV1{}.AppendBatch(nil, "", 0, []est.Report{{Dims: []uint32{0}, Values: []float64{0.5}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	raw[5] = 0x7F // corrupt the embedded frame's type byte
 	cl.mu.Lock()
 	_, werr := cl.bw.Write(raw)
@@ -158,10 +156,12 @@ func TestDecodeScratchRetentionCap(t *testing.T) {
 	}
 }
 
-// TestLegacyIngestMatchesStripedIngest: the A/B baseline path must stay
-// behaviorally identical to the pooled striped path — same accepted
-// counts, same counts, equal estimates.
-func TestLegacyIngestMatchesStripedIngest(t *testing.T) {
+// TestServedBatchMatchesSerialReference: a batch served over a loopback
+// v1 connection must land exactly as the same reports fed one at a time
+// to a fresh in-process aggregator — same accepted count, exact counts,
+// bitwise-equal estimates (one connection is one stripe, whose fold is
+// bitwise-identical to the serial path).
+func TestServedBatchMatchesSerialReference(t *testing.T) {
 	p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 6, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -169,50 +169,49 @@ func TestLegacyIngestMatchesStripedIngest(t *testing.T) {
 	batch := make([]est.Report, 300)
 	for i := range batch {
 		d := uint32(i % 5)
-		batch[i] = est.Report{Dims: []uint32{d, d + 1}, Values: []float64{0.5, -0.25}}
+		batch[i] = est.Report{Dims: []uint32{d, d + 1}, Values: []float64{0.5 + float64(i)/1000, -0.25}}
 	}
 	batch[7] = est.Report{Dims: []uint32{6, 7}, Values: []float64{1, 1}} // out of range
 
-	run := func(legacy bool) ([]int64, []float64, int) {
-		srv := NewServer(highdim.NewAggregator(p))
-		srv.LegacyIngest = legacy
-		srv.Logf = func(string, ...any) {}
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		cl, err := Dial(bound.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		accepted, err := cl.SendBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts, err := cl.Counts()
-		if err != nil {
-			t.Fatal(err)
-		}
-		estimate, err := cl.Estimate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return counts, estimate, accepted
+	_, addr := startTestServer(t, p)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if v := cl.ProtocolVersion(); v != ProtocolV1 {
+		t.Fatalf("fresh client speaks protocol %d, want v1", v)
+	}
+	accepted, err := cl.SendBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := cl.Counts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	estimate, err := cl.Estimate()
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	lc, le, la := run(true)
-	sc, se, sa := run(false)
-	if la != sa || la != len(batch)-1 {
-		t.Fatalf("accepted legacy %d, striped %d, want %d", la, sa, len(batch)-1)
+	ref := highdim.NewAggregator(p)
+	refAccepted := 0
+	for _, rep := range batch {
+		if ref.AddReport(rep) == nil {
+			refAccepted++
+		}
 	}
-	for j := range lc {
-		if lc[j] != sc[j] {
-			t.Fatalf("dim %d: legacy count %d != striped %d", j, lc[j], sc[j])
+	if accepted != len(batch)-1 || refAccepted != accepted {
+		t.Fatalf("accepted served %d, serial %d, want %d", accepted, refAccepted, len(batch)-1)
+	}
+	refCounts, refEstimate := ref.Counts(), ref.Estimate()
+	for j := range refCounts {
+		if counts[j] != refCounts[j] {
+			t.Fatalf("dim %d: served count %d != serial %d", j, counts[j], refCounts[j])
 		}
-		if le[j] != se[j] {
-			t.Fatalf("dim %d: legacy estimate %v != striped %v", j, le[j], se[j])
-		}
+	}
+	if !sameVec(estimate, refEstimate) {
+		t.Fatalf("served estimate %v != serial %v", estimate, refEstimate)
 	}
 }

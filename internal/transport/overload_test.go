@@ -2,9 +2,11 @@ package transport
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/hdr4me/hdr4me/internal/epoch"
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
@@ -171,6 +173,88 @@ func TestMaxInflightShedsBatchUnderLoad(t *testing.T) {
 	}
 	if _, err := cl2.SendBatch(testReports(200)); err != nil {
 		t.Fatalf("batch after release: %v", err)
+	}
+}
+
+// TestMaxInflightShedsEpochBatch: an EPOCH-wrapped batch passes the
+// same in-flight admission gate as a top-level one. While a parked batch
+// holds the gate, an epoch-tagged batch to a continual query is shed
+// with the retryable NACK, leaves the ring untouched, and the connection
+// keeps serving once the pressure clears.
+func TestMaxInflightShedsEpochBatch(t *testing.T) {
+	be := &blockingEstimator{
+		entered: make(chan struct{}, 8),
+		release: make(chan struct{}),
+		dims:    4,
+	}
+	reg := est.NewRegistry(epochFactory(t, epoch.Config{}), nil)
+	if _, err := reg.Attach(est.QuerySpec{Name: est.DefaultName}, be); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Open(est.QuerySpec{Name: "cont", Kind: est.KindMean, Eps: 1, D: 2}); err != nil {
+		t.Fatal(err)
+	}
+	ring := reg.Get("cont").Estimator()
+	srv := NewRegistryServer(reg)
+	srv.Logf = t.Logf
+	srv.MaxInflight = 1000
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	// Runs before srv.Close, so a failing assertion cannot leave the
+	// parked batch pinning Close forever.
+	release := sync.OnceFunc(func() { close(be.release) })
+	t.Cleanup(release)
+
+	cl1, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl1.Close()
+	cl2, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	cl2.SetTimeout(5 * time.Second)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl1.SendBatch(testReports(900))
+		done <- err
+	}()
+	<-be.entered // the batch is inside AddReports, gate at 900/1000
+
+	late := make([]est.Report, 200)
+	for i := range late {
+		late[i] = rep2(0.5, -0.5)
+	}
+	before := ring.Counts()
+	shed := srv.Stats().BatchesShed
+	q := cl2.Query("cont")
+	if _, err := q.SendBatchEpoch(0, late); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("epoch batch under load: err = %v; want ErrOverloaded", err)
+	}
+	if got := srv.Stats().BatchesShed; got != shed+1 {
+		t.Fatalf("BatchesShed = %d; want %d", got, shed+1)
+	}
+	for j, c := range ring.Counts() {
+		if c != before[j] {
+			t.Fatalf("shed epoch batch landed: dim %d count %d, was %d", j, c, before[j])
+		}
+	}
+
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("parked batch: %v", err)
+	}
+	if acc, err := q.SendBatchEpoch(0, late); err != nil || acc != len(late) {
+		t.Fatalf("epoch batch after release: accepted %d, err %v", acc, err)
+	}
+	if got := ring.Counts(); got[0] != before[0]+int64(len(late)) {
+		t.Fatalf("dim 0 count %d after release; want %d", got[0], before[0]+int64(len(late)))
 	}
 }
 

@@ -53,14 +53,6 @@ type Server struct {
 	// the frame; a hook error travels back as the NACK's error string.
 	OnCheckpoint func() error
 
-	// LegacyIngest switches BATCH ingestion back to the pre-striping
-	// baseline: allocating per-report decode plus one estimator-lock
-	// acquisition per report. It exists solely so the ingest benchmark
-	// (scripts/bench.sh, BENCH_ingest.json) can A/B the lock-striped
-	// batch path against the old single-global-mutex path in one run.
-	// Leave it false in production.
-	LegacyIngest bool
-
 	// IdleTimeout bounds how long a connection may sit between (or
 	// inside) frames: the read deadline is re-armed before every frame
 	// and covers its body, so a stalled or trickling client is
@@ -417,11 +409,7 @@ const connReadBuf = 64 << 10
 // stripe — in arrival order, exactly as a serial collector would — while
 // other connections accumulate under their own stripe locks.
 func (s *Server) serveConn(conn net.Conn) error {
-	readBuf := connReadBuf
-	if s.LegacyIngest {
-		readBuf = 4096 // the PR 3 baseline's default bufio size
-	}
-	br := bufio.NewReaderSize(conn, readBuf)
+	br := bufio.NewReaderSize(conn, connReadBuf)
 	bw := bufio.NewWriter(conn)
 	sc := &decodeScratch{}
 	var lanes map[*est.Query]est.Lane
@@ -544,7 +532,12 @@ func (s *Server) serveConn(conn net.Conn) error {
 				// sequence numbers: the exactly-once grammar.
 				err = s.serveSeqBatch(br, bw, sc, conn, sess, q, laneOf)
 			} else {
-				err = s.serveLegacyBatch(br, bw, sc, q, laneOf)
+				var add func([]est.Report) (int, error)
+				if q != nil {
+					// Resolved per chunk, so a shed batch acquires no lane.
+					add = func(reps []est.Report) (int, error) { return laneOf(q).AddReports(reps) }
+				}
+				err = s.serveBatch(br, bw, sc, add)
 			}
 			if err != nil {
 				return err
@@ -913,8 +906,8 @@ func (s *Server) serveCBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScrat
 // connection: uint64 sequence, uint32 count, embedded report frames. The
 // body is always consumed — decoded for the in-order case, discarded for
 // duplicates, gaps and admission sheds — before any reply, so no outcome
-// desyncs the connection. Unlike the streaming legacy path, the batch is
-// fully decoded before it is applied: either the whole batch lands and
+// desyncs the connection. Unlike the chunked unsequenced path, the batch
+// is fully decoded before it is applied: either the whole batch lands and
 // the sequence advances, or nothing does, which is what makes a client
 // replay after a mid-batch disconnect exact rather than approximate.
 func (s *Server) serveSeqBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScratch, conn net.Conn, sess *connSession, q *est.Query, laneOf func(*est.Query) est.Lane) error {
@@ -942,7 +935,7 @@ func (s *Server) serveSeqBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScr
 	var reps []est.Report
 	var err error
 	if admitted {
-		reps, err = readBatchAll(br, sc, cnt)
+		reps, err = readSeqBatch(br, sc, cnt)
 	} else {
 		err = discardBatchReports(br, sc, cnt)
 	}
@@ -977,17 +970,20 @@ func (s *Server) serveSeqBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScr
 	if q == nil {
 		// The batch consumed its sequence slot (it was processed —
 		// rejected, with zero accepted), but the reply must carry the
-		// rejection, exactly as the legacy path does.
+		// rejection, exactly as the unsequenced path does.
 		status = ackErr
 	}
 	return writeBatchReply(bw, status, accepted)
 }
 
-// serveLegacyBatch handles one unsequenced top-level BATCH frame: the
-// original chunked-streaming ingest, now behind the in-flight admission
-// gate. The body is consumed — streamed into the estimator when
-// admitted, discarded when shed — before any reply is written.
-func (s *Server) serveLegacyBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScratch, q *est.Query, laneOf func(*est.Query) est.Lane) error {
+// serveBatch handles one unsequenced BATCH body — a top-level frame
+// outside a session, or one wrapped in EPOCH — behind the in-flight
+// admission gate. The body is consumed before any reply is written:
+// streamed into add in bounded chunks when admitted, discarded when
+// shed. A nil add means the frame has no target (no such query, or no
+// epoch ring to land in): the body is still decoded and the reply
+// carries ackErr with zero accepted.
+func (s *Server) serveBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScratch, add func([]est.Report) (int, error)) error {
 	cnt, err := sc.readUint32(br)
 	if err != nil {
 		return err
@@ -996,24 +992,17 @@ func (s *Server) serveLegacyBatch(br *bufio.Reader, bw *bufio.Writer, sc *decode
 		return fmt.Errorf("transport: batch of %d reports exceeds limit %d", cnt, maxBatch)
 	}
 	admitted := s.admit(int64(cnt))
-	if admitted {
-		defer s.release(int64(cnt))
+	status := byte(ackOK)
+	if add == nil {
+		status = ackErr
+		add = func([]est.Report) (int, error) { return 0, errNoQuery }
 	}
 	var accepted uint32
-	if !admitted {
-		err = discardBatchReports(br, sc, cnt)
-	} else if s.LegacyIngest {
-		sink := func(est.Report) error { return errNoQuery }
-		if q != nil {
-			sink = q.AddReport
-		}
-		accepted, err = readBatchReports(br, cnt, sink)
-	} else {
-		add := func([]est.Report) (int, error) { return 0, errNoQuery }
-		if q != nil {
-			add = laneOf(q).AddReports
-		}
+	if admitted {
+		defer s.release(int64(cnt))
 		accepted, err = readBatchBuffered(br, sc, cnt, add)
+	} else {
+		err = discardBatchReports(br, sc, cnt)
 	}
 	if err != nil {
 		return err
@@ -1021,10 +1010,6 @@ func (s *Server) serveLegacyBatch(br *bufio.Reader, bw *bufio.Writer, sc *decode
 	if !admitted {
 		s.stats.batchesShed.Add(1)
 		return bw.WriteByte(ackRetry)
-	}
-	status := byte(ackOK)
-	if q == nil {
-		status = ackErr
 	}
 	return writeBatchReply(bw, status, accepted)
 }

@@ -183,8 +183,9 @@ const maxBatch = 1 << 16
 // maxKindLen caps the estimator-kind string of a serialized snapshot.
 const maxKindLen = 64
 
-// encPool recycles marshal buffers across WriteReport/WriteVecReport/
-// WriteBatch calls, so the steady-state encode path allocates nothing.
+// encPool recycles marshal buffers across WriteReport/WriteVecReport
+// calls and client batch frames, so the steady-state encode path
+// allocates nothing.
 var encPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // maxEncRetain caps the capacity of a buffer returned to the pool: a
@@ -238,7 +239,7 @@ func WriteReport(w io.Writer, rep est.Report) error {
 	return err
 }
 
-// ReadFrame reads the next frame type byte from r.
+// readFrameType reads the next frame type byte from r.
 func readFrameType(r io.Reader) (byte, error) {
 	var b [1]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -314,59 +315,6 @@ func readVecReportBody(r io.Reader) (est.Report, error) {
 	return rep, nil
 }
 
-// WriteBatch serializes one un-routed, un-sequenced batch frame (0x06)
-// through a pooled marshal buffer and a single Write.
-//
-// Deprecated: batch marshaling is versioned now — use the FrameCodec
-// surface (CodecV1{}.AppendBatch, or CodecFor on the connection's
-// negotiated version) so callers compose with routing, sequencing and
-// the v2 columnar frame. WriteBatch remains as a thin wrapper over
-// CodecV1 and keeps its exact wire bytes.
-func WriteBatch(w io.Writer, reps []est.Report) error {
-	bp := encPool.Get().(*[]byte)
-	buf, err := CodecV1{}.AppendBatch((*bp)[:0], "", 0, reps)
-	if err != nil {
-		putEncBuf(bp)
-		return err
-	}
-	*bp = buf
-	_, err = w.Write(buf)
-	putEncBuf(bp)
-	return err
-}
-
-// WriteSeqBatch serializes one sequenced batch frame: the 0x06 type byte,
-// the session-relative uint64 sequence number, then the report count and
-// embedded frames exactly as WriteBatch. Only valid on a connection that
-// completed a HELLO exchange — the sequence field exists only in that
-// grammar, and the server dedupes on it.
-//
-// Deprecated: use the FrameCodec surface, which marshals the sequence
-// field whenever seq is non-zero (sessions number batches from 1, so 0
-// never names a real sequence). WriteSeqBatch keeps its historical
-// behavior of writing the field even for seq 0.
-func WriteSeqBatch(w io.Writer, seq uint64, reps []est.Report) error {
-	if len(reps) > maxBatch {
-		return fmt.Errorf("transport: batch of %d reports exceeds limit %d", len(reps), maxBatch)
-	}
-	bp := encPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = append(buf, frameBatch)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(reps)))
-	for _, rep := range reps {
-		if len(rep.Dims) == len(rep.Values) {
-			buf = appendReport(buf, rep)
-		} else {
-			buf = appendVecReport(buf, rep)
-		}
-	}
-	*bp = buf
-	_, err := w.Write(buf)
-	putEncBuf(bp)
-	return err
-}
-
 // writeHello writes one HELLO frame (0x12): token 0 asks the collector to
 // open a new replay session, a prior token asks to resume it.
 func writeHello(w io.Writer, token uint64) error {
@@ -411,34 +359,6 @@ func readHelloReplyBody(r io.Reader) (helloReply, error) {
 		LastSeq:  binary.BigEndian.Uint64(buf[8:]),
 		Accepted: binary.BigEndian.Uint64(buf[16:]),
 	}, nil
-}
-
-// maxSeqBatchValues caps the dim/value payload a sequenced batch may
-// carry. Unlike the streaming path, sequenced batches are fully decoded
-// before application (so a connection dying mid-batch can never leave a
-// partially applied batch behind the exactly-once contract), which means
-// the whole batch is resident at once and needs a hard bound.
-const maxSeqBatchValues = 1 << 22
-
-// readBatchAll decodes cnt embedded report frames into sc in full — no
-// chunked hand-off — and returns the decoded reports. It is the decode
-// half of the sequenced-batch path: the caller applies the whole slice
-// atomically after a successful decode, so a wire error mid-batch
-// ingests nothing (contrast readBatchInto, which accumulates the clean
-// prefix). Reports alias sc's arenas and are valid until the next reset.
-func readBatchAll(br *bufio.Reader, sc *decodeScratch, cnt uint32) ([]est.Report, error) {
-	sc.reset()
-	for done := uint32(0); done < cnt; done++ {
-		rep, err := decodeEmbeddedPeek(br, sc)
-		if err != nil {
-			return nil, err
-		}
-		if len(sc.vals) > maxSeqBatchValues || len(sc.dims) > maxSeqBatchValues {
-			return nil, fmt.Errorf("transport: sequenced batch payload exceeds %d values", maxSeqBatchValues)
-		}
-		sc.reps = append(sc.reps, rep)
-	}
-	return sc.reps, nil
 }
 
 // discardBatchReports consumes cnt embedded report frames without
@@ -490,65 +410,22 @@ func discardBatchReports(br *bufio.Reader, sc *decodeScratch, cnt uint32) error 
 	return nil
 }
 
-// readBatchBody streams the embedded reports of a batch frame to fn,
-// one at a time, so the server never holds a whole hostile batch in
-// memory. fn's error marks that report rejected (counted, not fatal);
-// a malformed embedded frame aborts with an error. It returns how many
-// reports fn accepted.
-//
-// This is the PR 3 ingest baseline — it allocates three slices per
-// report and drives the estimator one report at a time. The serving path
-// uses readBatchInto (pooled scratch, chunked batch accumulation);
-// readBatchBody is kept for Server.LegacyIngest A/B benchmarking and as
-// the differential-fuzz reference decoder.
-func readBatchBody(r io.Reader, fn func(est.Report) error) (accepted uint32, err error) {
-	var cnt uint32
-	if err := binary.Read(r, binary.BigEndian, &cnt); err != nil {
-		return 0, err
-	}
-	if cnt > maxBatch {
-		return 0, fmt.Errorf("transport: batch of %d reports exceeds limit %d", cnt, maxBatch)
-	}
-	return readBatchReports(r, cnt, fn)
-}
-
-// readBatchReports is readBatchBody with the count already consumed and
-// validated — the serving path reads the count itself so the admission
-// gate can shed a batch before any report is decoded.
-func readBatchReports(r io.Reader, cnt uint32, fn func(est.Report) error) (accepted uint32, err error) {
-	for i := uint32(0); i < cnt; i++ {
-		ft, err := readFrameType(r)
-		if err != nil {
-			return accepted, err
-		}
-		var rep est.Report
-		switch ft {
-		case frameReport:
-			rep, err = readReportBody(r)
-		case frameVecReport:
-			rep, err = readVecReportBody(r)
-		default:
-			return accepted, fmt.Errorf("transport: batch embeds frame type 0x%02x", ft)
-		}
-		if err != nil {
-			return accepted, err
-		}
-		if fn(rep) == nil {
-			accepted++
-		}
-	}
-	return accepted, nil
-}
-
-// Batch chunking bounds for the pooled decode path: one scratch fill and
-// one estimator AddReports (one stripe-lock acquisition) per chunk. The
-// caps bound how much of a hostile batch is ever resident, preserving
-// readBatchBody's never-hold-a-whole-batch property while still
+// Batch chunking bounds for the unsequenced decode path: one scratch
+// fill and one estimator AddReports (one stripe-lock acquisition) per
+// chunk. The caps bound how much of a hostile batch is ever resident —
+// the server never holds a whole unsequenced batch — while still
 // amortizing the lock ~10³× .
 const (
 	batchChunkReports = 1024
 	batchChunkValues  = 1 << 16
 )
+
+// maxSeqBatchValues caps the dim/value payload a sequenced batch may
+// carry. Unlike the chunked path, sequenced batches are fully decoded
+// before application (so a connection dying mid-batch can never leave a
+// partially applied batch behind the exactly-once contract), which means
+// the whole batch is resident at once and needs a hard bound.
+const maxSeqBatchValues = 1 << 22
 
 // decodeScratch is a per-connection reusable decode arena: frame bytes,
 // dim/value backing arrays and the report headers sliced out of them.
@@ -764,8 +641,8 @@ func (sc *decodeScratch) parseEmbedded(w []byte) (rep est.Report, n int, err err
 // decodeEmbeddedPeek decodes one embedded report frame straight out of
 // the bufio window — no per-field ReadFull calls, no copy into the byte
 // arena — falling back to the streaming readers only when a frame
-// overflows the buffer. readBatchBuffered uses it as the blocking path
-// when the buffered window holds no complete frame.
+// overflows the buffer. decodeBatch uses it as the blocking path when
+// the buffered window holds no complete frame.
 func decodeEmbeddedPeek(br *bufio.Reader, sc *decodeScratch) (est.Report, error) {
 	hdr, err := br.Peek(5)
 	if err != nil {
@@ -826,117 +703,93 @@ func decodeEmbeddedPeek(br *bufio.Reader, sc *decodeScratch) (est.Report, error)
 	}
 }
 
-// readBatchInto decodes the embedded reports of a batch frame into sc in
-// bounded chunks and hands each chunk to add — for BatchAdder estimators
-// that is one stripe-lock acquisition per chunk instead of one per
-// report. Reports the sink rejects are skipped, never fatal: accepted
-// keeps counting the rest of the chunk and of the batch, exactly as the
-// per-report path did. A wire-level decode failure first ingests the
-// cleanly decoded prefix (matching readBatchBody, which accumulated as
-// it went), then aborts the connection with the error.
-func readBatchInto(r io.Reader, sc *decodeScratch, add func([]est.Report) (int, error)) (accepted uint32, err error) {
-	cnt, err := sc.readUint32(r)
-	if err != nil {
-		return 0, err
-	}
-	if cnt > maxBatch {
-		return 0, fmt.Errorf("transport: batch of %d reports exceeds limit %d", cnt, maxBatch)
-	}
-	if br, ok := r.(*bufio.Reader); ok {
-		// The serving path: zero-copy window decode over the connection's
-		// read buffer.
-		return readBatchBuffered(br, sc, cnt, add)
-	}
+// readBatchBuffered decodes the cnt embedded report frames of an
+// unsequenced batch body (count already consumed) in bounded chunks and
+// hands each chunk to add — for BatchAdder estimators that is one
+// stripe-lock acquisition per chunk instead of one per report. Reports
+// the sink rejects are skipped, never fatal: accepted keeps counting the
+// rest of the chunk and of the batch. A wire-level decode failure first
+// ingests the cleanly decoded prefix, then returns the error (the caller
+// tears the connection down).
+func readBatchBuffered(br *bufio.Reader, sc *decodeScratch, cnt uint32, add func([]est.Report) (int, error)) (accepted uint32, err error) {
 	for done := uint32(0); done < cnt; {
 		sc.reset()
-		for done < cnt && len(sc.reps) < batchChunkReports && len(sc.vals) < batchChunkValues {
-			var rep est.Report
-			var ferr error
-			var ft byte
-			if ft, ferr = sc.readFrameType(r); ferr == nil {
-				switch ft {
-				case frameReport:
-					rep, ferr = readReportBodyInto(r, sc)
-				case frameVecReport:
-					rep, ferr = readVecReportBodyInto(r, sc)
-				default:
-					ferr = fmt.Errorf("transport: batch embeds frame type 0x%02x", ft)
-				}
-			}
-			if ferr != nil {
-				n, _ := add(sc.reps)
-				return accepted + uint32(n), ferr
-			}
-			sc.reps = append(sc.reps, rep)
-			done++
+		n, err := sc.decodeBatch(br, min(cnt-done, batchChunkReports), batchChunkValues, math.MaxInt)
+		done += n
+		a, _ := add(sc.reps)
+		accepted += uint32(a)
+		if err != nil {
+			return accepted, err
 		}
-		n, _ := add(sc.reps)
-		accepted += uint32(n)
 	}
 	return accepted, nil
 }
 
-// readBatchBuffered is readBatchInto's fast path over a buffered
-// connection: each pass peeks the whole buffered window, parses every
-// complete embedded frame out of it in one tight loop, and consumes them
-// with a single Discard — bufio bookkeeping is paid per window, not per
-// report. Frames that straddle the window edge (or exceed the buffer)
-// take the blocking per-frame path.
-func readBatchBuffered(br *bufio.Reader, sc *decodeScratch, cnt uint32, add func([]est.Report) (int, error)) (accepted uint32, err error) {
-	for done := uint32(0); done < cnt; {
-		sc.reset()
-		for done < cnt && len(sc.reps) < batchChunkReports && len(sc.vals) < batchChunkValues {
-			w, _ := br.Peek(br.Buffered())
-			consumed := 0
-			room := batchChunkReports - len(sc.reps)
-			if left := int(cnt - done); left < room {
-				room = left
-			}
-			for room > 0 && len(sc.vals) < batchChunkValues {
-				// Inline fast path for the dominant wire shape: a pair
-				// report complete in the window. Everything else (vec
-				// reports, oversized counts, partial frames) takes
-				// parseEmbedded.
-				if len(w)-consumed >= 5 && w[consumed] == frameReport {
-					if pairs := int(binary.BigEndian.Uint32(w[consumed+1:])); pairs <= maxPairs && consumed+5+12*pairs <= len(w) {
-						sc.reps = append(sc.reps, sc.decodePairs(w[consumed+5:consumed+5+12*pairs], pairs))
-						consumed += 5 + 12*pairs
-						room--
-						done++
-						continue
-					}
+// readSeqBatch decodes the cnt embedded report frames of a sequenced
+// batch in full — no chunked hand-off — and returns them. The caller
+// applies the whole slice atomically after a successful decode, so a
+// wire error mid-batch ingests nothing. Reports alias sc's arenas and
+// are valid until the next reset.
+func readSeqBatch(br *bufio.Reader, sc *decodeScratch, cnt uint32) ([]est.Report, error) {
+	sc.reset()
+	if _, err := sc.decodeBatch(br, cnt, maxSeqBatchValues+1, maxSeqBatchValues+1); err != nil {
+		return nil, err
+	}
+	if len(sc.vals) > maxSeqBatchValues || len(sc.dims) > maxSeqBatchValues {
+		return nil, fmt.Errorf("transport: sequenced batch payload exceeds %d values", maxSeqBatchValues)
+	}
+	return sc.reps, nil
+}
+
+// decodeBatch appends up to cnt embedded report frames to sc.reps,
+// stopping early once the value arena reaches maxVals entries or the
+// dim arena maxDims, and returns how many it decoded; on error sc.reps
+// holds the cleanly decoded prefix. Each pass peeks the whole buffered
+// window, parses every complete frame out of it in one tight loop, and
+// consumes them with a single Discard — bufio bookkeeping is paid per
+// window, not per report. Frames that straddle the window edge (or
+// exceed the buffer) take the blocking per-frame path.
+func (sc *decodeScratch) decodeBatch(br *bufio.Reader, cnt uint32, maxVals, maxDims int) (done uint32, err error) {
+	for done < cnt && len(sc.vals) < maxVals && len(sc.dims) < maxDims {
+		w, _ := br.Peek(br.Buffered())
+		consumed := 0
+		for done < cnt && len(sc.vals) < maxVals && len(sc.dims) < maxDims {
+			// Inline fast path for the dominant wire shape: a pair report
+			// complete in the window. Everything else (vec reports,
+			// oversized counts, partial frames) takes parseEmbedded.
+			if len(w)-consumed >= 5 && w[consumed] == frameReport {
+				if pairs := int(binary.BigEndian.Uint32(w[consumed+1:])); pairs <= maxPairs && consumed+5+12*pairs <= len(w) {
+					sc.reps = append(sc.reps, sc.decodePairs(w[consumed+5:consumed+5+12*pairs], pairs))
+					consumed += 5 + 12*pairs
+					done++
+					continue
 				}
-				rep, n, perr := sc.parseEmbedded(w[consumed:])
-				if perr != nil {
-					br.Discard(consumed)
-					n2, _ := add(sc.reps)
-					return accepted + uint32(n2), perr
-				}
-				if n == 0 {
-					break
-				}
-				consumed += n
-				sc.reps = append(sc.reps, rep)
-				room--
-				done++
 			}
-			br.Discard(consumed)
-			if consumed > 0 {
-				continue
+			rep, n, perr := sc.parseEmbedded(w[consumed:])
+			if perr != nil {
+				br.Discard(consumed)
+				return done, perr
 			}
-			// No complete frame buffered: block for exactly one.
-			rep, ferr := decodeEmbeddedPeek(br, sc)
-			if ferr != nil {
-				n2, _ := add(sc.reps)
-				return accepted + uint32(n2), ferr
+			if n == 0 {
+				break
 			}
+			consumed += n
 			sc.reps = append(sc.reps, rep)
 			done++
 		}
-		n, _ := add(sc.reps)
-		accepted += uint32(n)
+		br.Discard(consumed)
+		if consumed > 0 {
+			continue
+		}
+		// No complete frame buffered: block for exactly one.
+		rep, err := decodeEmbeddedPeek(br, sc)
+		if err != nil {
+			return done, err
+		}
+		sc.reps = append(sc.reps, rep)
+		done++
 	}
-	return accepted, nil
+	return done, nil
 }
 
 // writeSnapshotBody serializes an est.Snapshot: kind string, dims, then

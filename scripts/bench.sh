@@ -7,7 +7,7 @@
 #                         BufferedClient); BENCHTIME controls go test
 #                         -benchtime (default 1x: a smoke run).
 #   BENCH_ingest.json     collector-side multi-connection ingest
-#                         (BenchmarkIngest: legacy vs striped at 1/4/16
+#                         (BenchmarkIngest: striped v1 vs cbatch v2 at 1/4/16
 #                         connections); INGEST_BENCHTIME controls its
 #                         -benchtime (default 1s — reports/s from a 1x
 #                         run would be noise, and benchdiff.sh compares

@@ -4,9 +4,8 @@
 # than 20% on any benchmark, or when wirebytes/report grows more than
 # 20% on any benchmark that reports it. Every committed BENCH_*.json
 # participates (transport, ingest, epoch, whatever future suites add);
-# the striped/legacy throughput ratio and the striped/cbatch wire-cost
-# ratio at 16 connections — the PR 4 and PR 10 headline guarantees —
-# additionally run against the ingest file.
+# the striped/cbatch wire-cost ratio at 16 connections — the PR 10
+# headline guarantee — additionally runs against the ingest file.
 #
 #   sh scripts/benchdiff.sh                       # compare every BENCH_*.json
 #   sh scripts/benchdiff.sh base.json cur.json    # compare one explicit pair
@@ -105,26 +104,10 @@ compare_pair() {
     return 0
 }
 
-# ratio_check CURRENT — the PR 4 headline guarantee: striped vs legacy
-# ingest at 16 connections must hold 4x, and the PR 10 guarantee: the
-# v2 CBATCH frame must carry a report in at most half the wire bytes of
-# the v1 striped path (ingest suite only).
+# ratio_check CURRENT — the PR 10 guarantee: the v2 CBATCH frame must
+# carry a report in at most half the wire bytes of the v1 striped path
+# (ingest suite only).
 ratio_check() {
-    extract "$1" > "$cur_pairs"
-    ratio="$(awk '
-        $1 ~ /striped\/conns=16$/ { s = $2 }
-        $1 ~ /legacy\/conns=16$/  { l = $2 }
-        END { if (s > 0 && l > 0) printf "%.2f", s / l }
-    ' "$cur_pairs")"
-    if [ -n "$ratio" ]; then
-        below="$(awk -v r="$ratio" 'BEGIN { print (r < 4.0) ? 1 : 0 }')"
-        if [ "$below" = "1" ]; then
-            echo "::warning::striped/legacy ingest ratio at 16 conns is ${ratio}x (< 4x target)"
-            warned=1
-        else
-            echo "benchdiff: striped/legacy ingest ratio at 16 conns: ${ratio}x"
-        fi
-    fi
     extract_wire "$1" > "$cur_pairs"
     wratio="$(awk '
         $1 ~ /striped\/conns=16$/ { s = $2 }
