@@ -26,10 +26,13 @@ hdrvet:
 suppressions: hdrvet
 	./$(HDRVET) -suppressions ./...
 
-# lint is the full static-analysis gate: gofmt, the hdrvet suite over
-# every package via `go vet -vettool`, and staticcheck when installed
-# (CI installs it at STATICCHECK_VERSION; locally it is optional).
+# lint is the full static-analysis gate: gofmt, plain `go vet` (its
+# stock passes, atomic and copylocks among them), the hdrvet suite over
+# every package via `go vet -vettool` (which replaces the stock passes,
+# hence both runs), and staticcheck when installed (CI installs it at
+# STATICCHECK_VERSION; locally it is optional).
 lint: fmt-check hdrvet
+	go vet ./...
 	go vet -vettool=$(CURDIR)/$(HDRVET) ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it at $(STATICCHECK_VERSION))"; fi
@@ -46,11 +49,10 @@ test:
 race:
 	go test -race ./...
 
-# bench runs both transport benchmark suites and emits the
-# machine-readable perf trajectories: BENCH_transport.json (client-side
-# submission paths, BENCHTIME=1x smoke by default) and BENCH_ingest.json
-# (collector-side multi-connection ingest with -benchmem,
-# INGEST_BENCHTIME=1s by default; use 2s for stable numbers).
+# bench runs the collector-side benchmark suites and emits the
+# machine-readable perf trajectories: BENCH_ingest.json (multi-connection
+# ingest with -benchmem, INGEST_BENCHTIME=1s by default; use 2s for
+# stable numbers) and BENCH_epoch.json (continual-collection ingest).
 bench:
 	sh scripts/bench.sh
 

@@ -11,11 +11,13 @@ package hdr4me
 // driver; cmd/hdrbench offers the same through a CLI.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/dist"
+	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/exps"
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
@@ -260,16 +262,20 @@ func BenchmarkAblation_DuchiMDvsSampling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		est, err := highdim.SimulateDuchiMD(m, ds, mathx.NewRNG(uint64(i)), 0)
+		md, err := highdim.NewMDAggregator(m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mdMSE = MSE(est, truth)
+		mdShard := func() (Estimator, error) { return highdim.NewMDAggregator(m) }
+		if err := est.Round(context.Background(), md, ds.NumUsers(), 0, mathx.NewRNG(uint64(i)), mdShard, est.ValueRows(ds)); err != nil {
+			b.Fatal(err)
+		}
+		mdMSE = MSE(md.Estimate(), truth)
 		p, err := NewProtocol(Duchi(), eps, 20, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		agg, err := highdim.Simulate(p, ds, NewRNG(uint64(100+i)), 0)
+		agg, err := simulateRound(p, ds, NewRNG(uint64(100+i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,6 +304,15 @@ func BenchmarkPerturb_Hybrid(b *testing.B)     { benchPerturb(b, Hybrid()) }
 func BenchmarkPerturb_Staircase(b *testing.B)  { benchPerturb(b, Staircase()) }
 func BenchmarkPerturb_SCDF(b *testing.B)       { benchPerturb(b, SCDF()) }
 
+// simulateRound runs one uniform-budget collection round of ds through
+// est.Round with the default worker count, one aggregator shard per
+// worker.
+func simulateRound(p Protocol, ds Dataset, rng *RNG) (*highdim.Aggregator, error) {
+	agg := highdim.NewAggregator(p)
+	shard := func() (Estimator, error) { return highdim.NewAggregator(p), nil }
+	return agg, est.Round(context.Background(), agg, ds.NumUsers(), 0, rng, shard, est.ValueRows(ds))
+}
+
 func BenchmarkSimulateRound(b *testing.B) {
 	ds := Memoize(NewGaussianDataset(10_000, 100, 3))
 	p, err := NewProtocol(Piecewise(), 1, 100, 100)
@@ -308,7 +323,7 @@ func BenchmarkSimulateRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highdim.Simulate(p, ds, rng.Child(uint64(i)), 0); err != nil {
+		if _, err := simulateRound(p, ds, rng.Child(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

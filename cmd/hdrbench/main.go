@@ -168,6 +168,7 @@ func runFamilies(ctx context.Context, scale exps.Scale) error {
 		hdr4me.WithBudget(eps),
 		hdr4me.WithDims(d, 1),
 		hdr4me.WithEnhance(hdr4me.DefaultEnhanceConfig(hdr4me.RegL1)),
+		hdr4me.WithSeed(1),
 	)
 	if err != nil {
 		return err
@@ -179,7 +180,7 @@ func runFamilies(ctx context.Context, scale exps.Scale) error {
 	fmt.Printf("%-24s %14.6g %14.6g\n", "sampling (m=1, duchi)",
 		hdr4me.MSE(res.Naive, truth), hdr4me.MSE(res.Enhanced, truth))
 
-	whole, err := hdr4me.New(hdr4me.WithWholeTuple(), hdr4me.WithBudget(eps), hdr4me.WithDims(d, 0))
+	whole, err := hdr4me.New(hdr4me.WithWholeTuple(), hdr4me.WithBudget(eps), hdr4me.WithDims(d, 0), hdr4me.WithSeed(1))
 	if err != nil {
 		return err
 	}
@@ -203,6 +204,7 @@ func runFamilies(ctx context.Context, scale exps.Scale) error {
 		hdr4me.WithCards(cards),
 		hdr4me.WithDims(len(cards), 2),
 		hdr4me.WithEnhance(guarded),
+		hdr4me.WithSeed(1),
 	)
 	if err != nil {
 		return err

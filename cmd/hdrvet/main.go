@@ -1,7 +1,8 @@
 // Command hdrvet is the collector's invariant checker: a multichecker
-// bundling the custom analyzers from internal/analyzers — including
-// the dataflow-based ldpflow, nilness, and lockorder — plus
-// reimplementations of the stock atomic and copylock passes.
+// bundling the custom analyzers from internal/analyzers, including the
+// dataflow-based ldpflow, nilness, and lockorder. It does not repeat
+// vet's own passes: -vettool replaces them, so run plain `go vet ./...`
+// as well (make lint and every CI cell do).
 //
 // It runs in two modes:
 //
@@ -44,14 +45,13 @@ import (
 	"github.com/hdr4me/hdr4me/internal/analyzers/lockorder"
 	"github.com/hdr4me/hdr4me/internal/analyzers/nilness"
 	"github.com/hdr4me/hdr4me/internal/analyzers/rangemap"
-	"github.com/hdr4me/hdr4me/internal/analyzers/stock"
 	"github.com/hdr4me/hdr4me/internal/analyzers/wireframe"
 )
 
 // version is the string `go vet` hashes into its action cache key
 // (the -V=full handshake); bump it when analyzer behavior changes so
 // cached clean results are invalidated.
-const version = "v1.1.0"
+const version = "v1.2.0"
 
 var all = []*analysis.Analyzer{
 	framedrain.Analyzer,
@@ -62,8 +62,6 @@ var all = []*analysis.Analyzer{
 	nilness.Analyzer,
 	rangemap.Analyzer,
 	wireframe.Analyzer,
-	stock.Atomic,
-	stock.Copylock,
 }
 
 func main() {

@@ -131,9 +131,11 @@
 // audited by hdrvet -suppressions. See the README's "Static analysis &
 // enforced invariants" section.
 //
-// Session is the only way to run a collection round: the pre-Session
-// Simulate, SimulateAllocated, SimulateDuchiMD and SimulateFreq wrappers
-// are gone, and the README's "Migrating from the flat facade" table maps
-// each one to its Session options. The paper-reproduction harness is
-// cmd/hdrbench.
+// Session.Run is the only way to run a collection round. It shares one
+// worker loop (internal/est.Round) with the paper-reproduction harness,
+// cmd/hdrbench: per-worker shards, per-worker random streams, merge in
+// worker order. The pre-Session Simulate, SimulateAllocated,
+// SimulateDuchiMD and SimulateFreq wrappers are gone, and the README's
+// "Migrating from the flat facade" table maps each one to its Session
+// options.
 package hdr4me

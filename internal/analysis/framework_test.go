@@ -126,7 +126,7 @@ func TestDeviationMatchesEmpiricalDistribution(t *testing.T) {
 		var w mathx.Welford
 		rng := mathx.NewRNG(77)
 		for tr := 0; tr < trials; tr++ {
-			agg, err := highdim.Simulate(p, ds, rng.Child(uint64(tr)), 4)
+			agg, err := simulate(p, ds, rng.Child(uint64(tr)), 4)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,12 @@
 package exps
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/hdr4me/hdr4me/internal/analysis"
 	"github.com/hdr4me/hdr4me/internal/dataset"
+	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
@@ -130,14 +132,15 @@ func MSEvsEpsAtM(ds *dataset.Memoized, mech ldp.Mechanism, epsList []float64, m 
 		l1 := make([]float64, 0, cfg.Trials)
 		l2 := make([]float64, 0, cfg.Trials)
 		for tr := 0; tr < cfg.Trials; tr++ {
-			agg, err := highdim.Simulate(p, ds, rng.Child(uint64(ei*100003+tr)), cfg.Workers)
-			if err != nil {
+			agg := highdim.NewAggregator(p)
+			shard := func() (est.Estimator, error) { return highdim.NewAggregator(p), nil }
+			if err := est.Round(context.TODO(), agg, n, cfg.Workers, rng.Child(uint64(ei*100003+tr)), shard, est.ValueRows(ds)); err != nil {
 				panic(err)
 			}
-			est := agg.Estimate()
-			base = append(base, metrics.MSE(est, truth))
-			l1 = append(l1, metrics.MSE(recal.Enhance(est, devs, cfgL1), truth))
-			l2 = append(l2, metrics.MSE(recal.Enhance(est, devs, cfgL2), truth))
+			naive := agg.Estimate()
+			base = append(base, metrics.MSE(naive, truth))
+			l1 = append(l1, metrics.MSE(recal.Enhance(naive, devs, cfgL1), truth))
+			l2 = append(l2, metrics.MSE(recal.Enhance(naive, devs, cfgL2), truth))
 		}
 		points = append(points, MSEPoint{
 			Eps:  eps,

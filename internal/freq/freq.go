@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"github.com/hdr4me/hdr4me/internal/analysis"
 	"github.com/hdr4me/hdr4me/internal/est"
@@ -122,19 +121,6 @@ func NewAggregator(p Protocol) *Aggregator {
 	}
 	a.acc = est.NewStripes(est.DefaultStripeCount, a.total, len(p.Cards))
 	return a
-}
-
-// merge folds worker-local partials into the merge lane.
-func (a *Aggregator) merge(sums [][]mathx.KahanSum, counts []int64) {
-	a.acc.LockedBase(func(base []mathx.KahanSum, baseCounts []int64) {
-		for j := range sums {
-			off := a.offsets[j]
-			for k := range sums[j] {
-				base[off+k].Add(sums[j][k].Value())
-			}
-			baseCounts[j] += counts[j]
-		}
-	})
 }
 
 // Counts returns the per-dimension report counts.
@@ -243,61 +229,4 @@ func ProjectSimplex(freqs [][]float64) [][]float64 {
 		}
 	}
 	return freqs
-}
-
-// Simulate runs one full frequency-collection round over ds.
-func Simulate(p Protocol, ds CatDataset, rng *mathx.RNG, workers int) (*Aggregator, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	cards := ds.Cards()
-	if len(cards) != len(p.Cards) {
-		return nil, fmt.Errorf("freq: dataset has %d dims, protocol says %d", len(cards), len(p.Cards))
-	}
-	for j := range cards {
-		if cards[j] != p.Cards[j] {
-			return nil, fmt.Errorf("freq: dimension %d cardinality %d != protocol %d", j, cards[j], p.Cards[j])
-		}
-	}
-	if workers <= 0 {
-		workers = 8
-	}
-	n := ds.NumUsers()
-	if workers > n {
-		workers = n
-	}
-	agg := NewAggregator(p)
-	d := len(p.Cards)
-	pert := ldp.At(p.Mech, p.EpsPerEntry())
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rng.Child(uint64(w))
-			sums := make([][]mathx.KahanSum, d)
-			for j, v := range p.Cards {
-				sums[j] = make([]mathx.KahanSum, v)
-			}
-			counts := make([]int64, d)
-			var dims []int
-			for i := w; i < n; i += workers {
-				dims = wrng.SampleIndices(d, p.M, dims)
-				for _, j := range dims {
-					cat := ds.Value(i, j)
-					for k := 0; k < p.Cards[j]; k++ {
-						e := -1.0
-						if k == cat {
-							e = 1.0
-						}
-						sums[j][k].Add(pert.Perturb(wrng, e))
-					}
-					counts[j]++
-				}
-			}
-			agg.merge(sums, counts)
-		}(w)
-	}
-	wg.Wait()
-	return agg, nil
 }

@@ -1,13 +1,30 @@
 package freq
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
 	"github.com/hdr4me/hdr4me/internal/recal"
 )
+
+// simulate runs one histogram-encoding collection round of ds through
+// est.Round: a fresh collector for p, one shard per worker.
+func simulate(p Protocol, ds CatDataset, rng *mathx.RNG, workers int) (*Aggregator, error) {
+	build := func() (*Flat, error) { return NewFlat(p, recal.Config{}) }
+	into, err := build()
+	if err != nil {
+		return nil, err
+	}
+	shard := func() (est.Estimator, error) { return build() }
+	if err := est.Round(context.Background(), into, ds.NumUsers(), workers, rng, shard, est.CatRows(ds)); err != nil {
+		return nil, err
+	}
+	return into.Aggregator, nil
+}
 
 func freqMSE(est, truth [][]float64) float64 {
 	var sum float64
@@ -97,7 +114,7 @@ func TestSimulateRecoversFrequencies(t *testing.T) {
 	truth := TrueFreqs(ds)
 	for _, mech := range []ldp.Mechanism{ldp.Laplace{}, ldp.Piecewise{}} {
 		p := Protocol{Mech: mech, Eps: 8, Cards: ds.Cards(), M: 2}
-		agg, err := Simulate(p, ds, mathx.NewRNG(5), 4)
+		agg, err := simulate(p, ds, mathx.NewRNG(5), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +128,7 @@ func TestSimulateRecoversFrequencies(t *testing.T) {
 func TestSimulateCountsAndMismatch(t *testing.T) {
 	ds := NewUniformCat(4000, []int{3, 3, 3, 3}, 6)
 	p := Protocol{Mech: ldp.Laplace{}, Eps: 1, Cards: ds.Cards(), M: 2}
-	agg, err := Simulate(p, ds, mathx.NewRNG(7), 4)
+	agg, err := simulate(p, ds, mathx.NewRNG(7), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +138,14 @@ func TestSimulateCountsAndMismatch(t *testing.T) {
 			t.Errorf("dim %d got %d reports, want ≈%v", j, c, want)
 		}
 	}
-	// Cardinality mismatch must error.
-	p2 := Protocol{Mech: ldp.Laplace{}, Eps: 1, Cards: []int{3, 3, 3, 4}, M: 2}
-	if _, err := Simulate(p2, ds, mathx.NewRNG(7), 4); err == nil {
+	// A protocol narrower than the data must error: category 2 of the
+	// last dimension is out of its range.
+	p2 := Protocol{Mech: ldp.Laplace{}, Eps: 1, Cards: []int{3, 3, 3, 2}, M: 2}
+	if _, err := simulate(p2, ds, mathx.NewRNG(7), 4); err == nil {
 		t.Error("cardinality mismatch must fail")
 	}
 	p3 := Protocol{Mech: ldp.Laplace{}, Eps: 1, Cards: []int{3, 3}, M: 2}
-	if _, err := Simulate(p3, ds, mathx.NewRNG(7), 4); err == nil {
+	if _, err := simulate(p3, ds, mathx.NewRNG(7), 4); err == nil {
 		t.Error("dimension-count mismatch must fail")
 	}
 }
@@ -145,7 +163,7 @@ func TestEnhancedBeatsNaiveInTightBudget(t *testing.T) {
 	ds := NewZipfCat(30000, cards, 1.0, 8)
 	truth := TrueFreqs(ds)
 	p := Protocol{Mech: ldp.Laplace{}, Eps: 0.5, Cards: ds.Cards(), M: len(cards)}
-	agg, err := Simulate(p, ds, mathx.NewRNG(9), 4)
+	agg, err := simulate(p, ds, mathx.NewRNG(9), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestGoldenFreqSimulations(t *testing.T) {
 			t.Errorf("%s: digest %#x, want %#x", key, got, want)
 		}
 	}
-	agg, err := Simulate(p, ds, mathx.NewRNG(47), 3)
+	agg, err := simulate(p, ds, mathx.NewRNG(47), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestFrequencyEstimationWithBoundedMechanisms(t *testing.T) {
 	truth := TrueFreqs(ds)
 	for _, mech := range []ldp.Mechanism{ldp.Piecewise{}, ldp.SquareWave{}, ldp.Duchi{}} {
 		p := Protocol{Mech: mech, Eps: 6, Cards: ds.Cards(), M: 2}
-		agg, err := Simulate(p, ds, mathx.NewRNG(21), 4)
+		agg, err := simulate(p, ds, mathx.NewRNG(21), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestOracleVsHistogramEncodingComparison(t *testing.T) {
 	truth := TrueFreqs(ds)
 	p := Protocol{Mech: ldp.Laplace{}, Eps: 2, Cards: ds.Cards(), M: 1}
 
-	he, err := Simulate(p, ds, mathx.NewRNG(31), 4)
+	he, err := simulate(p, ds, mathx.NewRNG(31), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"github.com/hdr4me/hdr4me/internal/dataset"
 	"github.com/hdr4me/hdr4me/internal/mathx"
@@ -145,58 +144,4 @@ func ColumnStds(ds dataset.Dataset, users int) []float64 {
 		out[j] = math.Sqrt(ws[j].Var())
 	}
 	return out
-}
-
-// SimulateAllocated runs a collection round where each sampled dimension j
-// is perturbed with its allocated budget alloc.Eps[j] instead of the
-// uniform ε/m. The aggregator's calibration still applies per dimension.
-func SimulateAllocated(p Protocol, alloc Allocation, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Aggregator, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(alloc.Eps) != p.D {
-		return nil, fmt.Errorf("highdim: allocation has %d dims, protocol says %d", len(alloc.Eps), p.D)
-	}
-	if err := alloc.Validate(p.Eps, p.M); err != nil {
-		return nil, err
-	}
-	if ds.Dim() != p.D {
-		return nil, fmt.Errorf("highdim: dataset has %d dims, protocol says %d", ds.Dim(), p.D)
-	}
-	if workers <= 0 {
-		workers = 8
-	}
-	n := ds.NumUsers()
-	if workers > n {
-		workers = n
-	}
-	agg := NewAggregator(p)
-	pert := perturbers(p.Mech, alloc.Eps)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rng.Child(uint64(w))
-			row := make([]float64, p.D)
-			sums := make([]mathx.KahanSum, p.D)
-			counts := make([]int64, p.D)
-			var dims []int
-			vals := make([]float64, p.M)
-			for i := w; i < n; i += workers {
-				ds.Row(i, row)
-				dims = wrng.SampleIndices(p.D, p.M, dims)
-				for k, j := range dims { // gather, then perturb
-					vals[k] = row[j]
-				}
-				for k, j := range dims {
-					sums[j].Add(pert[j].Perturb(wrng, vals[k]))
-					counts[j]++
-				}
-			}
-			agg.merge(sums, counts)
-		}(w)
-	}
-	wg.Wait()
-	return agg, nil
 }

@@ -106,12 +106,12 @@ func TestSimulateAllocatedMatchesUniformWhenWeightsEqual(t *testing.T) {
 		t.Fatal(err)
 	}
 	alloc := UniformAllocation(4, 8, 8)
-	agg, err := SimulateAllocated(p, alloc, ds, mathx.NewRNG(5), 4)
+	agg, err := simulateAllocated(p, alloc, ds, mathx.NewRNG(5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mse := metrics.MSE(agg.Estimate(), ds.TrueMean())
-	base, err := Simulate(p, ds, mathx.NewRNG(5), 4)
+	base, err := simulate(p, ds, mathx.NewRNG(5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestSimulateAllocatedImprovesWeightedError(t *testing.T) {
 	var uniW, allocW float64
 	const trials = 5
 	for tr := 0; tr < trials; tr++ {
-		u, err := Simulate(p, ds, mathx.NewRNG(uint64(100+tr)), 4)
+		u, err := simulate(p, ds, mathx.NewRNG(uint64(100+tr)), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := SimulateAllocated(p, alloc, ds, mathx.NewRNG(uint64(200+tr)), 4)
+		a, err := simulateAllocated(p, alloc, ds, mathx.NewRNG(uint64(200+tr)), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,11 +175,11 @@ func TestSimulateAllocatedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateAllocated(p, Allocation{Eps: []float64{1}}, ds, mathx.NewRNG(1), 2); err == nil {
+	if _, err := simulateAllocated(p, Allocation{Eps: []float64{1}}, ds, mathx.NewRNG(1), 2); err == nil {
 		t.Error("length mismatch must fail")
 	}
 	over := Allocation{Eps: []float64{0.9, 0.9, 0.9, 0.9}}
-	if _, err := SimulateAllocated(p, over, ds, mathx.NewRNG(1), 2); err == nil {
+	if _, err := simulateAllocated(p, over, ds, mathx.NewRNG(1), 2); err == nil {
 		t.Error("overspending allocation must fail")
 	}
 }

@@ -38,7 +38,7 @@ func TestCalibrationSubtractsUnboundedBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Simulate(p, ds, mathx.NewRNG(3), 4)
+	agg, err := simulate(p, ds, mathx.NewRNG(3), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBoundedMechanismSkipsCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Simulate(p, ds, mathx.NewRNG(5), 4)
+	agg, err := simulate(p, ds, mathx.NewRNG(5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/hdr4me/hdr4me/internal/dataset"
 	"github.com/hdr4me/hdr4me/internal/mathx"
 )
 
@@ -124,55 +123,4 @@ func (m DuchiMD) PerturbTuple(rng *mathx.RNG, tuple []float64) []float64 {
 func (m DuchiMD) VarPerDim(t float64) float64 {
 	b := m.B()
 	return b*b - t*t
-}
-
-// SimulateDuchiMD runs one collection round where every user releases her
-// whole tuple through the mechanism and the collector averages — the
-// alternative high-dimensional strategy to the sampling protocol.
-func SimulateDuchiMD(m DuchiMD, ds dataset.Dataset, rng *mathx.RNG, workers int) ([]float64, error) {
-	if ds.Dim() != m.D {
-		return nil, fmt.Errorf("highdim: dataset has %d dims, duchi-md says %d", ds.Dim(), m.D)
-	}
-	if _, err := NewDuchiMD(m.D, m.Eps); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = 8
-	}
-	n := ds.NumUsers()
-	if workers > n {
-		workers = n
-	}
-	type partial struct {
-		sums []mathx.KahanSum
-	}
-	parts := make([]partial, workers)
-	done := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		parts[w].sums = make([]mathx.KahanSum, m.D)
-		go func(w int) {
-			wrng := rng.Child(uint64(w))
-			row := make([]float64, m.D)
-			for i := w; i < n; i += workers {
-				ds.Row(i, row)
-				rel := m.PerturbTuple(wrng, row)
-				for j, x := range rel {
-					parts[w].sums[j].Add(x)
-				}
-			}
-			done <- w
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	est := make([]float64, m.D)
-	for j := range est {
-		var k mathx.KahanSum
-		for w := range parts {
-			k.Add(parts[w].sums[j].Value())
-		}
-		est[j] = k.Value() / float64(n)
-	}
-	return est, nil
 }

@@ -116,7 +116,7 @@ func TestSimulateDuchiMDRecoversMean(t *testing.T) {
 	}
 	ds := dataset.Memoize(dataset.NewGaussian(60_000, 10, 23))
 	m, _ := NewDuchiMD(10, 4)
-	est, err := SimulateDuchiMD(m, ds, mathx.NewRNG(7), 4)
+	est, err := simulateDuchiMD(m, ds, mathx.NewRNG(7), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSimulateDuchiMDRecoversMean(t *testing.T) {
 		t.Fatalf("duchi-md MSE = %v", mse)
 	}
 	// Dimension mismatch must error.
-	if _, err := SimulateDuchiMD(m, dataset.NewUniform(10, 3, 1), mathx.NewRNG(1), 2); err == nil {
+	if _, err := simulateDuchiMD(m, dataset.NewUniform(10, 3, 1), mathx.NewRNG(1), 2); err == nil {
 		t.Error("dimension mismatch must fail")
 	}
 }
@@ -143,7 +143,7 @@ func TestDuchiMDVsSamplingProtocol(t *testing.T) {
 	const eps = 1.0
 
 	m, _ := NewDuchiMD(20, eps)
-	mdEst, err := SimulateDuchiMD(m, ds, mathx.NewRNG(31), 4)
+	mdEst, err := simulateDuchiMD(m, ds, mathx.NewRNG(31), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDuchiMDVsSamplingProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Simulate(p, ds, mathx.NewRNG(33), 4)
+	agg, err := simulate(p, ds, mathx.NewRNG(33), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

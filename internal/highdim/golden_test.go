@@ -15,9 +15,9 @@ import (
 
 // Golden streams for the protocol's user-side paths: FNV-64a digests of
 // the exact reports Client.Report and Aggregator.MakeReport emit, and of
-// the estimate bits Simulate and SimulateAllocated produce, for fixed
-// seeds. A changed digest means a change altered the random stream; never
-// update one to make a change pass.
+// the estimate bits an est.Round collection round produces (uniform and
+// allocated budgets), for fixed seeds. A changed digest means a change
+// altered the random stream; never update one to make a change pass.
 
 func digestReports(reps []Report) uint64 {
 	h := fnv.New64a()
@@ -111,7 +111,7 @@ func TestGoldenSimulate(t *testing.T) {
 	ds := dataset.NewGaussian(3000, 64, 31)
 	for _, mech := range []ldp.Mechanism{ldp.Piecewise{}, ldp.Laplace{}} {
 		p := mustProtocol(t, mech, 1.0, 64, 8)
-		agg, err := Simulate(p, ds, mathx.NewRNG(37), 3)
+		agg, err := simulate(p, ds, mathx.NewRNG(37), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestGoldenSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := SimulateAllocated(p, alloc, ds, mathx.NewRNG(41), 3)
+	agg, err := simulateAllocated(p, alloc, ds, mathx.NewRNG(41), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

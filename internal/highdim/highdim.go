@@ -9,9 +9,7 @@ package highdim
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"github.com/hdr4me/hdr4me/internal/dataset"
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
@@ -317,17 +315,6 @@ func (l aggLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) 
 	return l.a.addColumnsAt(l.lane, n, ndims, nvals, dims, vals)
 }
 
-// merge folds a partial accumulation into the merge lane, leaving every
-// report stripe's association untouched.
-func (a *Aggregator) merge(sums []mathx.KahanSum, counts []int64) {
-	a.acc.LockedBase(func(base []mathx.KahanSum, baseCounts []int64) {
-		for j := range sums {
-			base[j].Add(sums[j].Value())
-			baseCounts[j] += counts[j]
-		}
-	})
-}
-
 // Counts returns a copy of the per-dimension report counts rⱼ.
 func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }
 
@@ -385,54 +372,4 @@ func (a *Aggregator) EstimateWeighted(sums, counts []float64) ([]float64, error)
 		out[j] = sums[j]/counts[j] - delta
 	}
 	return out, nil
-}
-
-// Simulate runs one full collection round over ds without materializing
-// per-user reports: workers stream rows, perturb, and accumulate locally,
-// then merge. The result is identical in distribution to feeding every
-// user's Client.Report through Aggregator.Add. rng seeds the per-worker
-// substreams, so results are deterministic for a fixed worker count.
-func Simulate(p Protocol, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Aggregator, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if ds.Dim() != p.D {
-		return nil, fmt.Errorf("highdim: dataset has %d dims, protocol says %d", ds.Dim(), p.D)
-	}
-	if workers <= 0 {
-		workers = 8
-	}
-	n := ds.NumUsers()
-	if workers > n {
-		workers = n
-	}
-	agg := NewAggregator(p)
-	pert := agg.pert[0]
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rng.Child(uint64(w))
-			row := make([]float64, p.D)
-			sums := make([]mathx.KahanSum, p.D)
-			counts := make([]int64, p.D)
-			var dims []int
-			vals := make([]float64, p.M)
-			for i := w; i < n; i += workers {
-				ds.Row(i, row)
-				dims = wrng.SampleIndices(p.D, p.M, dims)
-				for k, j := range dims { // gather, then perturb
-					vals[k] = row[j]
-				}
-				for k, j := range dims {
-					sums[j].Add(pert.Perturb(wrng, vals[k]))
-					counts[j]++
-				}
-			}
-			agg.merge(sums, counts)
-		}(w)
-	}
-	wg.Wait()
-	return agg, nil
 }

@@ -1,15 +1,49 @@
 package highdim
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/dataset"
+	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
 	"github.com/hdr4me/hdr4me/internal/metrics"
 )
+
+// round runs one collection round of ds through est.Round: a fresh
+// estimator from build collects, and every worker observes into its own
+// shard from build.
+func round[E est.Estimator](ds dataset.Dataset, rng *mathx.RNG, workers int, build func() (E, error)) (E, error) {
+	into, err := build()
+	if err != nil {
+		return into, err
+	}
+	shard := func() (est.Estimator, error) { return build() }
+	return into, est.Round(context.Background(), into, ds.NumUsers(), workers, rng, shard, est.ValueRows(ds))
+}
+
+// simulate is a uniform-budget collection round for p.
+func simulate(p Protocol, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Aggregator, error) {
+	return round(ds, rng, workers, func() (*Aggregator, error) { return NewAggregator(p), nil })
+}
+
+// simulateAllocated is a collection round for p under alloc.
+func simulateAllocated(p Protocol, alloc Allocation, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Aggregator, error) {
+	return round(ds, rng, workers, func() (*Aggregator, error) { return NewAllocatedAggregator(p, alloc) })
+}
+
+// simulateDuchiMD is a whole-tuple collection round; it returns the
+// per-dimension mean release.
+func simulateDuchiMD(m DuchiMD, ds dataset.Dataset, rng *mathx.RNG, workers int) ([]float64, error) {
+	agg, err := round(ds, rng, workers, func() (*MDAggregator, error) { return NewMDAggregator(m) })
+	if err != nil {
+		return nil, err
+	}
+	return agg.Estimate(), nil
+}
 
 func mustProtocol(t *testing.T, mech ldp.Mechanism, eps float64, d, m int) Protocol {
 	t.Helper()
@@ -155,7 +189,7 @@ func TestAggregatorConcurrentAdd(t *testing.T) {
 func TestSimulateRecoversMeanLaplace(t *testing.T) {
 	ds := dataset.Memoize(dataset.NewGaussian(40000, 10, 5))
 	p := mustProtocol(t, ldp.Laplace{}, 8, 10, 10)
-	agg, err := Simulate(p, ds, mathx.NewRNG(3), 4)
+	agg, err := simulate(p, ds, mathx.NewRNG(3), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +205,7 @@ func TestSimulateRecoversMeanAllMechanisms(t *testing.T) {
 	truth := ds.TrueMean()
 	for name, mech := range ldp.Registry() {
 		p := mustProtocol(t, mech, 6, 6, 6)
-		agg, err := Simulate(p, ds, mathx.NewRNG(4), 4)
+		agg, err := simulate(p, ds, mathx.NewRNG(4), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +225,7 @@ func TestSimulateRecoversMeanAllMechanisms(t *testing.T) {
 func TestSimulateSamplingCountsMatchExpectation(t *testing.T) {
 	ds := dataset.NewUniform(20000, 10, 7)
 	p := mustProtocol(t, ldp.Laplace{}, 1, 10, 3)
-	agg, err := Simulate(p, ds, mathx.NewRNG(5), 4)
+	agg, err := simulate(p, ds, mathx.NewRNG(5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +240,8 @@ func TestSimulateSamplingCountsMatchExpectation(t *testing.T) {
 func TestSimulateDeterministicForFixedWorkers(t *testing.T) {
 	ds := dataset.NewUniform(2000, 5, 8)
 	p := mustProtocol(t, ldp.Piecewise{}, 1, 5, 2)
-	a, _ := Simulate(p, ds, mathx.NewRNG(9), 3)
-	b, _ := Simulate(p, ds, mathx.NewRNG(9), 3)
+	a, _ := simulate(p, ds, mathx.NewRNG(9), 3)
+	b, _ := simulate(p, ds, mathx.NewRNG(9), 3)
 	ea, eb := a.Estimate(), b.Estimate()
 	for j := range ea {
 		if ea[j] != eb[j] {
@@ -219,18 +253,19 @@ func TestSimulateDeterministicForFixedWorkers(t *testing.T) {
 func TestSimulateDimensionMismatch(t *testing.T) {
 	ds := dataset.NewUniform(100, 5, 1)
 	p := mustProtocol(t, ldp.Laplace{}, 1, 6, 2)
-	if _, err := Simulate(p, ds, mathx.NewRNG(1), 2); err == nil {
+	if _, err := simulate(p, ds, mathx.NewRNG(1), 2); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
 }
 
 func TestSimulateMatchesClientAggregatorPath(t *testing.T) {
-	// The streaming Simulate and the explicit Client→Report→Add path must
-	// agree statistically: compare estimates on the same dataset.
+	// A sharded est.Round collection round and the explicit
+	// Client→Report→Add path must agree statistically: compare estimates
+	// on the same dataset.
 	ds := dataset.Memoize(dataset.NewUniform(20000, 4, 11))
 	p := mustProtocol(t, ldp.Laplace{}, 4, 4, 2)
 
-	agg1, err := Simulate(p, ds, mathx.NewRNG(12), 4)
+	agg1, err := simulate(p, ds, mathx.NewRNG(12), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,25 @@
 package recal
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/analysis"
 	"github.com/hdr4me/hdr4me/internal/dataset"
+	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
 )
+
+// simulate runs one uniform-budget collection round of ds through
+// est.Round, one aggregator shard per worker.
+func simulate(p highdim.Protocol, ds dataset.Dataset, rng *mathx.RNG, workers int) (*highdim.Aggregator, error) {
+	agg := highdim.NewAggregator(p)
+	shard := func() (est.Estimator, error) { return highdim.NewAggregator(p), nil }
+	return agg, est.Round(context.Background(), agg, ds.NumUsers(), workers, rng, shard, est.ValueRows(ds))
+}
 
 func TestTheorem3ImprovementProbabilityEmpirically(t *testing.T) {
 	// Theorem 3 end-to-end: in a regime where the framework predicts
@@ -35,7 +45,7 @@ func TestTheorem3ImprovementProbabilityEmpirically(t *testing.T) {
 		wins := 0
 		rng := mathx.NewRNG(uint64(1000 * eps))
 		for tr := 0; tr < trials; tr++ {
-			agg, err := highdim.Simulate(p, ds, rng.Child(uint64(tr)), 4)
+			agg, err := simulate(p, ds, rng.Child(uint64(tr)), 4)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,9 +73,10 @@ func FuzzRoundTripCBatch(f *testing.F) {
 }
 
 // FuzzCBatchDecodeParity: the same rectangular reports shipped once
-// through the v1 row grammar (encode, decode, AddReports) and once
-// through the v2 columnar grammar (CBATCH encode, bulk column decode,
-// AddColumns — the exact server ingest path) must leave two aggregators
+// through the v1 row grammar (BATCH encode, the served windowed decode,
+// AddReports per chunk) and once through the v2 columnar grammar (CBATCH
+// encode, bulk column decode, AddColumns) — each the exact server ingest
+// path into a stripe lane, minus the socket — must leave two aggregators
 // in bitwise-identical state: same accepted count, same Sums bits, same
 // Counts. This is the estimate-preservation guarantee of the v2 frame.
 func FuzzCBatchDecodeParity(f *testing.F) {
@@ -112,19 +113,29 @@ func FuzzCBatchDecodeParity(f *testing.F) {
 		}
 		aggV1, aggV2 := highdim.NewAggregator(p), highdim.NewAggregator(p)
 
-		// v1 path: row frame, row decode, row accumulate.
+		// v1 path: row frame, windowed decode, AddReports per chunk into
+		// a lane — the serveBatch ingest path without the socket.
 		frame1, err := CodecV1{}.AppendBatch(nil, "", 0, reps)
 		if err != nil {
 			t.Fatalf("v1 encode: %v", err)
 		}
-		_, _, reps1, err := CodecV1{}.DecodeBatch(bufio.NewReader(bytes.NewReader(frame1)), false)
-		if err != nil {
-			t.Fatalf("v1 decode: %v", err)
+		br1 := bufio.NewReader(bytes.NewReader(frame1))
+		if ft, err := readFrameType(br1); err != nil || ft != frameBatch {
+			t.Fatalf("frame type 0x%02x, err %v; want BATCH", ft, err)
 		}
-		accV1, _ := est.AddReports(aggV1, reps1)
+		sc1 := &decodeScratch{}
+		cnt1, err := sc1.readUint32(br1)
+		if err != nil || int(cnt1) != n {
+			t.Fatalf("batch count %d, err %v; want %d", cnt1, err, n)
+		}
+		acc1, err := readBatchBuffered(br1, sc1, cnt1, aggV1.AcquireLane().AddReports)
+		if err != nil {
+			t.Fatalf("v1 served decode: %v", err)
+		}
+		accV1 := int(acc1)
 
-		// v2 path: columnar frame, bulk column decode, AddColumns — the
-		// serveCBatch ingest path without the socket.
+		// v2 path: columnar frame, bulk column decode, AddColumns into a
+		// lane — the serveCBatch ingest path without the socket.
 		frame2, err := CodecV2{}.AppendBatch(nil, "", 0, reps)
 		if err != nil {
 			t.Fatalf("v2 encode: %v", err)
@@ -151,7 +162,7 @@ func FuzzCBatchDecodeParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("cbatch body: %v", err)
 		}
-		accV2, _ := est.AddColumns(aggV2, cnt, nd, nv, dims, vals)
+		accV2, _ := est.AddColumns(aggV2.AcquireLane(), cnt, nd, nv, dims, vals)
 
 		if accV1 != accV2 {
 			t.Fatalf("accepted %d via v1, %d via v2", accV1, accV2)

@@ -18,7 +18,7 @@ import (
 // BATCH frames at one loopback collector and drain the acks, so ns/op
 // and allocs/op are the collector-side cost per ingested report (b.N
 // counts reports; client framing is pre-paid, the client-side encode
-// path has its own benchmarks in BENCH_transport.json).
+// path has its own benchmarks: Send, SendBatch and BufferedClient).
 //
 // The striped variants exercise the production v1 path — zero-copy
 // pooled decode plus one stripe-lock acquisition per decoded chunk, each

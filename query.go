@@ -74,7 +74,7 @@ func DialCollectorContext(ctx context.Context, addr string, opts ...CollectorCli
 // estimatorForSpec is the registry factory: one validated QuerySpec in,
 // one fresh estimator out, via the session configuration machinery.
 func estimatorForSpec(spec est.QuerySpec) (est.Estimator, error) {
-	cfg := sessionConfig{seed: 1}
+	var cfg sessionConfig
 	if err := applySpec(&cfg, spec); err != nil {
 		return nil, err
 	}

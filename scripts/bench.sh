@@ -1,11 +1,8 @@
 #!/usr/bin/env sh
-# Runs the transport benchmark suites and emits machine-readable perf
-# trajectories (one object per benchmark: iterations, ns/op, reports/s,
-# B/op, allocs/op):
+# Runs the collector-side benchmark suites and emits machine-readable
+# perf trajectories (one object per benchmark: iterations, ns/op,
+# reports/s, B/op, allocs/op):
 #
-#   BENCH_transport.json  client-side submission paths (Send, SendBatch,
-#                         BufferedClient); BENCHTIME controls go test
-#                         -benchtime (default 1x: a smoke run).
 #   BENCH_ingest.json     collector-side multi-connection ingest
 #                         (BenchmarkIngest: striped v1 vs cbatch v2 at 1/4/16
 #                         connections); INGEST_BENCHTIME controls its
@@ -18,13 +15,11 @@
 #                         rotation is amortized away. EPOCH_BENCHTIME
 #                         controls its -benchtime (default 1s).
 #
-# OUT / OUT_INGEST / OUT_EPOCH override the output paths.
+# OUT_INGEST / OUT_EPOCH override the output paths.
 set -eu
 
-BENCHTIME="${BENCHTIME:-1x}"
 INGEST_BENCHTIME="${INGEST_BENCHTIME:-1s}"
 EPOCH_BENCHTIME="${EPOCH_BENCHTIME:-1s}"
-OUT="${OUT:-BENCH_transport.json}"
 OUT_INGEST="${OUT_INGEST:-BENCH_ingest.json}"
 OUT_EPOCH="${OUT_EPOCH:-BENCH_epoch.json}"
 PKG="${PKG:-./internal/transport/}"
@@ -70,10 +65,6 @@ emit_json() {
 
     echo "wrote $2 ($(grep -c '"name"' "$2") benchmarks)"
 }
-
-go test -run='^$' -bench='^(BenchmarkSend|BenchmarkSendBatch|BenchmarkBufferedClient)$' \
-    -benchmem -benchtime="$BENCHTIME" "$PKG" | tee "$raw"
-emit_json "$raw" "$OUT" "$BENCHTIME"
 
 go test -run='^$' -bench='^BenchmarkIngest$' \
     -benchmem -benchtime="$INGEST_BENCHTIME" "$PKG" | tee "$raw"

@@ -2,6 +2,8 @@ package hdr4me
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,7 +60,7 @@ type sessionConfig struct {
 	alloc      *Allocation
 	workers    int
 	enhance    *EnhanceConfig
-	seed       uint64
+	seed       *uint64 // nil: unpredictable, drawn from crypto/rand
 	custom     Estimator
 	stateDir   string
 	ckptEvery  time.Duration
@@ -156,10 +158,13 @@ func WithEnhance(cfg EnhanceConfig) Option {
 	}
 }
 
-// WithSeed fixes the session's deterministic randomness (default 1).
+// WithSeed fixes the session's randomness, making every Run, Observe and
+// Report reproducible: the simulation mode. Without it a session seeds
+// from crypto/rand, so nobody can regenerate its noise; a device that
+// perturbs real values must never share its seed.
 func WithSeed(seed uint64) Option {
 	return func(c *sessionConfig) error {
-		c.seed = seed
+		c.seed = &seed
 		return nil
 	}
 }
@@ -181,9 +186,8 @@ func WithEstimator(e Estimator) Option {
 // running estimates, and composes across shards (Snapshot/Merge). Build
 // one with New; all methods are safe for concurrent use.
 type Session struct {
-	cfg     sessionConfig
-	est     Estimator
-	workers int
+	cfg sessionConfig
+	est Estimator
 
 	// ring wraps est for continual sessions (any epoch option): ingest
 	// routes through it so rotation triggers count reports, while est
@@ -240,7 +244,7 @@ const sessionLanes = 8
 //		hdr4me.WithEnhance(hdr4me.DefaultEnhanceConfig(hdr4me.RegL1)),
 //	)
 func New(opts ...Option) (*Session, error) {
-	cfg := sessionConfig{seed: 1}
+	var cfg sessionConfig
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -252,7 +256,7 @@ func New(opts ...Option) (*Session, error) {
 	if cfg.alloc != nil && (cfg.wholeTuple || cfg.cards != nil) {
 		return nil, fmt.Errorf("hdr4me: WithAllocation applies only to the sampled-dimension mean family")
 	}
-	s := &Session{cfg: cfg, workers: cfg.workers, rng: NewRNG(cfg.seed)}
+	s := &Session{cfg: cfg, rng: NewRNG(sessionSeed(cfg.seed))}
 	s.obsRoot = s.rng.Child(obsStream)
 	e, err := s.newEstimator()
 	if err != nil {
@@ -320,6 +324,16 @@ func New(opts ...Option) (*Session, error) {
 		})
 	}
 	return s, nil
+}
+
+// sessionSeed returns the WithSeed seed, or a fresh one from crypto/rand.
+func sessionSeed(seed *uint64) uint64 {
+	if seed != nil {
+		return *seed
+	}
+	var b [8]byte
+	rand.Read(b[:]) // never fails: crypto/rand aborts the program instead
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Close stops the background checkpointer started by
@@ -631,29 +645,19 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("hdr4me: nil source")
 	}
-	n := src.NumUsers()
-	workers := s.workers
-	if workers <= 0 {
-		workers = 8
-	}
-	if workers > n {
-		workers = n
-	}
-
-	var ds Dataset
-	var cds CatDataset
+	var rows est.Rows
 	if s.est.Kind() == KindFreq {
-		c, ok := src.(CatDataset)
+		cds, ok := src.(CatDataset)
 		if !ok {
 			return nil, fmt.Errorf("hdr4me: frequency session needs a CatDataset source, have %T", src)
 		}
-		cds = c
+		rows = est.CatRows(cds)
 	} else {
-		d, ok := src.(Dataset)
+		ds, ok := src.(Dataset)
 		if !ok {
 			return nil, fmt.Errorf("hdr4me: %s session needs a Dataset source, have %T", s.est.Kind(), src)
 		}
-		ds = d
+		rows = est.ValueRows(ds)
 	}
 
 	s.mu.Lock()
@@ -663,71 +667,14 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 
 	// A custom injected estimator cannot be re-constructed per worker, so
 	// workers observe straight into it; family estimators get one shard
-	// each and Merge at the end (no lock contention on the hot path).
-	sharded := s.cfg.custom == nil
-	type shard struct {
-		snap Snapshot
-		err  error
+	// each, merged into the session at the end (no lock contention on the
+	// hot path).
+	into, shard := s.est, s.newEstimator
+	if s.cfg.custom != nil {
+		into, shard = nil, func() (Estimator, error) { return s.est, nil }
 	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := s.est
-			if sharded {
-				var err error
-				if local, err = s.newEstimator(); err != nil {
-					shards[w].err = err
-					return
-				}
-			}
-			wrng := runRNG.Child(uint64(w))
-			t := Tuple{}
-			if ds != nil {
-				t.Values = make([]float64, ds.Dim())
-			} else {
-				t.Cats = make([]int, len(cds.Cards()))
-			}
-			for i := w; i < n; i += workers {
-				if (i/workers)%32 == 0 {
-					select {
-					case <-ctx.Done():
-						shards[w].err = ctx.Err()
-						return
-					default:
-					}
-				}
-				if ds != nil {
-					ds.Row(i, t.Values)
-				} else {
-					for j := range t.Cats {
-						t.Cats[j] = cds.Value(i, j)
-					}
-				}
-				if err := local.Observe(t, wrng); err != nil {
-					shards[w].err = err
-					return
-				}
-			}
-			if sharded {
-				shards[w].snap = local.Snapshot()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := range shards {
-		if shards[w].err != nil {
-			return nil, shards[w].err
-		}
-	}
-	if sharded {
-		for w := range shards {
-			if err := s.est.Merge(shards[w].snap); err != nil {
-				return nil, err
-			}
-		}
+	if err := est.Round(ctx, into, src.NumUsers(), s.cfg.workers, runRNG, shard, rows); err != nil {
+		return nil, err
 	}
 
 	// Build the Result from one snapshot so Naive, Counts and (for the

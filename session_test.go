@@ -422,3 +422,47 @@ func TestSessionCustomEstimator(t *testing.T) {
 		}
 	}
 }
+
+func TestDefaultSeedNoiseCannotBeReplayed(t *testing.T) {
+	// A collector that could rebuild a device's session could regenerate
+	// its noise: the report of x minus a fresh default session's report
+	// of 0 would give x back. Default sessions must seed unpredictably.
+	spec := QuerySpec{Kind: KindMean, Mech: "laplace", Eps: 1, D: 4, M: 4}
+	device, err := NewFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := NewFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.9, -0.4, 0.25, -0.8}
+	rep, err := device.Report(Tuple{Values: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noise, err := replay.Report(Tuple{Values: make([]float64, len(x))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := 0
+	for i, j := range rep.Dims {
+		if math.Abs(rep.Values[i]-noise.Values[i]-x[j]) < 1e-9 {
+			recovered++
+		}
+	}
+	if recovered == len(x) {
+		t.Fatalf("replaying a default session's noise recovered all %d raw values", len(x))
+	}
+
+	// WithSeed stays the reproducible mode: equal seeds, equal noise.
+	a, _ := NewFromSpec(spec, WithSeed(7))
+	b, _ := NewFromSpec(spec, WithSeed(7))
+	ra, _ := a.Report(Tuple{Values: x})
+	rb, _ := b.Report(Tuple{Values: x})
+	for i := range ra.Values {
+		if math.Float64bits(ra.Values[i]) != math.Float64bits(rb.Values[i]) {
+			t.Fatalf("WithSeed(7) sessions differ at report value %d", i)
+		}
+	}
+}
