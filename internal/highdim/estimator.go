@@ -50,7 +50,9 @@ func (a *Aggregator) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error)
 	for i, j := range dims {
 		rep.Dims[i] = uint32(j)
 	}
-	perturbSample(rep.Values, t.Values, dims, a.pert, rng)
+	if err := perturbSample(rep.Values, t.Values, dims, a.pert, rng); err != nil {
+		return est.Report{}, err
+	}
 	return rep, nil
 }
 

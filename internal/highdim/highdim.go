@@ -75,7 +75,8 @@ func NewClient(p Protocol, rng *mathx.RNG) *Client {
 }
 
 // Report samples m dimensions of tuple, perturbs each with ε/m, and returns
-// the report. tuple must have length d with values in [−1, 1].
+// the report. tuple must have length d with values in [−1, 1]; a sampled
+// value outside it panics with a message naming only its dimension.
 func (c *Client) Report(tuple []float64) Report {
 	if len(tuple) != c.P.D {
 		panic(fmt.Sprintf("highdim: tuple has %d dims, protocol says %d", len(tuple), c.P.D))
@@ -88,7 +89,9 @@ func (c *Client) Report(tuple []float64) Report {
 	for i, j := range c.dims {
 		rep.Dims[i] = uint32(j)
 	}
-	perturbSample(rep.Values, tuple, c.dims, c.pert, c.rng)
+	if err := perturbSample(rep.Values, tuple, c.dims, c.pert, c.rng); err != nil {
+		panic(err.Error())
+	}
 	return rep
 }
 
@@ -97,20 +100,28 @@ func (c *Client) Report(tuple []float64) Report {
 // under a uniform one). It gathers up to 64 sampled values before
 // perturbing any, so their loads (cache misses over a large population)
 // are in flight together instead of each waiting on the previous
-// perturbation's branches. The perturbations still run in dimension
-// order, so the draws are unchanged. Raw values stay in a stack buffer
-// and never enter vals.
-func perturbSample(vals, tuple []float64, dims []int, pert []ldp.Perturber, rng *mathx.RNG) {
+// perturbation. The perturbations still run in dimension order, so the
+// draws are unchanged. Raw values stay in a stack buffer and never enter
+// vals. A gathered value outside [−1, 1] (or NaN) is an error naming only
+// its dimension, since the value is the user's private datum; it is
+// returned before any value of its chunk of 64 is perturbed, so for
+// m ≤ 64 before any perturbation draw.
+func perturbSample(vals, tuple []float64, dims []int, pert []ldp.Perturber, rng *mathx.RNG) error {
 	var raw [64]float64
 	for lo := 0; lo < len(dims); lo += len(raw) {
 		chunk := dims[lo:min(lo+len(raw), len(dims))]
 		for k, j := range chunk {
-			raw[k] = tuple[j]
+			v := tuple[j]
+			if !(v >= -1 && v <= 1) {
+				return fmt.Errorf("highdim: value outside [−1, 1] in dimension %d", j)
+			}
+			raw[k] = v
 		}
 		for k, j := range chunk {
 			vals[lo+k] = perturberAt(pert, j).Perturb(rng, raw[k])
 		}
 	}
+	return nil
 }
 
 // Aggregator is the collector side: it accumulates reports and produces the

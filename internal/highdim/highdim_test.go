@@ -126,6 +126,18 @@ func TestClientRejectsWrongWidth(t *testing.T) {
 	c.Report(make([]float64, 4))
 }
 
+func TestClientOutOfDomainPanicNamesOnlyTheDimension(t *testing.T) {
+	p := mustProtocol(t, ldp.Piecewise{}, 1, 5, 5)
+	c := NewClient(p, mathx.NewRNG(1))
+	defer func() {
+		msg, _ := recover().(string)
+		if msg != "highdim: value outside [−1, 1] in dimension 3" {
+			t.Fatalf("panic %q, want the dimension-only message", msg)
+		}
+	}()
+	c.Report([]float64{0, 0.5, -1, 1.5, 0})
+}
+
 func TestAggregatorRejectsMalformedReports(t *testing.T) {
 	p := mustProtocol(t, ldp.Laplace{}, 1, 4, 2)
 	a := NewAggregator(p)

@@ -86,21 +86,34 @@ func (p Piecewise) at(eps float64) pmAt {
 	return pmAt{eps: eps, q: p.SupportBound(eps), pBand: c / (c + 1)}
 }
 
-// Perturb implements Perturber.
+// Perturb implements Perturber. It is branch-free in the input and the
+// draws: it always draws two values u1, u2, computes both the band output
+// l + (r−l)·u2 and the tail output for w = u2·(Q+1) (tails [−Q, l) and
+// (r, Q], of total length Q+1), and picks one with bit-mask selects on
+// u1 < pBand and w < l+Q. Both paths of the textbook two-branch sampler
+// draw two values too, so this returns what that sampler returns, bit for
+// bit and draw for draw (TestPiecewiseKernelMatchesBranchyReference).
 func (a pmAt) Perturb(rng *mathx.RNG, t float64) float64 {
 	validate(t, a.eps)
 	q := a.q
 	l, r := pmBand(q, t)
-	if rng.Float64() < a.pBand {
-		return rng.Uniform(l, r)
+	u1 := rng.Float64()
+	u2 := rng.Float64()
+	band := l + (r-l)*u2
+	w := u2 * (q + 1)
+	left := l + q
+	tail := pick(w < left, -q+w, r+(w-left))
+	return pick(u1 < a.pBand, band, tail)
+}
+
+// pick returns x when c holds and y otherwise, through a bit mask rather
+// than a branch.
+func pick(c bool, x, y float64) float64 {
+	var m uint64
+	if c {
+		m = ^uint64(0) // a conditional move, not a jump
 	}
-	// Tails: [−Q, l) has length l+Q, (r, Q] has length Q−r; total Q+1.
-	w := rng.Float64() * (q + 1)
-	if left := l + q; w < left {
-		return -q + w
-	} else {
-		return r + (w - left)
-	}
+	return math.Float64frombits(math.Float64bits(x)&m | math.Float64bits(y)&^m)
 }
 
 // Bias implements Mechanism; PM is an unbiased estimator.

@@ -9,10 +9,11 @@ import (
 // sampleShapes are the (d, m) rows of the sampling ledger. At m = 8, 16
 // and 32 they sit on both sides of orderSample's bitmap/sort rule
 // (⌈d/64⌉ ≤ m²/8): (256,8), (2048,16), (1024,32) and (8192,32) take the
-// bitmap; (1024,8), (4096,16), (16384,32) and (65536,32) sort.
+// bitmap; (1024,8), (4096,16), (16384,32), (65536,32) and (2²⁰,32) sort.
+// The last row spreads the shuffle's guard bits over a 128 KB bitmap.
 var sampleShapes = []struct{ d, m int }{
 	{32, 1}, {256, 8}, {1024, 8}, {2048, 16}, {4096, 16},
-	{1024, 32}, {8192, 32}, {16384, 32}, {65536, 32},
+	{1024, 32}, {8192, 32}, {16384, 32}, {65536, 32}, {1 << 20, 32},
 }
 
 // BenchmarkSampleIndices times one user's m-of-d sample (shuffle plus

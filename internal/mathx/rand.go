@@ -26,8 +26,11 @@ type RNG struct {
 	pcg  rand.PCG
 	src  rand.Rand // draws from &pcg; for Normal, Exponential and Perm
 	seed uint64
-	perm permTable // SampleIndices' shuffle state, reused across calls
-	bits []uint64  // SampleIndices' ordering bitmap, all zero between calls
+	// SampleIndices' scratch, reused across calls: bits marks the
+	// positions ≥ m its shuffle has displaced (all zero between calls),
+	// and moved[k] now holds held[k].
+	bits        []uint64
+	moved, held []int
 }
 
 // NewRNG returns a deterministic RNG seeded with seed.
@@ -186,13 +189,17 @@ func (r *RNG) poissonPTRS(lambda float64) int {
 
 // SampleIndices fills dst with a uniform random m-subset of [0, d) in
 // increasing order (m is clamped to d). It runs a partial Fisher–Yates
-// shuffle but stores only the positions the shuffle has displaced, in a
-// table of O(m) ints the RNG owns and reuses, and then orders the sample
-// (see orderSample). It allocates only when dst is too small or the RNG's
-// scratch first grows to a larger shape. It draws exactly the IntN
-// sequence of a dense Fisher–Yates over a d-int permutation and returns
-// the same subset, so a seed yields the same sample stream as that dense
-// shuffle; the ordering step draws nothing.
+// shuffle over a virtual permutation of [0, d): dst holds positions
+// [0, m), and a position j ≥ m the shuffle has displaced has its bit set
+// in the RNG's bitmap, with its current value kept in two O(m) slices the
+// RNG owns and reuses. The slices are scanned only when a target's bit is
+// already set, about m²/2d times per sample. The sample is then ordered
+// (see orderSample), which leaves the bitmap all zero again. It allocates
+// only when dst is too small or the RNG's scratch first grows to a larger
+// shape. It draws exactly the IntN sequence of a dense Fisher–Yates over
+// a d-int permutation and returns the same subset, so a seed yields the
+// same sample stream as that dense shuffle; the ordering step draws
+// nothing.
 func (r *RNG) SampleIndices(d, m int, dst []int) []int {
 	if m > d {
 		m = d
@@ -201,28 +208,47 @@ func (r *RNG) SampleIndices(d, m int, dst []int) []int {
 		dst = make([]int, m)
 	}
 	dst = dst[:m]
-	// dst holds positions [0, m) of the virtual permutation; the table
-	// holds only the positions ≥ m the shuffle has displaced.
 	for k := range dst {
 		dst[k] = k
 	}
-	r.perm.reset(m)
+	if words := (d + 63) >> 6; cap(r.bits) < words {
+		r.bits = make([]uint64, words)
+	}
+	if cap(r.moved) < m {
+		r.moved, r.held = make([]int, 0, m), make([]int, 0, m)
+	}
+	bm := r.bits
+	moved, held := r.moved[:0], r.held[:0]
 	for i := 0; i < m; i++ {
 		j := i + r.IntN(d-i)
 		if j < m {
 			dst[i], dst[j] = dst[j], dst[i]
-		} else {
-			dst[i] = r.perm.swapIn(j, dst[i])
+			continue
 		}
+		w, b := j>>6, uint64(1)<<(uint(j)&63)
+		if bm[w]&b == 0 {
+			// First visit: position j still holds j.
+			bm[w] |= b
+			moved, held = append(moved, j), append(held, dst[i])
+			dst[i] = j
+			continue
+		}
+		k := slices.Index(moved, j)
+		dst[i], held[k] = held[k], dst[i]
 	}
+	r.moved, r.held = moved, held
 	r.orderSample(dst, d)
 	return dst
 }
 
-// orderSample sorts the distinct sample dst of [0, d) in increasing order.
-// A bitmap of [0, d) spans w = ⌈d/64⌉ words; when m ≥ 8 and w ≤ m²/8, it
-// sets one bit per index and reads them back in order, in O(w + m);
-// otherwise it calls slices.Sort, in O(m log m). slices.Sort is an
+// orderSample sorts the distinct sample dst of [0, d) in increasing order
+// and clears the shuffle's guard bits. The members of dst that are ≥ m
+// are exactly the positions the shuffle visited first-hand (a revisited
+// position hands back a value < m), so their bits are the ones set in
+// the bitmap. When m ≥ 8 and the bitmap's w = ⌈d/64⌉ words are at most
+// m²/8, it sets the remaining members' bits and reads the bitmap back in
+// order, in O(w + m); otherwise it calls slices.Sort, in O(m log m), and
+// clears the guard bits through the displaced list. slices.Sort is an
 // insertion sort below 13 elements and mispredicts heavily above, so the
 // break-even w grows faster than m; BenchmarkSampleOrder holds rows on
 // both sides of the rule at m = 8, 16 and 32. The ordering draws
@@ -232,6 +258,9 @@ func (r *RNG) orderSample(dst []int, d int) {
 	m := len(dst)
 	if m < 8 || (d+63)>>6 > m*m/8 {
 		slices.Sort(dst)
+		for _, j := range r.moved {
+			r.bits[j>>6] = 0
+		}
 		return
 	}
 	r.orderBitmap(dst, d)
@@ -239,7 +268,7 @@ func (r *RNG) orderSample(dst []int, d int) {
 
 // orderBitmap orders the distinct sample dst of [0, d) through the RNG's
 // bitmap, clearing each word as it is read so the bitmap is all zero
-// again on return.
+// again on return. Bits already set for members of dst are harmless.
 func (r *RNG) orderBitmap(dst []int, d int) {
 	words := (d + 63) >> 6
 	if cap(r.bits) < words {
@@ -261,55 +290,4 @@ func (r *RNG) orderBitmap(dst []int, d int) {
 			k++
 		}
 	}
-}
-
-// permTable is the sparse state of a partial Fisher–Yates shuffle over
-// [0, d): an open-addressed map from displaced position to the value it
-// now holds. A position absent from the table still holds its own index.
-type permTable struct {
-	slots []permSlot
-	shift uint // 64 − log2(len(slots)), for Fibonacci hashing
-}
-
-// permSlot is one table entry; key is position+1, so zero marks a free slot.
-type permSlot struct{ key, val int }
-
-// reset empties the table and sizes it for m insertions at load ≤ 1/2.
-func (t *permTable) reset(m int) {
-	n := 8
-	for n < 2*m {
-		n <<= 1
-	}
-	if cap(t.slots) < n {
-		t.slots = make([]permSlot, n)
-	} else {
-		t.slots = t.slots[:n]
-		clear(t.slots)
-	}
-	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
-}
-
-// find returns the slot holding position pos, or the free slot where it
-// would be inserted.
-func (t *permTable) find(pos int) *permSlot {
-	mask := len(t.slots) - 1
-	h := int((uint64(pos) * 0x9e3779b97f4a7c15) >> t.shift)
-	for {
-		s := &t.slots[h]
-		if s.key == 0 || s.key == pos+1 {
-			return s
-		}
-		h = (h + 1) & mask
-	}
-}
-
-// swapIn stores v at position pos and returns the value it replaces.
-func (t *permTable) swapIn(pos, v int) int {
-	s := t.find(pos)
-	old := pos
-	if s.key != 0 {
-		old = s.val
-	}
-	s.key, s.val = pos+1, v
-	return old
 }

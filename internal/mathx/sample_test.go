@@ -30,6 +30,17 @@ func denseSampleIndices(r *RNG, d, m int) []int {
 	return dst
 }
 
+// checkGuardClear fails t unless SampleIndices left the RNG's shuffle
+// bitmap all zero, as the next call requires.
+func checkGuardClear(t *testing.T, r *RNG, d, m int) {
+	t.Helper()
+	for w, b := range r.bits {
+		if b != 0 {
+			t.Fatalf("(d=%d, m=%d): bitmap word %d = %#x after the call, want 0", d, m, w, b)
+		}
+	}
+}
+
 func TestSampleIndicesMatchesDenseShuffle(t *testing.T) {
 	shapes := NewRNG(12)
 	sparse, dense := NewRNG(99), NewRNG(99)
@@ -53,6 +64,7 @@ func TestSampleIndicesMatchesDenseShuffle(t *testing.T) {
 		if !slices.Equal(dst, want) {
 			t.Fatalf("trial %d (d=%d, m=%d): sparse %v, dense %v", trial, d, m, dst, want)
 		}
+		checkGuardClear(t, sparse, d, m)
 		// The shared stream must stay in lockstep after the call too.
 		if a, b := sparse.Float64(), dense.Float64(); a != b {
 			t.Fatalf("trial %d: streams diverged after sampling", trial)
@@ -61,9 +73,10 @@ func TestSampleIndicesMatchesDenseShuffle(t *testing.T) {
 }
 
 func TestSampleIndicesLargeD(t *testing.T) {
-	// Large domains with small samples: the sparse table must still
-	// reproduce the dense shuffle exactly, whether the sample is ordered
-	// through the bitmap ((8192, 32)) or by sorting.
+	// Large domains with small samples: the bitmap-guarded shuffle must
+	// still reproduce the dense shuffle exactly, and leave the bitmap
+	// clear, whether the sample is ordered through the bitmap
+	// ((8192, 32)) or by sorting.
 	sparse, dense := NewRNG(5), NewRNG(5)
 	for _, sh := range []struct{ d, m int }{{1 << 20, 64}, {8192, 32}, {65536, 32}} {
 		for trial := 0; trial < 50; trial++ {
@@ -71,6 +84,7 @@ func TestSampleIndicesLargeD(t *testing.T) {
 			if want := denseSampleIndices(dense, sh.d, sh.m); !slices.Equal(got, want) {
 				t.Fatalf("(d=%d, m=%d) trial %d: sparse %v, dense %v", sh.d, sh.m, trial, got, want)
 			}
+			checkGuardClear(t, sparse, sh.d, sh.m)
 		}
 	}
 }
@@ -78,7 +92,7 @@ func TestSampleIndicesLargeD(t *testing.T) {
 func TestSampleIndicesZeroAlloc(t *testing.T) {
 	r := NewRNG(3)
 	dst := make([]int, 32)
-	r.SampleIndices(1024, 32, dst) // size the RNG's table once
+	r.SampleIndices(1024, 32, dst) // size the RNG's scratch once
 	allocs := testing.AllocsPerRun(200, func() {
 		dst = r.SampleIndices(1024, 32, dst)
 	})
@@ -89,7 +103,7 @@ func TestSampleIndicesZeroAlloc(t *testing.T) {
 
 func TestReseedMatchesNewRNG(t *testing.T) {
 	r := NewRNG(1)
-	r.SampleIndices(100, 10, nil) // dirty the stream and the table
+	r.SampleIndices(100, 10, nil) // dirty the stream and the scratch
 	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
 		r.Reseed(seed)
 		fresh := NewRNG(seed)

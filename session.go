@@ -205,8 +205,8 @@ type Session struct {
 
 	mu    sync.Mutex
 	rng   *RNG
-	obs   uint64 // Observe substream counter
-	epoch uint64 // Run substream counter
+	obs   atomic.Uint64 // Observe/Report substream counter; claimed without mu
+	epoch uint64        // Run substream counter
 
 	// obsRoot is rng.Child(obsStream), built once: Observe and Report
 	// reseed to its children. It is never drawn from, so it is read
@@ -440,8 +440,8 @@ func (s *Session) Kind() string { return s.est.Kind() }
 
 // Observe perturbs one raw tuple user-side with the session's randomness
 // and accumulates the resulting report. Safe for concurrent use: each call
-// derives its own deterministic substream under the lock and perturbs
-// outside it, so concurrent observers do not serialize on the mechanism —
+// claims its own deterministic substream with one atomic add and perturbs
+// without a lock, so concurrent observers do not serialize on the mechanism —
 // and for the built-in families accumulation rotates deterministically
 // over stripe lanes of the lock-striped estimator, so concurrent
 // observers rarely contend on the accumulation lock either. The rotation
@@ -495,10 +495,7 @@ var obsRNGs = sync.Pool{New: func() any { return NewRNG(0) }}
 // would produce. The caller returns it to obsRNGs once the call has
 // finished drawing from it.
 func (s *Session) obsRNG() (rng *RNG, idx uint64) {
-	s.mu.Lock()
-	idx = s.obs
-	s.obs++
-	s.mu.Unlock()
+	idx = s.obs.Add(1) - 1
 	rng = obsRNGs.Get().(*RNG)
 	rng.Reseed(s.obsRoot.ChildSeed(idx))
 	return rng, idx

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -464,5 +465,46 @@ func TestDefaultSeedNoiseCannotBeReplayed(t *testing.T) {
 		if math.Float64bits(ra.Values[i]) != math.Float64bits(rb.Values[i]) {
 			t.Fatalf("WithSeed(7) sessions differ at report value %d", i)
 		}
+	}
+}
+
+// constDataset is n users whose every value is v.
+type constDataset struct {
+	n, d int
+	v    float64
+}
+
+func (c constDataset) Name() string  { return "const" }
+func (c constDataset) NumUsers() int { return c.n }
+func (c constDataset) Dim() int      { return c.d }
+func (c constDataset) Row(_ int, dst []float64) {
+	for j := range dst {
+		dst[j] = c.v
+	}
+}
+
+func TestMeanFamilyOutOfDomainValueIsAnError(t *testing.T) {
+	// An out-of-domain value must come back as an error that names the
+	// dimension only: never a panic, and never the private value itself.
+	for _, v := range []float64{1.5, math.NaN()} {
+		s, err := New(WithMechanism(Piecewise()), WithBudget(1), WithDims(8, 4), WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuple := Tuple{Values: []float64{v, v, v, v, v, v, v, v}}
+		check := func(what string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s of value %v: no error", what, v)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "in dimension") || strings.Contains(msg, "1.5") || strings.Contains(msg, "NaN") {
+				t.Fatalf("%s of value %v: error %q must name only the dimension", what, v, msg)
+			}
+		}
+		_, err = s.Report(tuple)
+		check("Report", err)
+		check("Observe", s.Observe(tuple))
+		_, err = s.Run(context.Background(), constDataset{n: 40, d: 8, v: v})
+		check("Run", err)
 	}
 }
