@@ -90,7 +90,10 @@
 // numbers let it redial with backoff and re-ship exactly the batches
 // the collector never applied, the collector deduplicating by (token,
 // sequence). Every client exchange is bounded by
-// CollectorClient.SetTimeout or a ...Context variant, failure counters
+// CollectorClient.SetTimeout; the client's own exchanges (Send,
+// SendBatch, Estimate, Counts, Enhanced, PullSnapshot, PushSnapshot,
+// Checkpoint) also have a ...Context variant, while Query handles, Open,
+// QueryInfo, Hello and Negotiate have none. Failure counters
 // are served by CollectorServer.Stats (and ldpcollect's
 // /debug/collector endpoint), and internal/transport/faultconn injects
 // resets, stalls, partial writes and latency to prove all of it under

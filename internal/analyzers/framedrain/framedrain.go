@@ -16,7 +16,10 @@
 // fields and are out of scope.) Within such a function the analyzer
 // walks the body branch-aware — the arms of an if/switch are
 // alternatives, not a sequence — and flags any read of the reader that
-// can execute after a write to the writer.
+// can execute after a write to the writer. A func literal inside such a
+// function that touches either endpoint is reported too: the walk cannot
+// tell when a closure runs, so a body read hidden in one would escape
+// the ordering check.
 package framedrain
 
 import (
@@ -59,6 +62,31 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	}
 	c := &checker{pass: pass, readers: readers, writers: writers}
 	c.seq(fd.Body.List, false)
+	c.closures(fd.Body)
+}
+
+// closures reports every func literal in body that touches a tracked
+// endpoint, once per outermost literal.
+func (c *checker) closures(body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		lit, ok := n.(*ast.FuncLit)
+		if !ok {
+			return true
+		}
+		ast.Inspect(lit.Body, func(m ast.Node) bool {
+			id, ok := m.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if obj := c.pass.TypesInfo.Uses[id]; c.readers[obj] || c.writers[obj] {
+				c.pass.Reportf(lit.Pos(),
+					"func literal touches the frame endpoint %s: framedrain cannot order reads and writes inside a closure, so use the endpoint directly in the handler", id.Name)
+				return false
+			}
+			return true
+		})
+		return false
+	})
 }
 
 // endpoints collects the function's own *bufio.Reader and *bufio.Writer

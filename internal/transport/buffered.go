@@ -349,7 +349,8 @@ func (b *BufferedClient) timedFlush() {
 // pipeline stays on the v1 grammar. Caller holds b.mu.
 func (b *BufferedClient) helloLocked() error {
 	if !b.reconnect {
-		return b.c.maybeNegotiate()
+		defer b.c.begin()()
+		return b.c.maybeNegotiateLocked()
 	}
 	if b.token != 0 {
 		return nil

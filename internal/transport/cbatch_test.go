@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"strings"
+	"context"
 	"sync"
 	"testing"
 
@@ -202,34 +202,35 @@ func TestBufferedClientShapeSpill(t *testing.T) {
 	}
 }
 
-// TestCBatchRejectsRoutedPrefix: the v2 frame carries its route
-// in-frame, so a SELECT-prefixed CBATCH must be rejected as a grammar
-// error rather than silently re-routed.
-func TestCBatchRejectsRoutedPrefix(t *testing.T) {
-	_, _, addr := newCBatchServer(t, 4)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	frame, err := CodecV2{}.AppendBatch(nil, "", 0, []est.Report{{Dims: []uint32{1}, Values: []float64{0.5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	werr := func() error {
-		if err := writeSelect(c.bw, est.DefaultName); err != nil {
-			return err
-		}
-		return c.writeEncodedLocked(frame)
-	}()
-	c.mu.Unlock()
-	if werr != nil {
-		t.Fatal(werr)
-	}
-	if _, err := c.SendBatch([]est.Report{{Dims: []uint32{1}, Values: []float64{0.5}}}); err == nil {
-		t.Fatal("connection survived a routed CBATCH; want it torn down")
-	} else if !strings.Contains(err.Error(), "EOF") && !strings.Contains(err.Error(), "closed") && !strings.Contains(err.Error(), "reset") {
-		t.Logf("connection failed as expected: %v", err)
+// TestV2PinNegotiatesOnEveryBatchEntryPoint: a fresh client pinned to
+// v2 must negotiate before its first batch whichever entry point ships
+// it, so every one of them lands on v2 and ships a CBATCH frame.
+func TestV2PinNegotiatesOnEveryBatchEntryPoint(t *testing.T) {
+	reps := []est.Report{{Dims: []uint32{1}, Values: []float64{0.5}}}
+	for _, tc := range []struct {
+		name string
+		send func(c *Client) (int, error)
+	}{
+		{"SendBatch", func(c *Client) (int, error) { return c.SendBatch(reps) }},
+		{"SendBatchContext", func(c *Client) (int, error) { return c.SendBatchContext(context.Background(), reps) }},
+		{"Query.SendBatch", func(c *Client) (int, error) { return c.Query(est.DefaultName).SendBatch(reps) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _, addr := newCBatchServer(t, 4)
+			c, err := Dial(addr, WithProtocolVersion(ProtocolV2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if acc, err := tc.send(c); err != nil || acc != 1 {
+				t.Fatalf("send = (%d, %v); want (1, nil)", acc, err)
+			}
+			if got := c.ProtocolVersion(); got != ProtocolV2 {
+				t.Errorf("ProtocolVersion() = %d; want %d", got, ProtocolV2)
+			}
+			if got := srv.Stats().CBatches; got != 1 {
+				t.Errorf("CBatches = %d; want 1", got)
+			}
+		})
 	}
 }

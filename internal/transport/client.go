@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -141,9 +142,10 @@ func (c *Client) readAck(reject string) error {
 }
 
 // readReasonedAck reads the status byte of an exchange whose rejection
-// carries a reason string (OPENQUERY, CHECKPOINT): nil on ackOK, the
-// collector's reason wrapped under context otherwise. Caller holds c.mu.
-func (c *Client) readReasonedAck(context string) error {
+// carries a reason string (OPENQUERY, CHECKPOINT, HELLO): nil on ackOK,
+// ErrOverloaded on a retryable NACK, and reject wrapping the
+// collector's reason otherwise. Caller holds c.mu.
+func (c *Client) readReasonedAck(reject error) error {
 	var ack [1]byte
 	if _, err := io.ReadFull(c.br, ack[:]); err != nil {
 		return err
@@ -158,12 +160,19 @@ func (c *Client) readReasonedAck(context string) error {
 	if err != nil {
 		return err
 	}
-	return fmt.Errorf("transport: %s: %s", context, msg)
+	return fmt.Errorf("%w: %s", reject, msg)
 }
 
 // Send submits one report and waits for the acknowledgement.
 func (c *Client) Send(rep est.Report) error {
+	return c.SendContext(context.Background(), rep)
+}
+
+// SendContext is Send bound to a context: cancellation or expiry aborts
+// the exchange instead of hanging on an unresponsive collector.
+func (c *Client) SendContext(ctx context.Context, rep est.Report) error {
 	defer c.begin()()
+	defer c.guard(ctx)()
 	if err := c.writeReport(rep); err != nil {
 		return err
 	}
@@ -179,10 +188,14 @@ func (c *Client) Send(rep est.Report) error {
 // len(reps) with a nil error means some reports were malformed for the
 // serving estimator. Batches longer than 65536 reports must be split.
 func (c *Client) SendBatch(reps []est.Report) (accepted int, err error) {
-	if err := c.maybeNegotiate(); err != nil {
-		return 0, err
-	}
+	return c.SendBatchContext(context.Background(), reps)
+}
+
+// SendBatchContext is SendBatch bound to a context; a v2 pin's lazy
+// negotiation runs inside the same bound exchange.
+func (c *Client) SendBatchContext(ctx context.Context, reps []est.Report) (accepted int, err error) {
 	defer c.begin()()
+	defer c.guard(ctx)()
 	n, err := c.sendBatchLocked("", reps)
 	if err != nil {
 		return 0, err
@@ -190,19 +203,17 @@ func (c *Client) SendBatch(reps []est.Report) (accepted int, err error) {
 	return c.readBatchAckLocked(n)
 }
 
-// maybeNegotiate runs the lazy negotiation a version-2 pin implies:
-// a client constructed with WithProtocolVersion(2) that has not yet
-// negotiated must do so before its first batch, or it would silently
-// ship v1 frames. Auto-mode clients skip this — they negotiate on
-// Hello (or an explicit Negotiate call) and stay v1 otherwise.
-func (c *Client) maybeNegotiate() error {
-	c.mu.Lock()
-	need := c.protoWant == ProtocolV2 && c.proto == 0
-	c.mu.Unlock()
-	if !need {
+// maybeNegotiateLocked runs the lazy negotiation a version-2 pin
+// implies: a client constructed with WithProtocolVersion(2) that has not
+// yet negotiated must do so before its first batch, or it would
+// silently ship v1 frames. Auto-mode clients skip this — they negotiate
+// on Hello (or an explicit Negotiate call) and stay v1 otherwise.
+// Caller holds c.mu.
+func (c *Client) maybeNegotiateLocked() error {
+	if c.protoWant != ProtocolV2 {
 		return nil
 	}
-	_, err := c.Negotiate()
+	_, err := c.negotiateLocked()
 	return err
 }
 
@@ -225,10 +236,13 @@ func (c *Client) writeEncodedLocked(frame []byte) error {
 }
 
 // sendBatchLocked marshals one un-sequenced batch frame through the
-// connection's negotiated codec — routed to query when non-empty — and
-// writes it without reading the ack; the caller holds c.mu. It returns
-// len(reps) for ack bookkeeping.
+// connection's negotiated codec — routed to query when non-empty,
+// negotiating first under a v2 pin — and writes it without reading the
+// ack; the caller holds c.mu. It returns len(reps) for ack bookkeeping.
 func (c *Client) sendBatchLocked(query string, reps []est.Report) (int, error) {
+	if err := c.maybeNegotiateLocked(); err != nil {
+		return 0, err
+	}
 	return c.sendSeqBatchLocked(query, 0, reps)
 }
 
@@ -332,54 +346,21 @@ type SessionInfo struct {
 func (c *Client) Hello(token uint64) (SessionInfo, error) {
 	defer c.begin()()
 	versioned := c.protoWant != ProtocolV1
-	want := c.protoWant
-	if want == 0 {
-		want = ProtocolMax
-	}
 	var err error
 	if versioned {
-		err = writeHelloVersioned(c.bw, token, want, false)
+		err = writeHelloVersioned(c.bw, token, c.helloVersion(), false)
 	} else {
 		err = writeHello(c.bw, token)
 	}
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return SessionInfo{}, err
-	}
-	var ack [1]byte
-	if _, err := io.ReadFull(c.br, ack[:]); err != nil {
-		return SessionInfo{}, err
-	}
-	switch ack[0] {
-	case ackOK:
-	case ackRetry:
-		return SessionInfo{}, ErrOverloaded
-	default:
-		msg, err := readString(c.br, maxErrLen)
-		if err != nil {
-			return SessionInfo{}, err
-		}
-		return SessionInfo{}, fmt.Errorf("%w: %s", ErrSessionRejected, msg)
-	}
-	var h helloReply
-	ver := ProtocolV1
-	if versioned {
-		h, ver, err = readHelloReplyBodyV(c.br)
-	} else {
-		h, err = readHelloReplyBody(c.br)
+	if err == nil {
+		err = c.bw.Flush()
 	}
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	if versioned {
-		if ver < ProtocolV1 || ver > ProtocolMax {
-			return SessionInfo{}, fmt.Errorf("transport: collector negotiated unsupported protocol version %d", ver)
-		}
-		if c.protoWant == ProtocolV2 && ver < ProtocolV2 {
-			return SessionInfo{}, fmt.Errorf("transport: collector does not speak protocol v2")
-		}
+	h, ver, err := c.readHelloReplyLocked(versioned, ErrSessionRejected)
+	if err != nil {
+		return SessionInfo{}, err
 	}
 	c.proto = ver
 	return SessionInfo{Token: h.Token, LastSeq: h.LastSeq, Accepted: h.Accepted, Proto: ver}, nil
@@ -393,6 +374,15 @@ func (c *Client) Hello(token uint64) (SessionInfo, error) {
 // reports ProtocolV1.
 func (c *Client) Negotiate() (int, error) {
 	defer c.begin()()
+	return c.negotiateLocked()
+}
+
+// errNegotiationRejected prefixes the collector's reason for refusing a
+// negotiation-only HELLO.
+var errNegotiationRejected = errors.New("transport: negotiation rejected")
+
+// negotiateLocked is Negotiate's exchange; the caller holds c.mu.
+func (c *Client) negotiateLocked() (int, error) {
 	if c.proto != 0 {
 		return c.proto, nil
 	}
@@ -400,43 +390,52 @@ func (c *Client) Negotiate() (int, error) {
 		c.proto = ProtocolV1
 		return c.proto, nil
 	}
-	want := c.protoWant
-	if want == 0 {
-		want = ProtocolMax
-	}
-	if err := writeHelloVersioned(c.bw, 0, want, true); err != nil {
+	if err := writeHelloVersioned(c.bw, 0, c.helloVersion(), true); err != nil {
 		return 0, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return 0, err
 	}
-	var ack [1]byte
-	if _, err := io.ReadFull(c.br, ack[:]); err != nil {
-		return 0, err
-	}
-	switch ack[0] {
-	case ackOK:
-	case ackRetry:
-		return 0, ErrOverloaded
-	default:
-		msg, err := readString(c.br, maxErrLen)
-		if err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("transport: negotiation rejected: %s", msg)
-	}
-	_, ver, err := readHelloReplyBodyV(c.br)
+	_, ver, err := c.readHelloReplyLocked(true, errNegotiationRejected)
 	if err != nil {
 		return 0, err
 	}
-	if ver < ProtocolV1 || ver > ProtocolMax {
-		return 0, fmt.Errorf("transport: collector negotiated unsupported protocol version %d", ver)
-	}
-	if c.protoWant == ProtocolV2 && ver < ProtocolV2 {
-		return 0, fmt.Errorf("transport: collector does not speak protocol v2")
-	}
 	c.proto = ver
 	return ver, nil
+}
+
+// helloVersion is the protocol version a versioned HELLO asks for: the
+// client's pin, or ProtocolMax in auto mode.
+func (c *Client) helloVersion() int {
+	if c.protoWant == 0 {
+		return ProtocolMax
+	}
+	return c.protoWant
+}
+
+// readHelloReplyLocked reads the reply to the HELLO just sent — Hello's
+// and Negotiate's shared reader. A shed surfaces as ErrOverloaded and a
+// rejection as reject wrapping the collector's reason; an accepted
+// versioned reply must name a version this client speaks and, under a
+// v2 pin, at least v2. Caller holds c.mu.
+func (c *Client) readHelloReplyLocked(versioned bool, reject error) (helloReply, int, error) {
+	if err := c.readReasonedAck(reject); err != nil {
+		return helloReply{}, 0, err
+	}
+	if !versioned {
+		h, err := readHelloReplyBody(c.br)
+		return h, ProtocolV1, err
+	}
+	h, ver, err := readHelloReplyBodyV(c.br)
+	switch {
+	case err != nil:
+		return helloReply{}, 0, err
+	case ver < ProtocolV1 || ver > ProtocolMax:
+		return helloReply{}, 0, fmt.Errorf("transport: collector negotiated unsupported protocol version %d", ver)
+	case c.protoWant == ProtocolV2 && ver < ProtocolV2:
+		return helloReply{}, 0, fmt.Errorf("transport: collector does not speak protocol v2")
+	}
+	return h, ver, nil
 }
 
 // ProtocolVersion reports the wire protocol version this client encodes
@@ -453,7 +452,13 @@ func (c *Client) ProtocolVersion() int {
 
 // Estimate asks the collector for its current naive aggregation.
 func (c *Client) Estimate() ([]float64, error) {
+	return c.EstimateContext(context.Background())
+}
+
+// EstimateContext is Estimate bound to a context.
+func (c *Client) EstimateContext(ctx context.Context) ([]float64, error) {
 	defer c.begin()()
+	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameEstimate); err != nil {
 		return nil, err
 	}
@@ -464,7 +469,13 @@ func (c *Client) Estimate() ([]float64, error) {
 // collector replies with an error status when its estimator does not
 // support enhancement.
 func (c *Client) Enhanced() ([]float64, error) {
+	return c.EnhancedContext(context.Background())
+}
+
+// EnhancedContext is Enhanced bound to a context.
+func (c *Client) EnhancedContext(ctx context.Context) ([]float64, error) {
 	defer c.begin()()
+	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameEnhanced); err != nil {
 		return nil, err
 	}
@@ -476,7 +487,13 @@ func (c *Client) Enhanced() ([]float64, error) {
 
 // Counts asks the collector for the per-dimension report counts.
 func (c *Client) Counts() ([]int64, error) {
+	return c.CountsContext(context.Background())
+}
+
+// CountsContext is Counts bound to a context.
+func (c *Client) CountsContext(ctx context.Context) ([]int64, error) {
 	defer c.begin()()
+	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameCounts); err != nil {
 		return nil, err
 	}
@@ -487,7 +504,15 @@ func (c *Client) Counts() ([]int64, error) {
 // SNAPSHOT frame) — the state a parent collector Merges to fold this
 // shard in.
 func (c *Client) PullSnapshot() (est.Snapshot, error) {
+	return c.PullSnapshotContext(context.Background())
+}
+
+// PullSnapshotContext is PullSnapshot bound to a context: the exchange
+// aborts when ctx expires or is cancelled, so an unresponsive collector
+// cannot hang the caller forever.
+func (c *Client) PullSnapshotContext(ctx context.Context) (est.Snapshot, error) {
 	defer c.begin()()
+	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameSnapshot); err != nil {
 		return est.Snapshot{}, err
 	}
@@ -501,7 +526,14 @@ func (c *Client) PullSnapshot() (est.Snapshot, error) {
 // folds it into its estimator. The collector NACKs snapshots whose family
 // or shape does not match its estimator.
 func (c *Client) PushSnapshot(s est.Snapshot) error {
+	return c.PushSnapshotContext(context.Background(), s)
+}
+
+// PushSnapshotContext is PushSnapshot bound to a context, exactly as
+// PullSnapshotContext.
+func (c *Client) PushSnapshotContext(ctx context.Context, s est.Snapshot) error {
 	defer c.begin()()
+	defer c.guard(ctx)()
 	if err := WriteMerge(c.bw, s); err != nil {
 		return err
 	}
@@ -518,11 +550,23 @@ func (c *Client) PushSnapshot(s est.Snapshot) error {
 // on disk. Collectors without a checkpoint sink, and failed writes, come
 // back as an error carrying the collector's reason.
 func (c *Client) Checkpoint() error {
+	return c.CheckpointContext(context.Background())
+}
+
+// errCheckpointRejected prefixes the collector's reason for refusing a
+// CHECKPOINT.
+var errCheckpointRejected = errors.New("transport: collector rejected checkpoint")
+
+// CheckpointContext is Checkpoint bound to a context. Note that a
+// context abort only stops the wait: the collector may still complete
+// the checkpoint after the client has given up on the reply.
+func (c *Client) CheckpointContext(ctx context.Context) error {
 	defer c.begin()()
+	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameCheckpoint); err != nil {
 		return err
 	}
-	return c.readReasonedAck("collector rejected checkpoint")
+	return c.readReasonedAck(errCheckpointRejected)
 }
 
 // writeRequestLocked writes a payload-free request frame and flushes; the

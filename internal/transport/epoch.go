@@ -41,46 +41,33 @@ func ringOf(q *est.Query, mutating bool) epochEstimator {
 // the ring's lateness policy. The reply mirrors the wrapped frame's —
 // one ack byte for a report, status + accepted count for a batch — so a
 // rejection (no query, one-shot estimator, sealed query, policy refusal)
-// never desyncs the connection: the body is always consumed first.
-func (s *Server) serveEpoch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScratch, q *est.Query) error {
+// never desyncs the connection: the body is always consumed first. An
+// embedded BATCH goes through the ingest core with the ring's AddLate
+// as its target and stays unsequenced, even on a session connection.
+func (c *serverConn) serveEpoch(br *bufio.Reader, bw *bufio.Writer, q *est.Query) error {
 	var eb [8]byte
 	if _, err := io.ReadFull(br, eb[:]); err != nil {
 		return err
 	}
-	id := binary.BigEndian.Uint64(eb[:])
-	inner, err := sc.readFrameType(br)
+	to := batchTarget{ring: ringOf(q, true), id: binary.BigEndian.Uint64(eb[:])}
+	inner, err := c.sc.readFrameType(br)
 	if err != nil {
 		return err
 	}
-	ring := ringOf(q, true)
 	switch inner {
 	case frameReport, frameVecReport:
-		sc.reset()
-		var rep est.Report
-		if inner == frameReport {
-			rep, err = readReportBodyInto(br, sc)
-		} else {
-			rep, err = readVecReportBodyInto(br, sc)
-		}
+		rep, err := readReport(inner, br, &c.sc)
 		if err != nil {
 			return err
 		}
-		ack := byte(ackOK)
-		if ring == nil {
-			ack = ackErr
-		} else {
-			one := [1]est.Report{rep}
-			if n, _ := ring.AddLate(id, one[:]); n != 1 {
-				ack = ackErr
-			}
+		one := [1]est.Report{rep}
+		n := 0
+		if to.ring != nil {
+			n, _ = to.ring.AddLate(to.id, one[:])
 		}
-		return bw.WriteByte(ack)
+		return writeAck(bw, n == 1)
 	case frameBatch:
-		var add func([]est.Report) (int, error)
-		if ring != nil {
-			add = func(chunk []est.Report) (int, error) { return ring.AddLate(id, chunk) }
-		}
-		return s.serveBatch(br, bw, sc, add)
+		return c.serveBatch(br, bw, nil, to)
 	default:
 		return fmt.Errorf("transport: EPOCH must wrap an ingest frame (0x01, 0x05 or 0x06), got 0x%02x", inner)
 	}
@@ -95,13 +82,7 @@ func serveRingVector(bw *bufio.Writer, q *est.Query, fn func(epochEstimator) ([]
 		return bw.WriteByte(ackErr)
 	}
 	out, err := fn(ring)
-	if err != nil {
-		return bw.WriteByte(ackErr)
-	}
-	if err := bw.WriteByte(ackOK); err != nil {
-		return err
-	}
-	return writeFloats(bw, out)
+	return writeVector(bw, out, err)
 }
 
 // QueryInfo is a collector's description of one named query: its

@@ -27,7 +27,9 @@ func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Clien
 // returned release func detaches the context and clears the deadline;
 // callers must invoke it before the next exchange. Caller holds c.mu.
 func (c *Client) guard(ctx context.Context) func() {
-	if ctx == nil {
+	if ctx.Done() == nil {
+		// Never cancelled and no deadline (context.Background): the plain
+		// exchange methods arm nothing.
 		return func() {}
 	}
 	if dl, ok := ctx.Deadline(); ok {
@@ -47,106 +49,6 @@ func (c *Client) guard(ctx context.Context) func() {
 		}
 		c.conn.SetDeadline(time.Time{})
 	}
-}
-
-// PullSnapshotContext is PullSnapshot bound to a context: the exchange
-// aborts when ctx expires or is cancelled, so an unresponsive collector
-// cannot hang the caller forever.
-func (c *Client) PullSnapshotContext(ctx context.Context) (est.Snapshot, error) {
-	defer c.begin()()
-	defer c.guard(ctx)()
-	if err := c.writeRequestLocked(frameSnapshot); err != nil {
-		return est.Snapshot{}, err
-	}
-	if err := c.readAck("collector cannot serve a snapshot"); err != nil {
-		return est.Snapshot{}, err
-	}
-	return readSnapshotBody(c.br)
-}
-
-// PushSnapshotContext is PushSnapshot bound to a context, exactly as
-// PullSnapshotContext.
-func (c *Client) PushSnapshotContext(ctx context.Context, s est.Snapshot) error {
-	defer c.begin()()
-	defer c.guard(ctx)()
-	if err := WriteMerge(c.bw, s); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	return c.readAck("collector rejected snapshot merge")
-}
-
-// SendContext is Send bound to a context, exactly as PullSnapshotContext:
-// cancellation or expiry aborts the exchange instead of hanging on an
-// unresponsive collector.
-func (c *Client) SendContext(ctx context.Context, rep est.Report) error {
-	defer c.begin()()
-	defer c.guard(ctx)()
-	if err := c.writeReport(rep); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	return c.readAck("collector rejected report")
-}
-
-// SendBatchContext is SendBatch bound to a context.
-func (c *Client) SendBatchContext(ctx context.Context, reps []est.Report) (accepted int, err error) {
-	defer c.begin()()
-	defer c.guard(ctx)()
-	n, err := c.sendBatchLocked("", reps)
-	if err != nil {
-		return 0, err
-	}
-	return c.readBatchAckLocked(n)
-}
-
-// EstimateContext is Estimate bound to a context.
-func (c *Client) EstimateContext(ctx context.Context) ([]float64, error) {
-	defer c.begin()()
-	defer c.guard(ctx)()
-	if err := c.writeRequestLocked(frameEstimate); err != nil {
-		return nil, err
-	}
-	return readFloats(c.br)
-}
-
-// CountsContext is Counts bound to a context.
-func (c *Client) CountsContext(ctx context.Context) ([]int64, error) {
-	defer c.begin()()
-	defer c.guard(ctx)()
-	if err := c.writeRequestLocked(frameCounts); err != nil {
-		return nil, err
-	}
-	return readInts(c.br)
-}
-
-// EnhancedContext is Enhanced bound to a context.
-func (c *Client) EnhancedContext(ctx context.Context) ([]float64, error) {
-	defer c.begin()()
-	defer c.guard(ctx)()
-	if err := c.writeRequestLocked(frameEnhanced); err != nil {
-		return nil, err
-	}
-	if err := c.readAck("collector cannot serve an enhanced estimate"); err != nil {
-		return nil, err
-	}
-	return readFloats(c.br)
-}
-
-// CheckpointContext is Checkpoint bound to a context. Note that a
-// context abort only stops the wait: the collector may still complete
-// the checkpoint after the client has given up on the reply.
-func (c *Client) CheckpointContext(ctx context.Context) error {
-	defer c.begin()()
-	defer c.guard(ctx)()
-	if err := c.writeRequestLocked(frameCheckpoint); err != nil {
-		return err
-	}
-	return c.readReasonedAck("collector rejected checkpoint")
 }
 
 // Query is a client-side handle on one named query of a multi-query
@@ -191,7 +93,7 @@ func (c *Client) Open(spec est.QuerySpec) (*Query, error) {
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	if err := c.readReasonedAck(fmt.Sprintf("collector rejected query %q", spec.Name)); err != nil {
+	if err := c.readReasonedAck(fmt.Errorf("transport: collector rejected query %q", spec.Name)); err != nil {
 		return nil, err
 	}
 	return &Query{c: c, name: spec.Name}, nil
@@ -217,10 +119,11 @@ func (q *Query) Send(rep est.Report) error {
 }
 
 // SendBatch submits reps to the query as one routed batch frame and
-// returns how many the collector accepted, exactly as Client.SendBatch.
-// On a v2 connection the route travels in-frame (CBATCH carries its
-// query name); generation-pinned handles keep the v1 SELECTGEN grammar,
-// whose pin has no columnar equivalent.
+// returns how many the collector accepted, exactly as Client.SendBatch —
+// including a v2 pin's negotiation before the first batch. On a v2
+// connection the route travels in-frame (CBATCH carries its query
+// name); generation-pinned handles keep the v1 SELECTGEN grammar, whose
+// pin has no columnar equivalent.
 func (q *Query) SendBatch(reps []est.Report) (accepted int, err error) {
 	c := q.c
 	defer c.begin()()

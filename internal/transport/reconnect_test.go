@@ -122,73 +122,115 @@ func TestReconnectExactlyOnceCounts(t *testing.T) {
 }
 
 // TestSequencedBatchDedupe drives the (session, sequence) grammar over
-// the raw client internals: a replayed sequence must be acked from the
-// record without re-applying, and a sequence gap must NACK retryable.
+// the raw client internals, once per batch grammar — v1 0x06 and v2
+// CBATCH — and both must answer identically: a replayed sequence is
+// acked from the record without re-applying, a sequence gap NACKs
+// retryable, a batch routed to a missing query consumes its sequence
+// slot and replies ackErr, and a MaxInflight shed NACKs retryable and
+// applies nothing.
 func TestSequencedBatchDedupe(t *testing.T) {
-	proto, err := highdim.NewProtocol(ldp.Laplace{}, 1, 4, 1)
-	if err != nil {
-		t.Fatal(err)
+	type reply struct {
+		status byte
+		acc    int
 	}
-	srv, addr := startTestServer(t, proto)
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	steps := []struct {
+		name  string
+		seq   uint64
+		query string
+		shed  bool // hold the in-flight gate so admission fails
+		want  reply
+	}{
+		{name: "apply", seq: 1, want: reply{ackOK, 10}},
+		{name: "replay", seq: 1, want: reply{ackOK, 10}},
+		{name: "gap", seq: 3, want: reply{ackRetry, 0}},
+		{name: "in order", seq: 2, want: reply{ackOK, 10}},
+		{name: "missing query", seq: 3, query: "ghost", want: reply{ackErr, 0}},
+		{name: "missing query replay", seq: 3, query: "ghost", want: reply{ackOK, 0}},
+		{name: "shed", seq: 4, shed: true, want: reply{ackRetry, 0}},
+		{name: "after shed", seq: 4, want: reply{ackOK, 10}},
 	}
-	defer cl.Close()
-
-	info, err := cl.Hello(0)
-	if err != nil {
-		t.Fatalf("Hello: %v", err)
+	type outcome struct {
+		replies []reply
+		total   int64
+		stats   ServerStats
 	}
-	if info.Token == 0 || info.LastSeq != 0 || info.Accepted != 0 {
-		t.Fatalf("fresh session info = %+v; want nonzero token, zero progress", info)
-	}
-
-	reps := reconnectReports(10, 4)
-	exchange := func(seq uint64, reps []est.Report) (byte, int) {
-		t.Helper()
-		cl.mu.Lock()
-		defer cl.mu.Unlock()
-		n, err := cl.sendSeqBatchLocked("", seq, reps)
+	run := func(t *testing.T, ver int) outcome {
+		proto, err := highdim.NewProtocol(ldp.Laplace{}, 1, 4, 1)
 		if err != nil {
-			t.Fatalf("send seq %d: %v", seq, err)
+			t.Fatal(err)
 		}
-		status, acc, err := cl.readBatchStatusLocked(n)
+		srv := NewServer(highdim.NewAggregator(proto))
+		srv.Logf = t.Logf
+		srv.MaxInflight = 1000
+		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
-			t.Fatalf("read ack seq %d: %v", seq, err)
+			t.Fatal(err)
 		}
-		return status, acc
-	}
+		t.Cleanup(func() { srv.Close() })
+		cl, err := Dial(addr.String(), WithProtocolVersion(ver))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
 
-	if status, acc := exchange(1, reps); status != ackOK || acc != 10 {
-		t.Fatalf("seq 1: status %#x accepted %d; want applied 10", status, acc)
-	}
-	// Replay of seq 1: same ack, nothing re-applied.
-	if status, acc := exchange(1, reps); status != ackOK || acc != 10 {
-		t.Fatalf("seq 1 replay: status %#x accepted %d; want duplicate ack 10", status, acc)
-	}
-	// Gap (seq 3 while lastSeq is 1): retryable NACK, nothing applied.
-	if status, _ := exchange(3, reps); status != ackRetry {
-		t.Fatalf("seq 3 gap: status %#x; want ackRetry %#x", status, ackRetry)
-	}
-	// The real seq 2 still applies.
-	if status, acc := exchange(2, reps); status != ackOK || acc != 10 {
-		t.Fatalf("seq 2: status %#x accepted %d; want applied 10", status, acc)
-	}
+		info, err := cl.Hello(0)
+		if err != nil {
+			t.Fatalf("Hello: %v", err)
+		}
+		if info.Token == 0 || info.LastSeq != 0 || info.Accepted != 0 || info.Proto != ver {
+			t.Fatalf("fresh session info = %+v; want nonzero token, zero progress, v%d", info, ver)
+		}
 
-	var total int64
-	for _, c := range srv.Registry().Default().Estimator().Counts() {
-		total += c
+		reps := reconnectReports(10, 4)
+		var out outcome
+		for _, st := range steps {
+			if st.shed {
+				srv.inflight.Add(995) // another batch holds the gate: 995 + 10 > 1000
+			}
+			cl.mu.Lock()
+			n, err := cl.sendSeqBatchLocked(st.query, st.seq, reps)
+			if err != nil {
+				t.Fatalf("%s: send seq %d: %v", st.name, st.seq, err)
+			}
+			status, acc, err := cl.readBatchStatusLocked(n)
+			cl.mu.Unlock()
+			if err != nil {
+				t.Fatalf("%s: read ack seq %d: %v", st.name, st.seq, err)
+			}
+			if st.shed {
+				srv.inflight.Add(-995)
+			}
+			if got := (reply{status, acc}); got != st.want {
+				t.Errorf("%s (seq %d): reply %+v; want %+v", st.name, st.seq, got, st.want)
+			}
+			out.replies = append(out.replies, reply{status, acc})
+		}
+		for _, c := range srv.Registry().Default().Estimator().Counts() {
+			out.total += c
+		}
+		if out.total != 30 {
+			t.Errorf("collector holds %d reports; want 30 (a replay, gap, ghost or shed leaked into state)", out.total)
+		}
+		out.stats = srv.Stats()
+		if out.stats.BatchesDeduped != 2 {
+			t.Errorf("BatchesDeduped = %d; want 2", out.stats.BatchesDeduped)
+		}
+		if out.stats.BatchesShed != 2 {
+			t.Errorf("BatchesShed = %d; want 2 (the gap and the shed)", out.stats.BatchesShed)
+		}
+		return out
 	}
-	if total != 20 {
-		t.Fatalf("collector holds %d reports; want 20 (dedupe or gap leaked into state)", total)
+	var v1, v2 outcome
+	t.Run("v1-batch", func(t *testing.T) { v1 = run(t, ProtocolV1) })
+	t.Run("v2-cbatch", func(t *testing.T) { v2 = run(t, ProtocolV2) })
+	if v1.stats.CBatches != 0 || v2.stats.CBatches != uint64(len(steps)) {
+		t.Errorf("CBatches = %d (v1), %d (v2); want 0 and %d", v1.stats.CBatches, v2.stats.CBatches, len(steps))
 	}
-	stats := srv.Stats()
-	if stats.BatchesDeduped != 1 {
-		t.Fatalf("BatchesDeduped = %d; want 1", stats.BatchesDeduped)
-	}
-	if stats.BatchesShed != 1 {
-		t.Fatalf("BatchesShed = %d; want 1 (the gap)", stats.BatchesShed)
+	// Beyond the grammar's own counters, the two runs must match exactly.
+	v1.stats.CBatches, v2.stats.CBatches = 0, 0
+	v1.stats.HellosV2, v2.stats.HellosV2 = 0, 0
+	if !reflect.DeepEqual(v1, v2) {
+		t.Fatalf("grammars diverge:\nv1: %+v\nv2: %+v", v1, v2)
 	}
 }
 

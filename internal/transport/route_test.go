@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,6 +204,122 @@ func TestRouteToUnknownQueryKeepsConnectionUsable(t *testing.T) {
 	}
 	if got := reg.Default().Estimator().Counts()[0]; got != 1 {
 		t.Fatalf("default query count = %d, want 1", got)
+	}
+}
+
+// TestUnroutableFramesTearDownRoutedConnection is the routing rules as
+// one table: a frame that acts on the whole collector (OPENQUERY,
+// CHECKPOINT, HELLO) or names its query in the body (QUERYINFO, CBATCH)
+// must tear the connection down behind either route prefix — SELECT or
+// SELECTGEN — without being served, while the collector keeps serving
+// other connections.
+func TestUnroutableFramesTearDownRoutedConnection(t *testing.T) {
+	reg := est.NewRegistry(meanFactory(t), nil)
+	if _, err := reg.Attach(est.QuerySpec{Name: est.DefaultName}, meanAgg(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewRegistryServer(reg)
+	srv.Logf = func(string, ...any) {}
+	var checkpoints atomic.Int32
+	srv.OnCheckpoint = func() error {
+		checkpoints.Add(1)
+		return nil
+	}
+	bound, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addr := bound.String()
+
+	cbatch, err := CodecV2{}.AppendBatch(nil, "", 0, []est.Report{rep2(0.1, 0.2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := reg.Default().Gen()
+	routes := []struct {
+		name  string
+		write func(*bufio.Writer) error
+	}{
+		{"SELECT", func(w *bufio.Writer) error { return writeSelect(w, est.DefaultName) }},
+		{"SELECTGEN", func(w *bufio.Writer) error { return writeSelectGen(w, est.DefaultName, gen) }},
+	}
+	frames := []struct {
+		name  string
+		write func(*bufio.Writer) error
+	}{
+		{"OPENQUERY", func(w *bufio.Writer) error {
+			return WriteOpenQuery(w, est.QuerySpec{Name: "routed", Kind: est.KindMean, Mech: "piecewise", Eps: 0.5, D: 2, M: 1})
+		}},
+		{"CHECKPOINT", func(w *bufio.Writer) error { return w.WriteByte(frameCheckpoint) }},
+		{"QUERYINFO", func(w *bufio.Writer) error {
+			if err := w.WriteByte(frameQueryInfo); err != nil {
+				return err
+			}
+			return writeString(w, est.DefaultName, maxNameLen)
+		}},
+		{"HELLO", func(w *bufio.Writer) error { return writeHello(w, 0) }},
+		{"CBATCH", func(w *bufio.Writer) error {
+			_, err := w.Write(cbatch)
+			return err
+		}},
+	}
+	for _, route := range routes {
+		for _, frame := range frames {
+			t.Run(route.name+"/"+frame.name, func(t *testing.T) {
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				w := bufio.NewWriter(conn)
+				if err := route.write(w); err != nil {
+					t.Fatal(err)
+				}
+				if err := frame.write(w); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				var b [1]byte
+				n, err := conn.Read(b[:])
+				if n > 0 {
+					t.Fatalf("server answered a routed %s with 0x%02x; want the connection torn down", frame.name, b[0])
+				}
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					t.Fatalf("server neither answered nor closed after a routed %s", frame.name)
+				}
+			})
+		}
+	}
+
+	// None of the routed frames was served.
+	if got := checkpoints.Load(); got != 0 {
+		t.Errorf("checkpoint hook ran %d times; want 0", got)
+	}
+	if reg.Get("routed") != nil {
+		t.Error("a routed OPENQUERY registered its query")
+	}
+	if got := reg.Default().Estimator().Counts(); got[0] != 0 || got[1] != 0 {
+		t.Errorf("a routed CBATCH landed: counts %v", got)
+	}
+	if st := srv.Stats(); st.SessionsOpened != 0 || st.CBatches != 0 {
+		t.Errorf("stats = %+v; want no session opened and no CBATCH served", st)
+	}
+	// The collector keeps serving, and the same frames un-routed are
+	// served on a fresh connection.
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Checkpoint(); err != nil {
+		t.Fatalf("un-routed CHECKPOINT: %v", err)
+	}
+	if _, err := cl.QueryInfo(est.DefaultName); err != nil {
+		t.Fatalf("un-routed QUERYINFO: %v", err)
 	}
 }
 

@@ -372,7 +372,8 @@ func (s *Server) release(n int64) {
 	}
 }
 
-// errNoQuery rejects every report of a batch routed to a missing query.
+// errNoQuery rejects every report of a batch with no target: routed to a
+// missing query, or EPOCH-wrapped for a query with no epoch ring.
 var errNoQuery = errors.New("transport: no such query")
 
 // writeNack writes a rejection status followed by its truncated reason
@@ -393,41 +394,57 @@ func writeNack(bw *bufio.Writer, reason string) error {
 // read instead of sixteen.
 const connReadBuf = 64 << 10
 
+// serverConn is one accepted connection's serving state: the socket,
+// its decode scratch (report frames decode with zero steady-state
+// allocations), one accumulation lane per query it touches, and the
+// replay session a HELLO attached (nil outside one). The buffered
+// endpoints are deliberately not fields: every handler takes br and bw
+// as parameters, which is what framedrain's body-before-status check
+// tracks.
+type serverConn struct {
+	s     *Server
+	conn  net.Conn
+	sc    decodeScratch
+	lanes map[*est.Query]est.Lane
+	sess  *connSession
+}
+
+// lane returns the connection's accumulation lane on q, acquiring it on
+// first use, so all of this connection's reports land in one stripe —
+// in arrival order, exactly as a serial collector would — while other
+// connections accumulate under their own stripe locks.
+func (c *serverConn) lane(q *est.Query) est.Lane {
+	l, ok := c.lanes[q]
+	if !ok {
+		if c.lanes == nil {
+			c.lanes = make(map[*est.Query]est.Lane, 1)
+		}
+		l = q.AcquireLane()
+		c.lanes[q] = l
+	}
+	return l
+}
+
 // serveConn processes frames until the peer closes the connection. Both
 // directions are buffered; every reply is flushed before the next read so
 // a pipelining client (BufferedClient) sees acks promptly.
 //
-// Each iteration resolves a target query: the default one, or — when the
-// frame is a SELECT route header — the named one, for exactly the one
-// frame that follows. A resolution failure (unknown name, no default) is
-// answered with the inner frame's rejection status after its body has
-// been consumed, so one bad route never desyncs the connection.
-//
-// Ingest hot path: the connection owns a decode scratch (report frames
-// decode with zero steady-state allocations) and one accumulation lane
-// per query it touches, so all of this connection's reports land in one
-// stripe — in arrival order, exactly as a serial collector would — while
-// other connections accumulate under their own stripe locks.
+// Each iteration reads one frame type and resolves its target query
+// through route: the default query, or — behind a SELECT/SELECTGEN
+// prefix — the named one, for exactly the one frame that follows. A
+// routed frame that is not routable is a grammar error and tears the
+// connection down. A resolution failure (unknown name, stale
+// generation, no default) is answered with the frame's rejection status
+// after its body has been consumed, so one bad route never desyncs the
+// connection. Every batch grammar — 0x06 BATCH, 0x13 CBATCH, and a 0x06
+// BATCH inside EPOCH — is served by the one ingest core.
 func (s *Server) serveConn(conn net.Conn) error {
 	br := bufio.NewReaderSize(conn, connReadBuf)
 	bw := bufio.NewWriter(conn)
-	sc := &decodeScratch{}
-	var lanes map[*est.Query]est.Lane
-	laneOf := func(q *est.Query) est.Lane {
-		if l, ok := lanes[q]; ok {
-			return l
-		}
-		if lanes == nil {
-			lanes = make(map[*est.Query]est.Lane, 1)
-		}
-		l := q.AcquireLane()
-		lanes[q] = l
-		return l
-	}
-	var sess *connSession
+	c := &serverConn{s: s, conn: conn}
 	defer func() {
-		if sess != nil {
-			s.sessions.detach(sess, conn)
+		if c.sess != nil {
+			s.sessions.detach(c.sess, conn)
 		}
 	}()
 	for {
@@ -436,7 +453,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 				return err
 			}
 		}
-		ft, err := sc.readFrameType(br)
+		ft, err := c.sc.readFrameType(br)
 		if err != nil {
 			return err
 		}
@@ -448,230 +465,111 @@ func (s *Server) serveConn(conn net.Conn) error {
 				return err
 			}
 		}
-		routed := false
-		var q *est.Query
-		if ft == frameSelect || ft == frameSelectGen {
-			name, err := readString(br, maxNameLen)
-			if err != nil {
-				return err
-			}
-			q = s.reg.Get(name)
-			if ft == frameSelectGen {
-				var gb [8]byte
-				if _, err := io.ReadFull(br, gb[:]); err != nil {
-					return err
-				}
-				if gen := binary.BigEndian.Uint64(gb[:]); q != nil && q.Gen() != gen {
-					// The name was deleted and reopened since the client
-					// pinned its handle: reject rather than silently landing
-					// the exchange in the successor query.
-					q = nil
-				}
-			}
-			routed = true
-			if ft, err = sc.readFrameType(br); err != nil {
-				return err
-			}
-		} else {
-			q = s.reg.Default()
+		ft, q, routed, err := c.route(br, ft)
+		if err != nil {
+			return err
+		}
+		if routed && !routable(ft) {
+			return fmt.Errorf("transport: frame 0x%02x cannot be routed", ft)
 		}
 		switch ft {
 		case frameOpenQuery:
-			if routed {
-				return fmt.Errorf("transport: OPENQUERY cannot be routed")
-			}
-			spec, err := readQuerySpecBody(br)
-			if err != nil {
+			var spec est.QuerySpec
+			if spec, err = readQuerySpecBody(br); err != nil {
 				return err
 			}
-			if _, oerr := s.reg.Open(spec); oerr != nil {
-				if err := writeNack(bw, oerr.Error()); err != nil {
-					return err
-				}
-			} else if err := bw.WriteByte(ackOK); err != nil {
-				return err
-			}
+			_, oerr := s.reg.Open(spec)
+			err = writeResult(bw, oerr)
 		case frameCheckpoint:
-			if routed {
-				return fmt.Errorf("transport: CHECKPOINT cannot be routed (a checkpoint spans every query)")
-			}
-			var cerr error
 			if s.OnCheckpoint == nil {
-				cerr = fmt.Errorf("collector has no checkpoint sink (no -state-dir)")
+				err = writeNack(bw, "collector has no checkpoint sink (no -state-dir)")
 			} else {
-				cerr = s.OnCheckpoint()
-			}
-			if cerr != nil {
-				if err := writeNack(bw, cerr.Error()); err != nil {
-					return err
-				}
-			} else if err := bw.WriteByte(ackOK); err != nil {
-				return err
+				err = writeResult(bw, s.OnCheckpoint())
 			}
 		case frameReport, frameVecReport:
-			sc.reset()
 			var rep est.Report
-			if ft == frameReport {
-				rep, err = readReportBodyInto(br, sc)
-			} else {
-				rep, err = readVecReportBodyInto(br, sc)
-			}
-			if err != nil {
+			if rep, err = readReport(ft, br, &c.sc); err != nil {
 				return err
 			}
-			ack := byte(ackOK)
-			if q == nil || laneOf(q).AddReport(rep) != nil {
-				ack = ackErr
-			}
-			if err := bw.WriteByte(ack); err != nil {
-				return err
-			}
+			err = writeAck(bw, q != nil && c.lane(q).AddReport(rep) == nil)
 		case frameBatch:
-			if sess != nil {
-				// A session connection's top-level batches carry explicit
-				// sequence numbers: the exactly-once grammar.
-				err = s.serveSeqBatch(br, bw, sc, conn, sess, q, laneOf)
-			} else {
-				var add func([]est.Report) (int, error)
-				if q != nil {
-					// Resolved per chunk, so a shed batch acquires no lane.
-					add = func(reps []est.Report) (int, error) { return laneOf(q).AddReports(reps) }
-				}
-				err = s.serveBatch(br, bw, sc, add)
-			}
-			if err != nil {
-				return err
-			}
+			err = c.serveBatch(br, bw, c.sess, batchTarget{q: q})
 		case frameEstimate, frameCounts:
 			// The routed forms carry a status byte the legacy forms lack:
 			// a legacy client has nowhere to learn about a missing query,
 			// so an un-routed request without a default query kills the
 			// connection instead of desyncing it.
+			if q == nil && !routed {
+				return fmt.Errorf("transport: no default query to serve frame 0x%02x", ft)
+			}
 			if routed {
-				ack := byte(ackOK)
-				if q == nil {
-					ack = ackErr
-				}
-				if err := bw.WriteByte(ack); err != nil {
-					return err
-				}
+				err = writeAck(bw, q != nil)
 			}
-			if q == nil {
-				if !routed {
-					return fmt.Errorf("transport: no default query to serve frame 0x%02x", ft)
+			if err == nil && q != nil {
+				if ft == frameEstimate {
+					err = writeFloats(bw, q.Estimator().Estimate())
+				} else {
+					err = writeInts(bw, q.Estimator().Counts())
 				}
-				break
-			}
-			if ft == frameEstimate {
-				err = writeFloats(bw, q.Estimator().Estimate())
-			} else {
-				err = writeInts(bw, q.Estimator().Counts())
-			}
-			if err != nil {
-				return err
 			}
 		case frameSnapshot:
-			if q == nil {
-				if err := bw.WriteByte(ackErr); err != nil {
-					return err
-				}
-				break
-			}
-			if err := bw.WriteByte(ackOK); err != nil {
-				return err
-			}
-			if err := writeSnapshotBody(bw, q.Estimator().Snapshot()); err != nil {
-				return err
+			if err = writeAck(bw, q != nil); err == nil && q != nil {
+				err = writeSnapshotBody(bw, q.Estimator().Snapshot())
 			}
 		case frameMerge:
-			snap, err := readSnapshotBody(br)
-			if err != nil {
+			var snap est.Snapshot
+			if snap, err = readSnapshotBody(br); err != nil {
 				return err
 			}
-			ack := byte(ackOK)
-			if q == nil || q.Merge(snap) != nil {
-				ack = ackErr
-			}
-			if err := bw.WriteByte(ack); err != nil {
-				return err
-			}
+			err = writeAck(bw, q != nil && q.Merge(snap) == nil)
 		case frameEnhanced:
 			var en est.Enhancer
 			if q != nil {
 				en, _ = q.Estimator().(est.Enhancer)
 			}
 			if en == nil {
-				if err := bw.WriteByte(ackErr); err != nil {
-					return err
-				}
+				err = bw.WriteByte(ackErr)
 				break
 			}
-			enhanced, err := en.Enhanced()
-			if err != nil {
-				if err := bw.WriteByte(ackErr); err != nil {
-					return err
-				}
-				break
-			}
-			if err := bw.WriteByte(ackOK); err != nil {
-				return err
-			}
-			if err := writeFloats(bw, enhanced); err != nil {
-				return err
-			}
+			out, verr := en.Enhanced()
+			err = writeVector(bw, out, verr)
 		case frameEpoch:
-			if err := s.serveEpoch(br, bw, sc, q); err != nil {
-				return err
-			}
+			err = c.serveEpoch(br, bw, q)
 		case frameWindow:
 			var wb [4]byte
-			if _, err := io.ReadFull(br, wb[:]); err != nil {
+			if _, err = io.ReadFull(br, wb[:]); err != nil {
 				return err
 			}
 			w := int(binary.BigEndian.Uint32(wb[:]))
-			if err := serveRingVector(bw, q, func(r epochEstimator) ([]float64, error) {
+			err = serveRingVector(bw, q, func(r epochEstimator) ([]float64, error) {
 				return r.WindowEstimate(w)
-			}); err != nil {
-				return err
-			}
+			})
 		case frameDecay:
 			var gb [8]byte
-			if _, err := io.ReadFull(br, gb[:]); err != nil {
+			if _, err = io.ReadFull(br, gb[:]); err != nil {
 				return err
 			}
 			gamma := math.Float64frombits(binary.BigEndian.Uint64(gb[:]))
-			if err := serveRingVector(bw, q, func(r epochEstimator) ([]float64, error) {
+			err = serveRingVector(bw, q, func(r epochEstimator) ([]float64, error) {
 				return r.DecayedEstimate(gamma)
-			}); err != nil {
-				return err
-			}
+			})
 		case frameRotate:
-			ring := ringOf(q, true)
-			if ring == nil {
-				if err := bw.WriteByte(ackErr); err != nil {
-					return err
-				}
-				break
-			}
-			var reply [9]byte
-			reply[0] = ackOK
-			binary.BigEndian.PutUint64(reply[1:], ring.Rotate())
-			if _, err := bw.Write(reply[:]); err != nil {
-				return err
+			if ring := ringOf(q, true); ring == nil {
+				err = bw.WriteByte(ackErr)
+			} else {
+				var reply [9]byte
+				reply[0] = ackOK
+				binary.BigEndian.PutUint64(reply[1:], ring.Rotate())
+				_, err = bw.Write(reply[:])
 			}
 		case frameQueryInfo:
-			if routed {
-				return fmt.Errorf("transport: QUERYINFO cannot be routed (it names its query in the body)")
-			}
-			name, err := readString(br, maxNameLen)
-			if err != nil {
+			var name string
+			if name, err = readString(br, maxNameLen); err != nil {
 				return err
 			}
 			target := s.reg.Get(name)
 			if target == nil {
-				if err := bw.WriteByte(ackErr); err != nil {
-					return err
-				}
+				err = bw.WriteByte(ackErr)
 				break
 			}
 			var reply [19]byte
@@ -682,30 +580,92 @@ func (s *Server) serveConn(conn net.Conn) error {
 				reply[10] = 1
 				binary.BigEndian.PutUint64(reply[11:19], ring.Current())
 			}
-			if _, err := bw.Write(reply[:]); err != nil {
-				return err
-			}
+			_, err = bw.Write(reply[:])
 		case frameHello:
-			if routed {
-				return fmt.Errorf("transport: HELLO cannot be routed")
-			}
-			if sess, err = s.serveHello(br, bw, conn, sess); err != nil {
-				return err
-			}
+			err = c.serveHello(br, bw)
 		case frameCBatch:
-			if routed {
-				return fmt.Errorf("transport: CBATCH cannot be routed (its route is in-frame)")
-			}
-			if err := s.serveCBatch(br, bw, sc, conn, sess, laneOf); err != nil {
-				return err
-			}
+			err = c.serveCBatch(br, bw)
 		default:
 			return fmt.Errorf("unknown frame type 0x%02x", ft)
 		}
-		if err := bw.Flush(); err != nil {
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
 			return err
 		}
 	}
+}
+
+// route resolves the target query of the frame whose type byte ft was
+// just read. A SELECT or SELECTGEN prefix carries the query name —
+// SELECTGEN also the registration generation the client pinned, and a
+// mismatch resolves to no query rather than silently landing the
+// exchange in a successor registered under the same name — followed by
+// the routed frame's own type byte, which route reads and returns. Any
+// other frame targets the default query. q is nil when the route
+// resolves nowhere.
+func (c *serverConn) route(br *bufio.Reader, ft byte) (inner byte, q *est.Query, routed bool, err error) {
+	if ft != frameSelect && ft != frameSelectGen {
+		return ft, c.s.reg.Default(), false, nil
+	}
+	name, err := readString(br, maxNameLen)
+	if err != nil {
+		return 0, nil, true, err
+	}
+	q = c.s.reg.Get(name)
+	if ft == frameSelectGen {
+		var gb [8]byte
+		if _, err := io.ReadFull(br, gb[:]); err != nil {
+			return 0, nil, true, err
+		}
+		if gen := binary.BigEndian.Uint64(gb[:]); q != nil && q.Gen() != gen {
+			q = nil
+		}
+	}
+	inner, err = c.sc.readFrameType(br)
+	return inner, q, true, err
+}
+
+// routable reports whether a frame of type ft may follow a route
+// prefix. OPENQUERY, CHECKPOINT and HELLO act on the collector as a
+// whole, and QUERYINFO and CBATCH name their query in the body.
+func routable(ft byte) bool {
+	switch ft {
+	case frameOpenQuery, frameCheckpoint, frameQueryInfo, frameHello, frameCBatch:
+		return false
+	}
+	return true
+}
+
+// writeAck writes a one-byte status: ackOK when ok, ackErr otherwise.
+func writeAck(bw *bufio.Writer, ok bool) error {
+	if ok {
+		return bw.WriteByte(ackOK)
+	}
+	return bw.WriteByte(ackErr)
+}
+
+// writeResult answers an exchange whose rejection carries a reason
+// (OPENQUERY, CHECKPOINT): ackOK for a nil cause, its NACK otherwise.
+func writeResult(bw *bufio.Writer, cause error) error {
+	if cause == nil {
+		return bw.WriteByte(ackOK)
+	}
+	return writeNack(bw, cause.Error())
+}
+
+// writeVector answers a status-prefixed vector exchange (ENHANCED,
+// WINDOW, DECAY): ackErr when the vector could not be computed, ackOK
+// and the vector otherwise.
+func writeVector(bw *bufio.Writer, out []float64, verr error) error {
+	if verr != nil {
+		return bw.WriteByte(ackErr)
+	}
+	if err := bw.WriteByte(ackOK); err != nil {
+		return err
+	}
+	return writeFloats(bw, out)
 }
 
 // writeBatchReply writes the 5-byte batch acknowledgement: status plus
@@ -726,18 +686,19 @@ func (s *Server) sessionTTL() time.Duration {
 	return sessionTTLDefault
 }
 
-// serveHello handles one HELLO frame — legacy or versioned — and returns
-// the connection's (possibly changed) session. A versioned request
-// (helloFlagVersioned set in the token field) carries the client's
-// maximum protocol version and is answered with the 25-byte reply body
-// whose trailing byte is min(client max, ProtocolMax); the noSession
-// flag short-circuits into a pure negotiation ping that opens, resumes
-// and touches nothing. Legacy 8-byte-token requests get the legacy
-// 24-byte reply, byte for byte as before.
-func (s *Server) serveHello(br *bufio.Reader, bw *bufio.Writer, conn net.Conn, sess *connSession) (*connSession, error) {
+// serveHello handles one HELLO frame — legacy or versioned — and updates
+// the connection's session. A versioned request (helloFlagVersioned set
+// in the token field) carries the client's maximum protocol version and
+// is answered with the 25-byte reply body whose trailing byte is
+// min(client max, ProtocolMax); the noSession flag short-circuits into a
+// pure negotiation ping that opens, resumes and touches nothing. Legacy
+// 8-byte-token requests get the legacy 24-byte reply, byte for byte as
+// before.
+func (c *serverConn) serveHello(br *bufio.Reader, bw *bufio.Writer) error {
+	s := c.s
 	var tb [8]byte
 	if _, err := io.ReadFull(br, tb[:]); err != nil {
-		return sess, err
+		return err
 	}
 	raw := binary.BigEndian.Uint64(tb[:])
 	versioned := raw&helloFlagVersioned != 0
@@ -747,7 +708,7 @@ func (s *Server) serveHello(br *bufio.Reader, bw *bufio.Writer, conn net.Conn, s
 		token = raw & helloTokenMask
 		clientMax := int(raw & helloVersionMask >> helloVersionShift)
 		if clientMax == 0 {
-			return sess, writeNack(bw, "versioned HELLO with protocol version 0")
+			return writeNack(bw, "versioned HELLO with protocol version 0")
 		}
 		negotiated = min(clientMax, ProtocolMax)
 		if negotiated >= ProtocolV2 {
@@ -757,187 +718,200 @@ func (s *Server) serveHello(br *bufio.Reader, bw *bufio.Writer, conn net.Conn, s
 			// Negotiation-only ping: no session is opened or resumed, the
 			// session fields of the reply stay zero.
 			if err := bw.WriteByte(ackOK); err != nil {
-				return sess, err
+				return err
 			}
-			return sess, writeHelloReplyBodyV(bw, helloReply{}, negotiated)
+			return writeHelloReplyBodyV(bw, helloReply{}, negotiated)
 		}
 	}
-	if sess != nil {
-		s.sessions.detach(sess, conn)
-		sess = nil
+	if c.sess != nil {
+		s.sessions.detach(c.sess, c.conn)
+		c.sess = nil
 	}
 	s.sessions.sweep(s.sessionTTL())
 	if token == 0 {
-		ns, oerr := s.sessions.open(conn)
+		ns, oerr := s.sessions.open(c.conn)
 		if oerr != nil {
-			return sess, writeNack(bw, oerr.Error())
+			return writeNack(bw, oerr.Error())
 		}
-		sess = ns
+		c.sess = ns
 		s.stats.sessionsOpened.Add(1)
 	} else {
-		ns, displaced, ok := s.sessions.resume(token, conn)
+		ns, displaced, ok := s.sessions.resume(token, c.conn)
 		if !ok {
-			return sess, writeNack(bw, fmt.Sprintf("unknown or expired session token %#x", token))
+			return writeNack(bw, fmt.Sprintf("unknown or expired session token %#x", token))
 		}
-		if displaced != nil && displaced != conn {
+		if displaced != nil && displaced != c.conn {
 			// The session's previous connection is still up (a half-dead
 			// link the client gave up on): force it out so exactly one
 			// connection owns the replay state.
 			displaced.Close()
 		}
-		sess = ns
+		c.sess = ns
 		s.stats.sessionsResumed.Add(1)
 	}
 	if err := bw.WriteByte(ackOK); err != nil {
-		return sess, err
+		return err
 	}
 	if versioned {
-		return sess, writeHelloReplyBodyV(bw, sess.state(), negotiated)
+		return writeHelloReplyBodyV(bw, c.sess.state(), negotiated)
 	}
-	return sess, writeHelloReplyBody(bw, sess.state())
+	return writeHelloReplyBody(bw, c.sess.state())
 }
 
-// serveCBatch handles one columnar batch frame (0x13). The server is
-// deliberately stateless about protocol negotiation — it accepts CBATCH
+// batchHeader is one batch frame's parsed header, whatever its grammar:
+// the session sequence number (0 when unsequenced), the report count,
+// and — for a columnar CBATCH body — the per-row dims and values shape.
+type batchHeader struct {
+	seq      uint64
+	n        uint32
+	columnar bool
+	nd, nv   int
+}
+
+// batchTarget is where an admitted batch lands: query q through the
+// connection's lane, or — for an EPOCH-wrapped batch — epoch id of ring
+// through its lateness policy. A target with neither has nowhere to
+// land the batch (no such query, or no epoch ring): its body is still
+// consumed and the reply carries ackErr.
+type batchTarget struct {
+	q    *est.Query
+	ring epochEstimator
+	id   uint64
+}
+
+// serveBatch parses one 0x06 BATCH header — the uint64 sequence number
+// when sess sequences the batch, then the uint32 report count — and
+// hands the embedded report frames to ingest.
+func (c *serverConn) serveBatch(br *bufio.Reader, bw *bufio.Writer, sess *connSession, to batchTarget) error {
+	var h batchHeader
+	if sess != nil {
+		var sb [8]byte
+		if _, err := io.ReadFull(br, sb[:]); err != nil {
+			return err
+		}
+		h.seq = binary.BigEndian.Uint64(sb[:])
+	}
+	var err error
+	if h.n, err = c.sc.readUint32(br); err != nil {
+		return err
+	}
+	if h.n > maxBatch {
+		return fmt.Errorf("transport: batch of %d reports exceeds limit %d", h.n, maxBatch)
+	}
+	return c.ingest(br, bw, sess, h, to)
+}
+
+// serveCBatch parses one columnar batch (0x13 CBATCH) header — the
+// in-frame route (an empty name is the default query), sequence, count
+// and row shape — and hands the body to ingest, sequenced by the
+// connection's session exactly as a 0x06 batch. The server is
+// deliberately stateless about protocol negotiation: it accepts CBATCH
 // from any connection; only clients gate their encoder on the HELLO
-// outcome. The route is in-frame (an empty name resolves to the default
-// query). Sequencing follows the session grammar exactly as a 0x06
-// batch: on a session connection seq must be ≥ 1 and dedupes through
-// the same ring; outside one it must be 0. Every outcome — decode,
-// duplicate, gap, admission shed — consumes the body before the first
-// reply byte. Decoded columns land in the estimator through
-// est.AddColumns, which for the built-in families is one stripe-lock
-// hold for the whole frame and no per-report materialization.
-func (s *Server) serveCBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScratch, conn net.Conn, sess *connSession, laneOf func(*est.Query) est.Lane) error {
-	nameLen, err := sc.readUint32(br)
+// outcome.
+func (c *serverConn) serveCBatch(br *bufio.Reader, bw *bufio.Writer) error {
+	nameLen, err := c.sc.readUint32(br)
 	if err != nil {
 		return err
 	}
 	if nameLen > maxNameLen {
 		return fmt.Errorf("transport: string of %d bytes exceeds limit %d", nameLen, maxNameLen)
 	}
-	var q *est.Query
-	if nameLen == 0 {
-		q = s.reg.Default()
-	} else {
-		raw := sc.bytes(int(nameLen))
+	q := c.s.reg.Default()
+	if nameLen > 0 {
+		raw := c.sc.bytes(int(nameLen))
 		if _, err := io.ReadFull(br, raw); err != nil {
 			return err
 		}
-		q = s.reg.Get(string(raw))
+		q = c.s.reg.Get(string(raw))
 	}
 	var hdr [20]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return err
 	}
-	seq := binary.BigEndian.Uint64(hdr[:8])
-	cnt := binary.BigEndian.Uint32(hdr[8:12])
+	h := batchHeader{
+		seq:      binary.BigEndian.Uint64(hdr[:8]),
+		n:        binary.BigEndian.Uint32(hdr[8:12]),
+		columnar: true,
+	}
 	ndims := binary.BigEndian.Uint32(hdr[12:16])
 	nvals := binary.BigEndian.Uint32(hdr[16:20])
-	if cnt > maxBatch || ndims > maxPairs || nvals > maxPairs {
-		return fmt.Errorf("transport: cbatch shape %d×(%d,%d) exceeds limits", cnt, ndims, nvals)
+	if h.n > maxBatch || ndims > maxPairs || nvals > maxPairs {
+		return fmt.Errorf("transport: cbatch shape %d×(%d,%d) exceeds limits", h.n, ndims, nvals)
 	}
-	n, nd, nv := int(cnt), int(ndims), int(nvals)
-	if err := checkCBatchShape(n, nd, nv); err != nil {
+	h.nd, h.nv = int(ndims), int(nvals)
+	if err := checkCBatchShape(int(h.n), h.nd, h.nv); err != nil {
 		return err
 	}
-	if sess != nil && seq == 0 {
-		return fmt.Errorf("transport: sequenced cbatch with sequence 0")
-	}
-	if sess == nil && seq != 0 {
-		return fmt.Errorf("transport: cbatch with sequence %d outside a session", seq)
-	}
-	s.stats.cbatchFrames.Add(1)
-	class := seqApply
-	if sess != nil {
-		class = sess.seqClass(seq)
-	}
-	admitted := class == seqApply && s.admit(int64(cnt))
-	if admitted {
-		defer s.release(int64(cnt))
-	}
-	var dims []uint32
-	var vals []float64
-	if admitted {
-		dims, vals, err = decodeCBatchBody(br, sc, n, nd, nv)
-	} else {
-		err = discardCBatchBody(br, sc, n, nd, nv)
-	}
-	if err != nil {
-		return err
-	}
-	switch {
-	case class == seqDup:
-		s.stats.batchesDeduped.Add(1)
-		return writeBatchReply(bw, ackOK, sess.dupAck(seq))
-	case class == seqGap, !admitted:
-		s.stats.batchesShed.Add(1)
-		return bw.WriteByte(ackRetry)
-	}
-	if sess == nil {
-		if q == nil {
-			return writeBatchReply(bw, ackErr, 0)
-		}
-		accepted, _ := est.AddColumns(laneOf(q), n, nd, nv, dims, vals)
-		return writeBatchReply(bw, ackOK, uint32(accepted))
-	}
-	apply := func() (int, error) { return 0, errNoQuery }
-	if q != nil {
-		lane := laneOf(q)
-		apply = func() (int, error) { return est.AddColumns(lane, n, nd, nv, dims, vals) }
-	}
-	status, accepted, err := sess.commitApply(conn, seq, apply)
-	if err != nil {
-		return err
-	}
-	if status == ackRetry {
-		s.stats.batchesShed.Add(1)
-		return bw.WriteByte(ackRetry)
-	}
-	if q == nil {
-		// The frame consumed its sequence slot (processed, zero accepted)
-		// but the reply must carry the rejection, as the 0x06 path does.
-		status = ackErr
-	}
-	return writeBatchReply(bw, status, accepted)
+	return c.ingest(br, bw, c.sess, h, batchTarget{q: q})
 }
 
-// serveSeqBatch handles one sequenced BATCH frame on a session
-// connection: uint64 sequence, uint32 count, embedded report frames. The
-// body is always consumed — decoded for the in-order case, discarded for
-// duplicates, gaps and admission sheds — before any reply, so no outcome
-// desyncs the connection. Unlike the chunked unsequenced path, the batch
-// is fully decoded before it is applied: either the whole batch lands and
-// the sequence advances, or nothing does, which is what makes a client
-// replay after a mid-batch disconnect exact rather than approximate.
-func (s *Server) serveSeqBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScratch, conn net.Conn, sess *connSession, q *est.Query, laneOf func(*est.Query) est.Lane) error {
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return err
+// ingest is the collector's one batch-ingest core: every batch grammar
+// (0x06 top-level or inside EPOCH, 0x13 CBATCH) arrives here with its
+// header parsed, and sess the replay session sequencing it (nil for an
+// unsequenced batch). The steps run in order, and every body read
+// happens before the first reply byte:
+//
+//  1. seq must be 0 exactly when there is no session;
+//  2. the sequence is classified (next in line, duplicate, or gap);
+//  3. an in-order batch reserves its MaxInflight capacity;
+//  4. the body is consumed — decoded when admitted, discarded otherwise;
+//  5. a duplicate is answered with its recorded ack, a gap or shed with
+//     a retryable NACK;
+//  6. the batch is applied: an unsequenced 0x06 body streams into the
+//     target in bounded chunks as it decodes (a wire error mid-batch
+//     keeps the decoded prefix); a CBATCH body lands whole after
+//     decode; a sequenced batch is decoded in full and lands through
+//     the session's commit, all or nothing and at most once;
+//  7. the reply carries the status and accepted count — ackErr when
+//     there is no target.
+func (c *serverConn) ingest(br *bufio.Reader, bw *bufio.Writer, sess *connSession, h batchHeader, to batchTarget) error {
+	if (h.seq == 0) != (sess == nil) {
+		return fmt.Errorf("transport: batch sequence %d does not match the connection's session (sequenced: %t)", h.seq, sess != nil)
 	}
-	seq := binary.BigEndian.Uint64(hdr[:8])
-	cnt := binary.BigEndian.Uint32(hdr[8:])
-	if seq == 0 {
-		return fmt.Errorf("transport: sequenced batch with sequence 0")
+	s := c.s
+	if h.columnar {
+		s.stats.cbatchFrames.Add(1)
 	}
-	if cnt > maxBatch {
-		return fmt.Errorf("transport: batch of %d reports exceeds limit %d", cnt, maxBatch)
+	class := seqApply
+	if sess != nil {
+		class = sess.seqClass(h.seq)
 	}
-	// Read side first, writes only after: classify the sequence, then
-	// either fully decode the body (the in-order, admitted case) or
-	// discard it (duplicates, gaps, admission sheds) — every outcome
-	// consumes the body before the first reply byte.
-	class := sess.seqClass(seq)
-	admitted := class == seqApply && s.admit(int64(cnt))
+	admitted := class == seqApply && s.admit(int64(h.n))
 	if admitted {
-		defer s.release(int64(cnt))
+		defer s.release(int64(h.n))
 	}
-	var reps []est.Report
-	var err error
-	if admitted {
-		reps, err = readSeqBatch(br, sc, cnt)
-	} else {
-		err = discardBatchReports(br, sc, cnt)
+	var (
+		reps     []est.Report
+		dims     []uint32
+		vals     []float64
+		accepted uint32
+		err      error
+	)
+	// land adds decoded reports — or, for a columnar batch, the decoded
+	// columns — to the target. The lane is resolved here, so a shed or
+	// duplicate batch acquires none.
+	land := func(chunk []est.Report) (int, error) {
+		switch {
+		case to.ring != nil:
+			return to.ring.AddLate(to.id, chunk)
+		case to.q == nil:
+			return 0, errNoQuery
+		case h.columnar:
+			return est.AddColumns(c.lane(to.q), int(h.n), h.nd, h.nv, dims, vals)
+		}
+		return c.lane(to.q).AddReports(chunk)
+	}
+	switch {
+	case !admitted && h.columnar:
+		err = discardCBatchBody(br, &c.sc, int(h.n), h.nd, h.nv)
+	case !admitted:
+		err = discardBatchReports(br, &c.sc, h.n)
+	case h.columnar:
+		dims, vals, err = decodeCBatchBody(br, &c.sc, int(h.n), h.nd, h.nv)
+	case sess != nil:
+		reps, err = readSeqBatch(br, &c.sc, h.n)
+	default:
+		accepted, err = readBatchBuffered(br, &c.sc, h.n, land)
 	}
 	if err != nil {
 		return err
@@ -947,7 +921,7 @@ func (s *Server) serveSeqBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScr
 		// Already applied: repeat the recorded acknowledgement. This is
 		// the replay-suppression half of exactly-once.
 		s.stats.batchesDeduped.Add(1)
-		return writeBatchReply(bw, ackOK, sess.dupAck(seq))
+		return writeBatchReply(bw, ackOK, sess.dupAck(h.seq))
 	case class == seqGap, !admitted:
 		// Either an earlier batch was shed and the client pipelined past
 		// it (it cannot apply in order), or this batch itself failed
@@ -955,61 +929,26 @@ func (s *Server) serveSeqBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScr
 		s.stats.batchesShed.Add(1)
 		return bw.WriteByte(ackRetry)
 	}
-	add := func([]est.Report) (int, error) { return 0, errNoQuery }
-	if q != nil {
-		add = laneOf(q).AddReports
-	}
-	status, accepted, err := sess.commit(conn, seq, reps, add)
-	if err != nil {
-		return err
-	}
-	if status == ackRetry {
-		s.stats.batchesShed.Add(1)
-		return bw.WriteByte(ackRetry)
-	}
-	if q == nil {
-		// The batch consumed its sequence slot (it was processed —
-		// rejected, with zero accepted), but the reply must carry the
-		// rejection, exactly as the unsequenced path does.
-		status = ackErr
-	}
-	return writeBatchReply(bw, status, accepted)
-}
-
-// serveBatch handles one unsequenced BATCH body — a top-level frame
-// outside a session, or one wrapped in EPOCH — behind the in-flight
-// admission gate. The body is consumed before any reply is written:
-// streamed into add in bounded chunks when admitted, discarded when
-// shed. A nil add means the frame has no target (no such query, or no
-// epoch ring to land in): the body is still decoded and the reply
-// carries ackErr with zero accepted.
-func (s *Server) serveBatch(br *bufio.Reader, bw *bufio.Writer, sc *decodeScratch, add func([]est.Report) (int, error)) error {
-	cnt, err := sc.readUint32(br)
-	if err != nil {
-		return err
-	}
-	if cnt > maxBatch {
-		return fmt.Errorf("transport: batch of %d reports exceeds limit %d", cnt, maxBatch)
-	}
-	admitted := s.admit(int64(cnt))
 	status := byte(ackOK)
-	if add == nil {
+	switch {
+	case sess != nil:
+		status, accepted, err = sess.commit(c.conn, h.seq, func() (int, error) { return land(reps) })
+		if err != nil {
+			return err
+		}
+		if status == ackRetry {
+			s.stats.batchesShed.Add(1)
+			return bw.WriteByte(ackRetry)
+		}
+	case h.columnar:
+		n, _ := land(nil)
+		accepted = uint32(n)
+	}
+	if to.q == nil && to.ring == nil {
+		// The batch was processed (and, when sequenced, consumed its
+		// sequence slot) with zero accepted, but the reply must carry the
+		// rejection.
 		status = ackErr
-		add = func([]est.Report) (int, error) { return 0, errNoQuery }
-	}
-	var accepted uint32
-	if admitted {
-		defer s.release(int64(cnt))
-		accepted, err = readBatchBuffered(br, sc, cnt, add)
-	} else {
-		err = discardBatchReports(br, sc, cnt)
-	}
-	if err != nil {
-		return err
-	}
-	if !admitted {
-		s.stats.batchesShed.Add(1)
-		return bw.WriteByte(ackRetry)
 	}
 	return writeBatchReply(bw, status, accepted)
 }

@@ -7,8 +7,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"github.com/hdr4me/hdr4me/internal/est"
 )
 
 // sessionTTLDefault is how long a detached replay session (its client
@@ -89,23 +87,15 @@ func (ss *connSession) dupAck(seq uint64) uint32 {
 	return 0
 }
 
-// commit atomically applies one fully decoded sequenced batch: under the
-// session lock it re-checks that conn still owns the session and that
-// seq is still the next in line, then accumulates the whole slice and
-// advances lastSeq. Because decode happened first, a connection dying
-// mid-batch applies nothing — there is no partially applied batch for a
-// replay to double-count. A non-nil error means the connection lost the
-// session to a takeover and must abort without replying.
-func (ss *connSession) commit(conn net.Conn, seq uint64, reps []est.Report, add func([]est.Report) (int, error)) (status byte, accepted uint32, err error) {
-	return ss.commitApply(conn, seq, func() (int, error) { return add(reps) })
-}
-
-// commitApply is commit with the accumulation abstracted to a closure —
-// the shared exactly-once core for both sequenced batch shapes (0x06
-// applies decoded report slices, 0x13 applies decoded columns). apply
-// runs at most once, under the session lock, only when conn still owns
-// the session and seq is the next in line.
-func (ss *connSession) commitApply(conn net.Conn, seq uint64, apply func() (int, error)) (status byte, accepted uint32, err error) {
+// commit atomically applies one fully decoded sequenced batch — report
+// slices for 0x06, columns for 0x13, behind apply: under the session
+// lock it re-checks that conn still owns the session and that seq is
+// still the next in line, then runs apply exactly once and advances
+// lastSeq. Because decode happened first, a connection dying mid-batch
+// applies nothing — there is no partially applied batch for a replay to
+// double-count. A non-nil error means the connection lost the session
+// to a takeover and must abort without replying.
+func (ss *connSession) commit(conn net.Conn, seq uint64, apply func() (int, error)) (status byte, accepted uint32, err error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.conn != conn {

@@ -521,14 +521,19 @@ func (sc *decodeScratch) decodePairs(raw []byte, cnt int) est.Report {
 	return est.Report{Dims: dims, Values: vals}
 }
 
-// readReportBodyInto decodes a pair-shaped report frame body into the
-// scratch arena — the allocation-free sibling of readReportBody.
-func readReportBodyInto(r io.Reader, sc *decodeScratch) (est.Report, error) {
-	cnt, err := sc.readUint32(r)
+// readReport decodes the body of one report frame of type ft — 0x01
+// pairs or 0x05 vectors — into sc's reset arenas: the allocation-free
+// sibling of readReportBody and readVecReportBody.
+func readReport(ft byte, r io.Reader, sc *decodeScratch) (est.Report, error) {
+	sc.reset()
+	n, err := sc.readUint32(r)
 	if err != nil {
 		return est.Report{}, err
 	}
-	return readReportPairs(r, sc, cnt)
+	if ft == frameReport {
+		return readReportPairs(r, sc, n)
+	}
+	return readVecReportRest(r, sc, n)
 }
 
 // readReportPairs reads the cnt pairs of a 0x01 frame whose count field
@@ -542,16 +547,6 @@ func readReportPairs(r io.Reader, sc *decodeScratch, cnt uint32) (est.Report, er
 		return est.Report{}, err
 	}
 	return sc.decodePairs(buf, int(cnt)), nil
-}
-
-// readVecReportBodyInto decodes a vector report frame body into the
-// scratch arena — the allocation-free sibling of readVecReportBody.
-func readVecReportBodyInto(r io.Reader, sc *decodeScratch) (est.Report, error) {
-	nd, err := sc.readUint32(r)
-	if err != nil {
-		return est.Report{}, err
-	}
-	return readVecReportRest(r, sc, nd)
 }
 
 // readVecReportRest reads a 0x05 frame whose dim-count field is already
