@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -199,6 +200,38 @@ func TestBufferedClientShapeSpill(t *testing.T) {
 		if total != want {
 			t.Fatalf("v%d: collector accumulated %d pairs; want %d", ver, total, want)
 		}
+	}
+}
+
+// TestCBatchRejectsRoutedPrefix: the v2 frame carries its route
+// in-frame, so a SELECT-prefixed CBATCH must be rejected as a grammar
+// error rather than silently re-routed.
+func TestCBatchRejectsRoutedPrefix(t *testing.T) {
+	_, _, addr := newCBatchServer(t, 4)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frame, err := CodecV2{}.AppendBatch(nil, "", 0, []est.Report{{Dims: []uint32{1}, Values: []float64{0.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	werr := func() error {
+		if err := writeSelect(c.bw, est.DefaultName); err != nil {
+			return err
+		}
+		return c.writeEncodedLocked(frame)
+	}()
+	c.mu.Unlock()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if _, err := c.SendBatch([]est.Report{{Dims: []uint32{1}, Values: []float64{0.5}}}); err == nil {
+		t.Fatal("connection survived a routed CBATCH; want it torn down")
+	} else if !strings.Contains(err.Error(), "EOF") && !strings.Contains(err.Error(), "closed") && !strings.Contains(err.Error(), "reset") {
+		t.Logf("connection failed as expected: %v", err)
 	}
 }
 

@@ -76,6 +76,31 @@ func TestCheckpointFrame(t *testing.T) {
 	}
 }
 
+func TestCheckpointCannotBeRouted(t *testing.T) {
+	srv, cl := newMeanServer(t)
+	srv.OnCheckpoint = func() error { return nil }
+
+	// Hand-roll SELECT + CHECKPOINT: the server must refuse and drop the
+	// connection (a checkpoint spans every query; routing it is a
+	// protocol error, not a per-query request).
+	cl.mu.Lock()
+	if err := writeSelect(cl.bw, est.DefaultName); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.bw.WriteByte(frameCheckpoint); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var one [1]byte
+	_, err := cl.br.Read(one[:])
+	cl.mu.Unlock()
+	if err == nil {
+		t.Fatal("server answered a routed CHECKPOINT; want the connection torn down")
+	}
+}
+
 func TestDrainWaitsForConnections(t *testing.T) {
 	srv, cl := newMeanServer(t)
 	// Complete one exchange first, so the connection is provably
