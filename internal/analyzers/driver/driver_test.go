@@ -168,6 +168,31 @@ func TestLoadTestVariant(t *testing.T) {
 	}
 }
 
+// TestLoadExternalTestRecompiledDeps: est's external test package
+// imports highdim and freq, which go list recompiles against the est
+// test variant ("freq [est.test]"). Load must type-check the external
+// test package through those variants, and must not analyze the
+// recompiled dependencies as units of their own.
+func TestLoadExternalTestRecompiledDeps(t *testing.T) {
+	const est = "github.com/hdr4me/hdr4me/internal/est"
+	units, err := driver.Load([]string{est})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawExternal := false
+	for _, u := range units {
+		if strings.HasPrefix(u.ImportPath, est+"_test [") {
+			sawExternal = true
+		}
+		if !strings.HasPrefix(u.ImportPath, est) {
+			t.Errorf("recompiled dependency analyzed as a unit: %s", u.ImportPath)
+		}
+	}
+	if !sawExternal {
+		t.Errorf("no external test unit for %s", est)
+	}
+}
+
 // TestEmitDiagnosticsGitHub checks the problem-matcher output: plain
 // stderr lines always, ::error workflow commands only under
 // GITHUB_ACTIONS=true, with message escaping applied.

@@ -32,13 +32,14 @@ type listPackage struct {
 	ImportPath string
 	ForTest    string
 	Export     string
+	ImportMap  map[string]string
 	GoFiles    []string
 	Dir        string
 	Standard   bool
 	Module     *struct{ Path string }
 }
 
-const listFields = "-json=ImportPath,ForTest,Export,GoFiles,Dir,Standard,Module"
+const listFields = "-json=ImportPath,ForTest,Export,ImportMap,GoFiles,Dir,Standard,Module"
 
 func goList(args ...string) ([]listPackage, error) {
 	cmd := exec.Command("go", args...)
@@ -126,20 +127,19 @@ func Load(patterns []string) ([]*Unit, error) {
 		if !rootSet[base] && !rootSet[strings.TrimSuffix(base, "_test")] {
 			continue
 		}
+		// A dependency recompiled for another package's test ("dep
+		// [pkg.test]") is the plain dep again; it is analyzed as itself.
+		if p.ForTest != "" && base != p.ForTest && base != p.ForTest+"_test" {
+			continue
+		}
 		if len(p.GoFiles) == 0 {
 			continue
 		}
-		// An external test package ("pkg_test [pkg.test]") links against
-		// the test variant of the package under test, so its in-package
-		// test helpers resolve.
-		var importMap map[string]string
-		if p.ForTest != "" && strings.HasPrefix(base, p.ForTest+"_test") {
-			variant := p.ForTest + " [" + p.ForTest + ".test]"
-			if _, ok := exports[variant]; ok {
-				importMap = map[string]string{p.ForTest: variant}
-			}
-		}
-		u, err := typeCheck(p.ImportPath, p.Dir, p.GoFiles, exportLookup(exports), importMap)
+		// go list's ImportMap sends a test unit's imports to the variants
+		// it links against: the package under test and every dependency
+		// recompiled against it ("dep [pkg.test]"), so an external test
+		// package sees the in-package test helpers.
+		u, err := typeCheck(p.ImportPath, p.Dir, p.GoFiles, exportLookup(exports), p.ImportMap)
 		if err != nil {
 			return nil, err
 		}

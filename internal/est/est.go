@@ -9,6 +9,12 @@
 // estimate, and supports Snapshot/Merge so shards aggregate independently
 // and fold together — the associativity that makes the collector scale
 // horizontally.
+//
+// The collector-side aggregation every family ends in is written once,
+// here: Ingest owns the lock-striped accumulation lanes and every path
+// into them (per report, batch, columnar, acquired lane, merge), and a
+// family contributes only a Kernel that checks one report against its
+// grammar and folds it into the *Lanes it is handed (see stripes.go).
 package est
 
 import (
@@ -138,12 +144,14 @@ func AddColumns(l Lane, n, ndims, nvals int, dims []uint32, vals []float64) (int
 // CheckColumns validates the shape invariant shared by every ColumnAdder:
 // n rectangular rows of (ndims, nvals) must fit inside columns of the
 // given lengths. Implementations call it once per batch, hoisting the
-// bounds check out of the per-row loop.
+// bounds check out of the per-row loop. The fit is tested by division,
+// so a shape whose n·ndims or n·nvals overflows int is an error, not a
+// wrapped product that passes.
 func CheckColumns(n, ndims, nvals, lenDims, lenVals int) error {
 	if n < 0 || ndims < 0 || nvals < 0 {
 		return fmt.Errorf("est: negative columnar batch shape %d×(%d,%d)", n, ndims, nvals)
 	}
-	if lenDims < n*ndims || lenVals < n*nvals {
+	if ndims > 0 && n > lenDims/ndims || nvals > 0 && n > lenVals/nvals {
 		return fmt.Errorf("est: columnar batch %d×(%d,%d) exceeds column lengths %d/%d",
 			n, ndims, nvals, lenDims, lenVals)
 	}
@@ -221,7 +229,8 @@ type Reporter interface {
 // rotates on. Rotate is Snapshot plus a reset under the same lock hold:
 // reports accumulated before the call land in the returned snapshot,
 // reports after start the next epoch from zero. All three built-in
-// families implement Rotator through Stripes.DrainFold.
+// families implement Rotator by forwarding to their Ingest core's
+// DrainFold.
 type Rotator interface {
 	Rotate() Snapshot
 }

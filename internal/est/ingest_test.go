@@ -235,9 +235,9 @@ func errText(err error) string {
 func TestIngestPathParity(t *testing.T) {
 	paths := []struct {
 		name string
-		add  func(e est.Estimator, reps []est.Report) (int, error)
+		add  func(t *testing.T, e est.Estimator, reps []est.Report) (int, error)
 	}{
-		{"AddReport", func(e est.Estimator, reps []est.Report) (accepted int, err error) {
+		{"AddReport", func(_ *testing.T, e est.Estimator, reps []est.Report) (accepted int, err error) {
 			for _, rep := range reps {
 				if aerr := e.AddReport(rep); aerr != nil {
 					if err == nil {
@@ -249,16 +249,16 @@ func TestIngestPathParity(t *testing.T) {
 			}
 			return accepted, err
 		}},
-		{"AddReports", func(e est.Estimator, reps []est.Report) (int, error) {
+		{"AddReports", func(_ *testing.T, e est.Estimator, reps []est.Report) (int, error) {
 			return e.(est.BatchAdder).AddReports(reps)
 		}},
-		{"AddColumns", func(e est.Estimator, reps []est.Report) (int, error) {
+		{"AddColumns", func(_ *testing.T, e est.Estimator, reps []est.Report) (int, error) {
 			return addColumnRuns(reps, e.(est.ColumnAdder).AddColumns)
 		}},
-		{"lane.AddReports", func(e est.Estimator, reps []est.Report) (int, error) {
+		{"lane.AddReports", func(_ *testing.T, e est.Estimator, reps []est.Report) (int, error) {
 			return est.AcquireLane(e).AddReports(reps)
 		}},
-		{"lane.AddColumns", func(e est.Estimator, reps []est.Report) (int, error) {
+		{"lane.AddColumns", func(t *testing.T, e est.Estimator, reps []est.Report) (int, error) {
 			l := est.AcquireLane(e)
 			if _, ok := l.(est.ColumnAdder); !ok {
 				t.Fatalf("%s lane does not implement est.ColumnAdder", e.Kind())
@@ -278,7 +278,7 @@ func TestIngestPathParity(t *testing.T) {
 			)
 			for i, p := range paths {
 				e := fam.fresh(t)
-				acc, err := p.add(e, batch)
+				acc, err := p.add(t, e, batch)
 				snap := e.Snapshot()
 				if i == 0 {
 					wantAcc, wantErr, wantSnap = acc, errText(err), snap
@@ -297,6 +297,86 @@ func TestIngestPathParity(t *testing.T) {
 				if !sameSnapshot(snap, wantSnap) {
 					t.Errorf("%s snapshot differs from %s:\n got %+v\nwant %+v", p.name, paths[0].name, snap, wantSnap)
 				}
+			}
+		})
+	}
+}
+
+// TestAddColumnsOverflowingShape: a shape whose n·ndims or n·nvals
+// overflows int must be rejected as a whole — an error, 0 accepted and
+// an unchanged Snapshot — on every family's estimator and lane, not
+// wrap into a product that passes the bounds check and panics.
+func TestAddColumnsOverflowingShape(t *testing.T) {
+	shapes := [][3]int{{1 << 62, 4, 4}, {1 << 62, 4, 0}, {1 << 62, 0, 4}, {math.MaxInt, 2, 2}}
+	for _, fam := range ingestFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			e := fam.fresh(t)
+			if _, err := est.AddReports(e, fam.batch(t)); err == nil {
+				t.Fatal("the family batch carries malformed rows; want a rejection")
+			}
+			before := e.Snapshot()
+			adders := map[string]est.ColumnAdder{
+				"estimator": e.(est.ColumnAdder),
+				"lane":      est.AcquireLane(e).(est.ColumnAdder),
+			}
+			for name, ca := range adders {
+				for _, sh := range shapes {
+					acc, err := ca.AddColumns(sh[0], sh[1], sh[2], nil, nil)
+					if err == nil || acc != 0 {
+						t.Errorf("%s AddColumns(%d, %d, %d, nil, nil) = %d, %v; want 0 and an error",
+							name, sh[0], sh[1], sh[2], acc, err)
+					}
+				}
+			}
+			if !sameSnapshot(e.Snapshot(), before) {
+				t.Error("a rejected columnar shape changed the snapshot")
+			}
+		})
+	}
+}
+
+// TestLaneIngestAllocs pins the steady-state ingest cost of every
+// family's lane: once the stripe's lanes exist, AddReports and
+// AddColumns over valid rows allocate nothing.
+func TestLaneIngestAllocs(t *testing.T) {
+	for _, fam := range ingestFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			e := fam.fresh(t)
+			var valid []est.Report
+			for _, rep := range fam.batch(t) {
+				if e.AddReport(rep) == nil {
+					valid = append(valid, rep)
+				}
+			}
+			// The longest rectangular run of valid rows is the columnar batch.
+			var run []est.Report
+			for _, r := range rectangularRuns(valid) {
+				if len(r) > len(run) {
+					run = r
+				}
+			}
+			var dims []uint32
+			var vals []float64
+			for _, rep := range run {
+				dims = append(dims, rep.Dims...)
+				vals = append(vals, rep.Values...)
+			}
+			ndims, nvals := len(run[0].Dims), len(run[0].Values)
+
+			lane := est.AcquireLane(e)
+			if allocs := testing.AllocsPerRun(100, func() {
+				if acc, err := lane.AddReports(valid); acc != len(valid) {
+					t.Fatalf("AddReports accepted %d of %d: %v", acc, len(valid), err)
+				}
+			}); allocs != 0 {
+				t.Errorf("lane AddReports: %v allocs per %d-report batch, want 0", allocs, len(valid))
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				if acc, err := est.AddColumns(lane, len(run), ndims, nvals, dims, vals); acc != len(run) {
+					t.Fatalf("AddColumns accepted %d of %d: %v", acc, len(run), err)
+				}
+			}); allocs != 0 {
+				t.Errorf("lane AddColumns: %v allocs per %d-row batch, want 0", allocs, len(run))
 			}
 		})
 	}

@@ -14,13 +14,24 @@ import (
 // each value plus unit Laplace noise to its dimension's serial lane.
 type noisySum struct {
 	d   int
-	acc *Stripes
+	acc *Ingest[noisyKernel]
 	// reject lists the users (by first value) whose tuples Observe fails.
 	reject map[float64]bool
 }
 
+// noisyKernel folds a report's j-th value into dimension j.
+type noisyKernel struct{}
+
+func (noisyKernel) Add(l *Lanes, rep Report) error {
+	for j, v := range rep.Values {
+		l.Sums[j].Add(v)
+		l.Counts[j]++
+	}
+	return nil
+}
+
 func newNoisySum(d int) *noisySum {
-	return &noisySum{d: d, acc: NewStripes(DefaultStripeCount, d, d)}
+	return &noisySum{d: d, acc: NewIngest(noisyKernel{}, DefaultStripeCount, d, d)}
 }
 
 func (e *noisySum) Kind() string { return "noisy" }
@@ -29,13 +40,11 @@ func (e *noisySum) Observe(t Tuple, rng *mathx.RNG) error {
 	if e.reject[t.Values[0]] {
 		return fmt.Errorf("noisy: rejected user %v", t.Values[0])
 	}
-	e.acc.Locked(0, func(sums []mathx.KahanSum, counts []int64) {
-		for j, v := range t.Values {
-			sums[j].Add(v + rng.Laplace(1))
-			counts[j]++
-		}
-	})
-	return nil
+	noisy := make([]float64, len(t.Values))
+	for j, v := range t.Values {
+		noisy[j] = v + rng.Laplace(1)
+	}
+	return e.acc.AddReport(Report{Values: noisy})
 }
 func (e *noisySum) AddReport(Report) error { return errors.New("noisy: no reports") }
 func (e *noisySum) Estimate() []float64    { return e.Snapshot().Sums }
@@ -48,12 +57,7 @@ func (e *noisySum) Merge(s Snapshot) error {
 	if err := CheckMerge(e, s, e.d, e.d); err != nil {
 		return err
 	}
-	e.acc.LockedBase(func(sums []mathx.KahanSum, counts []int64) {
-		for j := range sums {
-			sums[j].Add(s.Sums[j])
-			counts[j] += s.Counts[j]
-		}
-	})
+	e.acc.Merge(s.Sums, s.Counts)
 	return nil
 }
 

@@ -1,12 +1,20 @@
 // Lock-striped accumulation: the ingest hot path shared by every
-// estimator family. A Stripes value banks N independent accumulation
-// lanes (Kahan-compensated sums plus report counts), each behind its own
-// mutex, so independent callers — one collector connection, one Run
-// worker — accumulate without contending on a single global lock. Reads
-// (Snapshot/Estimate/Counts) fold the stripes on demand under every
-// stripe lock at once, in a fixed order, so a fold is an atomic
-// point-in-time view and the floating-point association of the folded
-// sum is deterministic for a fixed sequence of stripe assignments.
+// estimator family, written once. A Stripes value banks N independent
+// accumulation lanes (Kahan-compensated sums plus report counts), each
+// behind its own mutex, so independent callers — one collector
+// connection, one Run worker — accumulate without contending on a single
+// global lock. Reads (Snapshot/Estimate/Counts) fold the stripes on
+// demand under every stripe lock at once, in a fixed order, so a fold is
+// an atomic point-in-time view and the floating-point association of the
+// folded sum is deterministic for a fixed sequence of stripe assignments.
+//
+// Ownership: this file owns the lanes. Ingest (the Stripes bank plus a
+// family's Kernel) chooses the stripe, allocates its lanes lazily, takes
+// and releases the lock, runs the per-report, batch, columnar and lane
+// paths with their skip-malformed contract, and adds peer snapshots into
+// the merge lane. A family's only hand on a stripe's accumulators is the
+// *Lanes its Kernel receives under the lock, so the lane accumulator type
+// (mathx.KahanSum today) is named here and in the three kernels' adds.
 //
 // Exactness contract: a caller that only ever touches one stripe (the
 // serial AddReport path pins stripe 0; a Lane pins its acquired stripe)
@@ -34,7 +42,8 @@ const DefaultStripeCount = 16
 // Stripes is a lock-striped bank of accumulation lanes: nsums
 // Kahan-compensated sum lanes and ncounts int64 count lanes per stripe,
 // plus one merge-only base lane that peer snapshots fold into. All
-// methods are safe for concurrent use.
+// methods are safe for concurrent use. Stripes holds the fold side;
+// Ingest adds the report side on top.
 type Stripes struct {
 	nsums   int
 	ncounts int
@@ -43,21 +52,19 @@ type Stripes struct {
 	lanes   []stripe
 }
 
-// stripe is one lock-striped lane set; sums stays nil until the stripe
-// is first locked, so idle stripes cost no memory.
-type stripe struct {
-	mu     sync.Mutex
-	sums   []mathx.KahanSum
-	counts []int64
+// Lanes is one stripe's accumulators: Kahan-compensated sum lanes and
+// int64 count lanes. A family's Kernel receives a *Lanes only while the
+// stripe lock is held, and it is the only way family code reaches them.
+type Lanes struct {
+	Sums   []mathx.KahanSum
+	Counts []int64
 }
 
-// NewStripes returns a bank of n stripes (n < 1 selects
-// DefaultStripeCount) with nsums sum lanes and ncounts count lanes each.
-func NewStripes(n, nsums, ncounts int) *Stripes {
-	if n < 1 {
-		n = DefaultStripeCount
-	}
-	return &Stripes{nsums: nsums, ncounts: ncounts, lanes: make([]stripe, n)}
+// stripe is one lock-striped lane set; its lanes stay nil until the
+// stripe is first written, so idle stripes cost no memory.
+type stripe struct {
+	mu sync.Mutex
+	Lanes
 }
 
 // Count returns the number of stripes.
@@ -71,26 +78,131 @@ func (s *Stripes) Acquire() int {
 	return int((s.next.Add(1) - 1) % uint32(len(s.lanes)))
 }
 
-// Locked runs fn with stripe i held, allocating its lanes on first use.
-func (s *Stripes) Locked(i int, fn func(sums []mathx.KahanSum, counts []int64)) {
-	s.locked(&s.lanes[i], fn)
+// ready returns st's lanes, allocating them on first use; the caller
+// holds st.mu.
+func (s *Stripes) ready(st *stripe) *Lanes {
+	if st.Sums == nil {
+		st.Sums = make([]mathx.KahanSum, s.nsums)
+		st.Counts = make([]int64, s.ncounts)
+	}
+	return &st.Lanes
 }
 
-// LockedBase runs fn with the merge lane held. Merges are kept out of
-// the report stripes so a shard fold never perturbs the association of
-// any connection's report stream.
-func (s *Stripes) LockedBase(fn func(sums []mathx.KahanSum, counts []int64)) {
-	s.locked(&s.base, fn)
+// Merge folds a peer's accumulated sums and counts into the merge lane.
+// Merges are kept out of the report stripes so a shard fold never
+// perturbs the association of any connection's report stream. The caller
+// has checked the shape: len(sums) == nsums, len(counts) == ncounts.
+func (s *Stripes) Merge(sums []float64, counts []int64) {
+	s.base.mu.Lock()
+	defer s.base.mu.Unlock()
+	l := s.ready(&s.base)
+	for j, v := range sums {
+		l.Sums[j].Add(v)
+	}
+	for j, c := range counts {
+		l.Counts[j] += c
+	}
 }
 
-func (s *Stripes) locked(st *stripe, fn func([]mathx.KahanSum, []int64)) {
+// Kernel is a family's ingest kernel. Add checks rep against the
+// family's report grammar and, only when it passes, folds it into l; a
+// rejected report must leave l untouched. The ingest core calls Add once
+// per report with the stripe lock held, so Add must not block or retain l.
+type Kernel interface {
+	Add(l *Lanes, rep Report) error
+}
+
+// Ingest is the striped-ingest core every estimator family is built on:
+// stripe choice, lazy lane allocation, locking, the per-report, batch,
+// columnar and lane paths and their skip-malformed contract are written
+// here once, and the family supplies only its Kernel K. Families hold an
+// *Ingest in an unexported field and forward to it, so the core's fold
+// methods (promoted from Stripes) stay off their public method sets.
+type Ingest[K Kernel] struct {
+	Stripes
+	k K
+}
+
+// NewIngest returns an empty ingest core folding reports through k into
+// n stripes (n < 1 selects DefaultStripeCount) of nsums sum lanes and
+// ncounts count lanes each.
+func NewIngest[K Kernel](k K, n, nsums, ncounts int) *Ingest[K] {
+	if n < 1 {
+		n = DefaultStripeCount
+	}
+	return &Ingest[K]{Stripes: Stripes{nsums: nsums, ncounts: ncounts, lanes: make([]stripe, n)}, k: k}
+}
+
+// AddReport accumulates one report, rejecting a malformed one with the
+// kernel's error. It pins the serial stripe 0, so a single-caller stream
+// accumulates with exactly the pre-striping association.
+func (in *Ingest[K]) AddReport(rep Report) error { return stripeLane[K]{in, 0}.AddReport(rep) }
+
+// AddReports implements BatchAdder: the whole batch accumulates under one
+// stripe lock, the stripe chosen round-robin per call.
+func (in *Ingest[K]) AddReports(reps []Report) (int, error) {
+	return stripeLane[K]{in, in.Acquire()}.AddReports(reps)
+}
+
+// AddColumns implements ColumnAdder: a rectangular columnar batch
+// accumulates under one stripe lock, each row checked by the kernel
+// exactly as the per-report path checks it, so the result is
+// bitwise-identical to feeding the same rows through AddReports.
+func (in *Ingest[K]) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
+	return stripeLane[K]{in, in.Acquire()}.AddColumns(n, ndims, nvals, dims, vals)
+}
+
+// AcquireLane implements LaneProvider: the caller gets its own stripe for
+// the lifetime of the handle.
+func (in *Ingest[K]) AcquireLane() Lane { return stripeLane[K]{in, in.Acquire()} }
+
+// stripeLane is the ingest path itself, bound to stripe i of an Ingest.
+type stripeLane[K Kernel] struct {
+	in *Ingest[K]
+	i  int
+}
+
+func (l stripeLane[K]) AddReport(rep Report) error {
+	_, err := l.AddReports([]Report{rep})
+	return err
+}
+
+func (l stripeLane[K]) AddReports(reps []Report) (accepted int, err error) {
+	st := &l.in.lanes[l.i]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.sums == nil {
-		st.sums = make([]mathx.KahanSum, s.nsums)
-		st.counts = make([]int64, s.ncounts)
+	lanes := l.in.ready(st)
+	for _, rep := range reps {
+		if aerr := l.in.k.Add(lanes, rep); aerr != nil {
+			if err == nil {
+				err = aerr
+			}
+			continue
+		}
+		accepted++
 	}
-	fn(st.sums, st.counts)
+	return accepted, err
+}
+
+func (l stripeLane[K]) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (accepted int, err error) {
+	if cerr := CheckColumns(n, ndims, nvals, len(dims), len(vals)); cerr != nil {
+		return 0, cerr
+	}
+	st := &l.in.lanes[l.i]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	lanes := l.in.ready(st)
+	for r := 0; r < n; r++ {
+		rep := Report{Dims: dims[r*ndims : (r+1)*ndims], Values: vals[r*nvals : (r+1)*nvals]}
+		if aerr := l.in.k.Add(lanes, rep); aerr != nil {
+			if err == nil {
+				err = aerr
+			}
+			continue
+		}
+		accepted++
+	}
+	return accepted, err
 }
 
 // Fold returns a point-in-time copy of the accumulated state. It holds
@@ -100,14 +212,7 @@ func (s *Stripes) locked(st *stripe, fn func([]mathx.KahanSum, []int64)) {
 // contributes its compensated value with one plain addition, so folding
 // is deterministic for a fixed ingest history and untouched stripes
 // leave the folded value bitwise unchanged.
-func (s *Stripes) Fold() (sums []float64, counts []int64) {
-	s.lockAll()
-	defer s.unlockAll()
-	sums = make([]float64, s.nsums)
-	counts = make([]int64, s.ncounts)
-	s.foldInto(sums, counts)
-	return sums, counts
-}
+func (s *Stripes) Fold() (sums []float64, counts []int64) { return s.fold(false) }
 
 // DrainFold atomically folds the accumulated state into a fresh copy and
 // zeroes every lane — the epoch-rotation primitive. It is Fold followed
@@ -117,27 +222,25 @@ func (s *Stripes) Fold() (sums []float64, counts []int64) {
 // twice, and the ingest hot path never learns a rotation happened.
 // Drained lanes keep their allocations, so rotation costs the caller two
 // result slices and nothing on the ingest side.
-func (s *Stripes) DrainFold() (sums []float64, counts []int64) {
+func (s *Stripes) DrainFold() (sums []float64, counts []int64) { return s.fold(true) }
+
+func (s *Stripes) fold(drain bool) (sums []float64, counts []int64) {
 	s.lockAll()
 	defer s.unlockAll()
 	sums = make([]float64, s.nsums)
 	counts = make([]int64, s.ncounts)
-	s.foldInto(sums, counts)
-	zero := func(st *stripe) {
-		if st.sums == nil {
-			return
+	s.each(func(l *Lanes) {
+		for j := range l.Sums {
+			sums[j] += l.Sums[j].Value()
 		}
-		for j := range st.sums {
-			st.sums[j] = mathx.KahanSum{}
+		for j, c := range l.Counts {
+			counts[j] += c
 		}
-		for j := range st.counts {
-			st.counts[j] = 0
+		if drain {
+			clear(l.Sums)
+			clear(l.Counts)
 		}
-	}
-	zero(&s.base)
-	for i := range s.lanes {
-		zero(&s.lanes[i])
-	}
+	})
 	return sums, counts
 }
 
@@ -147,34 +250,20 @@ func (s *Stripes) FoldCounts() []int64 {
 	s.lockAll()
 	defer s.unlockAll()
 	counts := make([]int64, s.ncounts)
-	fold := func(st *stripe) {
-		for j, c := range st.counts {
+	s.each(func(l *Lanes) {
+		for j, c := range l.Counts {
 			counts[j] += c
 		}
-	}
-	fold(&s.base)
-	for i := range s.lanes {
-		fold(&s.lanes[i])
-	}
+	})
 	return counts
 }
 
-// foldInto adds every lane into sums/counts; the caller holds all locks.
-func (s *Stripes) foldInto(sums []float64, counts []int64) {
-	fold := func(st *stripe) {
-		if st.sums == nil {
-			return
-		}
-		for j := range st.sums {
-			sums[j] += st.sums[j].Value()
-		}
-		for j, c := range st.counts {
-			counts[j] += c
-		}
-	}
-	fold(&s.base)
+// each visits every lane set in the fixed fold order: the merge lane,
+// then the stripes by ascending index. The caller holds all locks.
+func (s *Stripes) each(fn func(l *Lanes)) {
+	fn(&s.base.Lanes)
 	for i := range s.lanes {
-		fold(&s.lanes[i])
+		fn(&s.lanes[i].Lanes)
 	}
 }
 

@@ -7,14 +7,35 @@ import (
 	"github.com/hdr4me/hdr4me/internal/mathx"
 )
 
+// sumKernel is the test family: a report adds its one value to sum lane
+// 0 and counts once.
+type sumKernel struct{}
+
+func (sumKernel) Add(l *Lanes, rep Report) error {
+	l.Sums[0].Add(rep.Values[0])
+	l.Counts[0]++
+	return nil
+}
+
+// newSums returns an n-stripe test-family core with one sum and one
+// count lane.
+func newSums(n int) *Ingest[sumKernel] { return NewIngest(sumKernel{}, n, 1, 1) }
+
+// addAt adds v through a lane pinned to stripe i.
+func addAt(s *Ingest[sumKernel], i int, v float64) {
+	if err := (stripeLane[sumKernel]{in: s, i: i}).AddReport(Report{Values: []float64{v}}); err != nil {
+		panic(err)
+	}
+}
+
 func TestStripesAcquireRoundRobin(t *testing.T) {
-	s := NewStripes(4, 1, 1)
+	s := newSums(4)
 	for want := 0; want < 9; want++ {
 		if got := s.Acquire(); got != want%4 {
 			t.Fatalf("acquire %d = stripe %d, want %d", want, got, want%4)
 		}
 	}
-	if NewStripes(0, 1, 1).Count() != DefaultStripeCount {
+	if newSums(0).Count() != DefaultStripeCount {
 		t.Fatalf("n<1 must select DefaultStripeCount")
 	}
 }
@@ -31,12 +52,9 @@ func TestStripesSingleStripeBitwise(t *testing.T) {
 		serial.Add(v)
 	}
 	for _, lane := range []int{0, 7, 15} {
-		s := NewStripes(16, 1, 1)
+		s := newSums(16)
 		for _, v := range vals {
-			s.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-				sums[0].Add(v)
-				counts[0]++
-			})
+			addAt(s, lane, v)
 		}
 		sums, counts := s.Fold()
 		if sums[0] != serial.Value() {
@@ -51,15 +69,9 @@ func TestStripesSingleStripeBitwise(t *testing.T) {
 // TestStripesBaseFoldsFirst: the merge lane folds before the report
 // stripes, by construction of the fixed fold order.
 func TestStripesBaseFoldsFirst(t *testing.T) {
-	s := NewStripes(2, 1, 1)
-	s.LockedBase(func(sums []mathx.KahanSum, counts []int64) {
-		sums[0].Add(2)
-		counts[0] += 5
-	})
-	s.Locked(1, func(sums []mathx.KahanSum, counts []int64) {
-		sums[0].Add(3)
-		counts[0]++
-	})
+	s := newSums(2)
+	s.Merge([]float64{2}, []int64{5})
+	addAt(s, 1, 3)
 	sums, counts := s.Fold()
 	if sums[0] != 5 || counts[0] != 6 {
 		t.Fatalf("fold = %v/%v, want 5/6", sums[0], counts[0])
@@ -78,18 +90,18 @@ func TestStripesConcurrentFoldConsistency(t *testing.T) {
 		workers = 8
 		adds    = 400
 	)
-	s := NewStripes(4, 1, 1)
+	s := newSums(4)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lane := s.Acquire()
+			lane := s.AcquireLane()
 			for i := 0; i < adds; i++ {
-				s.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-					sums[0].Add(1)
-					counts[0]++
-				})
+				if err := lane.AddReport(Report{Values: []float64{1}}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}

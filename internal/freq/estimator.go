@@ -2,7 +2,6 @@ package freq
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/mathx"
@@ -91,89 +90,17 @@ func (f *Flat) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error) {
 	return rep, nil
 }
 
-// validate checks one frequency report: at most m strictly increasing
-// in-range dimensions, a value vector of exactly Σ card(j) finite
-// released-frame entries over the sampled dims.
-func (f *Flat) validate(rep est.Report) error {
-	p := f.Aggregator.P
-	if len(rep.Dims) > p.M {
-		return fmt.Errorf("freq: report carries %d dims, protocol allows m=%d", len(rep.Dims), p.M)
-	}
-	want := 0
-	for i, j := range rep.Dims {
-		if int(j) >= len(p.Cards) {
-			return fmt.Errorf("freq: report dimension %d out of range [0, %d)", j, len(p.Cards))
-		}
-		if i > 0 && j <= rep.Dims[i-1] {
-			return fmt.Errorf("freq: report dimensions must be strictly increasing, have %v", rep.Dims)
-		}
-		want += p.Cards[j]
-	}
-	if len(rep.Values) != want {
-		return fmt.Errorf("freq: report has %d values, dims %v require %d", len(rep.Values), rep.Dims, want)
-	}
-	for _, v := range rep.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("freq: report value %v not finite", v)
-		}
-	}
-	return nil
-}
-
-// accumulate folds one validated report into the given lanes; the caller
-// holds the stripe lock.
-func (f *Flat) accumulate(sums []mathx.KahanSum, counts []int64, rep est.Report) {
-	p := f.Aggregator.P
-	off := 0
-	for _, j := range rep.Dims {
-		base := f.offsets[j]
-		for k := 0; k < p.Cards[j]; k++ {
-			sums[base+k].Add(rep.Values[off+k])
-		}
-		counts[j]++
-		off += p.Cards[j]
-	}
-}
-
 // AddReport implements est.Estimator. A frequency report lists the sampled
 // dimensions in Dims (strictly increasing, at most m of them — one user's
 // sample) and concatenates each dimension's perturbed one-hot vector
 // (card(j) released-frame values) in Values, in the same order. It pins
 // the serial stripe.
-func (f *Flat) AddReport(rep est.Report) error { return f.addAt(0, rep) }
-
-func (f *Flat) addAt(lane int, rep est.Report) error {
-	if err := f.validate(rep); err != nil {
-		return err
-	}
-	f.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		f.accumulate(sums, counts, rep)
-	})
-	return nil
-}
+func (f *Flat) AddReport(rep est.Report) error { return f.acc.AddReport(rep) }
 
 // AddReports implements est.BatchAdder: one stripe lock for the whole
 // batch; malformed reports are skipped, accepted counts the rest and err
 // carries the first rejection.
-func (f *Flat) AddReports(reps []est.Report) (int, error) {
-	return f.addReportsAt(f.acc.Acquire(), reps)
-}
-
-func (f *Flat) addReportsAt(lane int, reps []est.Report) (accepted int, err error) {
-	f.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		for _, rep := range reps {
-			if verr := f.validate(rep); verr != nil {
-				if err == nil {
-					err = verr
-				}
-				continue
-			}
-			f.accumulate(sums, counts, rep)
-			accepted++
-		}
-	})
-	return accepted, err
-}
+func (f *Flat) AddReports(reps []est.Report) (int, error) { return f.acc.AddReports(reps) }
 
 // AddColumns implements est.ColumnAdder: a rectangular columnar batch of
 // frequency rows (row i's dims own dims[i*ndims:(i+1)*ndims], its
@@ -182,45 +109,11 @@ func (f *Flat) addReportsAt(lane int, reps []est.Report) (accepted int, err erro
 // rules (Σ card(j) over the row's dims must equal nvals for the row to
 // land).
 func (f *Flat) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	return f.addColumnsAt(f.acc.Acquire(), n, ndims, nvals, dims, vals)
-}
-
-func (f *Flat) addColumnsAt(lane, n, ndims, nvals int, dims []uint32, vals []float64) (accepted int, err error) {
-	if cerr := est.CheckColumns(n, ndims, nvals, len(dims), len(vals)); cerr != nil {
-		return 0, cerr
-	}
-	f.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		for i := 0; i < n; i++ {
-			rep := est.Report{Dims: dims[i*ndims : (i+1)*ndims], Values: vals[i*nvals : (i+1)*nvals]}
-			if verr := f.validate(rep); verr != nil {
-				if err == nil {
-					err = verr
-				}
-				continue
-			}
-			f.accumulate(sums, counts, rep)
-			accepted++
-		}
-	})
-	return accepted, err
+	return f.acc.AddColumns(n, ndims, nvals, dims, vals)
 }
 
 // AcquireLane implements est.LaneProvider.
-func (f *Flat) AcquireLane() est.Lane { return flatLane{f: f, lane: f.acc.Acquire()} }
-
-// flatLane is a stripe-bound ingest handle over a Flat.
-type flatLane struct {
-	f    *Flat
-	lane int
-}
-
-func (l flatLane) AddReport(rep est.Report) error { return l.f.addAt(l.lane, rep) }
-
-func (l flatLane) AddReports(reps []est.Report) (int, error) { return l.f.addReportsAt(l.lane, reps) }
-
-func (l flatLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	return l.f.addColumnsAt(l.lane, n, ndims, nvals, dims, vals)
-}
+func (f *Flat) AcquireLane() est.Lane { return f.acc.AcquireLane() }
 
 // Estimate implements est.Estimator: the flattened naive frequency
 // estimates in [0, 1] (unprojected; see ProjectSimplex).
@@ -299,28 +192,15 @@ func (f *Flat) flatten(rows [][]float64) []float64 {
 
 // Snapshot implements est.Estimator: flattened released-frame sums plus
 // per-dimension report counts, folded atomically across every stripe.
-func (f *Flat) Snapshot() est.Snapshot {
-	sums, counts := f.acc.Fold()
-	return est.Snapshot{
-		Kind:   KindFreq,
-		Dims:   f.total,
-		Cards:  append([]int(nil), f.Aggregator.P.Cards...),
-		Sums:   sums,
-		Counts: counts,
-	}
-}
+func (f *Flat) Snapshot() est.Snapshot { return f.snapshot(f.acc.Fold()) }
 
 // Rotate implements est.Rotator: it drains every stripe into a frozen
 // epoch snapshot, leaving the live lanes empty for the next epoch.
-func (f *Flat) Rotate() est.Snapshot {
-	sums, counts := f.acc.DrainFold()
-	return est.Snapshot{
-		Kind:   KindFreq,
-		Dims:   f.total,
-		Cards:  append([]int(nil), f.Aggregator.P.Cards...),
-		Sums:   sums,
-		Counts: counts,
-	}
+func (f *Flat) Rotate() est.Snapshot { return f.snapshot(f.acc.DrainFold()) }
+
+func (f *Flat) snapshot(sums []float64, counts []int64) est.Snapshot {
+	cards := append([]int(nil), f.Aggregator.P.Cards...)
+	return est.Snapshot{Kind: KindFreq, Dims: f.total, Cards: cards, Sums: sums, Counts: counts}
 }
 
 // Merge implements est.Estimator: peer snapshots fold into the merge lane.
@@ -337,14 +217,7 @@ func (f *Flat) Merge(s est.Snapshot) error {
 			return fmt.Errorf("freq: snapshot cards %v incompatible with protocol %v", s.Cards, a.P.Cards)
 		}
 	}
-	a.acc.LockedBase(func(sums []mathx.KahanSum, counts []int64) {
-		for i := range sums {
-			sums[i].Add(s.Sums[i])
-		}
-		for j := range counts {
-			counts[j] += s.Counts[j]
-		}
-	})
+	a.acc.Merge(s.Sums, s.Counts)
 	return nil
 }
 

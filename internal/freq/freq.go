@@ -102,14 +102,14 @@ func (p Protocol) EpsPerEntry() float64 { return p.Eps / (2 * float64(p.M)) }
 
 // Aggregator accumulates per-entry sums in the released [−1, 1] frame.
 // The per-dimension entry vectors are stored flattened (entry (j, k)
-// lives at offsets[j]+k) inside a lock-striped accumulator (est.Stripes),
+// lives at offsets[j]+k) inside a lock-striped ingest core (est.Ingest),
 // so concurrent ingest paths do not serialize on one mutex.
 type Aggregator struct {
 	P Protocol
 
 	offsets []int // flattened index of each dimension's first entry
 	total   int   // Σⱼ card(j)
-	acc     *est.Stripes
+	acc     *est.Ingest[freqKernel]
 }
 
 // NewAggregator returns an empty frequency collector.
@@ -119,8 +119,55 @@ func NewAggregator(p Protocol) *Aggregator {
 		a.offsets[j] = a.total
 		a.total += v
 	}
-	a.acc = est.NewStripes(est.DefaultStripeCount, a.total, len(p.Cards))
+	k := freqKernel{m: p.M, cards: p.Cards, offsets: a.offsets}
+	a.acc = est.NewIngest(k, est.DefaultStripeCount, a.total, len(p.Cards))
 	return a
+}
+
+// freqKernel is the frequency family's ingest kernel. A report lists at
+// most m strictly increasing in-range dimensions and concatenates each
+// one's card(j) finite released-frame entries, in the same order; entry
+// (j, k) folds into flattened sum lane offsets[j]+k and each sampled
+// dimension counts once.
+type freqKernel struct {
+	m              int
+	cards, offsets []int
+}
+
+// Add implements est.Kernel.
+func (k freqKernel) Add(l *est.Lanes, rep est.Report) error {
+	if len(rep.Dims) > k.m {
+		return fmt.Errorf("freq: report carries %d dims, protocol allows m=%d", len(rep.Dims), k.m)
+	}
+	want := 0
+	for i, j := range rep.Dims {
+		if int(j) >= len(k.cards) {
+			return fmt.Errorf("freq: report dimension %d out of range [0, %d)", j, len(k.cards))
+		}
+		if i > 0 && j <= rep.Dims[i-1] {
+			return fmt.Errorf("freq: report dimensions must be strictly increasing, have %v", rep.Dims)
+		}
+		want += k.cards[j]
+	}
+	if len(rep.Values) != want {
+		return fmt.Errorf("freq: report has %d values, dims %v require %d", len(rep.Values), rep.Dims, want)
+	}
+	for _, v := range rep.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("freq: report value %v not finite", v)
+		}
+	}
+	off := 0
+	for _, j := range rep.Dims {
+		card := k.cards[j]
+		sums := l.Sums[k.offsets[j] : k.offsets[j]+card]
+		for e, v := range rep.Values[off : off+card] {
+			sums[e].Add(v)
+		}
+		l.Counts[j]++
+		off += card
+	}
+	return nil
 }
 
 // Counts returns the per-dimension report counts.

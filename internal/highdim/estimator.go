@@ -77,12 +77,7 @@ func (a *Aggregator) Merge(s est.Snapshot) error {
 	if err := est.CheckMerge(a, s, a.P.D, a.P.D); err != nil {
 		return err
 	}
-	a.acc.LockedBase(func(sums []mathx.KahanSum, counts []int64) {
-		for j := range sums {
-			sums[j].Add(s.Sums[j])
-			counts[j] += s.Counts[j]
-		}
-	})
+	a.acc.Merge(s.Sums, s.Counts)
 	return nil
 }
 
@@ -92,11 +87,11 @@ func (a *Aggregator) Merge(s est.Snapshot) error {
 // every report carries a full released tuple and the estimate is the plain
 // per-dimension average (the release is unbiased, so no calibration step).
 // It implements est.Estimator and is safe for concurrent use; accumulation
-// is lock-striped exactly as the mean family's (est.Stripes).
+// is lock-striped exactly as the mean family's (est.Ingest).
 type MDAggregator struct {
 	M DuchiMD
 
-	acc *est.Stripes // D sum lanes, one count lane (total tuples)
+	acc *est.Ingest[tupleKernel] // D sum lanes, one count lane (total tuples)
 }
 
 // NewMDAggregator returns an empty whole-tuple collector.
@@ -104,7 +99,7 @@ func NewMDAggregator(m DuchiMD) (*MDAggregator, error) {
 	if _, err := NewDuchiMD(m.D, m.Eps); err != nil {
 		return nil, err
 	}
-	return &MDAggregator{M: m, acc: est.NewStripes(est.DefaultStripeCount, m.D, 1)}, nil
+	return &MDAggregator{M: m, acc: est.NewIngest(tupleKernel{d: m.D}, est.DefaultStripeCount, m.D, 1)}, nil
 }
 
 // Kind implements est.Estimator.
@@ -140,111 +135,48 @@ func (a *MDAggregator) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, erro
 	return est.Report{Values: a.M.PerturbTuple(rng, t.Values)}, nil
 }
 
-// validate checks one whole-tuple report: no sampled Dims, exactly D
-// finite released values.
-func (a *MDAggregator) validate(rep est.Report) error {
+// tupleKernel is the whole-tuple family's ingest kernel: a report has no
+// sampled Dims and exactly d finite released values, and counts once.
+type tupleKernel struct{ d int }
+
+// Add implements est.Kernel.
+func (k tupleKernel) Add(l *est.Lanes, rep est.Report) error {
 	if len(rep.Dims) != 0 {
 		return fmt.Errorf("highdim: whole-tuple report must not carry sampled dims (have %d)", len(rep.Dims))
 	}
-	if len(rep.Values) != a.M.D {
-		return fmt.Errorf("highdim: whole-tuple report has %d values, want %d", len(rep.Values), a.M.D)
+	if len(rep.Values) != k.d {
+		return fmt.Errorf("highdim: whole-tuple report has %d values, want %d", len(rep.Values), k.d)
 	}
 	for _, v := range rep.Values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("highdim: whole-tuple report value %v not finite", v)
 		}
 	}
+	sums := l.Sums
+	for j, v := range rep.Values {
+		sums[j].Add(v)
+	}
+	l.Counts[0]++
 	return nil
 }
 
 // AddReport implements est.Estimator: a whole-tuple report has no Dims and
 // exactly D released values. It pins the serial stripe.
-func (a *MDAggregator) AddReport(rep est.Report) error { return a.addAt(0, rep) }
-
-func (a *MDAggregator) addAt(lane int, rep est.Report) error {
-	if err := a.validate(rep); err != nil {
-		return err
-	}
-	a.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		for j, v := range rep.Values {
-			sums[j].Add(v)
-		}
-		counts[0]++
-	})
-	return nil
-}
+func (a *MDAggregator) AddReport(rep est.Report) error { return a.acc.AddReport(rep) }
 
 // AddReports implements est.BatchAdder: one stripe lock for the whole
 // batch; malformed reports are skipped, accepted counts the rest.
-func (a *MDAggregator) AddReports(reps []est.Report) (int, error) {
-	return a.addReportsAt(a.acc.Acquire(), reps)
-}
-
-func (a *MDAggregator) addReportsAt(lane int, reps []est.Report) (accepted int, err error) {
-	a.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		for _, rep := range reps {
-			if verr := a.validate(rep); verr != nil {
-				if err == nil {
-					err = verr
-				}
-				continue
-			}
-			for j, v := range rep.Values {
-				sums[j].Add(v)
-			}
-			counts[0]++
-			accepted++
-		}
-	})
-	return accepted, err
-}
+func (a *MDAggregator) AddReports(reps []est.Report) (int, error) { return a.acc.AddReports(reps) }
 
 // AddColumns implements est.ColumnAdder: whole-tuple rows carry no dims
 // (ndims must be 0) and exactly D values each; the batch accumulates
 // under one stripe lock, bitwise-identical to the per-report path.
 func (a *MDAggregator) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	return a.addColumnsAt(a.acc.Acquire(), n, ndims, nvals, dims, vals)
-}
-
-func (a *MDAggregator) addColumnsAt(lane, n, ndims, nvals int, dims []uint32, vals []float64) (accepted int, err error) {
-	if cerr := est.CheckColumns(n, ndims, nvals, len(dims), len(vals)); cerr != nil {
-		return 0, cerr
-	}
-	a.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		for i := 0; i < n; i++ {
-			rep := est.Report{Dims: dims[i*ndims : (i+1)*ndims], Values: vals[i*nvals : (i+1)*nvals]}
-			if verr := a.validate(rep); verr != nil {
-				if err == nil {
-					err = verr
-				}
-				continue
-			}
-			for j, v := range rep.Values {
-				sums[j].Add(v)
-			}
-			counts[0]++
-			accepted++
-		}
-	})
-	return accepted, err
+	return a.acc.AddColumns(n, ndims, nvals, dims, vals)
 }
 
 // AcquireLane implements est.LaneProvider.
-func (a *MDAggregator) AcquireLane() est.Lane { return mdLane{a: a, lane: a.acc.Acquire()} }
-
-// mdLane is a stripe-bound ingest handle over an MDAggregator.
-type mdLane struct {
-	a    *MDAggregator
-	lane int
-}
-
-func (l mdLane) AddReport(rep est.Report) error { return l.a.addAt(l.lane, rep) }
-
-func (l mdLane) AddReports(reps []est.Report) (int, error) { return l.a.addReportsAt(l.lane, reps) }
-
-func (l mdLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	return l.a.addColumnsAt(l.lane, n, ndims, nvals, dims, vals)
-}
+func (a *MDAggregator) AcquireLane() est.Lane { return a.acc.AcquireLane() }
 
 // Estimate implements est.Estimator: the per-dimension average release.
 func (a *MDAggregator) Estimate() []float64 {
@@ -313,12 +245,7 @@ func (a *MDAggregator) Merge(s est.Snapshot) error {
 	if err := est.CheckMerge(a, s, a.M.D, 1); err != nil {
 		return err
 	}
-	a.acc.LockedBase(func(sums []mathx.KahanSum, counts []int64) {
-		for j := range sums {
-			sums[j].Add(s.Sums[j])
-		}
-		counts[0] += s.Counts[0]
-	})
+	a.acc.Merge(s.Sums, s.Counts)
 	return nil
 }
 

@@ -128,7 +128,7 @@ func perturbSample(vals, tuple []float64, dims []int, pert []ldp.Perturber, rng 
 // naive per-dimension mean estimate θ̂ (§IV-B step 3), applying the
 // calibration step (§IV-B step 2) where the bias is data-independent.
 // Aggregator is safe for concurrent use and implements est.Estimator.
-// Accumulation is lock-striped (est.Stripes): Add pins the serial stripe,
+// Accumulation is lock-striped (est.Ingest): Add pins the serial stripe,
 // AddReports takes one stripe lock per batch, and AcquireLane hands heavy
 // callers their own stripe, so concurrent ingest does not serialize on a
 // single mutex.
@@ -141,7 +141,7 @@ type Aggregator struct {
 	// uniform budget, one per dimension under an allocation.
 	pert []ldp.Perturber
 
-	acc *est.Stripes // D sum lanes, D count lanes
+	acc *est.Ingest[meanKernel] // D sum lanes, D count lanes
 }
 
 // NewAggregator returns an empty collector for protocol p.
@@ -149,7 +149,7 @@ func NewAggregator(p Protocol) *Aggregator {
 	return &Aggregator{
 		P:    p,
 		pert: []ldp.Perturber{ldp.At(p.Mech, p.EpsPerDim())},
-		acc:  est.NewStripes(est.DefaultStripeCount, p.D, p.D),
+		acc:  est.NewIngest(meanKernel{m: p.M, d: p.D}, est.DefaultStripeCount, p.D, p.D),
 	}
 }
 
@@ -203,20 +203,23 @@ func perturberAt(pert []ldp.Perturber, j int) ldp.Perturber {
 	return pert[0]
 }
 
-// validate checks one report against the protocol: paired lists, at most
-// m strictly increasing in-range dimensions, finite values. One report is
-// one user's m-subset, and a wire client must not be able to weight
-// itself beyond that.
-func (a *Aggregator) validate(rep Report) error {
+// meanKernel is the mean family's ingest kernel. A report is paired
+// lists of at most m strictly increasing in-range dimensions and finite
+// values: one report is one user's m-subset, and a wire client must not
+// be able to weight itself beyond that.
+type meanKernel struct{ m, d int }
+
+// Add implements est.Kernel.
+func (k meanKernel) Add(l *est.Lanes, rep Report) error {
 	if len(rep.Dims) != len(rep.Values) {
 		return fmt.Errorf("highdim: report has %d dims but %d values", len(rep.Dims), len(rep.Values))
 	}
-	if len(rep.Dims) > a.P.M {
-		return fmt.Errorf("highdim: report carries %d dims, protocol allows m=%d", len(rep.Dims), a.P.M)
+	if len(rep.Dims) > k.m {
+		return fmt.Errorf("highdim: report carries %d dims, protocol allows m=%d", len(rep.Dims), k.m)
 	}
 	for i, j := range rep.Dims {
-		if int(j) >= a.P.D {
-			return fmt.Errorf("highdim: report dimension %d out of range [0,%d)", j, a.P.D)
+		if int(j) >= k.d {
+			return fmt.Errorf("highdim: report dimension %d out of range [0,%d)", j, k.d)
 		}
 		if i > 0 && j <= rep.Dims[i-1] {
 			return fmt.Errorf("highdim: report dimensions must be strictly increasing, have %v", rep.Dims)
@@ -227,54 +230,24 @@ func (a *Aggregator) validate(rep Report) error {
 			return fmt.Errorf("highdim: report value %v not finite", v)
 		}
 	}
+	sums, counts := l.Sums, l.Counts
+	for i, j := range rep.Dims {
+		sums[j].Add(rep.Values[i])
+		counts[j]++
+	}
 	return nil
 }
 
 // Add accumulates one report, rejecting malformed ones with an error. It
 // pins the serial stripe, so a single-caller stream accumulates with
 // exactly the pre-striping association.
-func (a *Aggregator) Add(rep Report) error { return a.addAt(0, rep) }
-
-// addAt accumulates one validated report under stripe lane's lock.
-func (a *Aggregator) addAt(lane int, rep Report) error {
-	if err := a.validate(rep); err != nil {
-		return err
-	}
-	a.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		for i, j := range rep.Dims {
-			sums[j].Add(rep.Values[i])
-			counts[j]++
-		}
-	})
-	return nil
-}
+func (a *Aggregator) Add(rep Report) error { return a.acc.AddReport(rep) }
 
 // AddReports implements est.BatchAdder: the whole batch accumulates under
 // one stripe lock (stripe chosen round-robin per call). Malformed reports
 // are skipped, not fatal; accepted counts the rest and err carries the
 // first rejection.
-func (a *Aggregator) AddReports(reps []Report) (int, error) {
-	return a.addReportsAt(a.acc.Acquire(), reps)
-}
-
-func (a *Aggregator) addReportsAt(lane int, reps []Report) (accepted int, err error) {
-	a.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		for _, rep := range reps {
-			if verr := a.validate(rep); verr != nil {
-				if err == nil {
-					err = verr
-				}
-				continue
-			}
-			for i, j := range rep.Dims {
-				sums[j].Add(rep.Values[i])
-				counts[j]++
-			}
-			accepted++
-		}
-	})
-	return accepted, err
-}
+func (a *Aggregator) AddReports(reps []Report) (int, error) { return a.acc.AddReports(reps) }
 
 // AddColumns implements est.ColumnAdder: a rectangular columnar batch
 // (row-major dims and values) accumulates under one stripe lock without
@@ -282,49 +255,12 @@ func (a *Aggregator) addReportsAt(lane int, reps []Report) (accepted int, err er
 // exact per-report rules, so the accumulation is bitwise-identical to
 // feeding the same rows through AddReports.
 func (a *Aggregator) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	return a.addColumnsAt(a.acc.Acquire(), n, ndims, nvals, dims, vals)
-}
-
-func (a *Aggregator) addColumnsAt(lane, n, ndims, nvals int, dims []uint32, vals []float64) (accepted int, err error) {
-	if cerr := est.CheckColumns(n, ndims, nvals, len(dims), len(vals)); cerr != nil {
-		return 0, cerr
-	}
-	a.acc.Locked(lane, func(sums []mathx.KahanSum, counts []int64) {
-		for i := 0; i < n; i++ {
-			rep := Report{Dims: dims[i*ndims : (i+1)*ndims], Values: vals[i*nvals : (i+1)*nvals]}
-			if verr := a.validate(rep); verr != nil {
-				if err == nil {
-					err = verr
-				}
-				continue
-			}
-			for k, j := range rep.Dims {
-				sums[j].Add(rep.Values[k])
-				counts[j]++
-			}
-			accepted++
-		}
-	})
-	return accepted, err
+	return a.acc.AddColumns(n, ndims, nvals, dims, vals)
 }
 
 // AcquireLane implements est.LaneProvider: the caller gets its own
 // accumulation stripe for the lifetime of the handle.
-func (a *Aggregator) AcquireLane() est.Lane { return aggLane{a: a, lane: a.acc.Acquire()} }
-
-// aggLane is a stripe-bound ingest handle over an Aggregator.
-type aggLane struct {
-	a    *Aggregator
-	lane int
-}
-
-func (l aggLane) AddReport(rep est.Report) error { return l.a.addAt(l.lane, rep) }
-
-func (l aggLane) AddReports(reps []est.Report) (int, error) { return l.a.addReportsAt(l.lane, reps) }
-
-func (l aggLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	return l.a.addColumnsAt(l.lane, n, ndims, nvals, dims, vals)
-}
+func (a *Aggregator) AcquireLane() est.Lane { return a.acc.AcquireLane() }
 
 // Counts returns a copy of the per-dimension report counts rⱼ.
 func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }

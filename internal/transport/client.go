@@ -42,6 +42,9 @@ type Client struct {
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	timeout time.Duration
+	// armed is the deadline begin set for the current exchange from
+	// timeout; zero when no timeout is set.
+	armed time.Time
 
 	// protoWant is the version the caller pinned through
 	// WithProtocolVersion: 0 (auto — negotiate up to ProtocolMax), 1
@@ -103,9 +106,11 @@ func (c *Client) SetTimeout(d time.Duration) {
 func (c *Client) begin() func() {
 	c.mu.Lock()
 	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
+		c.armed = time.Now().Add(c.timeout)
+		c.conn.SetDeadline(c.armed)
 		//hdrvet:ignore lockorder -- begin hands c.mu to its caller as a guard; every caller defers the release
 		return func() {
+			c.armed = time.Time{}
 			c.conn.SetDeadline(time.Time{})
 			c.mu.Unlock()
 		}

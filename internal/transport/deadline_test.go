@@ -3,10 +3,12 @@ package transport
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
 
+	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 )
@@ -233,5 +235,40 @@ func TestClientTimeoutBoundsExchange(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("Counts took %v; want ~150ms", elapsed)
+	}
+}
+
+// TestClientTimeoutAndContextTighterWins: SetTimeout and a *Context
+// deadline compose — whichever is tighter bounds the exchange. The peer
+// reads every request and never answers, so only a deadline ends it.
+func TestClientTimeoutAndContextTighterWins(t *testing.T) {
+	const tight, loose = 100 * time.Millisecond, 3 * time.Second
+	cases := []struct {
+		name         string
+		timeout, ctx time.Duration
+	}{
+		{"timeout tighter", tight, loose},
+		{"context tighter", loose, tight},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			client, peer := net.Pipe()
+			defer peer.Close()
+			go io.Copy(io.Discard, peer)
+			cl := NewClient(client)
+			defer cl.Close()
+			cl.SetTimeout(tc.timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), tc.ctx)
+			defer cancel()
+
+			start := time.Now()
+			err := cl.SendContext(ctx, est.Report{Dims: []uint32{0}, Values: []float64{0.5}})
+			if err == nil {
+				t.Fatal("SendContext against a mute peer succeeded")
+			}
+			if elapsed := time.Since(start); elapsed > loose/2 {
+				t.Fatalf("SendContext took %v (timeout %v, context %v); want ~%v", elapsed, tc.timeout, tc.ctx, tight)
+			}
+		})
 	}
 }

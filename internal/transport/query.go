@@ -22,7 +22,8 @@ func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Clien
 }
 
 // guard binds the connection to ctx for the duration of one exchange: the
-// context deadline becomes the connection deadline, and a cancellation
+// context deadline becomes the connection deadline when it is tighter
+// than the one begin armed from SetTimeout, and a cancellation
 // mid-exchange unblocks any pending read or write immediately. The
 // returned release func detaches the context and clears the deadline;
 // callers must invoke it before the next exchange. Caller holds c.mu.
@@ -32,7 +33,7 @@ func (c *Client) guard(ctx context.Context) func() {
 		// exchange methods arm nothing.
 		return func() {}
 	}
-	if dl, ok := ctx.Deadline(); ok {
+	if dl, ok := ctx.Deadline(); ok && (c.armed.IsZero() || dl.Before(c.armed)) {
 		c.conn.SetDeadline(dl)
 	}
 	done := make(chan struct{})
