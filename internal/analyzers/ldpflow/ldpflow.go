@@ -6,10 +6,15 @@
 // raw, pre-perturbation record — plus anything dataflow marks as
 // derived from one (t.Values[j], a sum of raw values, an est.Report
 // built from raw fields). Sanitizers: the mechanism perturb calls
-// (methods named Perturb, PerturbNative, PerturbTuple — the
-// internal/ldp and internal/freq randomizers) and calls through the
-// est.Reporter/Estimator interface boundary (MakeReport, Observe),
-// whose implementations this analyzer verifies separately. Sinks:
+// (functions and methods named Perturb, PerturbNative, PerturbTuple —
+// the internal/ldp and internal/freq randomizers — and PerturbBatch,
+// internal/ldp's batch kernel, which stores releases of its src slice
+// into its dst slice) and calls through the est.Reporter/Estimator
+// interface boundary (MakeReport, Observe), whose implementations this
+// analyzer verifies separately. A call also taints the slices it is
+// handed: copy(dst, src) stores src in dst, an in-package callee stores
+// what its summary records, and any other non-sanitizer callee is
+// assumed to store any of its operands in any slice operand. Sinks:
 // fmt/log output (error strings and logs get persisted and shipped),
 // transport frame encoders (Write*/Encode* in a transport package),
 // and persist save paths (Save*/Write*/Encode* in a persist package).
@@ -20,8 +25,8 @@
 // Report is the wire unit, so an un-randomized Report return WILL put
 // raw values on the wire. One-level interprocedural propagation runs
 // through per-function summaries: a static call to an in-package
-// function is refined by which parameters taint its results and which
-// reach sinks inside it.
+// function is refined by which parameters taint its results, which
+// reach sinks inside it, and which it stores into its slice parameters.
 //
 // Accepted gaps, by design: implicit flows (branching on a raw value),
 // taint through captured variables in function literals (tuple-typed
@@ -106,6 +111,9 @@ type analyzer struct {
 type summary struct {
 	taintsResult uint64 // bit i: param i flows to some result
 	paramToSink  uint64 // bit i: param i reaches a sink in the body
+	// writes[i]: the params (bits) the body stores into the elements of
+	// slice param i, e.g. gather(dst, src []float64) copying src into dst.
+	writes map[int]uint64
 }
 
 // checkFunc runs the reporting taint dataflow over one function body.
@@ -150,6 +158,22 @@ func (a *analyzer) summarize(fn *types.Func) *summary {
 	res.Visit(func(n ast.Node, st dataflow.State) {
 		a.visit(n, st, false, sum)
 	})
+	if exit := res.In(g.Exit); exit != nil {
+		for i, obj := range paramObjects(a.pass.TypesInfo, fd) {
+			if obj == nil {
+				continue
+			}
+			if _, ok := obj.Type().Underlying().(*types.Slice); !ok {
+				continue
+			}
+			if w := exit[obj] &^ (uint64(1) << i); w != 0 {
+				if sum.writes == nil {
+					sum.writes = make(map[int]uint64)
+				}
+				sum.writes[i] = w
+			}
+		}
+	}
 	a.summaries[fn] = sum
 	return sum
 }
@@ -157,40 +181,59 @@ func (a *analyzer) summarize(fn *types.Func) *summary {
 // seedParams marks the receiver as param 0 and each parameter with the
 // next bit, so one summary pass tracks all of them.
 func seedParams(info *types.Info, fd *ast.FuncDecl, st dataflow.State) {
-	bit := 0
+	for bit, obj := range paramObjects(info, fd) {
+		if obj != nil {
+			st[obj] |= uint64(1) << bit
+		}
+	}
+}
+
+// paramObjects lists the receiver and parameters in summary-bit order
+// (nil for unnamed ones), capped at maxSummaryParams.
+func paramObjects(info *types.Info, fd *ast.FuncDecl) []types.Object {
+	var objs []types.Object
 	mark := func(fields *ast.FieldList) {
 		if fields == nil {
 			return
 		}
 		for _, field := range fields.List {
 			for _, name := range field.Names {
-				if obj := info.Defs[name]; obj != nil && bit < maxSummaryParams {
-					st[obj] |= uint64(1) << bit
-				}
-				bit++
+				objs = append(objs, info.Defs[name])
 			}
 			if len(field.Names) == 0 {
-				bit++
+				objs = append(objs, nil)
 			}
 		}
 	}
 	mark(fd.Recv)
 	mark(fd.Type.Params)
+	if len(objs) > maxSummaryParams {
+		objs = objs[:maxSummaryParams]
+	}
+	return objs
 }
 
-// paramBits returns the argument masks of a call aligned to summary
+// argMasks returns the argument masks of a call aligned to summary
 // bits: receiver first, then positional args.
 func (a *analyzer) argMasks(call *ast.CallExpr, st dataflow.State) []uint64 {
-	var masks []uint64
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if _, isSel := a.pass.TypesInfo.Selections[sel]; isSel {
-			masks = append(masks, a.taintOf(sel.X, st))
-		}
-	}
-	for _, arg := range call.Args {
-		masks = append(masks, a.taintOf(arg, st))
+	args := callOperands(a.pass.TypesInfo, call)
+	masks := make([]uint64, len(args))
+	for i, arg := range args {
+		masks[i] = a.taintOf(arg, st)
 	}
 	return masks
+}
+
+// callOperands returns a call's operands in summary-bit order: the
+// method receiver, when there is one, then the positional args.
+func callOperands(info *types.Info, call *ast.CallExpr) []ast.Expr {
+	var args []ast.Expr
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if _, isSel := info.Selections[sel]; isSel {
+			args = append(args, sel.X)
+		}
+	}
+	return append(args, call.Args...)
 }
 
 // ---- taint evaluation -------------------------------------------------------
@@ -400,7 +443,7 @@ func (a *analyzer) callTaint(call *ast.CallExpr, st dataflow.State) uint64 {
 
 func isSanitizerName(name string) bool {
 	switch name {
-	case "Perturb", "PerturbNative", "PerturbTuple":
+	case "Perturb", "PerturbNative", "PerturbTuple", "PerturbBatch":
 		return true
 	}
 	return false
@@ -415,7 +458,16 @@ func isReporterBoundary(name string) bool {
 func (a *analyzer) transfer(n ast.Node, st dataflow.State) {
 	info := a.pass.TypesInfo
 	switch n := n.(type) {
+	case *ast.ExprStmt:
+		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
+			a.callWrites(call, st)
+		}
 	case *ast.AssignStmt:
+		for _, rhs := range n.Rhs {
+			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
+				a.callWrites(call, st)
+			}
+		}
 		a.transferAssign(n, st)
 	case *ast.DeclStmt:
 		gd, ok := n.Decl.(*ast.GenDecl)
@@ -453,6 +505,75 @@ func (a *analyzer) transfer(n ast.Node, st dataflow.State) {
 		}
 		if id, ok := n.Value.(*ast.Ident); ok && id.Name != "_" {
 			setVar(info, id, mask, st)
+		}
+	}
+}
+
+// callWrites applies what a call stores through its slice operands:
+// copy(dst, src) puts src's taint in dst; an in-package callee writes
+// what its summary says; any other callee may store any operand into
+// any slice operand it is handed — the batch shape f(dst, src) — unless
+// it is a sanitizer, whose writes are randomized releases. The stores
+// taint the slice's root variable weakly, as an element store does.
+func (a *analyzer) callWrites(call *ast.CallExpr, st dataflow.State) {
+	info := a.pass.TypesInfo
+	if dataflow.IsConversion(info, call) {
+		return
+	}
+	switch dataflow.BuiltinName(info, call) {
+	case "copy":
+		if len(call.Args) == 2 {
+			taintRoot(info, call.Args[0], a.taintOf(call.Args[1], st), st)
+		}
+		return
+	case "":
+	default:
+		return
+	}
+	fn, static := dataflow.Callee(info, call)
+	if fn != nil && (isSanitizerName(fn.Name()) || isReporterBoundary(fn.Name())) {
+		return
+	}
+	args := callOperands(info, call)
+	masks := a.argMasks(call, st)
+	if fn != nil && static && a.idx.Decl(fn) != nil {
+		for i, w := range a.summarize(fn).writes {
+			var mask uint64
+			for j, m := range masks {
+				if j < maxSummaryParams && w&(uint64(1)<<j) != 0 {
+					mask |= m
+				}
+			}
+			if i < len(args) {
+				taintRoot(info, args[i], mask|w&tupleBit, st)
+			}
+		}
+		return
+	}
+	var all uint64
+	for _, m := range masks {
+		all |= m
+	}
+	for _, arg := range args {
+		if t := info.TypeOf(arg); t != nil {
+			if _, ok := t.Underlying().(*types.Slice); ok {
+				taintRoot(info, arg, all, st)
+			}
+		}
+	}
+}
+
+// taintRoot ORs mask into the root variable of e (a weak update).
+func taintRoot(info *types.Info, e ast.Expr, mask uint64, st dataflow.State) {
+	if mask == 0 {
+		return
+	}
+	if sl, ok := ast.Unparen(e).(*ast.SliceExpr); ok {
+		e = sl.X
+	}
+	if root := rootIdent(e); root != nil {
+		if obj := useOrDef(info, root); obj != nil {
+			st[obj] |= mask
 		}
 	}
 }

@@ -109,3 +109,61 @@ func LogSuppressed(t Tuple) {
 func LogLen(t Tuple) {
 	fmt.Println(len(t.Values))
 }
+
+// Batcher is a batch randomizer reached through an interface, as the
+// client path reaches ldp.PerturbBatch: every value it stores in dst is
+// a randomized release of src.
+type Batcher interface {
+	PerturbBatch(dst, src []float64)
+}
+
+// Filler is an opaque batch step that is not a randomizer: the
+// analyzer cannot see its body, so it may store src in dst.
+type Filler interface {
+	Fill(dst, src []float64)
+}
+
+// BatchReport gathers the raw values into a stack buffer and releases
+// them through the batch randomizer: clean.
+func BatchReport(b Batcher, t Tuple) Report {
+	var raw [4]float64
+	for i := range raw {
+		raw[i] = t.Values[i]
+	}
+	rep := Report{Values: make([]float64, len(raw))}
+	b.PerturbBatch(rep.Values, raw[:])
+	return rep
+}
+
+// CopyReport skips the randomizer and copies the gathered raw values
+// into the report.
+func CopyReport(t Tuple) Report {
+	var raw [4]float64
+	for i := range raw {
+		raw[i] = t.Values[i]
+	}
+	rep := Report{Values: make([]float64, len(raw))}
+	copy(rep.Values, raw[:])
+	return rep // want "est.Report built from raw tuple values"
+}
+
+// FillReport hands the raw values to an opaque batch step instead.
+func FillReport(f Filler, t Tuple) Report {
+	rep := Report{Values: make([]float64, len(t.Values))}
+	f.Fill(rep.Values, t.Values)
+	return rep // want "est.Report built from raw tuple values"
+}
+
+// gather stores src into dst.
+func gather(dst, src []float64) {
+	for i, v := range src {
+		dst[i] = v
+	}
+}
+
+// GatherReport stores the raw values through an in-package helper.
+func GatherReport(t Tuple) Report {
+	rep := Report{Values: make([]float64, len(t.Values))}
+	gather(rep.Values, t.Values)
+	return rep // want "est.Report built from raw tuple values"
+}

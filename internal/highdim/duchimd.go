@@ -85,7 +85,7 @@ func (m DuchiMD) PerturbTuple(rng *mathx.RNG, tuple []float64) []float64 {
 	v := make([]int8, m.D)
 	for j, t := range tuple {
 		if t < -1 || t > 1 || math.IsNaN(t) {
-			panic(fmt.Sprintf("highdim: duchi-md value %v outside [-1,1]", t))
+			panic(fmt.Sprintf("highdim: duchi-md value outside [-1,1] in dimension %d", j))
 		}
 		if rng.Bernoulli((1 + t) / 2) {
 			v[j] = 1

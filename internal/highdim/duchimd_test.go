@@ -1,7 +1,9 @@
 package highdim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/dataset"
@@ -108,6 +110,19 @@ func TestDuchiMDPanicsOnBadInput(t *testing.T) {
 			m.PerturbTuple(rng, bad)
 		}()
 	}
+}
+
+// TestDuchiMDPanicNamesNoValue: an out-of-range value is the user's
+// private datum, so the panic names only its dimension.
+func TestDuchiMDPanicNamesNoValue(t *testing.T) {
+	m, _ := NewDuchiMD(3, 1)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if strings.Contains(msg, "52000") || !strings.Contains(msg, "dimension 1") {
+			t.Fatalf("panic %q: want the dimension and not the value", msg)
+		}
+	}()
+	m.PerturbTuple(mathx.NewRNG(1), []float64{0.5, 52000.5, 0})
 }
 
 func TestSimulateDuchiMDRecoversMean(t *testing.T) {

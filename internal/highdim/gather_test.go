@@ -59,3 +59,13 @@ func TestReportGatherChunks(t *testing.T) {
 		}
 	}
 }
+
+// perturberAt returns dimension j's user-side randomizer from pert, which
+// holds one per dimension (bound to EpsFor(j)) under an allocation and a
+// single shared one otherwise.
+func perturberAt(pert []ldp.Perturber, j int) ldp.Perturber {
+	if len(pert) > 1 {
+		return pert[j]
+	}
+	return pert[0]
+}

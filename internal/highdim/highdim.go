@@ -101,11 +101,12 @@ func (c *Client) Report(tuple []float64) Report {
 // perturbing any, so their loads (cache misses over a large population)
 // are in flight together instead of each waiting on the previous
 // perturbation. The perturbations still run in dimension order, so the
-// draws are unchanged. Raw values stay in a stack buffer and never enter
-// vals. A gathered value outside [−1, 1] (or NaN) is an error naming only
-// its dimension, since the value is the user's private datum; it is
-// returned before any value of its chunk of 64 is perturbed, so for
-// m ≤ 64 before any perturbation draw.
+// draws are unchanged; under a uniform budget each chunk is one
+// ldp.PerturbBatch call. Raw values stay in a stack buffer and never
+// enter vals. A gathered value outside [−1, 1] (or NaN) is an error
+// naming only its dimension, since the value is the user's private
+// datum; it is returned before any value of its chunk of 64 is
+// perturbed, so for m ≤ 64 before any perturbation draw.
 func perturbSample(vals, tuple []float64, dims []int, pert []ldp.Perturber, rng *mathx.RNG) error {
 	var raw [64]float64
 	for lo := 0; lo < len(dims); lo += len(raw) {
@@ -117,8 +118,12 @@ func perturbSample(vals, tuple []float64, dims []int, pert []ldp.Perturber, rng 
 			}
 			raw[k] = v
 		}
+		if len(pert) == 1 {
+			ldp.PerturbBatch(pert[0], rng, vals[lo:lo+len(chunk)], raw[:len(chunk)])
+			continue
+		}
 		for k, j := range chunk {
-			vals[lo+k] = perturberAt(pert, j).Perturb(rng, raw[k])
+			vals[lo+k] = pert[j].Perturb(rng, raw[k])
 		}
 	}
 	return nil
@@ -192,16 +197,6 @@ func (a *Aggregator) EpsFor(j int) float64 {
 // Allocated reports whether a per-dimension allocation is attached, i.e.
 // whether EpsFor can vary with j.
 func (a *Aggregator) Allocated() bool { return a.alloc != nil }
-
-// perturberAt returns dimension j's user-side randomizer from pert, which
-// holds one per dimension (bound to EpsFor(j)) under an allocation and a
-// single shared one otherwise.
-func perturberAt(pert []ldp.Perturber, j int) ldp.Perturber {
-	if len(pert) > 1 {
-		return pert[j]
-	}
-	return pert[0]
-}
 
 // meanKernel is the mean family's ingest kernel. A report is paired
 // lists of at most m strictly increasing in-range dimensions and finite

@@ -52,14 +52,24 @@ type Mechanism interface {
 }
 
 // validate panics on values outside the protocol contract; perturbing
-// garbage silently would corrupt the privacy accounting.
+// garbage silently would corrupt the privacy accounting. It is one
+// inlinable compare on the per-value path; the panic lives in invalid.
 func validate(t, eps float64) {
-	if math.IsNaN(t) || t < -1 || t > 1 {
-		panic(fmt.Sprintf("ldp: input value %v outside [-1,1]", t))
+	if !(t >= -1 && t <= 1) || !(eps > 0 && eps <= math.MaxFloat64) {
+		invalid(t, eps)
 	}
-	if !(eps > 0) || math.IsInf(eps, 0) {
-		panic(fmt.Sprintf("ldp: privacy budget %v must be finite and positive", eps))
+}
+
+// invalid panics with validate's message. The message never names the
+// input value: it is a user's private datum, and panic text reaches
+// logs. The budget is public and is named.
+//
+//go:noinline
+func invalid(t, eps float64) {
+	if !(t >= -1 && t <= 1) {
+		panic("ldp: input value outside [-1,1]")
 	}
+	panic(fmt.Sprintf("ldp: privacy budget %v must be finite and positive", eps))
 }
 
 // Registry returns all implemented mechanisms keyed by canonical name.

@@ -17,7 +17,8 @@ type Perturber interface {
 // unchanged.
 func At(mech Mechanism, eps float64) Perturber {
 	if p, ok := mech.(Piecewise); ok {
-		return p.at(eps)
+		a := p.at(eps)
+		return &a
 	}
 	return bound{mech, eps}
 }
@@ -30,3 +31,21 @@ type bound struct {
 
 // Perturb implements Perturber.
 func (b bound) Perturb(rng *mathx.RNG, t float64) float64 { return b.mech.Perturb(rng, t, b.eps) }
+
+// PerturbBatch sets dst[i] to p's release of src[i] for every i of src,
+// drawing from rng exactly as len(src) successive p.Perturb(rng, src[i])
+// calls do, so the outputs are bit for bit the same. dst must hold
+// len(src) values and must not partially overlap src. A Piecewise
+// perturber runs one batch kernel; any other runs the per-value loop.
+// src is never passed through an interface, so a caller's stack buffer
+// of raw values stays on the stack and never has to pass through dst.
+func PerturbBatch(p Perturber, rng *mathx.RNG, dst, src []float64) {
+	if a, ok := p.(*pmAt); ok {
+		a.perturbBatch(rng, dst, src)
+		return
+	}
+	dst = dst[:len(src)]
+	for i, t := range src {
+		dst[i] = p.Perturb(rng, t)
+	}
+}

@@ -1,7 +1,9 @@
 package ldp
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/mathx"
@@ -70,4 +72,57 @@ func TestAtValidates(t *testing.T) {
 		}
 	}()
 	p.Perturb(mathx.NewRNG(1), 1.5)
+}
+
+// TestPanicNamesNoValue: an out-of-domain input is a user's private
+// datum, so no perturb path's panic may name it — through the
+// mechanism, its Perturber, or PerturbBatch.
+func TestPanicNamesNoValue(t *testing.T) {
+	for name, mech := range Registry() {
+		paths := map[string]func(){
+			"Perturb":      func() { mech.Perturb(mathx.NewRNG(1), 52000.5, 1) },
+			"At":           func() { At(mech, 1).Perturb(mathx.NewRNG(1), 52000.5) },
+			"PerturbBatch": func() { PerturbBatch(At(mech, 1), mathx.NewRNG(1), make([]float64, 2), []float64{0.5, 52000.5}) },
+		}
+		for path, call := range paths {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "outside [-1,1]") || strings.Contains(msg, "52000") {
+						t.Errorf("%s %s: panic %q, want the domain message without the value", name, path, msg)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+}
+
+// TestPerturbBatchMatchesPerturb: PerturbBatch returns the per-value
+// Perturb outputs bit for bit and leaves the stream where they leave it,
+// for every mechanism and for lengths on both sides of the Piecewise
+// kernel's draw chunk.
+func TestPerturbBatchMatchesPerturb(t *testing.T) {
+	for name, mech := range Registry() {
+		for _, eps := range []float64{0.025, 0.8, 3.7} {
+			p := At(mech, eps)
+			for _, n := range []int{0, 1, 31, 32, 33, 64, 100} {
+				src := make([]float64, n)
+				for i := range src {
+					src[i] = math.Sin(float64(i)*0.77+eps) * float64(i%3) / 2
+				}
+				got := make([]float64, n)
+				a, b := mathx.NewRNG(uint64(n)), mathx.NewRNG(uint64(n))
+				PerturbBatch(p, a, got, src)
+				for i, v := range src {
+					if want := p.Perturb(b, v); math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("%s ε=%v n=%d value %d: batch %v, per value %v", name, eps, n, i, got[i], want)
+					}
+				}
+				if a.Float64() != b.Float64() {
+					t.Fatalf("%s ε=%v n=%d: the batch drew a different amount of randomness", name, eps, n)
+				}
+			}
+		}
+	}
 }

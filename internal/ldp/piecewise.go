@@ -70,20 +70,25 @@ func (p Piecewise) PDF(t, eps, x float64) float64 {
 // output is uniform in the band; otherwise it is uniform over the two low
 // tails (combined length Q+1).
 func (p Piecewise) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	return p.at(eps).Perturb(rng, t)
+	a := p.at(eps)
+	return a.Perturb(rng, t)
 }
 
 // pmAt is Piecewise bound to one budget ε, with its ε-only constants
-// (Q and the band probability) computed once.
+// (Q, the band probability, and the band's affine map l(t) = slope·t −
+// offset) computed once.
 type pmAt struct {
-	eps   float64
-	q     float64 // Q = (e^{ε/2}+1)/(e^{ε/2}−1)
-	pBand float64 // e^{ε/2}/(e^{ε/2}+1)
+	eps    float64
+	q      float64 // Q = (e^{ε/2}+1)/(e^{ε/2}−1)
+	pBand  float64 // e^{ε/2}/(e^{ε/2}+1)
+	slope  float64 // (Q+1)/2
+	offset float64 // (Q−1)/2
 }
 
 func (p Piecewise) at(eps float64) pmAt {
 	c := math.Exp(eps / 2)
-	return pmAt{eps: eps, q: p.SupportBound(eps), pBand: c / (c + 1)}
+	q := p.SupportBound(eps)
+	return pmAt{eps: eps, q: q, pBand: c / (c + 1), slope: (q + 1) / 2, offset: (q - 1) / 2}
 }
 
 // Perturb implements Perturber. It is branch-free in the input and the
@@ -93,18 +98,53 @@ func (p Piecewise) at(eps float64) pmAt {
 // u1 < pBand and w < l+Q. Both paths of the textbook two-branch sampler
 // draw two values too, so this returns what that sampler returns, bit for
 // bit and draw for draw (TestPiecewiseKernelMatchesBranchyReference).
-func (a pmAt) Perturb(rng *mathx.RNG, t float64) float64 {
+func (a *pmAt) Perturb(rng *mathx.RNG, t float64) float64 {
 	validate(t, a.eps)
+	var u [2]float64
+	rng.Float64s(u[:])
+	return a.release(t, u[0], u[1])
+}
+
+// perturbBatch sets dst[i] to Perturb(rng, src[i]) for each i in order:
+// the same draws and the same bits as the per-value calls. It draws the
+// uniforms of up to pmChunk values in one rng.Float64s call, in the
+// order the per-value calls draw them (u1, u2 of value 0, then of value
+// 1, …), after validating those values, so an invalid value panics
+// before any draw of its chunk.
+func (a *pmAt) perturbBatch(rng *mathx.RNG, dst, src []float64) {
+	dst = dst[:len(src)]
+	var u [2 * pmChunk]float64
+	for lo := 0; lo < len(src); lo += pmChunk {
+		in := src[lo:min(lo+pmChunk, len(src))]
+		out := dst[lo : lo+len(in)]
+		for _, t := range in {
+			validate(t, a.eps)
+		}
+		draws := u[:2*len(in)]
+		rng.Float64s(draws)
+		for i, t := range in {
+			out[i] = a.release(t, draws[2*i], draws[2*i+1])
+		}
+	}
+}
+
+// release is the branch-free Piecewise output for a validated input t
+// and its draws u1 (band or tails) and u2 (position). The band is
+// pmBand's with its constants hoisted: l = (Q+1)/2·t − (Q−1)/2,
+// r = l + Q − 1.
+func (a *pmAt) release(t, u1, u2 float64) float64 {
 	q := a.q
-	l, r := pmBand(q, t)
-	u1 := rng.Float64()
-	u2 := rng.Float64()
+	l := a.slope*t - a.offset
+	r := l + q - 1
 	band := l + (r-l)*u2
 	w := u2 * (q + 1)
 	left := l + q
 	tail := pick(w < left, -q+w, r+(w-left))
 	return pick(u1 < a.pBand, band, tail)
 }
+
+// pmChunk is how many values perturbBatch draws for at once.
+const pmChunk = 32
 
 // pick returns x when c holds and y otherwise, through a bit mask rather
 // than a branch.

@@ -35,10 +35,13 @@ func BenchmarkSampleIndices(b *testing.B) {
 
 // BenchmarkSampleOrder times orderSample's two ordering strategies alone
 // on the same real (shuffled) samples: these rows are what the
-// bitmap/sort threshold in orderSample is read from.
+// bitmap/sort threshold in orderSample is read from. The pool holds
+// enough distinct samples that the branch predictor cannot learn the
+// sequence; with a few hundred it does, and the rows then time a replay
+// rather than the fresh samples SampleIndices orders.
 func BenchmarkSampleOrder(b *testing.B) {
 	for _, sh := range sampleShapes {
-		const pool = 256
+		const pool = 4096
 		r := NewRNG(2)
 		samples := make([][]int, pool)
 		for i := range samples {

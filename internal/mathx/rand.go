@@ -73,6 +73,14 @@ func (r *RNG) Seed() uint64 { return r.seed }
 // formula over one PCG draw.
 func (r *RNG) Float64() float64 { return float64(r.pcg.Uint64()<<11>>11) / (1 << 53) }
 
+// Float64s fills dst with successive Float64 draws: dst[i] is what the
+// i-th of len(dst) Float64 calls would return, without a call per draw.
+func (r *RNG) Float64s(dst []float64) {
+	for i := range dst {
+		dst[i] = float64(r.pcg.Uint64()<<11>>11) / (1 << 53)
+	}
+}
+
 // Uniform returns a uniform value in [a, b).
 func (r *RNG) Uniform(a, b float64) float64 { return a + (b-a)*r.Float64() }
 
@@ -269,6 +277,16 @@ func (r *RNG) orderSample(dst []int, d int) {
 // orderBitmap orders the distinct sample dst of [0, d) through the RNG's
 // bitmap, clearing each word as it is read so the bitmap is all zero
 // again on return. Bits already set for members of dst are harmless.
+//
+// A sparse sample puts a word's member count anywhere from 0 to a few,
+// so a loop over each word's members mispredicts its trip count on
+// nearly every word. While four slots of dst remain, each word instead
+// gets a fixed run of four lowest-bit extractions, written unconditionally
+// (an extraction past the word's last member writes a placeholder that a
+// later word overwrites, since every slot below len(dst) is eventually
+// filled), and k advances by the word's population count. Only words
+// with more than four members loop, and the last few slots take the
+// plain loop.
 func (r *RNG) orderBitmap(dst []int, d int) {
 	words := (d + 63) >> 6
 	if cap(r.bits) < words {
@@ -278,12 +296,30 @@ func (r *RNG) orderBitmap(dst []int, d int) {
 	for _, v := range dst {
 		bm[v>>6] |= 1 << (uint(v) & 63)
 	}
-	k := 0
-	for w := 0; k < len(dst); w++ {
+	m := len(dst)
+	k, w := 0, 0
+	for ; k+4 <= m; w++ {
 		b := bm[w]
-		if b == 0 {
-			continue
+		bm[w] = 0
+		base := w << 6
+		n := bits.OnesCount64(b)
+		out := dst[k : k+4 : k+4]
+		out[0] = base | bits.TrailingZeros64(b)
+		b &= b - 1
+		out[1] = base | bits.TrailingZeros64(b)
+		b &= b - 1
+		out[2] = base | bits.TrailingZeros64(b)
+		b &= b - 1
+		out[3] = base | bits.TrailingZeros64(b)
+		b &= b - 1
+		k += min(n, 4)
+		for ; b != 0; b &= b - 1 {
+			dst[k] = base | bits.TrailingZeros64(b)
+			k++
 		}
+	}
+	for ; k < m; w++ {
+		b := bm[w]
 		bm[w] = 0
 		for ; b != 0; b &= b - 1 {
 			dst[k] = w<<6 | bits.TrailingZeros64(b)

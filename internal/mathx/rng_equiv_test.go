@@ -26,11 +26,11 @@ func intNShapes() []int {
 	return ns
 }
 
-// TestRNGMatchesStdlib: RNG's direct PCG draws (Float64, Uniform, IntN,
-// Bernoulli) must agree draw for draw with math/rand/v2 over the same
-// seeded PCG, for every IntN bound shape and with calls interleaved —
-// including the samplers that still go through rand.Rand, so the shared
-// generator state is checked too.
+// TestRNGMatchesStdlib: RNG's direct PCG draws (Float64, Float64s,
+// Uniform, IntN, Bernoulli) must agree draw for draw with math/rand/v2
+// over the same seeded PCG, for every IntN bound shape and with calls
+// interleaved — including the samplers that still go through rand.Rand,
+// so the shared generator state is checked too.
 func TestRNGMatchesStdlib(t *testing.T) {
 	if bits.UintSize != 64 {
 		t.Skip("rand.Rand reduces IntN bounds below 2³² with its 32-bit path on 32-bit platforms; RNG always uses the 64-bit one")
@@ -41,7 +41,7 @@ func TestRNGMatchesStdlib(t *testing.T) {
 		plan := NewRNG(seed ^ 0x5eed) // picks the call sequence
 		for step := 0; step < 20000; step++ {
 			var got, want float64
-			op := plan.IntN(7)
+			op := plan.IntN(8)
 			switch op {
 			case 0:
 				got, want = r.Float64(), ref.Float64()
@@ -58,6 +58,16 @@ func TestRNGMatchesStdlib(t *testing.T) {
 				got, want = r.Normal(0, 1), ref.NormFloat64()
 			case 6:
 				got, want = r.Exponential(1), ref.ExpFloat64()
+			case 7:
+				var buf [5]float64
+				fill := buf[:1+plan.IntN(len(buf))]
+				r.Float64s(fill)
+				for i, v := range fill[:len(fill)-1] {
+					if w := ref.Float64(); v != w {
+						t.Fatalf("seed %#x step %d: Float64s[%d] = %v, math/rand/v2 %v", seed, step, i, v, w)
+					}
+				}
+				got, want = fill[len(fill)-1], ref.Float64()
 			}
 			if got != want {
 				t.Fatalf("seed %#x step %d op %d: RNG drew %v, math/rand/v2 %v", seed, step, op, got, want)

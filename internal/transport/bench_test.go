@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/est"
@@ -92,4 +94,58 @@ func BenchmarkBufferedClient(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reports/s")
+}
+
+// BenchmarkCBatchCodec times the CBATCH frame codec at the paper's shape:
+// one frame of 1024 seeded (d, m) = (1024, 32) Piecewise reports, whose
+// uniformly sampled dims columns are all literal groups. encode is the
+// columnar encoder BufferedClient ships through (appendCBatchColumns);
+// decode is the server's body decoder (decodeCBatchBody) after the fixed
+// header. b.N counts frames; ns/report divides by the 1024 reports.
+func BenchmarkCBatchCodec(b *testing.B) {
+	const n, ndims = 1024, 32
+	reps := goldenCBatchReports(b, 1024, ndims, n)
+	dims := make([]uint32, 0, n*ndims)
+	vals := make([]float64, 0, n*ndims)
+	for _, rep := range reps {
+		dims = append(dims, rep.Dims...)
+		vals = append(vals, rep.Values...)
+	}
+	frame, err := appendCBatchColumns(nil, "", 0, n, ndims, ndims, dims, vals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const header = 1 + 4 + 8 + 12 // type, empty route, seq, shape
+	perReport := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/report")
+	}
+	b.Run("encode/d=1024/m=32", func(b *testing.B) {
+		buf := make([]byte, 0, len(frame))
+		b.SetBytes(int64(len(frame)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if buf, err = appendCBatchColumns(buf[:0], "", 0, n, ndims, ndims, dims, vals); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perReport(b)
+	})
+	b.Run("decode/d=1024/m=32", func(b *testing.B) {
+		rd := bytes.NewReader(frame)
+		br := bufio.NewReaderSize(rd, 64<<10)
+		sc := &decodeScratch{}
+		b.SetBytes(int64(len(frame)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(frame)
+			br.Reset(rd)
+			if _, err := br.Discard(header); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := decodeCBatchBody(br, sc, n, ndims, ndims); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perReport(b)
+	})
 }

@@ -23,7 +23,11 @@
 // telemetry shape (every report sampling the same dimensions) collapses
 // to a single run group of zero deltas — a few bytes per column per
 // thousand reports — while adversarial dims degrade gracefully to
-// literals, never above ~10 bytes/entry.
+// literals, never above ~10 bytes/entry. Runs fire only when reports
+// repeat their dims. The paper's uniform m-of-d sampling does not: two
+// consecutive reports rarely share a delta, so its columns are almost
+// all literal, at ~1.5 bytes/entry for (d, m) = (1024, 32), where a
+// column's deltas stay below 2¹⁴ and every varint is one or two bytes.
 //
 // Protocol negotiation piggybacks on HELLO (0x12). A v2 client sets the
 // high bit of the token field (helloFlagVersioned) and carries its
@@ -45,6 +49,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/hdr4me/hdr4me/internal/est"
@@ -132,51 +138,105 @@ const rleMinRun = 2
 // col[0], col[stride], col[2·stride], … delta-coded and grouped as the
 // package doc describes. stride lets the encoder walk a row-major dims
 // array column-wise without gathering.
+//
+// It grows buf once, by the column's wire bound, and writes by index.
+// A literal span's deltas are written as the span is scanned, each
+// computed once, behind a header slot sized for the longest span the
+// rest of the column allows; when the span's own header is shorter, the
+// body moves down to meet it.
 func appendRLEColumn(buf []byte, col []uint32, stride, n int) []byte {
+	buf = slices.Grow(buf, int(maxRLEColumnLen(n)))
+	out := buf[:cap(buf)]
+	pos := len(buf)
+	at := func(i int) int64 { return int64(col[i*stride]) }
 	prev := int64(0)
 	for i := 0; i < n; {
 		// Length of the run of identical deltas starting at i.
-		d := int64(col[i*stride]) - prev
+		d := at(i) - prev
 		run := 1
-		for i+run < n && int64(col[(i+run)*stride])-int64(col[(i+run-1)*stride]) == d {
+		for i+run < n && at(i+run)-at(i+run-1) == d {
 			run++
 		}
 		if run >= rleMinRun {
-			buf = binary.AppendUvarint(buf, uint64(run)<<1|1)
-			buf = binary.AppendUvarint(buf, zigzag(d))
+			pos = putUvarint(out, pos, uint64(run)<<1|1)
+			pos = putUvarint(out, pos, zigzag(d))
 			i += run
-			prev = int64(col[(i-1)*stride])
+			prev = at(i - 1)
 			continue
 		}
-		// Literal span: up to the next position where a run begins.
-		start := i
-		for i++; i < n; i++ {
-			d := int64(col[i*stride]) - int64(col[(i-1)*stride])
-			if i+1 < n && int64(col[(i+1)*stride])-int64(col[i*stride]) == d {
+		// Literal span: up to the next position where a run begins. cur
+		// is the delta at i, next the one after it.
+		start, hdr := i, pos
+		slot := uvarintLen(uint64(n-start) << 1)
+		pos += slot
+		cur := d
+		for {
+			if z := zigzag(cur); z < 1<<14 {
+				pos = put12(out, pos, z)
+			} else {
+				pos += binary.PutUvarint(out[pos:], z)
+			}
+			if i++; i == n {
 				break
 			}
+			next := at(i) - at(i-1)
+			if i+1 < n && at(i+1)-at(i) == next {
+				break
+			}
+			cur = next
 		}
-		buf = binary.AppendUvarint(buf, uint64(i-start)<<1)
-		for j := start; j < i; j++ {
-			v := int64(col[j*stride])
-			buf = binary.AppendUvarint(buf, zigzag(v-prev))
-			prev = v
+		prev = at(i - 1)
+		h := uint64(i-start) << 1
+		if k := uvarintLen(h); k < slot {
+			copy(out[hdr+k:], out[hdr+slot:pos])
+			pos -= slot - k
 		}
+		binary.PutUvarint(out[hdr:], h) // exact length: the body follows
 	}
-	return buf
+	return out[:pos]
 }
+
+// putUvarint writes v as a uvarint at out[pos:] and returns the position
+// after it. It may store one byte past the varint (see put12), so out
+// must have a byte of slack there.
+func putUvarint(out []byte, pos int, v uint64) int {
+	if v < 1<<14 {
+		return put12(out, pos, v)
+	}
+	return pos + binary.PutUvarint(out[pos:], v)
+}
+
+// put12 writes v < 2¹⁴ — every delta of a uniform m-of-d sample at the
+// ledger's shapes — as its one- or two-byte uvarint, without a branch on
+// which: it stores both bytes and advances by one or two. The second
+// store may land one byte past the varint, so out must have a byte of
+// slack there, and nothing already written may follow pos.
+func put12(out []byte, pos int, v uint64) int {
+	more := (v + 1<<14 - 1<<7) >> 14 // 1 when v ≥ 2⁷
+	binary.LittleEndian.PutUint16(out[pos:], uint16(v&0x7f|more<<7|v>>7<<8))
+	return pos + 1 + int(more)
+}
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // maxRLEColumnLen bounds the wire size of one n-entry column: a literal
 // entry is at most 10 varint bytes, plus slack for group headers. The
-// decoder rejects longer length fields before allocating.
+// decoder rejects longer length fields before allocating. The encoder
+// writes at most 5 bytes per entry (deltas stay within ±2³²) plus a
+// header of at most 3 bytes per two entries, so the bound also covers
+// putUvarint's byte of slack.
 func maxRLEColumnLen(n int) uint32 { return uint32(10*n + 16) }
 
 // decodeRLEColumn decodes an n-entry column from data into
 // out[0], out[stride], …, enforcing that every reconstructed entry stays
 // in uint32 range and that data holds exactly the encoded groups.
 // Overflow is caught arithmetically: the accumulator enters each step in
-// [0, 2³²), so any int64 wraparound lands negative and fails the range
-// check.
+// [0, 2³²), so any int64 wraparound lands negative, which the one
+// unsigned range check rejects along with values past 2³² − 1. Literal
+// deltas of one or two bytes (both of the next two bytes tested at
+// once) decode inline; longer ones, and a delta in the last byte of
+// data, go through binary.Uvarint.
 func decodeRLEColumn(data []byte, out []uint32, stride, n int) error {
 	acc := int64(0)
 	pos := 0
@@ -200,20 +260,28 @@ func decodeRLEColumn(data []byte, out []uint32, stride, n int) error {
 			d := unzigzag(u)
 			for j := 0; j < c; j++ {
 				acc += d
-				if acc < 0 || acc > math.MaxUint32 {
+				if uint64(acc) > math.MaxUint32 {
 					return fmt.Errorf("transport: RLE entry outside uint32 range")
 				}
 				out[(i+j)*stride] = uint32(acc)
 			}
 		} else {
 			for j := 0; j < c; j++ {
-				u, k := binary.Uvarint(data[pos:])
-				if k <= 0 {
-					return fmt.Errorf("transport: malformed RLE literal delta")
+				var u uint64
+				if pos+1 < len(data) && data[pos]&data[pos+1] < 0x80 {
+					b0, b1 := uint64(data[pos]), uint64(data[pos+1])
+					two := b0 >> 7
+					u = b0&0x7f | b1<<7&-two
+					pos += 1 + int(two)
+				} else {
+					var k int
+					if u, k = binary.Uvarint(data[pos:]); k <= 0 {
+						return fmt.Errorf("transport: malformed RLE literal delta")
+					}
+					pos += k
 				}
-				pos += k
 				acc += unzigzag(u)
-				if acc < 0 || acc > math.MaxUint32 {
+				if uint64(acc) > math.MaxUint32 {
 					return fmt.Errorf("transport: RLE entry outside uint32 range")
 				}
 				out[(i+j)*stride] = uint32(acc)
@@ -284,10 +352,19 @@ func appendCBatchColumns(dst []byte, query string, seq uint64, n, ndims, nvals i
 		}
 		binary.BigEndian.PutUint32(dst[off:], uint32(len(dst)-off-4))
 	}
-	for i := 0; i < n*nvals; i++ {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(vals[i]))
+	return appendFloats(dst, vals[:n*nvals]), nil
+}
+
+// appendFloats appends vals as little-endian float64 bits, growing dst
+// once.
+func appendFloats(dst []byte, vals []float64) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, 8*len(vals))[:off+8*len(vals)]
+	out := dst[off:]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 	}
-	return dst, nil
+	return dst
 }
 
 // colPool recycles the column-gather scratch appendCBatchReports uses,
@@ -325,10 +402,9 @@ func appendCBatchReports(dst []byte, query string, seq uint64, reps []est.Report
 	}
 	*cp = col
 	putColBuf(cp)
+	dst = slices.Grow(dst, 8*len(reps)*nvals)
 	for _, rep := range reps {
-		for _, v := range rep.Values {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+		dst = appendFloats(dst, rep.Values)
 	}
 	return dst, nil
 }

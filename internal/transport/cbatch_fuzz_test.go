@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/est"
@@ -180,6 +182,151 @@ func FuzzCBatchDecodeParity(f *testing.F) {
 			if s1.Counts[i] != s2.Counts[i] {
 				t.Fatalf("count %d: %d via v1, %d via v2", i, s1.Counts[i], s2.Counts[i])
 			}
+		}
+	})
+}
+
+// refDecodeRLEColumn is the reference dims-column decoder: one
+// binary.Uvarint per header and per delta, and a two-sided range check
+// on every reconstructed entry. decodeRLEColumn must agree with it.
+func refDecodeRLEColumn(data []byte, out []uint32, stride, n int) error {
+	acc := int64(0)
+	pos := 0
+	for i := 0; i < n; {
+		h, k := binary.Uvarint(data[pos:])
+		if k <= 0 {
+			return errors.New("malformed RLE group header")
+		}
+		pos += k
+		cnt := h >> 1
+		if cnt == 0 || cnt > uint64(n-i) {
+			return errors.New("RLE group outside column")
+		}
+		c := int(cnt)
+		if h&1 == 1 {
+			u, k := binary.Uvarint(data[pos:])
+			if k <= 0 {
+				return errors.New("malformed RLE run delta")
+			}
+			pos += k
+			d := unzigzag(u)
+			for j := 0; j < c; j++ {
+				acc += d
+				if acc < 0 || acc > math.MaxUint32 {
+					return errors.New("RLE entry outside uint32 range")
+				}
+				out[(i+j)*stride] = uint32(acc)
+			}
+		} else {
+			for j := 0; j < c; j++ {
+				u, k := binary.Uvarint(data[pos:])
+				if k <= 0 {
+					return errors.New("malformed RLE literal delta")
+				}
+				pos += k
+				acc += unzigzag(u)
+				if acc < 0 || acc > math.MaxUint32 {
+					return errors.New("RLE entry outside uint32 range")
+				}
+				out[(i+j)*stride] = uint32(acc)
+			}
+		}
+		i += c
+	}
+	if pos != len(data) {
+		return errors.New("trailing bytes after RLE column")
+	}
+	return nil
+}
+
+// refAppendRLEColumn is the reference dims-column encoder: the grouping
+// rule of the package doc, one binary.AppendUvarint per header and per
+// delta. appendRLEColumn must produce its bytes exactly.
+func refAppendRLEColumn(buf []byte, col []uint32, stride, n int) []byte {
+	prev := int64(0)
+	for i := 0; i < n; {
+		d := int64(col[i*stride]) - prev
+		run := 1
+		for i+run < n && int64(col[(i+run)*stride])-int64(col[(i+run-1)*stride]) == d {
+			run++
+		}
+		if run >= rleMinRun {
+			buf = binary.AppendUvarint(buf, uint64(run)<<1|1)
+			buf = binary.AppendUvarint(buf, zigzag(d))
+			i += run
+			prev = int64(col[(i-1)*stride])
+			continue
+		}
+		start := i
+		for i++; i < n; i++ {
+			d := int64(col[i*stride]) - int64(col[(i-1)*stride])
+			if i+1 < n && int64(col[(i+1)*stride])-int64(col[i*stride]) == d {
+				break
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(i-start)<<1)
+		for j := start; j < i; j++ {
+			v := int64(col[j*stride])
+			buf = binary.AppendUvarint(buf, zigzag(v-prev))
+			prev = v
+		}
+	}
+	return buf
+}
+
+// FuzzRLEColumnParity: on arbitrary bytes and any (n, stride),
+// decodeRLEColumn and the reference decoder must both accept or both
+// reject, and leave the same entries in out — the entries written
+// before a rejection included. The same bytes, read as a column of
+// little-endian uint16 deltas (small deltas, so runs and one- and
+// two-byte varints all occur), must encode to the reference encoder's
+// bytes, after a prefix the encoder must leave alone.
+func FuzzRLEColumnParity(f *testing.F) {
+	seedColumn := func(col []uint32, stride uint8) {
+		f.Add(appendRLEColumn(nil, col, 1, len(col)), uint16(len(col)), stride)
+	}
+	seedColumn([]uint32{7, 7, 7, 7}, 0)
+	seedColumn([]uint32{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765, 10946, 17711}, 2)
+	seedColumn([]uint32{1 << 31, 3 << 30, 1, 1 << 14, 1<<28 + 1, math.MaxUint32, 0, 0, 9}, 3)
+	seedColumn([]uint32{0, 63, 64, 127, 8191, 8192, 8191, 64, 63, 0}, 1)
+	long := make([]uint32, 300)
+	for i := range long {
+		long[i] = uint32(i * (i + 1) / 2)
+	}
+	seedColumn(long, 4)
+	f.Add([]byte{0x02, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F}, uint16(1), uint8(0)) // delta past uint32
+	f.Add([]byte{0x03, 0x01}, uint16(1), uint8(0))                         // run of -1 below zero
+	f.Add([]byte{0x04, 0x80}, uint16(2), uint8(0))                         // truncated varint
+	f.Add([]byte{0x02, 0x80, 0x00}, uint16(1), uint8(0))                   // non-minimal varint
+	f.Add([]byte{0x02, 0x02, 0x00}, uint16(1), uint8(0))                   // trailing byte
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, uint16(3), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, nn uint16, ss uint8) {
+		n, stride := int(nn%2048), int(ss%5)+1
+		size := 0
+		if n > 0 {
+			size = (n-1)*stride + 1
+		}
+		got, want := make([]uint32, size), make([]uint32, size)
+		errGot, errWant := decodeRLEColumn(data, got, stride, n), refDecodeRLEColumn(data, want, stride, n)
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("n=%d stride=%d: decodeRLEColumn err %v, reference err %v", n, stride, errGot, errWant)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d stride=%d (err %v): decodeRLEColumn %v, reference %v", n, stride, errGot, got, want)
+		}
+
+		col := make([]uint32, len(data)/2*stride)
+		v := uint32(int32(int8(nn >> 8))) // a start anywhere, wrapping below zero too
+		for i := 0; i < len(data)/2; i++ {
+			v += uint32(int32(int16(binary.LittleEndian.Uint16(data[2*i:]))) >> (ss % 16))
+			col[i*stride] = v
+		}
+		m := len(data) / 2
+		prefix := []byte{0xAA, 0xBB}
+		enc := appendRLEColumn(slices.Clip(prefix), col, stride, m)
+		ref := refAppendRLEColumn(slices.Clone(prefix), col, stride, m)
+		if !bytes.Equal(enc, ref) {
+			t.Fatalf("column %v (stride %d): appendRLEColumn % x, reference % x", col, stride, enc, ref)
 		}
 	})
 }

@@ -24,14 +24,18 @@ import (
 // pooled decode plus one stripe-lock acquisition per decoded chunk, each
 // connection pinned to its own stripe. The cbatch variants ship the same
 // reports as v2 columnar CBATCH frames — bulk column decode straight
-// into the stripe lanes. Every cell also reports wirebytes/report, the
-// on-the-wire cost the v2 frame exists to shrink (scripts/benchdiff.sh
-// and the README table consume the striped/cbatch ratio).
+// into the stripe lanes. Both repeat one m = 1 report, so every CBATCH
+// dims column is a single RLE run. The cbatch-d1024m32 variants ship the
+// paper's shape instead: seeded (d, m) = (1024, 32) Piecewise reports,
+// whose uniformly sampled dims columns are all literal groups. Every
+// cell also reports wirebytes/report, the on-the-wire cost the v2 frame
+// exists to shrink (scripts/benchdiff.sh and the README table consume
+// the striped/cbatch ratio at m = 1).
 func BenchmarkIngest(b *testing.B) {
-	for _, mode := range []string{"striped", "cbatch"} {
+	for _, mode := range []string{"striped", "cbatch", "cbatch-d1024m32"} {
 		for _, conns := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/conns=%d", mode, conns), func(b *testing.B) {
-				benchIngest(b, conns, mode == "cbatch")
+				benchIngest(b, conns, mode)
 			})
 		}
 	}
@@ -39,15 +43,33 @@ func BenchmarkIngest(b *testing.B) {
 
 const ingestBatchSize = 1024
 
-// encodeIngestFrame pre-encodes one batch frame of n single-pair mean
-// reports (the classic m=1 LDP report shape) — a v1 BATCH frame, or the
-// v2 columnar CBATCH equivalent.
-func encodeIngestFrame(b *testing.B, n int, cbatch bool) []byte {
+// ingestShape returns the collector protocol and the report pool of an
+// ingest mode: one single-pair mean report (the classic m = 1 LDP report
+// shape) for striped and cbatch, a batch of seeded Session.Report-shaped
+// reports at (1024, 32) for cbatch-d1024m32.
+func ingestShape(b *testing.B, mode string) (highdim.Protocol, []est.Report) {
 	b.Helper()
-	rep := est.Report{Dims: []uint32{7}, Values: []float64{0.5}}
+	if mode == "cbatch-d1024m32" {
+		p, err := highdim.NewProtocol(ldp.Piecewise{}, 0.8, 1024, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p, goldenCBatchReports(b, p.D, p.M, ingestBatchSize)
+	}
+	p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 32, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, []est.Report{{Dims: []uint32{7}, Values: []float64{0.5}}}
+}
+
+// encodeIngestFrame pre-encodes one batch frame of n reports cycled from
+// pool — a v1 BATCH frame, or the v2 columnar CBATCH equivalent.
+func encodeIngestFrame(b *testing.B, n int, cbatch bool, pool []est.Report) []byte {
+	b.Helper()
 	reps := make([]est.Report, n)
 	for i := range reps {
-		reps[i] = rep
+		reps[i] = pool[i%len(pool)]
 	}
 	var codec FrameCodec = CodecV1{}
 	if cbatch {
@@ -60,11 +82,9 @@ func encodeIngestFrame(b *testing.B, n int, cbatch bool) []byte {
 	return buf
 }
 
-func benchIngest(b *testing.B, conns int, cbatch bool) {
-	p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 32, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchIngest(b *testing.B, conns int, mode string) {
+	p, pool := ingestShape(b, mode)
+	cbatch := mode != "striped"
 	agg := highdim.NewAggregator(p)
 	srv := NewServer(agg)
 	srv.Logf = func(string, ...any) {}
@@ -74,7 +94,7 @@ func benchIngest(b *testing.B, conns int, cbatch bool) {
 	}
 	b.Cleanup(func() { srv.Close() })
 
-	frame := encodeIngestFrame(b, ingestBatchSize, cbatch)
+	frame := encodeIngestFrame(b, ingestBatchSize, cbatch, pool)
 
 	// Split b.N into whole batches per connection; conn 0 takes the
 	// remainder as one short batch so exactly b.N reports are ingested.
@@ -87,7 +107,7 @@ func benchIngest(b *testing.B, conns int, cbatch bool) {
 		fullFrames += share
 		rem -= share * ingestBatchSize
 	}
-	tail := encodeIngestFrame(b, rem, cbatch) // rem < ingestBatchSize*conns + remainder; one frame is enough only if rem <= maxBatch
+	tail := encodeIngestFrame(b, rem, cbatch, pool) // rem < ingestBatchSize*conns + remainder; one frame is enough only if rem <= maxBatch
 	if rem > maxBatch {
 		b.Fatalf("remainder %d exceeds one frame", rem)
 	}
