@@ -16,8 +16,14 @@ const (
 	// defaultMaxPending bounds how many BATCH frames may be in flight
 	// before the client drains their acks. Each ack is 5 bytes, so this
 	// stays far below any socket buffer — pipelining without the
-	// write-write deadlock of never reading.
-	defaultMaxPending = 32
+	// write-write deadlock of never reading. The bound also sets how long
+	// a CPU-bound producer runs between drains, and so how often it gives
+	// up its core to the other goroutines of its process: 40 frames keep
+	// that interval, at the batch-perturbation kernels' report rate, where
+	// 32 frames held it at the per-value kernels' rate. At 32, query
+	// latency beside two saturating producers sat on the edge between
+	// served-at-once and served-after-a-drain, and flipped run to run.
+	defaultMaxPending = 40
 
 	// Retry pacing: shed batches and reconnect attempts back off
 	// exponentially from retryBaseDelay to retryMaxDelay, jittered so a
