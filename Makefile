@@ -15,8 +15,8 @@ build:
 
 # hdrvet builds the collector's invariant checker (frame-drain, Kahan
 # accumulation, privacy-taint, nilness, lock-hold, lock-order,
-# wire-frame registry, map-order — see internal/analyzers) into
-# bin/hdrvet.
+# wire-frame registry, map-order, test-only exports — see
+# internal/analyzers) into bin/hdrvet.
 hdrvet:
 	go build -o $(HDRVET) ./cmd/hdrvet
 
@@ -29,11 +29,14 @@ suppressions: hdrvet
 # lint is the full static-analysis gate: gofmt, plain `go vet` (its
 # stock passes, atomic and copylocks among them), the hdrvet suite over
 # every package via `go vet -vettool` (which replaces the stock passes,
-# hence both runs), and staticcheck when installed (CI installs it at
-# STATICCHECK_VERSION; locally it is optional).
+# hence both runs), hdrvet once standalone (the whole-program testonly
+# check needs every package at once, which a vet unit never sees), and
+# staticcheck when installed (CI installs it at STATICCHECK_VERSION;
+# locally it is optional).
 lint: fmt-check hdrvet
 	go vet ./...
 	go vet -vettool=$(CURDIR)/$(HDRVET) ./...
+	./$(HDRVET) ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it at $(STATICCHECK_VERSION))"; fi
 

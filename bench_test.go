@@ -22,7 +22,6 @@ import (
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
-	"github.com/hdr4me/hdr4me/internal/recal"
 )
 
 // benchScale picks paper scale when HDR4ME_SCALE=paper, else a CI-friendly
@@ -195,29 +194,6 @@ func BenchmarkAblation_SamplingM(b *testing.B) {
 		pts = exps.AblationSamplingM(ds, Piecewise(), 0.8, []int{1, 10, 25, 50, 100}, cfg)
 	}
 	b.Log("\n" + exps.RenderAblation("reported dimensions m (Piecewise, Gaussian, ε=0.8)", pts))
-}
-
-func BenchmarkAblation_PGDvsClosedForm(b *testing.B) {
-	// The paper's PGD derivation vs the Eq. 34 one-off solver: identical
-	// fixed point, very different cost.
-	const d = 10_000
-	naive := make([]float64, d)
-	lambda := make([]float64, d)
-	rng := mathx.NewRNG(1)
-	for j := range naive {
-		naive[j] = rng.Uniform(-5, 5)
-		lambda[j] = rng.Uniform(0, 2)
-	}
-	b.Run("ClosedForm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			recal.SoftThreshold(naive, lambda)
-		}
-	})
-	b.Run("PGD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			recal.PGD(recal.AggregationGrad(naive), recal.ProxL1(lambda), make([]float64, d), 1, 50, 1e-12)
-		}
-	})
 }
 
 func BenchmarkAblation_EMSvsNaiveSquareWave(b *testing.B) {

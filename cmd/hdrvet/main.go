@@ -1,13 +1,20 @@
 // Command hdrvet is the collector's invariant checker: a multichecker
-// bundling the custom analyzers from internal/analyzers, including the
-// dataflow-based ldpflow, nilness, and lockorder. It does not repeat
-// vet's own passes: -vettool replaces them, so run plain `go vet ./...`
-// as well (make lint and every CI cell do).
+// bundling the custom analyzers from internal/analyzers — framedrain,
+// kahansum, ldpflow, lockhold, lockorder, nilness, rangemap, testonly
+// and wireframe — including the dataflow-based ldpflow, nilness, and
+// lockorder. It does not repeat vet's own passes: -vettool replaces
+// them, so run plain `go vet ./...` as well (make lint and every CI cell
+// do).
 //
 // It runs in two modes:
 //
-//	hdrvet [flags] ./...        # standalone: go list + analyze (make vet-fast)
+//	hdrvet [flags] ./...        # standalone: go list + analyze (make lint, make vet-fast)
 //	go vet -vettool=$(pwd)/bin/hdrvet [flags] ./...   # unitchecker (make lint, CI)
+//
+// testonly is whole-program: it needs every package of the module and of
+// the modules nested in it, so it runs only standalone, which then loads
+// them all and reports on the packages named. A vet unit sees one
+// package, so unit mode skips it.
 //
 // With no analyzer flags every analyzer runs; naming analyzers
 // (-framedrain -wireframe) runs just those, and -fast is shorthand for
@@ -45,13 +52,14 @@ import (
 	"github.com/hdr4me/hdr4me/internal/analyzers/lockorder"
 	"github.com/hdr4me/hdr4me/internal/analyzers/nilness"
 	"github.com/hdr4me/hdr4me/internal/analyzers/rangemap"
+	"github.com/hdr4me/hdr4me/internal/analyzers/testonly"
 	"github.com/hdr4me/hdr4me/internal/analyzers/wireframe"
 )
 
 // version is the string `go vet` hashes into its action cache key
 // (the -V=full handshake); bump it when analyzer behavior changes so
 // cached clean results are invalidated.
-const version = "v1.2.0"
+const version = "v1.3.0"
 
 var all = []*analysis.Analyzer{
 	framedrain.Analyzer,
@@ -61,6 +69,7 @@ var all = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	nilness.Analyzer,
 	rangemap.Analyzer,
+	testonly.Analyzer,
 	wireframe.Analyzer,
 }
 
@@ -99,7 +108,11 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	units, err := driver.Load(args)
+	load := driver.Load
+	if *suppressions || wholeProgram(analyzers) {
+		load = driver.LoadProgram
+	}
+	units, err := load(args)
 	if err != nil {
 		exitOn(err, 0)
 	}
@@ -107,16 +120,26 @@ func main() {
 		flagged, err := auditSuppressions(units)
 		exitOn(err, flagged)
 	}
+	found, err := driver.Run(units, analyzers)
+	if err != nil {
+		exitOn(err, 0)
+	}
 	findings := 0
 	for _, u := range units {
-		diags, fset, err := driver.Run(u, analyzers)
-		if err != nil {
-			exitOn(err, 0)
-		}
-		driver.EmitDiagnostics(os.Stdout, os.Stderr, fset, diags)
-		findings += len(diags)
+		driver.EmitDiagnostics(os.Stdout, os.Stderr, u.Fset, found[u])
+		findings += len(found[u])
 	}
 	exitOn(nil, findings)
+}
+
+// wholeProgram reports whether any analyzer needs every package loaded.
+func wholeProgram(analyzers []*analysis.Analyzer) bool {
+	for _, a := range analyzers {
+		if a.RunProgram != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // auditSuppressions lists every //hdrvet:ignore directive in the
@@ -125,22 +148,25 @@ func main() {
 // they excepted holds again, so the directive should go). It returns
 // how many were flagged; a clean audit returns 0.
 func auditSuppressions(units []*driver.Unit) (int, error) {
+	// Raw findings: what the directives would be suppressing. Units
+	// without directives need none, so they stay as context that only
+	// whole-program analyzers read.
+	for _, u := range units {
+		if len(analysis.Directives(u.Fset, u.Files)) == 0 {
+			u.Context = true
+		}
+	}
+	raw, err := driver.RunRaw(units, all)
+	if err != nil {
+		return 0, err
+	}
 	flagged, total := 0, 0
 	for _, u := range units {
-		ds := analysis.Directives(u.Fset, u.Files)
-		if len(ds) == 0 {
-			continue
-		}
-		// Raw findings: what the directives would be suppressing.
-		raw, fset, err := driver.RunRaw(u, all)
-		if err != nil {
-			return 0, err
-		}
-		for _, d := range ds {
+		for _, d := range analysis.Directives(u.Fset, u.Files) {
 			total++
 			live := false
-			for _, diag := range raw {
-				if d.Suppresses(fset, diag) {
+			for _, diag := range raw[u] {
+				if d.Suppresses(u.Fset, diag) {
 					live = true
 					break
 				}
@@ -155,7 +181,7 @@ func auditSuppressions(units []*driver.Unit) (int, error) {
 				flagged++
 			}
 			fmt.Printf("%s: %s -- %s%s\n",
-				fset.Position(d.Pos), strings.Join(d.Names, " "), d.Reason, status)
+				u.Fset.Position(d.Pos), strings.Join(d.Names, " "), d.Reason, status)
 		}
 	}
 	fmt.Printf("%d suppression(s), %d flagged\n", total, flagged)
@@ -218,7 +244,7 @@ func firstLine(s string) string {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `hdrvet checks hdr4me's wire, locking, and float-determinism invariants.
+	fmt.Fprintf(os.Stderr, `hdrvet checks hdr4me's wire, locking, float-determinism and dead-code invariants.
 
 usage:
   hdrvet [analyzer flags] [packages]     analyze packages (default ./...)

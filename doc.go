@@ -129,7 +129,9 @@
 // privacy promise as a dataflow property; nilness catches guaranteed
 // nil dereferences and degenerate nil checks; lockorder builds the
 // global mutex-acquisition order graph and reports cycles and locks
-// held at return. Intentional exceptions are annotated in source as
+// held at return. testonly, which needs the whole program and so runs
+// only in standalone hdrvet, reports an internal export that no non-test
+// code uses. Intentional exceptions are annotated in source as
 // "//hdrvet:ignore <analyzer> -- <reason>", reason mandatory, and
 // audited by hdrvet -suppressions. See the README's "Static analysis &
 // enforced invariants" section.

@@ -76,3 +76,14 @@ func TestFrameworkBerryEsseenBoundedNeedsSpec(t *testing.T) {
 	}()
 	f.BerryEsseenBound(nil)
 }
+
+// PaperLaplaceExample reproduces the §IV-D worked example: Laplace noise
+// with scale λ = 2m/ε, r reports, and the paper's ρ = 3λ³ (the paper's
+// Eq. 21 evaluates the one-sided integral; the exact two-sided moment is
+// 6λ³ — see ldp.Laplace.ThirdAbsMoment). Returned is the bound with the
+// paper's ρ so the ≈1.57% figure can be checked verbatim.
+func PaperLaplaceExample(lambda float64, r float64) float64 {
+	rho := 3 * lambda * lambda * lambda
+	s := math.Sqrt2 * lambda
+	return BerryEsseen(rho, s, r)
+}

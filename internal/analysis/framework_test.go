@@ -168,7 +168,7 @@ func TestDeviationProbWithinAndSup(t *testing.T) {
 	if s := biased.SupAbs(0.95); math.Abs(s-(0.5+0.1*1.959963984540054)) > 1e-9 {
 		t.Errorf("biased SupAbs = %v", s)
 	}
-	if p := d.PDF(0); math.Abs(p-mathx.StdNormPDF(0)) > 1e-15 {
+	if p := d.PDF(0); math.Abs(p-mathx.NormPDF(0, 0, 1)) > 1e-15 {
 		t.Errorf("PDF(0) = %v", p)
 	}
 }

@@ -25,6 +25,11 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one type-checked package and reports findings on pass.
 	Run func(*Pass) error
+	// RunProgram, set in place of Run, inspects every loaded package at
+	// once, one Pass each, and reports each finding on its package's
+	// pass. It runs only in standalone mode: a go vet unit sees one
+	// package, so unit mode skips it.
+	RunProgram func([]*Pass) error
 }
 
 // A Pass carries one type-checked package (possibly including its

@@ -38,6 +38,7 @@ import (
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/analyzers/analysis"
+	"github.com/hdr4me/hdr4me/internal/analyzers/driver"
 )
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
@@ -93,6 +94,26 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPath string) {
 	diags := analysis.ApplySuppressions(fset, files, pass.Diagnostics())
 
 	checkWants(t, fset, files, diags)
+}
+
+// RunProgram analyzes the fixture module rooted at testdata/src/<dir>
+// (a go.mod tree, which may nest further modules) with a whole-program
+// analyzer, loaded as `hdrvet ./...` loads the repository, and reports
+// any mismatch against the want comments of each package.
+func RunProgram(t *testing.T, a *analysis.Analyzer, dir string) {
+	t.Helper()
+	t.Chdir(filepath.Join("testdata", "src", filepath.FromSlash(dir)))
+	units, err := driver.LoadProgram([]string{"./..."})
+	if err != nil {
+		t.Fatalf("loading fixture module: %v", err)
+	}
+	found, err := driver.Run(units, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	for _, u := range units {
+		checkWants(t, u.Fset, u.Files, found[u])
+	}
 }
 
 // checkWants matches findings against want comments line by line.

@@ -158,11 +158,5 @@ func (r *Result) Visit(visit func(n ast.Node, st State)) {
 	}
 }
 
-// Reached reports whether blk was reached in the fixpoint.
-func (r *Result) Reached(blk *Block) bool {
-	_, ok := r.in[blk]
-	return ok
-}
-
 // In returns blk's entry state (nil when unreached).
 func (r *Result) In(blk *Block) State { return r.in[blk] }

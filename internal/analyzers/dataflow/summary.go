@@ -33,13 +33,6 @@ func NewCallIndex(info *types.Info, files []*ast.File) *CallIndex {
 // imported, synthetic, or dynamic.
 func (x *CallIndex) Decl(fn *types.Func) *ast.FuncDecl { return x.decls[fn] }
 
-// Funcs iterates the indexed declarations (order unspecified).
-func (x *CallIndex) Funcs(visit func(fn *types.Func, fd *ast.FuncDecl)) {
-	for fn, fd := range x.decls {
-		visit(fn, fd)
-	}
-}
-
 // Callee resolves the function or method a call dispatches to.
 // static is true when the dispatch target is fixed at compile time (a
 // package function, or a method on a concrete type), so a body can be

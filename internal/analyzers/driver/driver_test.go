@@ -12,6 +12,7 @@ import (
 	"github.com/hdr4me/hdr4me/internal/analyzers/analysis"
 	"github.com/hdr4me/hdr4me/internal/analyzers/driver"
 	"github.com/hdr4me/hdr4me/internal/analyzers/nilness"
+	"github.com/hdr4me/hdr4me/internal/analyzers/testonly"
 )
 
 func writeFile(t *testing.T, dir, name, content string) string {
@@ -122,6 +123,21 @@ func TestRunUnitFindings(t *testing.T) {
 	}
 	if _, err := os.Stat(vetx); err != nil {
 		t.Errorf("successful unit did not write its facts file: %v", err)
+	}
+}
+
+// TestRunUnitSkipsWholeProgram: a vet.cfg unit sees one package, so a
+// whole-program analyzer must not run there — testonly would otherwise
+// flag every export the unit's importers use.
+func TestRunUnitSkipsWholeProgram(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, dir, "p.go", "package p\n\nfunc Exported() int { return 1 }\n")
+	cfg := writeFile(t, dir, "vet.cfg",
+		`{"Compiler": "gc", "Dir": `+quote(dir)+`, "ImportPath": "example.com/internal/p",
+		"GoFiles": [`+quote(filepath.Join(dir, "p.go"))+`], "PackageFile": {}}`)
+	n, err := driver.RunUnit(cfg, []*analysis.Analyzer{testonly.Analyzer})
+	if err != nil || n != 0 {
+		t.Fatalf("whole-program analyzer in unit mode: findings=%d err=%v, want 0, nil", n, err)
 	}
 }
 

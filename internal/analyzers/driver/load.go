@@ -19,8 +19,10 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -41,13 +43,10 @@ type listPackage struct {
 
 const listFields = "-json=ImportPath,ForTest,Export,ImportMap,GoFiles,Dir,Standard,Module"
 
-func goList(args ...string) ([]listPackage, error) {
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+func goList(dir string, args ...string) ([]listPackage, error) {
+	out, err := goCmd(dir, args...)
 	if err != nil {
-		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+		return nil, err
 	}
 	var pkgs []listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -63,6 +62,20 @@ func goList(args ...string) ([]listPackage, error) {
 	return pkgs, nil
 }
 
+// goCmd runs the go command in dir ("" is the working directory) and
+// returns its standard output.
+func goCmd(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return out, nil
+}
+
 // A Unit is one type-checked analysis target.
 type Unit struct {
 	ImportPath string
@@ -70,6 +83,9 @@ type Unit struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
+	// Context marks a unit loaded only for whole-program analyzers to
+	// read: no analyzer reports on it.
+	Context bool
 }
 
 // Load resolves patterns into analysis units. Each in-module package
@@ -78,8 +94,49 @@ type Unit struct {
 // list is the plain one plus the in-package _test.go files, which is
 // exactly what go vet analyzes — and external test packages
 // ("pkg_test [pkg.test]") become units of their own.
-func Load(patterns []string) ([]*Unit, error) {
-	roots, err := goList(append([]string{"list", "-json=ImportPath"}, patterns...)...)
+func Load(patterns []string) ([]*Unit, error) { return load("", patterns) }
+
+// LoadProgram loads the whole program that whole-program analyzers must
+// see: every package of the main module and of each module nested in
+// its directory tree (a nested module cannot be listed from the root),
+// tests included. Units that patterns do not name are marked Context.
+func LoadProgram(patterns []string) ([]*Unit, error) {
+	targets, err := listRoots("", patterns)
+	if err != nil {
+		return nil, err
+	}
+	gomod, err := goCmd("", "env", "GOMOD")
+	if err != nil {
+		return nil, err
+	}
+	root := filepath.Dir(strings.TrimSpace(string(gomod)))
+	if root == "." || root == os.DevNull {
+		return nil, fmt.Errorf("whole-program analysis needs a module")
+	}
+	var units []*Unit
+	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name == "testdata" || name == "vendor" || name[0] == '.' || name[0] == '_') {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+			return nil
+		}
+		us, err := load(dir, []string{"./..."})
+		for _, u := range us {
+			u.Context = !targets[basePath(u.ImportPath)]
+		}
+		units = append(units, us...)
+		return err
+	})
+	return units, err
+}
+
+// listRoots returns the import paths patterns name, resolved in dir.
+func listRoots(dir string, patterns []string) (map[string]bool, error) {
+	roots, err := goList(dir, append([]string{"list", "-json=ImportPath"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -87,9 +144,24 @@ func Load(patterns []string) ([]*Unit, error) {
 	for _, r := range roots {
 		rootSet[r.ImportPath] = true
 	}
+	return rootSet, nil
+}
 
+// basePath maps a unit's import path to the package it analyzes:
+// "p [p.test]" and "p_test [p.test]" both belong to p.
+func basePath(importPath string) string {
+	base, _, _ := strings.Cut(importPath, " ")
+	return strings.TrimSuffix(base, "_test")
+}
+
+// load type-checks the packages patterns name, resolved in dir.
+func load(dir string, patterns []string) ([]*Unit, error) {
+	rootSet, err := listRoots(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
 	args := append([]string{"list", "-test", "-export", "-deps", listFields}, patterns...)
-	pkgs, err := goList(args...)
+	pkgs, err := goList(dir, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -120,11 +192,8 @@ func Load(patterns []string) ([]*Unit, error) {
 		}
 		// Only analyze packages the patterns named (or their test
 		// variants) — the -deps closure is there for export data.
-		base := p.ImportPath
-		if i := strings.IndexByte(base, ' '); i >= 0 {
-			base = base[:i]
-		}
-		if !rootSet[base] && !rootSet[strings.TrimSuffix(base, "_test")] {
+		base, _, _ := strings.Cut(p.ImportPath, " ")
+		if !rootSet[basePath(base)] {
 			continue
 		}
 		// A dependency recompiled for another package's test ("dep
@@ -206,36 +275,60 @@ func typeCheck(importPath, dir string, files []string, lookup importer.Lookup, i
 	return &Unit{ImportPath: importPath, Fset: fset, Files: parsed, Pkg: pkg, Info: info}, nil
 }
 
-// Run applies analyzers to one unit and returns the surviving
-// diagnostics, suppressions applied, in positional order.
-func Run(u *Unit, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, *token.FileSet, error) {
-	diags, fset, err := RunRaw(u, analyzers)
+// Run applies analyzers to units and returns each target unit's
+// surviving diagnostics, suppressions applied, in positional order.
+func Run(units []*Unit, analyzers []*analysis.Analyzer) (map[*Unit][]analysis.Diagnostic, error) {
+	found, err := RunRaw(units, analyzers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	diags = analysis.ApplySuppressions(u.Fset, u.Files, diags)
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags, fset, nil
+	for u, diags := range found {
+		diags = analysis.ApplySuppressions(u.Fset, u.Files, diags)
+		sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+		found[u] = diags
+	}
+	return found, nil
 }
 
-// RunRaw applies analyzers to one unit and returns every diagnostic
-// with no suppression filtering — the suppression audit matches raw
-// findings against directives to tell live suppressions from stale
-// ones.
-func RunRaw(u *Unit, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, *token.FileSet, error) {
-	var diags []analysis.Diagnostic
-	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      u.Fset,
-			Files:     u.Files,
-			Pkg:       u.Pkg,
-			TypesInfo: u.Info,
+// RunRaw applies analyzers to units and returns every diagnostic of
+// each target (non-Context) unit with no suppression filtering — the
+// suppression audit matches raw findings against directives to tell
+// live suppressions from stale ones. A per-unit analyzer sees each
+// target alone; a whole-program analyzer sees every unit at once.
+func RunRaw(units []*Unit, analyzers []*analysis.Analyzer) (map[*Unit][]analysis.Diagnostic, error) {
+	found := make(map[*Unit][]analysis.Diagnostic)
+	for _, u := range units {
+		if !u.Context {
+			found[u] = nil
 		}
-		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s on %s: %v", a.Name, u.ImportPath, err)
-		}
-		diags = append(diags, pass.Diagnostics()...)
 	}
-	return diags, u.Fset, nil
+	for _, a := range analyzers {
+		passes := make([]*analysis.Pass, len(units))
+		for i, u := range units {
+			passes[i] = &analysis.Pass{
+				Analyzer:  a,
+				Fset:      u.Fset,
+				Files:     u.Files,
+				Pkg:       u.Pkg,
+				TypesInfo: u.Info,
+			}
+		}
+		if a.RunProgram != nil {
+			if err := a.RunProgram(passes); err != nil {
+				return nil, fmt.Errorf("%s: %v", a.Name, err)
+			}
+		}
+		for i, u := range units {
+			if u.Context {
+				continue
+			}
+			if a.Run != nil {
+				if err := a.Run(passes[i]); err != nil {
+					return nil, fmt.Errorf("%s on %s: %v", a.Name, u.ImportPath, err)
+				}
+			}
+			found[u] = append(found[u], passes[i].Diagnostics()...)
+		}
+	}
+	return found, nil
 }

@@ -38,8 +38,9 @@ type vetConfig struct {
 // so it writes an empty facts file and returns; otherwise the unit's
 // GoFiles are type-checked against the export data in PackageFile
 // (through ImportMap, which maps source import paths to canonical ones)
-// and every analyzer runs. The VetxOutput file must exist on success or
-// cmd/go records the action as failed.
+// and every per-unit analyzer runs; a whole-program analyzer cannot see
+// the other packages from one unit, so it is skipped. The VetxOutput
+// file must exist on success or cmd/go records the action as failed.
 func RunUnit(cfgPath string, analyzers []*analysis.Analyzer) (int, error) {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -63,11 +64,18 @@ func RunUnit(cfgPath string, analyzers []*analysis.Analyzer) (int, error) {
 		}
 		return 0, err
 	}
-	diags, fset, err := Run(u, analyzers)
+	var perUnit []*analysis.Analyzer
+	for _, a := range analyzers {
+		if a.Run != nil {
+			perUnit = append(perUnit, a)
+		}
+	}
+	found, err := Run([]*Unit{u}, perUnit)
 	if err != nil {
 		return 0, err
 	}
-	EmitDiagnostics(os.Stdout, os.Stderr, fset, diags)
+	diags := found[u]
+	EmitDiagnostics(os.Stdout, os.Stderr, u.Fset, diags)
 	if err := writeVetx(cfg.VetxOutput); err != nil {
 		return 0, err
 	}

@@ -1,7 +1,7 @@
 // Package dataset provides the workloads of the paper's evaluation:
 // synthetic Gaussian, Poisson and Uniform datasets with tunable users and
 // dimensions, a correlated latent-factor stand-in for the COV-19 dataset,
-// a discretized dataset for the §IV-C case study, plus CSV import/export.
+// and a discretized dataset for the §IV-C case study.
 //
 // Datasets are streamed: a user's tuple is generated deterministically from
 // (dataset seed, user index) on demand, so paper-scale shapes such as
@@ -90,53 +90,6 @@ func (m *Memoized) TrueMean() []float64 {
 	m.once.Do(func() { m.mean = TrueMean(m.Dataset, 0) })
 	return m.mean
 }
-
-// Matrix is an in-memory dataset: one row per user. It implements Dataset
-// and is the natural target for CSV-loaded data and for unit tests.
-type Matrix struct {
-	Label string
-	Data  [][]float64
-}
-
-// NewMatrix validates that all rows have equal width and values lie in
-// [−1, 1], returning a Matrix dataset.
-func NewMatrix(label string, rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("dataset: %s has no rows", label)
-	}
-	d := len(rows[0])
-	if d == 0 {
-		return nil, fmt.Errorf("dataset: %s has zero-width rows", label)
-	}
-	for i, r := range rows {
-		if len(r) != d {
-			return nil, fmt.Errorf("dataset: %s row %d has %d values, want %d", label, i, len(r), d)
-		}
-		for j, v := range r {
-			if v < -1 || v > 1 {
-				return nil, fmt.Errorf("dataset: %s value [%d][%d]=%v outside [-1,1]", label, i, j, v)
-			}
-		}
-	}
-	return &Matrix{Label: label, Data: rows}, nil
-}
-
-// Name implements Dataset.
-func (m *Matrix) Name() string { return m.Label }
-
-// NumUsers implements Dataset.
-func (m *Matrix) NumUsers() int { return len(m.Data) }
-
-// Dim implements Dataset.
-func (m *Matrix) Dim() int {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return len(m.Data[0])
-}
-
-// Row implements Dataset.
-func (m *Matrix) Row(i int, dst []float64) { copy(dst, m.Data[i]) }
 
 // Slice returns a view dataset restricted to the first dims dimensions of ds
 // (used by the Fig. 5 dimensionality sweep, which subsamples COV-19 columns).

@@ -83,7 +83,7 @@ func TestPoissonNormalization(t *testing.T) {
 	for j, m := range mean {
 		// E[k/λ − 1] ≈ 0 modulo clamping of the upper tail.
 		if math.Abs(m) > 0.06 {
-			t.Errorf("poisson dim %d (λ=%v) mean = %v, want ≈0", j, ds.Lambda(j), m)
+			t.Errorf("poisson dim %d (λ=%v) mean = %v, want ≈0", j, ds.lambdas[j], m)
 		}
 	}
 }
@@ -200,30 +200,6 @@ func TestMemoizedCaches(t *testing.T) {
 	}
 }
 
-func TestMatrixValidation(t *testing.T) {
-	if _, err := NewMatrix("x", nil); err == nil {
-		t.Error("empty matrix must fail")
-	}
-	if _, err := NewMatrix("x", [][]float64{{1, 2}}); err == nil {
-		t.Error("out-of-domain value must fail")
-	}
-	if _, err := NewMatrix("x", [][]float64{{0.5}, {0.1, 0.2}}); err == nil {
-		t.Error("ragged rows must fail")
-	}
-	m, err := NewMatrix("ok", [][]float64{{0.5, -0.5}, {1, -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumUsers() != 2 || m.Dim() != 2 {
-		t.Fatal("matrix shape wrong")
-	}
-	row := make([]float64, 2)
-	m.Row(1, row)
-	if row[0] != 1 || row[1] != -1 {
-		t.Fatalf("Row = %v", row)
-	}
-}
-
 func TestSliceDataset(t *testing.T) {
 	base := NewUniform(10, 4, 11)
 	narrow := Slice(base, 2)
@@ -246,7 +222,7 @@ func TestSliceDataset(t *testing.T) {
 }
 
 func TestTrueMeanEmptyDataset(t *testing.T) {
-	m := &Matrix{Label: "empty"}
+	m := NewUniform(0, 0, 1)
 	got := TrueMean(m, 4)
 	if len(got) != 0 {
 		t.Fatalf("TrueMean of empty = %v", got)

@@ -107,9 +107,6 @@ func (p *Poisson) NumUsers() int { return p.N }
 // Dim implements Dataset.
 func (p *Poisson) Dim() int { return p.D }
 
-// Lambda returns the rate of dimension j (exported for tests and examples).
-func (p *Poisson) Lambda(j int) float64 { return p.lambdas[j] }
-
 // Row implements Dataset.
 func (p *Poisson) Row(i int, dst []float64) {
 	r := mathx.NewRNG(p.Seed).Child(uint64(i))

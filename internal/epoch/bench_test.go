@@ -78,3 +78,42 @@ func BenchmarkEpochIngest(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWindowEstimate times a sliding-window read at d ∈ {32, 256,
+// 1024}: every retained epoch (DefaultRetain frozen plus the live one)
+// folded into one snapshot and turned into the family estimate. b.N
+// counts window reads.
+func BenchmarkWindowEstimate(b *testing.B) {
+	for _, d := range []int{32, 256, 1024} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			newAgg := func() *highdim.Aggregator {
+				p, err := highdim.NewProtocol(ldp.Laplace{}, 1, d, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return highdim.NewAggregator(p)
+			}
+			r, err := New(newAgg(), newAgg(), Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep := est.Report{Dims: []uint32{0}, Values: []float64{0.5}}
+			for e := 0; e < DefaultRetain; e++ {
+				for j := range d {
+					rep.Dims[0] = uint32(j)
+					if err := r.AddReport(rep); err != nil {
+						b.Fatal(err)
+					}
+				}
+				r.Rotate()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.WindowEstimate(DefaultRetain + 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -152,12 +152,6 @@ func New(inner, scratch est.Estimator, cfg Config) (*Ring, error) {
 	return &Ring{inner: inner, rot: rot, scratch: scratch, cfg: cfg}, nil
 }
 
-// Inner returns the wrapped estimator.
-func (r *Ring) Inner() est.Estimator { return r.inner }
-
-// Config returns the ring's configuration.
-func (r *Ring) Config() Config { return r.cfg }
-
 // ---- est.Estimator by delegation (live epoch) -------------------------------
 
 // Kind implements est.Estimator.

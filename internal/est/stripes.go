@@ -67,9 +67,6 @@ type stripe struct {
 	Lanes
 }
 
-// Count returns the number of stripes.
-func (s *Stripes) Count() int { return len(s.lanes) }
-
 // Acquire returns the next stripe index round-robin. Long-lived callers
 // (one connection, one worker) acquire once and keep the index: all
 // their reports then accumulate under one stripe lock, in arrival order,

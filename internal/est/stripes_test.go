@@ -131,3 +131,6 @@ func TestStripesConcurrentFoldConsistency(t *testing.T) {
 		t.Fatalf("final fold = %v/%d, want %v", sums[0], counts[0], want)
 	}
 }
+
+// Count returns the number of stripes.
+func (s *Stripes) Count() int { return len(s.lanes) }

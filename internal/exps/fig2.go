@@ -22,18 +22,6 @@ type CLTSeries struct {
 	Trials    int
 }
 
-// MaxAbsPDFError returns max_i |empirical − analytic| over bins — the
-// visual gap between the orange squares and the blue line in Fig. 2.
-func (s CLTSeries) MaxAbsPDFError() float64 {
-	m := 0.0
-	for i := range s.Centers {
-		if d := math.Abs(s.Empirical[i] - s.Analytic[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // TotalVariationError returns (1/2)Σ|empirical − analytic|·width, a scale-
 // free summary of the pdf match in [0, 1].
 func (s CLTSeries) TotalVariationError() float64 {

@@ -39,9 +39,6 @@ func (f *Flat) Kind() string { return KindFreq }
 // Dims implements est.Estimator: the total entry count Σⱼ card(j).
 func (f *Flat) Dims() int { return f.total }
 
-// Offset returns the flattened index of dimension j's first entry.
-func (f *Flat) Offset(j int) int { return f.offsets[j] }
-
 // Observe performs one user's contribution: sample m of the d categorical
 // dimensions from t.Cats, histogram-encode each sampled dimension, perturb
 // every entry with ε/(2m), and accumulate. The rng must not be shared with

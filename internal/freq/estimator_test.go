@@ -124,3 +124,6 @@ func TestFlatObserveValidatesTuple(t *testing.T) {
 		t.Fatal("out-of-range category accepted")
 	}
 }
+
+// Offset returns the flattened index of dimension j's first entry.
+func (f *Flat) Offset(j int) int { return f.offsets[j] }

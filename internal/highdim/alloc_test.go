@@ -183,3 +183,48 @@ func TestSimulateAllocatedValidation(t *testing.T) {
 		t.Error("overspending allocation must fail")
 	}
 }
+
+// StdWeights turns per-dimension standard deviations into allocation
+// weights (wⱼ ∝ σⱼ, floored at 10% of the maximum so no dimension starves)
+// — the heuristic of the covariance-based allocators [35]: dimensions with
+// more signal spread get more budget.
+func StdWeights(stds []float64) []float64 {
+	maxStd := 0.0
+	for _, s := range stds {
+		if s > maxStd {
+			maxStd = s
+		}
+	}
+	if maxStd == 0 {
+		maxStd = 1
+	}
+	out := make([]float64, len(stds))
+	for j, s := range stds {
+		out[j] = math.Max(s, maxStd/10)
+	}
+	return out
+}
+
+// ColumnStds streams a sample of users and returns per-dimension standard
+// deviations (the collector-side input to StdWeights when a public profile
+// or pilot sample is available).
+func ColumnStds(ds dataset.Dataset, users int) []float64 {
+	n := ds.NumUsers()
+	if users > n {
+		users = n
+	}
+	d := ds.Dim()
+	ws := make([]mathx.Welford, d)
+	row := make([]float64, d)
+	for i := 0; i < users; i++ {
+		ds.Row(i, row)
+		for j, v := range row {
+			ws[j].Add(v)
+		}
+	}
+	out := make([]float64, d)
+	for j := range out {
+		out[j] = math.Sqrt(ws[j].Var())
+	}
+	return out
+}

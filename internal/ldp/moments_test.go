@@ -281,3 +281,11 @@ func TestDuchiVarianceDominatedByPiecewiseAtHighEps(t *testing.T) {
 		}
 	}
 }
+
+// NoisePDF returns the SCDF noise density at x.
+func (SCDF) NoisePDF(eps, x float64) float64 { return staircasePDF(eps, 0.5, x) }
+
+// NoisePDF returns the staircase noise density at x.
+func (sc Staircase) NoisePDF(eps, x float64) float64 {
+	return staircasePDF(eps, sc.Gamma(eps), x)
+}

@@ -33,14 +33,6 @@ func (s SCDF) Perturb(rng *mathx.RNG, t, eps float64) float64 {
 	return t + staircaseNoise(rng, eps, 0.5)
 }
 
-// Noise draws one sample of the SCDF noise distribution.
-func (SCDF) Noise(rng *mathx.RNG, eps float64) float64 {
-	return staircaseNoise(rng, eps, 0.5)
-}
-
-// NoisePDF returns the SCDF noise density at x.
-func (SCDF) NoisePDF(eps, x float64) float64 { return staircasePDF(eps, 0.5, x) }
-
 // Bias implements Mechanism; the noise is symmetric about 0.
 func (SCDF) Bias(t, eps float64) float64 { return 0 }
 

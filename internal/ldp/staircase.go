@@ -43,16 +43,6 @@ func (sc Staircase) Perturb(rng *mathx.RNG, t, eps float64) float64 {
 	return t + staircaseNoise(rng, eps, sc.Gamma(eps))
 }
 
-// Noise draws one sample of the staircase noise distribution.
-func (sc Staircase) Noise(rng *mathx.RNG, eps float64) float64 {
-	return staircaseNoise(rng, eps, sc.Gamma(eps))
-}
-
-// NoisePDF returns the staircase noise density at x.
-func (sc Staircase) NoisePDF(eps, x float64) float64 {
-	return staircasePDF(eps, sc.Gamma(eps), x)
-}
-
 // Bias implements Mechanism; the noise is symmetric about 0.
 func (Staircase) Bias(t, eps float64) float64 { return 0 }
 

@@ -11,14 +11,6 @@ func NormPDF(x, mu, sigma float64) float64 {
 	return math.Exp(-0.5*z*z) / (sigma * Sqrt2Pi)
 }
 
-// StdNormPDF returns the standard normal density φ(x).
-func StdNormPDF(x float64) float64 { return math.Exp(-0.5*x*x) / Sqrt2Pi }
-
-// NormCDF returns P[X ≤ x] for X ~ N(mu, sigma²).
-func NormCDF(x, mu, sigma float64) float64 {
-	return StdNormCDF((x - mu) / sigma)
-}
-
 // StdNormCDF returns the standard normal cumulative distribution Φ(x),
 // computed from the complementary error function for full-range accuracy.
 func StdNormCDF(x float64) float64 {
@@ -87,11 +79,6 @@ func StdNormQuantile(p float64) float64 {
 	u := e * Sqrt2Pi * math.Exp(x*x/2)
 	x = x - u/(1+x*u/2)
 	return x
-}
-
-// NormQuantile returns the p-quantile of N(mu, sigma²).
-func NormQuantile(p, mu, sigma float64) float64 {
-	return mu + sigma*StdNormQuantile(p)
 }
 
 // SymmetricQuantile returns the half-width w such that

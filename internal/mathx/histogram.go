@@ -53,23 +53,3 @@ func (h *Histogram) Density(i int) float64 {
 	}
 	return float64(h.Counts[i]) / (float64(h.Total) * h.BinWidth())
 }
-
-// Densities returns all bin densities.
-func (h *Histogram) Densities() []float64 {
-	out := make([]float64, len(h.Counts))
-	for i := range out {
-		out[i] = h.Density(i)
-	}
-	return out
-}
-
-// MaxDensity returns the largest bin density (useful for plot scaling).
-func (h *Histogram) MaxDensity() float64 {
-	m := 0.0
-	for i := range h.Counts {
-		if d := h.Density(i); d > m {
-			m = d
-		}
-	}
-	return m
-}

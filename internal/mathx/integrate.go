@@ -8,6 +8,8 @@ import (
 // Integrate computes ∫_a^b f(x) dx with adaptive Simpson quadrature to the
 // given absolute tolerance. It handles a > b by sign flip. The recursion is
 // depth-limited; for smooth integrands the result is accurate to ~tol.
+//
+//hdrvet:ignore testonly -- adaptive Simpson is the independent quadrature the mathx and ldp tests check the Gauss–Legendre moments against
 func Integrate(f func(float64) float64, a, b, tol float64) float64 {
 	if a == b {
 		return 0

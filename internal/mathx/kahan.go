@@ -24,9 +24,6 @@ func (k *KahanSum) Add(x float64) {
 // Value returns the compensated sum.
 func (k *KahanSum) Value() float64 { return k.sum + k.c }
 
-// Reset clears the accumulator.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
-
 // abs is math.Abs: branchless (compiles to a single bit-clear), which
 // matters because KahanSum.Add sits on the collector ingest hot path and
 // calls it twice per accumulated value.
@@ -65,13 +62,12 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
 
 // Var returns the population variance (divides by n).
+//
+//hdrvet:ignore testonly -- the population variance the mathx, ldp and highdim tests compare sampled moments against
 func (w *Welford) Var() float64 {
 	if w.n == 0 {
 		return 0
@@ -85,13 +81,4 @@ func (w *Welford) SampleVar() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n-1)
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Var()
 }

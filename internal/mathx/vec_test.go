@@ -15,20 +15,10 @@ func TestVecBasics(t *testing.T) {
 	if got := Sub(b, a); got[0] != 3 || got[1] != 3 || got[2] != 3 {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := Hadamard(a, b); got[0] != 4 || got[1] != 10 || got[2] != 18 {
-		t.Errorf("Hadamard = %v", got)
-	}
 	c := Clone(a)
-	AddTo(c, b)
-	if c[2] != 9 {
-		t.Errorf("AddTo = %v", c)
-	}
+	c[2] = 9
 	if a[2] != 3 {
 		t.Error("Clone must not alias")
-	}
-	Scale(c, 2)
-	if c[0] != 10 {
-		t.Errorf("Scale = %v", c)
 	}
 }
 
@@ -36,12 +26,6 @@ func TestNorms(t *testing.T) {
 	v := []float64{3, -4}
 	if Norm2(v) != 5 {
 		t.Errorf("Norm2 = %v", Norm2(v))
-	}
-	if Norm1(v) != 7 {
-		t.Errorf("Norm1 = %v", Norm1(v))
-	}
-	if NormInf(v) != 4 {
-		t.Errorf("NormInf = %v", NormInf(v))
 	}
 	if Norm2(nil) != 0 || Norm2([]float64{0, 0}) != 0 {
 		t.Error("zero vectors must have zero norm")
@@ -70,8 +54,9 @@ func TestNormTriangleInequality(t *testing.T) {
 			}
 		}
 		sum := make([]float64, 8)
-		copy(sum, as)
-		AddTo(sum, bs)
+		for i := range sum {
+			sum[i] = as[i] + bs[i]
+		}
 		return Norm2(sum) <= Norm2(as)+Norm2(bs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -82,11 +67,6 @@ func TestNormTriangleInequality(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if Clamp(5, -1, 1) != 1 || Clamp(-5, -1, 1) != -1 || Clamp(0.3, -1, 1) != 0.3 {
 		t.Fatal("Clamp broken")
-	}
-	xs := []float64{-2, 0, 2}
-	ClampSlice(xs, -1, 1)
-	if xs[0] != -1 || xs[1] != 0 || xs[2] != 1 {
-		t.Fatalf("ClampSlice = %v", xs)
 	}
 }
 

@@ -32,12 +32,6 @@ func L2Deviation(est, truth []float64) float64 {
 	return mathx.Norm2(mathx.Sub(est, truth))
 }
 
-// MaxAbsDeviation returns max_j |estⱼ − truthⱼ|, the per-dimension supremum
-// used when checking the Lemma 4/5 thresholds empirically.
-func MaxAbsDeviation(est, truth []float64) float64 {
-	return mathx.NormInf(mathx.Sub(est, truth))
-}
-
 // WeightedMSE returns (Σⱼ wⱼ(estⱼ − truthⱼ)²)/(Σⱼ wⱼ): the metric the
 // importance-aware budget allocators optimize — dimensions that matter more
 // (higher wⱼ) contribute more to the reported error.
@@ -89,10 +83,6 @@ func Summarize(values []float64) Summary {
 	}
 	return s
 }
-
-// HalfCI95 returns the 95% normal-approximation confidence half-width of the
-// mean (0 for fewer than two trials).
-func (s Summary) HalfCI95() float64 { return s.halfCI95 }
 
 // String renders the summary as "mean ± ci (n=N)".
 func (s Summary) String() string {

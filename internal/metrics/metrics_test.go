@@ -39,12 +39,6 @@ func sanitize(xs []float64) []float64 {
 	return xs
 }
 
-func TestMaxAbsDeviation(t *testing.T) {
-	if got := MaxAbsDeviation([]float64{1, -5, 2}, []float64{0, 0, 0}); got != 5 {
-		t.Fatalf("got %v, want 5", got)
-	}
-}
-
 func TestMSEPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -69,7 +63,7 @@ func TestSummarize(t *testing.T) {
 	if math.Abs(s.Std-wantStd) > 1e-12 {
 		t.Fatalf("std = %v, want %v", s.Std, wantStd)
 	}
-	if s.HalfCI95() <= 0 {
+	if s.halfCI95 <= 0 {
 		t.Fatal("CI must be positive for n>1")
 	}
 	if s.String() == "" {
@@ -81,7 +75,7 @@ func TestSummarizeDegenerate(t *testing.T) {
 	if s := Summarize(nil); s.N != 0 || s.Mean != 0 || s.Min != 0 || s.Max != 0 {
 		t.Fatalf("empty summary = %+v", s)
 	}
-	if s := Summarize([]float64{7}); s.HalfCI95() != 0 || s.Mean != 7 {
+	if s := Summarize([]float64{7}); s.halfCI95 != 0 || s.Mean != 7 {
 		t.Fatalf("single-value summary = %+v", s)
 	}
 }

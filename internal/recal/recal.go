@@ -8,9 +8,8 @@
 //	L2 (Eq. 42): per-dimension shrinkage θ̂ⱼ/(2λ*ⱼ + 1).
 //
 // Regularization weights come from the §IV framework (Lemmas 4 and 5). The
-// package also ships the general proximal-gradient-descent route the paper
-// derives the solvers from — useful as a verifier and for regularizers with
-// no closed form.
+// proximal-gradient-descent route the paper derives the solvers from lives
+// in the package's tests, as the verifier of the closed forms.
 package recal
 
 import (
@@ -47,20 +46,6 @@ func (r Reg) String() string {
 	}
 }
 
-// SoftThreshold applies the Eq. 34 one-off L1 solver per dimension:
-//
-//	θ*ⱼ = θ̂ⱼ − λⱼ (θ̂ⱼ > λⱼ), 0 (|θ̂ⱼ| ≤ λⱼ), θ̂ⱼ + λⱼ (θ̂ⱼ < −λⱼ).
-//
-// λⱼ = +Inf zeroes the coordinate. A new slice is returned.
-func SoftThreshold(est, lambda []float64) []float64 {
-	checkLens(len(est), len(lambda))
-	out := make([]float64, len(est))
-	for j, v := range est {
-		out[j] = softThreshold(v, lambda[j])
-	}
-	return out
-}
-
 func softThreshold(v, l float64) float64 {
 	switch {
 	case v > l:
@@ -72,17 +57,6 @@ func softThreshold(v, l float64) float64 {
 	}
 }
 
-// Shrink applies the Eq. 42 one-off L2 solver: θ*ⱼ = θ̂ⱼ/(2λⱼ + 1).
-// λⱼ = +Inf zeroes the coordinate. A new slice is returned.
-func Shrink(est, lambda []float64) []float64 {
-	checkLens(len(est), len(lambda))
-	out := make([]float64, len(est))
-	for j, v := range est {
-		out[j] = shrink(v, lambda[j])
-	}
-	return out
-}
-
 func shrink(v, l float64) float64 {
 	if math.IsInf(l, 1) {
 		return 0
@@ -90,28 +64,11 @@ func shrink(v, l float64) float64 {
 	return v / (2*l + 1)
 }
 
-func checkLens(a, b int) {
-	if a != b {
-		panic(fmt.Sprintf("recal: estimate has %d dims but lambda has %d", a, b))
-	}
-}
-
-// L1Lambda returns the Lemma 4 weight λ*ⱼ = sup|θ̂ⱼ − θ̄ⱼ|, with the
-// supremum realized as the framework Gaussian's symmetric conf-quantile
-// |δⱼ| + σⱼ·Φ⁻¹((1+conf)/2) (see analysis.Deviation.SupAbs).
-func L1Lambda(dev analysis.Deviation, conf float64) float64 {
-	return dev.SupAbs(conf)
-}
-
-// L2LambdaPaper returns the Lemma 5 weight λ*ⱼ = sup(θ̂ⱼ−θ̄ⱼ)/(2θ̄ⱼ) with
-// the paper's substitution of θ̄ⱼ by the framework mean δⱼ. For unbiased
-// mechanisms (δⱼ = 0) the weight diverges and Shrink sends the coordinate to
-// zero — exactly the saturation the paper reports on Figs. 4(g,h,j,k)/5.
-func L2LambdaPaper(dev analysis.Deviation, conf float64) float64 {
-	return l2Paper(dev, dev.SupAbs(conf))
-}
-
-// l2Paper is L2LambdaPaper given sup = dev.SupAbs(conf).
+// l2Paper is the Lemma 5 weight sup(θ̂ⱼ−θ̄ⱼ)/(2θ̄ⱼ) with the paper's
+// substitution of θ̄ⱼ by the framework mean δⱼ, given sup =
+// dev.SupAbs(conf). For unbiased mechanisms (δⱼ = 0) the weight diverges
+// and the L2 solver sends the coordinate to zero — exactly the saturation
+// the paper reports on Figs. 4(g,h,j,k)/5.
 func l2Paper(dev analysis.Deviation, sup float64) float64 {
 	if dev.Delta == 0 {
 		return math.Inf(1)
@@ -119,13 +76,9 @@ func l2Paper(dev analysis.Deviation, sup float64) float64 {
 	return sup / (2 * math.Abs(dev.Delta))
 }
 
-// L2LambdaFloored is the ablation variant: the reference mean is floored at
-// floor > 0 so the weight stays finite even for unbiased mechanisms.
-func L2LambdaFloored(dev analysis.Deviation, conf, floor float64) float64 {
-	return l2Floored(dev, dev.SupAbs(conf), floor)
-}
-
-// l2Floored is L2LambdaFloored given sup = dev.SupAbs(conf).
+// l2Floored is the ablation variant of l2Paper: the reference mean is
+// floored at floor > 0 so the weight stays finite even for unbiased
+// mechanisms.
 func l2Floored(dev analysis.Deviation, sup, floor float64) float64 {
 	ref := math.Abs(dev.Delta)
 	if ref < floor {
@@ -198,8 +151,8 @@ func (c Config) lambdaSup(dev analysis.Deviation, sup float64) float64 {
 //
 // It is one pass: the quantile Φ⁻¹((1+conf)/2) is formed once, and each
 // dimension's sup-deviation, weight and solver step follow in place —
-// bit for bit what SoftThreshold or Shrink return for the per-dimension
-// weights Config.Lambda selects.
+// bit for bit what the Eq. 34 soft-threshold or the Eq. 42 shrinkage
+// return for the per-dimension weights Config.Lambda selects.
 func Enhance(est []float64, devs []analysis.Deviation, cfg Config) []float64 {
 	out := make([]float64, len(est))
 	if cfg.Reg == RegNone {

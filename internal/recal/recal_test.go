@@ -1,12 +1,68 @@
 package recal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"github.com/hdr4me/hdr4me/internal/analysis"
 )
+
+// The per-call closed-form solvers and Lemma 4/5 weights: the references
+// Enhance's one pass must match bit for bit.
+
+// SoftThreshold applies the Eq. 34 one-off L1 solver per dimension:
+//
+//	θ*ⱼ = θ̂ⱼ − λⱼ (θ̂ⱼ > λⱼ), 0 (|θ̂ⱼ| ≤ λⱼ), θ̂ⱼ + λⱼ (θ̂ⱼ < −λⱼ).
+//
+// λⱼ = +Inf zeroes the coordinate. A new slice is returned.
+func SoftThreshold(est, lambda []float64) []float64 {
+	checkLens(len(est), len(lambda))
+	out := make([]float64, len(est))
+	for j, v := range est {
+		out[j] = softThreshold(v, lambda[j])
+	}
+	return out
+}
+
+// Shrink applies the Eq. 42 one-off L2 solver: θ*ⱼ = θ̂ⱼ/(2λⱼ + 1).
+// λⱼ = +Inf zeroes the coordinate. A new slice is returned.
+func Shrink(est, lambda []float64) []float64 {
+	checkLens(len(est), len(lambda))
+	out := make([]float64, len(est))
+	for j, v := range est {
+		out[j] = shrink(v, lambda[j])
+	}
+	return out
+}
+
+func checkLens(a, b int) {
+	if a != b {
+		panic(fmt.Sprintf("recal: estimate has %d dims but lambda has %d", a, b))
+	}
+}
+
+// L1Lambda returns the Lemma 4 weight λ*ⱼ = sup|θ̂ⱼ − θ̄ⱼ|, with the
+// supremum realized as the framework Gaussian's symmetric conf-quantile
+// |δⱼ| + σⱼ·Φ⁻¹((1+conf)/2) (see analysis.Deviation.SupAbs).
+func L1Lambda(dev analysis.Deviation, conf float64) float64 {
+	return dev.SupAbs(conf)
+}
+
+// L2LambdaPaper returns the Lemma 5 weight λ*ⱼ = sup(θ̂ⱼ−θ̄ⱼ)/(2θ̄ⱼ) with
+// the paper's substitution of θ̄ⱼ by the framework mean δⱼ. For unbiased
+// mechanisms (δⱼ = 0) the weight diverges and Shrink sends the coordinate to
+// zero — exactly the saturation the paper reports on Figs. 4(g,h,j,k)/5.
+func L2LambdaPaper(dev analysis.Deviation, conf float64) float64 {
+	return l2Paper(dev, dev.SupAbs(conf))
+}
+
+// L2LambdaFloored is the ablation variant: the reference mean is floored at
+// floor > 0 so the weight stays finite even for unbiased mechanisms.
+func L2LambdaFloored(dev analysis.Deviation, conf, floor float64) float64 {
+	return l2Floored(dev, dev.SupAbs(conf), floor)
+}
 
 func TestSoftThresholdCases(t *testing.T) {
 	est := []float64{3, -3, 0.5, -0.5, 0}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/est"
@@ -148,4 +149,44 @@ func BenchmarkCBatchCodec(b *testing.B) {
 		}
 		perReport(b)
 	})
+}
+
+// BenchmarkSnapshotCodec times the SNAPSHOT body codec (EncodeSnapshot,
+// DecodeSnapshot; MERGE and checkpoints carry the same body) on a
+// mean-family snapshot at d ∈ {32, 256, 1024}. b.N counts snapshots.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	for _, d := range []int{32, 256, 1024} {
+		snap := est.Snapshot{Kind: est.KindMean, Dims: d, Sums: make([]float64, d), Counts: make([]int64, d)}
+		for j := range d {
+			snap.Sums[j] = float64(j) / 4
+			snap.Counts[j] = int64(j)
+		}
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, snap); err != nil {
+			b.Fatal(err)
+		}
+		body := buf.Bytes()
+		b.Run(fmt.Sprintf("encode/d=%d", d), func(b *testing.B) {
+			var w bytes.Buffer
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.Reset()
+				if err := EncodeSnapshot(&w, snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("decode/d=%d", d), func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				if _, err := DecodeSnapshot(rd); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -76,6 +76,8 @@ func Wrap(c net.Conn) *Conn {
 // CutAfterReads arms the connection to fail every read after n more
 // reads have succeeded. The underlying connection is closed on the
 // first failed read, so the peer sees a reset too.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) CutAfterReads(n int) {
 	c.mu.Lock()
 	c.cutAfterReads = int64(n)
@@ -85,6 +87,8 @@ func (c *Conn) CutAfterReads(n int) {
 // CutAfterWrites arms the connection to fail every write after n more
 // writes have succeeded, closing the underlying connection on the first
 // failure.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) CutAfterWrites(n int) {
 	c.mu.Lock()
 	c.cutAfterWrite = int64(n)
@@ -93,6 +97,8 @@ func (c *Conn) CutAfterWrites(n int) {
 
 // Cut fails every subsequent operation immediately and closes the
 // underlying connection, like a cable pulled mid-exchange.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) Cut() {
 	c.mu.Lock()
 	c.cut = true
@@ -102,6 +108,8 @@ func (c *Conn) Cut() {
 
 // SetLatency delays every subsequent read and write by d (0 restores
 // full speed).
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) SetLatency(d time.Duration) {
 	c.mu.Lock()
 	c.latency = d
@@ -111,6 +119,8 @@ func (c *Conn) SetLatency(d time.Duration) {
 // SetPartialWrites caps every write at n bytes, forcing callers through
 // their short-write paths (0 restores full writes). io.Writer semantics
 // are preserved: the write reports how many bytes really went out.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) SetPartialWrites(n int) {
 	c.mu.Lock()
 	c.partialMax = n
@@ -120,6 +130,8 @@ func (c *Conn) SetPartialWrites(n int) {
 // Stall blocks every subsequent operation until Unstall, simulating a
 // peer that is alive but not moving bytes. Operations already blocked
 // inside the inner connection are not interrupted.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) Stall() {
 	c.mu.Lock()
 	if c.stall == nil {
@@ -129,6 +141,8 @@ func (c *Conn) Stall() {
 }
 
 // Unstall releases every operation blocked by Stall.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) Unstall() {
 	c.mu.Lock()
 	if c.stall != nil {
@@ -139,6 +153,8 @@ func (c *Conn) Unstall() {
 }
 
 // Stats snapshots the operation counters.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -250,6 +266,8 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDead
 
 // Listener wraps a net.Listener so every accepted connection comes back
 // fault-wrapped, with Plan invoked on each new Conn to arm its faults.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 type Listener struct {
 	net.Listener
 	// Plan, when non-nil, is called with each accepted connection before

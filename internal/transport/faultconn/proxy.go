@@ -49,6 +49,8 @@ func NewProxy(upstream string) (*Proxy, error) {
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
 // Links returns how many relay pairs are currently live.
+//
+//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (p *Proxy) Links() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
