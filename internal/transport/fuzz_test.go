@@ -79,9 +79,35 @@ func FuzzRoundTripQuerySpec(f *testing.F) {
 	})
 }
 
+// servedReportParity fails t unless the served report reader,
+// readReport, agrees with the reference reader ref on a frame body of
+// type ft read through a 16-byte bufio.Reader: it must accept exactly
+// what ref accepts, return the identical report, and leave the same
+// bytes unread.
+func servedReportParity(t *testing.T, ft byte, data []byte, ref func(io.Reader) (est.Report, error)) {
+	t.Helper()
+	rr := bytes.NewReader(data)
+	want, wantErr := ref(rr)
+	br := bufio.NewReaderSize(bytes.NewReader(data), 16)
+	got, gotErr := readReport(ft, br, &decodeScratch{})
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("served reader err %v, reference err %v", gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if !reportsEqual(got, want) {
+		t.Fatalf("served reader decoded %+v, reference %+v", got, want)
+	}
+	if rest, _ := io.ReadAll(br); len(rest) != rr.Len() {
+		t.Fatalf("served reader left %d bytes unread, reference %d", len(rest), rr.Len())
+	}
+}
+
 // FuzzRoundTripReport: any bytes the pair-report decoder accepts must
 // re-encode to a frame that decodes to the same report; hostile length
-// fields must be rejected cleanly.
+// fields must be rejected cleanly. The served reader must agree with it
+// on every input.
 func FuzzRoundTripReport(f *testing.F) {
 	var seed bytes.Buffer
 	WriteReport(&seed, est.Report{Dims: []uint32{0, 3, 17}, Values: []float64{-0.5, math.Pi, 1e-300}})
@@ -89,6 +115,7 @@ func FuzzRoundTripReport(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		servedReportParity(t, frameReport, data, readReportBody)
 		rep, err := readReportBody(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -108,7 +135,7 @@ func FuzzRoundTripReport(f *testing.F) {
 }
 
 // FuzzRoundTripVecReport: same contract for the independent-length 0x05
-// frame.
+// frame, served-reader parity included.
 func FuzzRoundTripVecReport(f *testing.F) {
 	var seed bytes.Buffer
 	WriteVecReport(&seed, est.Report{Dims: []uint32{1, 4}, Values: []float64{1, -1, 0.5, -0.5, 0}})
@@ -118,6 +145,7 @@ func FuzzRoundTripVecReport(f *testing.F) {
 	f.Add(wt.Bytes()[1:])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		servedReportParity(t, frameVecReport, data, readVecReportBody)
 		rep, err := readVecReportBody(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -228,13 +256,15 @@ func FuzzRoundTripBatch(f *testing.F) {
 // FuzzBatchDecodeParity: the served 0x06 decoder must agree with the
 // reference decoder (CodecV1{}.DecodeBatch) on every input. Over
 // read buffers of 16 and 64 bytes — at 16, frames wider than the window
-// take the readReportPairs/readVecReportRest fallback — the chunked
-// unsequenced path must deliver the same reports and leave the same
-// bytes unread. On inputs the reference rejects it must fail too, and
-// the prefix it delivered before failing must be exactly the reference
-// decode of the same bytes with the count field set to that prefix's
-// length. The sequenced full-decode path must accept exactly what the
-// reference accepts, with the same reports.
+// take the blocking per-frame path — the chunked unsequenced path must
+// deliver the same reports and leave the same bytes unread. On inputs
+// the reference rejects it must fail too, and the prefix it delivered
+// before failing must be exactly the reference decode of the same bytes
+// with the count field set to that prefix's length. The sequenced
+// full-decode path must accept exactly what the reference accepts, with
+// the same reports, and the shed path's drain, discardBatchReports, must
+// accept exactly what the reference accepts and leave the same bytes
+// unread.
 func FuzzBatchDecodeParity(f *testing.F) {
 	seed, err := CodecV1{}.AppendBatch(nil, "", 0, []est.Report{
 		{Dims: []uint32{0}, Values: []float64{0.5}},
@@ -298,6 +328,18 @@ func FuzzBatchDecodeParity(f *testing.F) {
 		}
 		if seqErr == nil {
 			sameReports(t, "sequenced", seq, want)
+		}
+
+		// The shed path drains the same body without decoding it.
+		for _, size := range []int{16, 64} {
+			br := bufio.NewReaderSize(bytes.NewReader(data[4:]), size)
+			err := discardBatchReports(br, sc, cnt)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("window %d: discard err %v, reference err %v", size, err, wantErr)
+			}
+			if rest, _ := io.ReadAll(br); err == nil && !bytes.Equal(rest, wantRest) {
+				t.Fatalf("window %d: discard left %d bytes unread, reference %d", size, len(rest), len(wantRest))
+			}
 		}
 	})
 }
