@@ -30,13 +30,15 @@ suppressions: hdrvet
 # stock passes, atomic and copylocks among them), the hdrvet suite over
 # every package via `go vet -vettool` (which replaces the stock passes,
 # hence both runs), hdrvet once standalone (the whole-program testonly
-# check needs every package at once, which a vet unit never sees), and
-# staticcheck when installed (CI installs it at STATICCHECK_VERSION;
-# locally it is optional).
+# check needs every package at once, which a vet unit never sees), the
+# suppression audit (a stale or malformed //hdrvet:ignore fails here as
+# it does in CI), and staticcheck when installed (CI installs it at
+# STATICCHECK_VERSION; locally it is optional).
 lint: fmt-check hdrvet
 	go vet ./...
 	go vet -vettool=$(CURDIR)/$(HDRVET) ./...
 	./$(HDRVET) ./...
+	./$(HDRVET) -suppressions ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it at $(STATICCHECK_VERSION))"; fi
 

@@ -95,9 +95,11 @@
 // Checkpoint) also have a ...Context variant, while Query handles, Open,
 // QueryInfo, Hello and Negotiate have none. Failure counters
 // are served by CollectorServer.Stats (and ldpcollect's
-// /debug/collector endpoint), and internal/transport/faultconn injects
-// resets, stalls, partial writes and latency to prove all of it under
-// test. See the README's "Failure model & recovery" section.
+// /debug/collector endpoint). Under test, internal/transport/faultconn
+// injects resets, stalls, partial writes and latency, and its proxy
+// subpackage cuts live links — the fault the crash-recovery end-to-end
+// check also drives. See the README's "Failure model & recovery"
+// section.
 //
 // The wire grammar itself is versioned behind the transport.FrameCodec
 // interface: CodecV1 speaks the classic row-oriented frames, CodecV2
@@ -108,11 +110,15 @@
 // version on the HELLO exchange (WithProtocolVersion /
 // WithClientProtocolVersion pin it; reconnecting buffered clients
 // negotiate automatically) and un-negotiated connections stay v1, so
-// every legacy peer keeps working unchanged. On the collector, every
-// 0x06 BATCH body — top-level, EPOCH-wrapped or sequenced — goes through
-// one zero-alloc decoder, checked against CodecV1.DecodeBatch by the
-// transport fuzzers. See the README's "Protocol versions & negotiation"
-// section.
+// every legacy peer keeps working unchanged. On the collector, each wire
+// body has one parser: every 0x01/0x05 report frame — top-level,
+// EPOCH-wrapped, inside a BATCH, or drained unread from a shed batch —
+// is measured by one length function and decoded by one decoder, every
+// 0x06 BATCH body goes through one zero-alloc windowed decoder, and the
+// CBATCH header and the HELLO request and reply each have one codec.
+// The transport fuzzers check the served readers against the reference
+// decoders (readReportBody, readVecReportBody, CodecV1.DecodeBatch).
+// See the README's "Protocol versions & negotiation" section.
 //
 // The invariants all of the above rests on are machine-enforced:
 // cmd/hdrvet, a go vet -vettool multichecker built on the

@@ -519,7 +519,7 @@ func TestServeTwiceFails(t *testing.T) {
 // opaque connection teardown.
 func TestOversizedSnapshotRejectedAtSender(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeSnapshotBody(&buf, est.Snapshot{
+	err := EncodeSnapshot(&buf, est.Snapshot{
 		Kind: "mean", Dims: maxPairs + 1,
 		Sums: make([]float64, 1), Counts: make([]int64, 1),
 	})

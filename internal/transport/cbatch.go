@@ -78,51 +78,6 @@ const (
 	helloTokenMask     = uint64(1)<<helloVersionShift - 1
 )
 
-// writeHelloVersioned writes a versioned HELLO frame: the session token
-// (low 48 bits; 0 opens a session) with the flag bit set and the
-// client's maximum protocol version in the version bits. noSession turns
-// the exchange into a negotiation-only ping that touches no session
-// state.
-func writeHelloVersioned(w io.Writer, token uint64, maxVer int, noSession bool) error {
-	v := token&helloTokenMask | helloFlagVersioned |
-		uint64(maxVer)<<helloVersionShift&helloVersionMask
-	if noSession {
-		v |= helloFlagNoSession
-	}
-	var buf [9]byte
-	buf[0] = frameHello
-	binary.BigEndian.PutUint64(buf[1:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// writeHelloReplyBodyV writes the 25-byte body answering a versioned
-// HELLO: the legacy 24-byte session state plus the negotiated protocol
-// version.
-func writeHelloReplyBodyV(w io.Writer, h helloReply, version int) error {
-	var buf [25]byte
-	binary.BigEndian.PutUint64(buf[0:], h.Token)
-	binary.BigEndian.PutUint64(buf[8:], h.LastSeq)
-	binary.BigEndian.PutUint64(buf[16:], h.Accepted)
-	buf[24] = byte(version)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// readHelloReplyBodyV reads the body written by writeHelloReplyBodyV.
-func readHelloReplyBodyV(r io.Reader) (helloReply, int, error) {
-	var buf [25]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return helloReply{}, 0, err
-	}
-	h := helloReply{
-		Token:    binary.BigEndian.Uint64(buf[0:]),
-		LastSeq:  binary.BigEndian.Uint64(buf[8:]),
-		Accepted: binary.BigEndian.Uint64(buf[16:]),
-	}
-	return h, int(buf[24]), nil
-}
-
 // zigzag folds a signed delta into the unsigned varint space so small
 // magnitudes of either sign stay short.
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
@@ -311,6 +266,38 @@ func checkCBatchShape(n, ndims, nvals int) error {
 	return nil
 }
 
+// readCBatchHeader reads the CBATCH header after its type byte — the
+// in-frame route name, the sequence number and the (n, ndims, nvals)
+// shape — and enforces the same limits checkCBatchShape puts on the
+// encoder. The name aliases sc's byte arena: it is valid until the
+// arena's next use.
+func readCBatchHeader(br *bufio.Reader, sc *decodeScratch) (name []byte, h batchHeader, err error) {
+	nameLen, err := sc.readUint32(br)
+	if err != nil {
+		return nil, h, err
+	}
+	if nameLen > maxNameLen {
+		return nil, h, fmt.Errorf("transport: string of %d bytes exceeds limit %d", nameLen, maxNameLen)
+	}
+	raw := sc.bytes(int(nameLen) + 20)
+	if _, err := io.ReadFull(br, raw); err != nil {
+		return nil, h, err
+	}
+	name, raw = raw[:nameLen], raw[nameLen:]
+	h = batchHeader{
+		seq:      binary.BigEndian.Uint64(raw[:8]),
+		n:        binary.BigEndian.Uint32(raw[8:12]),
+		columnar: true,
+	}
+	ndims := binary.BigEndian.Uint32(raw[12:16])
+	nvals := binary.BigEndian.Uint32(raw[16:20])
+	if h.n > maxBatch || ndims > maxPairs || nvals > maxPairs {
+		return nil, h, fmt.Errorf("transport: cbatch shape %d×(%d,%d) exceeds limits", h.n, ndims, nvals)
+	}
+	h.nd, h.nv = int(ndims), int(nvals)
+	return name, h, checkCBatchShape(int(h.n), h.nd, h.nv)
+}
+
 // appendCBatchHeader marshals the fixed CBATCH prefix: type byte, route,
 // sequence number and the (n, ndims, nvals) shape.
 func appendCBatchHeader(dst []byte, query string, seq uint64, n, ndims, nvals int) ([]byte, error) {
@@ -460,7 +447,7 @@ func decodeCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int) 
 }
 
 // discardCBatchBody consumes a CBATCH payload without decoding it — the
-// shed path's body drain, mirroring discardBatchReports.
+// shed path's body drain, the columnar sibling of discardBatchReports.
 func discardCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int) error {
 	for c := 0; c < ndims; c++ {
 		clen, err := sc.readUint32(br)
@@ -487,9 +474,13 @@ func discardCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int)
 // — returning deep-copied reports; sequenced tells the v1 grammar
 // (whose 0x06 frame is not self-describing) whether the connection's
 // session grammar puts a sequence field after the type byte. DecodeBatch
-// is the reference decode path: the server decodes a 0x06 body with one
-// zero-alloc windowed decoder (decodeBatch, behind readBatchBuffered and
-// readSeqBatch), and tests and fuzzers diff that decoder against it.
+// is the reference decode path, written independently of the served
+// one: the server measures every embedded report frame with reportLen
+// and decodes it with decodeReport — inside the zero-alloc windowed
+// decoder (decodeBatch, behind readBatchBuffered and readSeqBatch), or
+// one frame at a time through readFrame — and shares the CBATCH header
+// parser, readCBatchHeader, with CodecV2. Tests and fuzzers diff the
+// served path against DecodeBatch.
 type FrameCodec interface {
 	Version() int
 	AppendBatch(dst []byte, query string, seq uint64, reps []est.Report) ([]byte, error)
@@ -638,33 +629,12 @@ func (CodecV2) DecodeBatch(br *bufio.Reader, sequenced bool) (string, uint64, []
 	}
 	br.Discard(1)
 	var sc decodeScratch
-	query, err := readString(br, maxNameLen)
+	name, h, err := readCBatchHeader(br, &sc)
 	if err != nil {
 		return "", 0, nil, err
 	}
-	if _, err := io.ReadFull(br, sc.n[:8]); err != nil {
-		return "", 0, nil, err
-	}
-	seq := binary.BigEndian.Uint64(sc.n[:8])
-	cnt, err := sc.readUint32(br)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	ndims, err := sc.readUint32(br)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	nvals, err := sc.readUint32(br)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	if cnt > maxBatch || ndims > maxPairs || nvals > maxPairs {
-		return "", 0, nil, fmt.Errorf("transport: cbatch shape %d×(%d,%d) exceeds limits", cnt, ndims, nvals)
-	}
-	n, nd, nv := int(cnt), int(ndims), int(nvals)
-	if err := checkCBatchShape(n, nd, nv); err != nil {
-		return "", 0, nil, err
-	}
+	query := string(name)
+	n, nd, nv := int(h.n), h.nd, h.nv
 	dims, vals, err := decodeCBatchBody(br, &sc, n, nd, nv)
 	if err != nil {
 		return "", 0, nil, err
@@ -676,5 +646,5 @@ func (CodecV2) DecodeBatch(br *bufio.Reader, sequenced bool) (string, uint64, []
 			Values: append([]float64{}, vals[i*nv:(i+1)*nv]...),
 		}
 	}
-	return query, seq, reps, nil
+	return query, h.seq, reps, nil
 }

@@ -350,20 +350,15 @@ type SessionInfo struct {
 // expired token comes back wrapped in ErrSessionRejected.
 func (c *Client) Hello(token uint64) (SessionInfo, error) {
 	defer c.begin()()
-	versioned := c.protoWant != ProtocolV1
-	var err error
-	if versioned {
-		err = writeHelloVersioned(c.bw, token, c.helloVersion(), false)
-	} else {
-		err = writeHello(c.bw, token)
-	}
+	ask := c.helloVersion()
+	err := writeHello(c.bw, token, ask, false)
 	if err == nil {
 		err = c.bw.Flush()
 	}
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	h, ver, err := c.readHelloReplyLocked(versioned, ErrSessionRejected)
+	h, ver, err := c.readHelloReplyLocked(ask, ErrSessionRejected)
 	if err != nil {
 		return SessionInfo{}, err
 	}
@@ -395,13 +390,14 @@ func (c *Client) negotiateLocked() (int, error) {
 		c.proto = ProtocolV1
 		return c.proto, nil
 	}
-	if err := writeHelloVersioned(c.bw, 0, c.helloVersion(), true); err != nil {
+	ask := c.helloVersion()
+	if err := writeHello(c.bw, 0, ask, true); err != nil {
 		return 0, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return 0, err
 	}
-	_, ver, err := c.readHelloReplyLocked(true, errNegotiationRejected)
+	_, ver, err := c.readHelloReplyLocked(ask, errNegotiationRejected)
 	if err != nil {
 		return 0, err
 	}
@@ -409,32 +405,35 @@ func (c *Client) negotiateLocked() (int, error) {
 	return ver, nil
 }
 
-// helloVersion is the protocol version a versioned HELLO asks for: the
-// client's pin, or ProtocolMax in auto mode.
+// helloVersion is the version field of this client's HELLO request:
+// 0 (the legacy request, which negotiates nothing) when pinned to v1,
+// otherwise the client's pin, or ProtocolMax in auto mode.
 func (c *Client) helloVersion() int {
-	if c.protoWant == 0 {
+	switch c.protoWant {
+	case ProtocolV1:
+		return 0
+	case 0:
 		return ProtocolMax
 	}
 	return c.protoWant
 }
 
-// readHelloReplyLocked reads the reply to the HELLO just sent — Hello's
-// and Negotiate's shared reader. A shed surfaces as ErrOverloaded and a
-// rejection as reject wrapping the collector's reason; an accepted
-// versioned reply must name a version this client speaks and, under a
-// v2 pin, at least v2. Caller holds c.mu.
-func (c *Client) readHelloReplyLocked(versioned bool, reject error) (helloReply, int, error) {
+// readHelloReplyLocked reads the reply to the HELLO of version ask just
+// sent — Hello's and Negotiate's shared reader. A shed surfaces as
+// ErrOverloaded and a rejection as reject wrapping the collector's
+// reason. A legacy reply (ask 0) leaves the connection on v1; an
+// accepted versioned reply must name a version this client speaks and,
+// under a v2 pin, at least v2. Caller holds c.mu.
+func (c *Client) readHelloReplyLocked(ask int, reject error) (helloReply, int, error) {
 	if err := c.readReasonedAck(reject); err != nil {
 		return helloReply{}, 0, err
 	}
-	if !versioned {
-		h, err := readHelloReplyBody(c.br)
-		return h, ProtocolV1, err
-	}
-	h, ver, err := readHelloReplyBodyV(c.br)
+	h, ver, err := readHelloReply(c.br, ask)
 	switch {
 	case err != nil:
 		return helloReply{}, 0, err
+	case ask == 0:
+		return h, ProtocolV1, nil
 	case ver < ProtocolV1 || ver > ProtocolMax:
 		return helloReply{}, 0, fmt.Errorf("transport: collector negotiated unsupported protocol version %d", ver)
 	case c.protoWant == ProtocolV2 && ver < ProtocolV2:
@@ -524,7 +523,7 @@ func (c *Client) PullSnapshotContext(ctx context.Context) (est.Snapshot, error) 
 	if err := c.readAck("collector cannot serve a snapshot"); err != nil {
 		return est.Snapshot{}, err
 	}
-	return readSnapshotBody(c.br)
+	return DecodeSnapshot(c.br)
 }
 
 // PushSnapshot ships a snapshot to the collector (the MERGE frame), which

@@ -4,7 +4,7 @@
 // deterministic unit tests instead of waiting for real networks to
 // misbehave.
 //
-// Three layers compose:
+// Two layers compose:
 //
 //   - Conn wraps one net.Conn and fails it on command: cut it after a
 //     counted number of reads or writes (or immediately), stall it so
@@ -13,9 +13,10 @@
 //   - Listener wraps a net.Listener and applies a caller-supplied plan
 //     to each accepted connection, so a stock server under test serves
 //     faulty connections without knowing it.
-//   - Proxy relays TCP between real endpoints and severs all links on
-//     command — the coarse-grained "pull the cable" fault that
-//     exercises reconnect logic end to end.
+//
+// The coarse-grained "pull the cable" fault — a TCP relay between real
+// endpoints that severs every link on command — lives in the proxy
+// subpackage, which programs outside the tests import too.
 //
 // Injected failures surface as *FaultError, which deliberately is NOT a
 // net.Error timeout: code that special-cases timeouts (idle-deadline
@@ -76,8 +77,6 @@ func Wrap(c net.Conn) *Conn {
 // CutAfterReads arms the connection to fail every read after n more
 // reads have succeeded. The underlying connection is closed on the
 // first failed read, so the peer sees a reset too.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) CutAfterReads(n int) {
 	c.mu.Lock()
 	c.cutAfterReads = int64(n)
@@ -87,8 +86,6 @@ func (c *Conn) CutAfterReads(n int) {
 // CutAfterWrites arms the connection to fail every write after n more
 // writes have succeeded, closing the underlying connection on the first
 // failure.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) CutAfterWrites(n int) {
 	c.mu.Lock()
 	c.cutAfterWrite = int64(n)
@@ -97,8 +94,6 @@ func (c *Conn) CutAfterWrites(n int) {
 
 // Cut fails every subsequent operation immediately and closes the
 // underlying connection, like a cable pulled mid-exchange.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) Cut() {
 	c.mu.Lock()
 	c.cut = true
@@ -108,8 +103,6 @@ func (c *Conn) Cut() {
 
 // SetLatency delays every subsequent read and write by d (0 restores
 // full speed).
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) SetLatency(d time.Duration) {
 	c.mu.Lock()
 	c.latency = d
@@ -119,8 +112,6 @@ func (c *Conn) SetLatency(d time.Duration) {
 // SetPartialWrites caps every write at n bytes, forcing callers through
 // their short-write paths (0 restores full writes). io.Writer semantics
 // are preserved: the write reports how many bytes really went out.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) SetPartialWrites(n int) {
 	c.mu.Lock()
 	c.partialMax = n
@@ -130,8 +121,6 @@ func (c *Conn) SetPartialWrites(n int) {
 // Stall blocks every subsequent operation until Unstall, simulating a
 // peer that is alive but not moving bytes. Operations already blocked
 // inside the inner connection are not interrupted.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) Stall() {
 	c.mu.Lock()
 	if c.stall == nil {
@@ -141,8 +130,6 @@ func (c *Conn) Stall() {
 }
 
 // Unstall releases every operation blocked by Stall.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) Unstall() {
 	c.mu.Lock()
 	if c.stall != nil {
@@ -153,8 +140,6 @@ func (c *Conn) Unstall() {
 }
 
 // Stats snapshots the operation counters.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 func (c *Conn) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -266,8 +251,6 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDead
 
 // Listener wraps a net.Listener so every accepted connection comes back
 // fault-wrapped, with Plan invoked on each new Conn to arm its faults.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
 type Listener struct {
 	net.Listener
 	// Plan, when non-nil, is called with each accepted connection before

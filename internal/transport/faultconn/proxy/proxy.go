@@ -1,4 +1,7 @@
-package faultconn
+// Package proxy holds the fault-injection relay that the transport tests
+// and the crash-recovery end-to-end check drive reconnecting clients
+// through.
+package proxy
 
 import (
 	"io"
@@ -32,9 +35,9 @@ func (pl *proxyLink) closeBoth() {
 	pl.server.Close()
 }
 
-// NewProxy starts a relay on an ephemeral localhost port forwarding to
+// New starts a relay on an ephemeral localhost port forwarding to
 // upstream. Close it when done.
-func NewProxy(upstream string) (*Proxy, error) {
+func New(upstream string) (*Proxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -47,15 +50,6 @@ func NewProxy(upstream string) (*Proxy, error) {
 
 // Addr returns the address clients dial instead of the upstream's.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
-// Links returns how many relay pairs are currently live.
-//
-//hdrvet:ignore testonly -- test API of the fault-injection kit; crashcheck imports the package for its Proxy, so it does not count as test support
-func (p *Proxy) Links() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.links)
-}
 
 // CutLinks severs every live relay pair. Connections established
 // afterwards relay normally.

@@ -54,7 +54,7 @@ func FuzzRoundTripQuerySpec(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 1, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := readQuerySpecBody(bytes.NewReader(data))
+		spec, err := DecodeQuerySpec(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -62,7 +62,7 @@ func FuzzRoundTripQuerySpec(f *testing.F) {
 		if err := WriteOpenQuery(&buf, spec); err != nil {
 			t.Fatalf("re-encode decoded spec: %v", err)
 		}
-		got, err := readQuerySpecBody(bytes.NewReader(frameBody(t, &buf, frameOpenQuery)))
+		got, err := DecodeQuerySpec(bytes.NewReader(frameBody(t, &buf, frameOpenQuery)))
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
@@ -348,28 +348,28 @@ func FuzzBatchDecodeParity(f *testing.F) {
 // it decodes and reject hostile kind/length fields without crashing.
 func FuzzRoundTripSnapshot(f *testing.F) {
 	var seed bytes.Buffer
-	writeSnapshotBody(&seed, est.Snapshot{
+	EncodeSnapshot(&seed, est.Snapshot{
 		Kind: "mean", Dims: 3,
 		Sums: []float64{1, -2, 0.5}, Counts: []int64{4, 4, 4},
 	})
 	f.Add(seed.Bytes())
 	var fr bytes.Buffer
-	writeSnapshotBody(&fr, est.Snapshot{
+	EncodeSnapshot(&fr, est.Snapshot{
 		Kind: "freq", Dims: 2, Cards: []int{2, 3},
 		Sums: []float64{1, 2, 3, 4, 5}, Counts: []int64{7, 7},
 	})
 	f.Add(fr.Bytes())
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // hostile kind length
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := readSnapshotBody(bytes.NewReader(data))
+		snap, err := DecodeSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if err := writeSnapshotBody(&buf, snap); err != nil {
+		if err := EncodeSnapshot(&buf, snap); err != nil {
 			t.Fatalf("re-encode decoded snapshot: %v", err)
 		}
-		got, err := readSnapshotBody(&buf)
+		got, err := DecodeSnapshot(&buf)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
@@ -397,18 +397,18 @@ func FuzzRoundTripSnapshot(f *testing.F) {
 }
 
 // FuzzRoundTripHello covers both halves of the session handshake codec
-// in both wire shapes: the fixed 9-byte legacy HELLO request and its
-// 24-byte reply body, plus the versioned request (flags + protocol
-// version + 48-bit token packed into the same field) and its 25-byte
-// reply, must survive decode→encode→decode bit-exactly for any token
-// and progress values the fuzzer invents.
+// in both wire shapes: the fixed 9-byte legacy HELLO request (version 0)
+// and its 24-byte reply body, plus the versioned request (flags +
+// protocol version + 48-bit token packed into the same field) and its
+// 25-byte reply, must survive decode→encode→decode bit-exactly for any
+// token and progress values the fuzzer invents.
 func FuzzRoundTripHello(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(0xdeadbeef), uint64(1), uint64(7))
 	f.Add(^uint64(0), ^uint64(0), ^uint64(0))
 	f.Fuzz(func(t *testing.T, token, lastSeq, accepted uint64) {
 		var req bytes.Buffer
-		if err := writeHello(&req, token); err != nil {
+		if err := writeHello(&req, token, 0, accepted%2 == 1); err != nil {
 			t.Fatalf("writeHello: %v", err)
 		}
 		ft, err := readFrameType(&req)
@@ -425,15 +425,18 @@ func FuzzRoundTripHello(f *testing.F) {
 
 		var reply bytes.Buffer
 		h := helloReply{Token: token, LastSeq: lastSeq, Accepted: accepted}
-		if err := writeHelloReplyBody(&reply, h); err != nil {
-			t.Fatalf("writeHelloReplyBody: %v", err)
+		if err := writeHelloReply(&reply, h, 0); err != nil {
+			t.Fatalf("writeHelloReply: %v", err)
 		}
-		got, err := readHelloReplyBody(&reply)
+		if reply.Len() != 24 {
+			t.Fatalf("legacy reply body of %d bytes; want 24", reply.Len())
+		}
+		got, gotVer, err := readHelloReply(&reply, 0)
 		if err != nil {
-			t.Fatalf("readHelloReplyBody: %v", err)
+			t.Fatalf("readHelloReply: %v", err)
 		}
-		if got != h {
-			t.Fatalf("reply round trip: %+v vs %+v", got, h)
+		if got != h || gotVer != 0 {
+			t.Fatalf("reply round trip: (%+v, %d) vs (%+v, 0)", got, gotVer, h)
 		}
 
 		// Versioned request: the flag/version/token packing must be
@@ -441,8 +444,8 @@ func FuzzRoundTripHello(f *testing.F) {
 		ver := int(lastSeq%255) + 1
 		noSession := accepted%2 == 1
 		var vreq bytes.Buffer
-		if err := writeHelloVersioned(&vreq, token, ver, noSession); err != nil {
-			t.Fatalf("writeHelloVersioned: %v", err)
+		if err := writeHello(&vreq, token, ver, noSession); err != nil {
+			t.Fatalf("writeHello: %v", err)
 		}
 		if ft, err := readFrameType(&vreq); err != nil || ft != frameHello {
 			t.Fatalf("versioned frame type 0x%02x, err %v; want frameHello", ft, err)
@@ -466,12 +469,15 @@ func FuzzRoundTripHello(f *testing.F) {
 
 		// Versioned 25-byte reply body.
 		var vreply bytes.Buffer
-		if err := writeHelloReplyBodyV(&vreply, h, ver); err != nil {
-			t.Fatalf("writeHelloReplyBodyV: %v", err)
+		if err := writeHelloReply(&vreply, h, ver); err != nil {
+			t.Fatalf("writeHelloReply: %v", err)
 		}
-		vh, gotVer, err := readHelloReplyBodyV(&vreply)
+		if vreply.Len() != 25 {
+			t.Fatalf("versioned reply body of %d bytes; want 25", vreply.Len())
+		}
+		vh, gotVer, err := readHelloReply(&vreply, ver)
 		if err != nil {
-			t.Fatalf("readHelloReplyBodyV: %v", err)
+			t.Fatalf("readHelloReply: %v", err)
 		}
 		if vh != h || gotVer != ver%256 {
 			t.Fatalf("versioned reply round trip: (%+v, %d) vs (%+v, %d)", vh, gotVer, h, ver)

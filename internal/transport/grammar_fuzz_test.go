@@ -134,13 +134,13 @@ func FuzzFrameExchange(f *testing.F) {
 	// Versioned HELLO (negotiation ping and session open), and the v2
 	// columnar frameCBatch grammar: bare, sequenced under a session, and
 	// with a degenerate shape.
-	seed(func(b *bytes.Buffer) { _ = writeHelloVersioned(b, 0, ProtocolMax, true) })
+	seed(func(b *bytes.Buffer) { _ = writeHello(b, 0, ProtocolMax, true) })
 	seed(func(b *bytes.Buffer) {
 		frame, _ := CodecV2{}.AppendBatch(nil, "", 0, []est.Report{rep})
 		b.Write(frame)
 	})
 	seed(func(b *bytes.Buffer) {
-		_ = writeHelloVersioned(b, 0, ProtocolMax, false)
+		_ = writeHello(b, 0, ProtocolMax, false)
 		frame, _ := CodecV2{}.AppendBatch(nil, est.DefaultName, 1, []est.Report{rep, rep})
 		b.Write(frame)
 	})

@@ -171,7 +171,7 @@ func (q *Query) PullSnapshot() (est.Snapshot, error) {
 	if err := q.requestLocked(frameSnapshot); err != nil {
 		return est.Snapshot{}, err
 	}
-	return readSnapshotBody(c.br)
+	return DecodeSnapshot(c.br)
 }
 
 // PushSnapshot ships a snapshot into the query, which folds it into its

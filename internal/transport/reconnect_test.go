@@ -11,6 +11,7 @@ import (
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/transport/faultconn"
+	"github.com/hdr4me/hdr4me/internal/transport/faultconn/proxy"
 )
 
 // reconnectReports builds a deterministic stream of n in-range reports
@@ -46,19 +47,19 @@ func TestReconnectExactlyOnceCounts(t *testing.T) {
 	// Flaky run: client → proxy → collector, with the proxy pulling the
 	// cable twice mid-stream.
 	srvFlaky, addrFlaky := startTestServer(t, proto)
-	proxy, err := faultconn.NewProxy(addrFlaky)
+	px, err := proxy.New(addrFlaky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
+	defer px.Close()
 
-	bc, err := DialBuffered(proxy.Addr(), WithBatchSize(batch), WithReconnect(nil))
+	bc, err := DialBuffered(px.Addr(), WithBatchSize(batch), WithReconnect(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rep := range reps {
 		if i == 3000 || i == 6000 {
-			proxy.CutLinks()
+			px.CutLinks()
 		}
 		if err := bc.Add(rep); err != nil {
 			t.Fatalf("Add %d: %v", i, err)

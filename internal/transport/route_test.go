@@ -71,7 +71,7 @@ func TestQuerySpecWireRoundTrip(t *testing.T) {
 		if err != nil || ft != frameOpenQuery {
 			t.Fatalf("%s: frame type %v, err %v", spec.Name, ft, err)
 		}
-		got, err := readQuerySpecBody(&buf)
+		got, err := DecodeQuerySpec(&buf)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -98,7 +98,7 @@ func TestQuerySpecRejectsHostileCards(t *testing.T) {
 	buf.Write(make([]byte, 8))         // d, m
 	buf.Write([]byte{0, 0, 0, 1})      // 1 card...
 	buf.Write([]byte{0x7F, 0xFF, 0xFF, 0xFF})
-	if _, err := readQuerySpecBody(bytes.NewReader(buf.Bytes())); err == nil ||
+	if _, err := DecodeQuerySpec(bytes.NewReader(buf.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "card") {
 		t.Fatalf("hostile card value = %v, want card-limit rejection", err)
 	}
@@ -112,7 +112,7 @@ func TestQuerySpecRejectsHostileCards(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		buf2.Write([]byte{0, 8, 0, 0})
 	}
-	if _, err := readQuerySpecBody(bytes.NewReader(buf2.Bytes())); err == nil ||
+	if _, err := DecodeQuerySpec(bytes.NewReader(buf2.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "total entries") {
 		t.Fatalf("hostile card total = %v, want total-entries rejection", err)
 	}
@@ -258,7 +258,7 @@ func TestUnroutableFramesTearDownRoutedConnection(t *testing.T) {
 			}
 			return writeString(w, est.DefaultName, maxNameLen)
 		}},
-		{"HELLO", func(w *bufio.Writer) error { return writeHello(w, 0) }},
+		{"HELLO", func(w *bufio.Writer) error { return writeHello(w, 0, 0, false) }},
 		{"CBATCH", func(w *bufio.Writer) error {
 			_, err := w.Write(cbatch)
 			return err

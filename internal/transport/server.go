@@ -475,7 +475,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 		switch ft {
 		case frameOpenQuery:
 			var spec est.QuerySpec
-			if spec, err = readQuerySpecBody(br); err != nil {
+			if spec, err = DecodeQuerySpec(br); err != nil {
 				return err
 			}
 			_, oerr := s.reg.Open(spec)
@@ -514,11 +514,11 @@ func (s *Server) serveConn(conn net.Conn) error {
 			}
 		case frameSnapshot:
 			if err = writeAck(bw, q != nil); err == nil && q != nil {
-				err = writeSnapshotBody(bw, q.Estimator().Snapshot())
+				err = EncodeSnapshot(bw, q.Estimator().Snapshot())
 			}
 		case frameMerge:
 			var snap est.Snapshot
-			if snap, err = readSnapshotBody(br); err != nil {
+			if snap, err = DecodeSnapshot(br); err != nil {
 				return err
 			}
 			err = writeAck(bw, q != nil && q.Merge(snap) == nil)
@@ -720,7 +720,7 @@ func (c *serverConn) serveHello(br *bufio.Reader, bw *bufio.Writer) error {
 			if err := bw.WriteByte(ackOK); err != nil {
 				return err
 			}
-			return writeHelloReplyBodyV(bw, helloReply{}, negotiated)
+			return writeHelloReply(bw, helloReply{}, negotiated)
 		}
 	}
 	if c.sess != nil {
@@ -752,10 +752,7 @@ func (c *serverConn) serveHello(br *bufio.Reader, bw *bufio.Writer) error {
 	if err := bw.WriteByte(ackOK); err != nil {
 		return err
 	}
-	if versioned {
-		return writeHelloReplyBodyV(bw, c.sess.state(), negotiated)
-	}
-	return writeHelloReplyBody(bw, c.sess.state())
+	return writeHelloReply(bw, c.sess.state(), negotiated)
 }
 
 // batchHeader is one batch frame's parsed header, whatever its grammar:
@@ -809,38 +806,13 @@ func (c *serverConn) serveBatch(br *bufio.Reader, bw *bufio.Writer, sess *connSe
 // from any connection; only clients gate their encoder on the HELLO
 // outcome.
 func (c *serverConn) serveCBatch(br *bufio.Reader, bw *bufio.Writer) error {
-	nameLen, err := c.sc.readUint32(br)
+	name, h, err := readCBatchHeader(br, &c.sc)
 	if err != nil {
 		return err
 	}
-	if nameLen > maxNameLen {
-		return fmt.Errorf("transport: string of %d bytes exceeds limit %d", nameLen, maxNameLen)
-	}
 	q := c.s.reg.Default()
-	if nameLen > 0 {
-		raw := c.sc.bytes(int(nameLen))
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return err
-		}
-		q = c.s.reg.Get(string(raw))
-	}
-	var hdr [20]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return err
-	}
-	h := batchHeader{
-		seq:      binary.BigEndian.Uint64(hdr[:8]),
-		n:        binary.BigEndian.Uint32(hdr[8:12]),
-		columnar: true,
-	}
-	ndims := binary.BigEndian.Uint32(hdr[12:16])
-	nvals := binary.BigEndian.Uint32(hdr[16:20])
-	if h.n > maxBatch || ndims > maxPairs || nvals > maxPairs {
-		return fmt.Errorf("transport: cbatch shape %d×(%d,%d) exceeds limits", h.n, ndims, nvals)
-	}
-	h.nd, h.nv = int(ndims), int(nvals)
-	if err := checkCBatchShape(int(h.n), h.nd, h.nv); err != nil {
-		return err
+	if len(name) > 0 {
+		q = c.s.reg.Get(string(name))
 	}
 	return c.ingest(br, bw, c.sess, h, batchTarget{q: q})
 }

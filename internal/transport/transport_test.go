@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"math"
 	"sync"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/dataset"
+	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
@@ -60,6 +63,44 @@ func TestWireRejectsOversizedFrames(t *testing.T) {
 	buf3.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	if _, err := readInts(&buf3); err == nil {
 		t.Fatal("oversized int vector must be rejected")
+	}
+}
+
+// TestReadFrameGrowsWithPayload: the served report reader and the shed
+// path's drain reserve memory as payload arrives, not as the count field
+// announces — a bare header claiming maxPairs entries must not make the
+// collector allocate the frame it promises — and a frame that takes
+// several read stages still decodes whole.
+func TestReadFrameGrowsWithPayload(t *testing.T) {
+	for _, ft := range []byte{frameReport, frameVecReport} {
+		hdr := binary.BigEndian.AppendUint32([]byte{ft}, maxPairs)
+		sc := &decodeScratch{}
+		if _, err := readReport(ft, bytes.NewReader(hdr[1:]), sc); err == nil {
+			t.Fatalf("frame 0x%02x: truncated frame accepted", ft)
+		}
+		if cap(sc.b) > 2*readStageMax {
+			t.Fatalf("frame 0x%02x: a bare header reserved %d bytes", ft, cap(sc.b))
+		}
+		sc = &decodeScratch{}
+		if err := discardBatchReports(bufio.NewReader(bytes.NewReader(hdr)), sc, 1); err == nil {
+			t.Fatalf("frame 0x%02x: drain accepted a truncated frame", ft)
+		}
+		if cap(sc.b) > 2*readStageMax {
+			t.Fatalf("frame 0x%02x: draining a bare header reserved %d bytes", ft, cap(sc.b))
+		}
+	}
+	n := 3 * readStageMax / 12
+	rep := est.Report{Dims: make([]uint32, n), Values: make([]float64, n)}
+	for i := range rep.Dims {
+		rep.Dims[i], rep.Values[i] = uint32(i), float64(i)/7
+	}
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readReport(frameReport, bytes.NewReader(buf.Bytes()[1:]), &decodeScratch{})
+	if err != nil || !reportsEqual(got, rep) {
+		t.Fatalf("multi-stage frame: err %v, equal %t", err, reportsEqual(got, rep))
 	}
 }
 

@@ -316,8 +316,20 @@ func readVecReportBody(r io.Reader) (est.Report, error) {
 }
 
 // writeHello writes one HELLO frame (0x12): token 0 asks the collector to
-// open a new replay session, a prior token asks to resume it.
-func writeHello(w io.Writer, token uint64) error {
+// open a new replay session, a prior token asks to resume it. Version 0
+// is the legacy request, whose field is the bare token. A nonzero ver
+// sends the versioned request (see cbatch.go): the token's low 48 bits
+// under the versioned flag, ver as the client's maximum protocol
+// version, and — with noSession — the flag that makes the exchange a
+// negotiation-only ping touching no session state.
+func writeHello(w io.Writer, token uint64, ver int, noSession bool) error {
+	if ver != 0 {
+		token = token&helloTokenMask | helloFlagVersioned |
+			uint64(ver)<<helloVersionShift&helloVersionMask
+		if noSession {
+			token |= helloFlagNoSession
+		}
+	}
 	var buf [9]byte
 	buf[0] = frameHello
 	binary.BigEndian.PutUint64(buf[1:], token)
@@ -337,74 +349,55 @@ type helloReply struct {
 	Accepted uint64
 }
 
-// writeHelloReplyBody writes the 24-byte body that follows an ackOK HELLO
-// status.
-func writeHelloReplyBody(w io.Writer, h helloReply) error {
-	var buf [24]byte
+// writeHelloReply writes the body that follows an ackOK HELLO status:
+// the 24-byte session state, and — answering a versioned request, ver
+// nonzero — one trailing byte, the negotiated protocol version ver.
+func writeHelloReply(w io.Writer, h helloReply, ver int) error {
+	var buf [25]byte
 	binary.BigEndian.PutUint64(buf[0:], h.Token)
 	binary.BigEndian.PutUint64(buf[8:], h.LastSeq)
 	binary.BigEndian.PutUint64(buf[16:], h.Accepted)
-	_, err := w.Write(buf[:])
+	n := 24
+	if ver != 0 {
+		buf[24] = byte(ver)
+		n = 25
+	}
+	_, err := w.Write(buf[:n])
 	return err
 }
 
-// readHelloReplyBody reads the body written by writeHelloReplyBody.
-func readHelloReplyBody(r io.Reader) (helloReply, error) {
-	var buf [24]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return helloReply{}, err
+// readHelloReply reads the body writeHelloReply writes in answer to a
+// HELLO request of version ver (0 = legacy) and returns the negotiated
+// version it carries — 0 for the legacy 24-byte form.
+func readHelloReply(r io.Reader, ver int) (helloReply, int, error) {
+	var buf [25]byte
+	n := 24
+	if ver != 0 {
+		n = 25
 	}
-	return helloReply{
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
+		return helloReply{}, 0, err
+	}
+	h := helloReply{
 		Token:    binary.BigEndian.Uint64(buf[0:]),
 		LastSeq:  binary.BigEndian.Uint64(buf[8:]),
 		Accepted: binary.BigEndian.Uint64(buf[16:]),
-	}, nil
+	}
+	return h, int(buf[24]), nil
 }
 
 // discardBatchReports consumes cnt embedded report frames without
 // decoding them — the shed path's body drain: a NACKed batch must still
-// be read off the wire or the connection desyncs.
+// be read off the wire or the connection desyncs. Each frame passes
+// through sc's byte arena, so at most one is resident at a time.
 func discardBatchReports(br *bufio.Reader, sc *decodeScratch, cnt uint32) error {
 	for i := uint32(0); i < cnt; i++ {
 		ft, err := sc.readFrameType(br)
 		if err != nil {
 			return err
 		}
-		switch ft {
-		case frameReport:
-			n, err := sc.readUint32(br)
-			if err != nil {
-				return err
-			}
-			if n > maxPairs {
-				return fmt.Errorf("transport: report with %d pairs exceeds limit", n)
-			}
-			if _, err := br.Discard(12 * int(n)); err != nil {
-				return err
-			}
-		case frameVecReport:
-			nd, err := sc.readUint32(br)
-			if err != nil {
-				return err
-			}
-			if nd > maxPairs {
-				return fmt.Errorf("transport: report with %d dims exceeds limit", nd)
-			}
-			if _, err := br.Discard(4 * int(nd)); err != nil {
-				return err
-			}
-			nv, err := sc.readUint32(br)
-			if err != nil {
-				return err
-			}
-			if nv > maxPairs {
-				return fmt.Errorf("transport: report with %d values exceeds limit", nv)
-			}
-			if _, err := br.Discard(8 * int(nv)); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("transport: batch embeds frame type 0x%02x", ft)
+		if _, err := sc.readFrame(br, ft); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -521,181 +514,102 @@ func (sc *decodeScratch) decodePairs(raw []byte, cnt int) est.Report {
 	return est.Report{Dims: dims, Values: vals}
 }
 
-// readReport decodes the body of one report frame of type ft — 0x01
+// reportLen is the one place that knows the report-frame layout (0x01
+// pairs, 0x05 vectors) and its limits. It returns the byte length of the
+// frame at the start of w, type byte included, as far as w reveals it: a
+// result larger than len(w) means "read at least this many bytes, then
+// ask again". An unknown type byte or a count past maxPairs is an error
+// as soon as w holds it.
+func reportLen(w []byte) (int, error) {
+	switch {
+	case len(w) == 0:
+		return 1, nil
+	case w[0] != frameReport && w[0] != frameVecReport:
+		return 0, fmt.Errorf("transport: batch embeds frame type 0x%02x", w[0])
+	case len(w) < 5:
+		return 5, nil
+	}
+	n := binary.BigEndian.Uint32(w[1:])
+	if w[0] == frameReport {
+		if n > maxPairs {
+			return 0, fmt.Errorf("transport: report with %d pairs exceeds limit", n)
+		}
+		return 5 + 12*int(n), nil
+	}
+	if n > maxPairs {
+		return 0, fmt.Errorf("transport: report with %d dims exceeds limit", n)
+	}
+	dimsEnd := 5 + 4*int(n)
+	if len(w) < dimsEnd+4 {
+		return dimsEnd + 4, nil
+	}
+	nv := binary.BigEndian.Uint32(w[dimsEnd:])
+	if nv > maxPairs {
+		return 0, fmt.Errorf("transport: report with %d values exceeds limit", nv)
+	}
+	return dimsEnd + 4 + 8*int(nv), nil
+}
+
+// decodeReport decodes one complete report frame — exactly the bytes
+// reportLen measured — into the scratch arenas and returns the report
+// viewing them, so it stays valid after frame's bytes are reused.
+func (sc *decodeScratch) decodeReport(frame []byte) est.Report {
+	n := int(binary.BigEndian.Uint32(frame[1:]))
+	if frame[0] == frameReport {
+		return sc.decodePairs(frame[5:], n)
+	}
+	dims := sc.growDims(n)
+	for i := range dims {
+		dims[i] = binary.BigEndian.Uint32(frame[5+4*i:])
+	}
+	raw := frame[9+4*n:]
+	vals := sc.growVals(len(raw) / 8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+	}
+	return est.Report{Dims: dims, Values: vals}
+}
+
+// readStageMax is the most readFrame reads in one stage beyond what it
+// already holds.
+const readStageMax = 64 << 10
+
+// readFrame reads the rest of one report frame, whose type byte ft is
+// already consumed from r, into sc's byte arena — in as many stages as
+// reportLen asks for — and returns the whole frame, type byte included.
+// The frame is valid until the arena's next use. No stage reads more than
+// max(held bytes, readStageMax), so the arena grows only as payload
+// arrives: a bare header claiming maxPairs entries cannot make the
+// collector allocate the 12 MiB it announces.
+func (sc *decodeScratch) readFrame(r io.Reader, ft byte) ([]byte, error) {
+	sc.b = append(sc.b[:0], ft)
+	for {
+		need, err := reportLen(sc.b)
+		if err != nil {
+			return nil, err
+		}
+		have := len(sc.b)
+		if need <= have {
+			return sc.b, nil
+		}
+		step := min(need-have, max(have, readStageMax))
+		sc.b = slices.Grow(sc.b, step)[:have+step]
+		if _, err := io.ReadFull(r, sc.b[have:]); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// readReport decodes the rest of one report frame of type ft — 0x01
 // pairs or 0x05 vectors — into sc's reset arenas: the allocation-free
 // sibling of readReportBody and readVecReportBody.
 func readReport(ft byte, r io.Reader, sc *decodeScratch) (est.Report, error) {
 	sc.reset()
-	n, err := sc.readUint32(r)
+	frame, err := sc.readFrame(r, ft)
 	if err != nil {
 		return est.Report{}, err
 	}
-	if ft == frameReport {
-		return readReportPairs(r, sc, n)
-	}
-	return readVecReportRest(r, sc, n)
-}
-
-// readReportPairs reads the cnt pairs of a 0x01 frame whose count field
-// is already consumed.
-func readReportPairs(r io.Reader, sc *decodeScratch, cnt uint32) (est.Report, error) {
-	if cnt > maxPairs {
-		return est.Report{}, fmt.Errorf("transport: report with %d pairs exceeds limit", cnt)
-	}
-	buf := sc.bytes(12 * int(cnt))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return est.Report{}, err
-	}
-	return sc.decodePairs(buf, int(cnt)), nil
-}
-
-// readVecReportRest reads a 0x05 frame whose dim-count field is already
-// consumed.
-func readVecReportRest(r io.Reader, sc *decodeScratch, nd uint32) (est.Report, error) {
-	if nd > maxPairs {
-		return est.Report{}, fmt.Errorf("transport: report with %d dims exceeds limit", nd)
-	}
-	dbuf := sc.bytes(4 * int(nd))
-	if _, err := io.ReadFull(r, dbuf); err != nil {
-		return est.Report{}, err
-	}
-	dims := sc.growDims(int(nd))
-	for i := range dims {
-		dims[i] = binary.BigEndian.Uint32(dbuf[4*i:])
-	}
-	nv, err := sc.readUint32(r)
-	if err != nil {
-		return est.Report{}, err
-	}
-	if nv > maxPairs {
-		return est.Report{}, fmt.Errorf("transport: report with %d values exceeds limit", nv)
-	}
-	vbuf := sc.bytes(8 * int(nv))
-	if _, err := io.ReadFull(r, vbuf); err != nil {
-		return est.Report{}, err
-	}
-	vals := sc.growVals(int(nv))
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.BigEndian.Uint64(vbuf[8*i:]))
-	}
-	return est.Report{Dims: dims, Values: vals}, nil
-}
-
-// parseEmbedded decodes one embedded report frame from the byte window w
-// without consuming anything: it returns the report plus how many bytes
-// it spans, n == 0 when the frame is incomplete in w (read more first),
-// or an error for an undecodable frame. Dim/value payloads are copied
-// into the scratch arenas, so the report stays valid after w is
-// discarded.
-func (sc *decodeScratch) parseEmbedded(w []byte) (rep est.Report, n int, err error) {
-	if len(w) < 5 {
-		return est.Report{}, 0, nil
-	}
-	switch w[0] {
-	case frameReport:
-		cnt := binary.BigEndian.Uint32(w[1:])
-		if cnt > maxPairs {
-			return est.Report{}, 0, fmt.Errorf("transport: report with %d pairs exceeds limit", cnt)
-		}
-		need := 5 + 12*int(cnt)
-		if len(w) < need {
-			return est.Report{}, 0, nil
-		}
-		return sc.decodePairs(w[5:need], int(cnt)), need, nil
-	case frameVecReport:
-		nd := binary.BigEndian.Uint32(w[1:])
-		if nd > maxPairs {
-			return est.Report{}, 0, fmt.Errorf("transport: report with %d dims exceeds limit", nd)
-		}
-		dimsEnd := 5 + 4*int(nd)
-		if len(w) < dimsEnd+4 {
-			return est.Report{}, 0, nil
-		}
-		nv := binary.BigEndian.Uint32(w[dimsEnd:])
-		if nv > maxPairs {
-			return est.Report{}, 0, fmt.Errorf("transport: report with %d values exceeds limit", nv)
-		}
-		need := dimsEnd + 4 + 8*int(nv)
-		if len(w) < need {
-			return est.Report{}, 0, nil
-		}
-		dims := sc.growDims(int(nd))
-		for i := range dims {
-			dims[i] = binary.BigEndian.Uint32(w[5+4*i:])
-		}
-		vals := sc.growVals(int(nv))
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.BigEndian.Uint64(w[dimsEnd+4+8*i:]))
-		}
-		return est.Report{Dims: dims, Values: vals}, need, nil
-	default:
-		return est.Report{}, 0, fmt.Errorf("transport: batch embeds frame type 0x%02x", w[0])
-	}
-}
-
-// decodeEmbeddedPeek decodes one embedded report frame straight out of
-// the bufio window — no per-field ReadFull calls, no copy into the byte
-// arena — falling back to the streaming readers only when a frame
-// overflows the buffer. decodeBatch uses it as the blocking path when
-// the buffered window holds no complete frame.
-func decodeEmbeddedPeek(br *bufio.Reader, sc *decodeScratch) (est.Report, error) {
-	hdr, err := br.Peek(5)
-	if err != nil {
-		return est.Report{}, err
-	}
-	switch hdr[0] {
-	case frameReport:
-		cnt := binary.BigEndian.Uint32(hdr[1:])
-		if cnt > maxPairs {
-			return est.Report{}, fmt.Errorf("transport: report with %d pairs exceeds limit", cnt)
-		}
-		if need := 5 + 12*int(cnt); need <= br.Size() {
-			raw, err := br.Peek(need)
-			if err != nil {
-				return est.Report{}, err
-			}
-			rep := sc.decodePairs(raw[5:], int(cnt))
-			br.Discard(need)
-			return rep, nil
-		}
-		br.Discard(5)
-		return readReportPairs(br, sc, cnt)
-	case frameVecReport:
-		nd := binary.BigEndian.Uint32(hdr[1:])
-		if nd > maxPairs {
-			return est.Report{}, fmt.Errorf("transport: report with %d dims exceeds limit", nd)
-		}
-		dimsEnd := 5 + 4*int(nd)
-		if dimsEnd+4 <= br.Size() {
-			raw, err := br.Peek(dimsEnd + 4)
-			if err != nil {
-				return est.Report{}, err
-			}
-			nv := binary.BigEndian.Uint32(raw[dimsEnd:])
-			if nv > maxPairs {
-				return est.Report{}, fmt.Errorf("transport: report with %d values exceeds limit", nv)
-			}
-			if need := dimsEnd + 4 + 8*int(nv); need <= br.Size() {
-				if raw, err = br.Peek(need); err != nil {
-					return est.Report{}, err
-				}
-				dims := sc.growDims(int(nd))
-				for i := range dims {
-					dims[i] = binary.BigEndian.Uint32(raw[5+4*i:])
-				}
-				vals := sc.growVals(int(nv))
-				for i := range vals {
-					vals[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[dimsEnd+4+8*i:]))
-				}
-				br.Discard(need)
-				return est.Report{Dims: dims, Values: vals}, nil
-			}
-		}
-		br.Discard(5)
-		return readVecReportRest(br, sc, nd)
-	default:
-		return est.Report{}, fmt.Errorf("transport: batch embeds frame type 0x%02x", hdr[0])
-	}
+	return sc.decodeReport(frame), nil
 }
 
 // readBatchBuffered decodes the cnt embedded report frames of an
@@ -742,8 +656,8 @@ func readSeqBatch(br *bufio.Reader, sc *decodeScratch, cnt uint32) ([]est.Report
 // holds the cleanly decoded prefix. Each pass peeks the whole buffered
 // window, parses every complete frame out of it in one tight loop, and
 // consumes them with a single Discard — bufio bookkeeping is paid per
-// window, not per report. Frames that straddle the window edge (or
-// exceed the buffer) take the blocking per-frame path.
+// window, not per report. A frame that straddles the window edge (or
+// exceeds the buffer) is read on its own through readFrame.
 func (sc *decodeScratch) decodeBatch(br *bufio.Reader, cnt uint32, maxVals, maxDims int) (done uint32, err error) {
 	for done < cnt && len(sc.vals) < maxVals && len(sc.dims) < maxDims {
 		w, _ := br.Peek(br.Buffered())
@@ -751,7 +665,7 @@ func (sc *decodeScratch) decodeBatch(br *bufio.Reader, cnt uint32, maxVals, maxD
 		for done < cnt && len(sc.vals) < maxVals && len(sc.dims) < maxDims {
 			// Inline fast path for the dominant wire shape: a pair report
 			// complete in the window. Everything else (vec reports,
-			// oversized counts, partial frames) takes parseEmbedded.
+			// oversized counts, partial frames) goes through reportLen.
 			if len(w)-consumed >= 5 && w[consumed] == frameReport {
 				if pairs := int(binary.BigEndian.Uint32(w[consumed+1:])); pairs <= maxPairs && consumed+5+12*pairs <= len(w) {
 					sc.reps = append(sc.reps, sc.decodePairs(w[consumed+5:consumed+5+12*pairs], pairs))
@@ -760,16 +674,16 @@ func (sc *decodeScratch) decodeBatch(br *bufio.Reader, cnt uint32, maxVals, maxD
 					continue
 				}
 			}
-			rep, n, perr := sc.parseEmbedded(w[consumed:])
+			n, perr := reportLen(w[consumed:])
 			if perr != nil {
 				br.Discard(consumed)
 				return done, perr
 			}
-			if n == 0 {
+			if n > len(w)-consumed {
 				break
 			}
+			sc.reps = append(sc.reps, sc.decodeReport(w[consumed:consumed+n]))
 			consumed += n
-			sc.reps = append(sc.reps, rep)
 			done++
 		}
 		br.Discard(consumed)
@@ -777,21 +691,29 @@ func (sc *decodeScratch) decodeBatch(br *bufio.Reader, cnt uint32, maxVals, maxD
 			continue
 		}
 		// No complete frame buffered: block for exactly one.
-		rep, err := decodeEmbeddedPeek(br, sc)
+		ft, err := sc.readFrameType(br)
 		if err != nil {
 			return done, err
 		}
-		sc.reps = append(sc.reps, rep)
+		frame, err := sc.readFrame(br, ft)
+		if err != nil {
+			return done, err
+		}
+		sc.reps = append(sc.reps, sc.decodeReport(frame))
 		done++
 	}
 	return done, nil
 }
 
-// writeSnapshotBody serializes an est.Snapshot: kind string, dims, then
-// the Cards, Sums and Counts vectors. It enforces the same limits the
-// reader does, so an unshippable snapshot fails with a clear error at the
-// sender instead of a torn-down connection at the receiver.
-func writeSnapshotBody(w io.Writer, s est.Snapshot) error {
+// EncodeSnapshot serializes an est.Snapshot in the canonical wire layout
+// (the SNAPSHOT/MERGE frame body, without a frame type byte): kind
+// string, dims, then the Cards, Sums and Counts vectors. It is the codec
+// the persist package embeds in checkpoint files, so on-disk and on-wire
+// snapshots are byte-identical and stay in sync by construction. It
+// enforces the same limits the reader does, so an unshippable snapshot
+// fails with a clear error at the sender instead of a torn-down
+// connection at the receiver.
+func EncodeSnapshot(w io.Writer, s est.Snapshot) error {
 	if len(s.Kind) > maxKindLen {
 		return fmt.Errorf("transport: snapshot kind %q exceeds %d bytes", s.Kind, maxKindLen)
 	}
@@ -820,9 +742,9 @@ func writeSnapshotBody(w io.Writer, s est.Snapshot) error {
 	return writeInts(w, s.Counts)
 }
 
-// readSnapshotBody deserializes an est.Snapshot written by
-// writeSnapshotBody, rejecting hostile length fields.
-func readSnapshotBody(r io.Reader) (est.Snapshot, error) {
+// DecodeSnapshot deserializes an est.Snapshot written by EncodeSnapshot,
+// rejecting hostile length fields.
+func DecodeSnapshot(r io.Reader) (est.Snapshot, error) {
 	var s est.Snapshot
 	var kl uint32
 	if err := binary.Read(r, binary.BigEndian, &kl); err != nil {
@@ -871,32 +793,13 @@ func readSnapshotBody(r io.Reader) (est.Snapshot, error) {
 	return s, nil
 }
 
-// EncodeSnapshot serializes an est.Snapshot in the canonical wire layout
-// (the SNAPSHOT/MERGE frame body, without a frame type byte). It is the
-// codec the persist package embeds in checkpoint files, so on-disk and
-// on-wire snapshots are byte-identical and stay in sync by construction.
-func EncodeSnapshot(w io.Writer, s est.Snapshot) error { return writeSnapshotBody(w, s) }
-
-// DecodeSnapshot deserializes an est.Snapshot written by EncodeSnapshot,
-// rejecting hostile length fields exactly as the wire reader does.
-func DecodeSnapshot(r io.Reader) (est.Snapshot, error) { return readSnapshotBody(r) }
-
-// EncodeQuerySpec serializes an est.QuerySpec in the canonical wire
-// layout (the OPENQUERY frame body, without the frame type byte) — the
-// spec codec checkpoint files embed.
-func EncodeQuerySpec(w io.Writer, spec est.QuerySpec) error { return writeQuerySpecBody(w, spec) }
-
-// DecodeQuerySpec deserializes an est.QuerySpec written by
-// EncodeQuerySpec, rejecting hostile length fields.
-func DecodeQuerySpec(r io.Reader) (est.QuerySpec, error) { return readQuerySpecBody(r) }
-
 // WriteMerge serializes one merge frame (0x08): a serialized snapshot the
 // receiving collector folds into its estimator.
 func WriteMerge(w io.Writer, s est.Snapshot) error {
 	if _, err := w.Write([]byte{frameMerge}); err != nil {
 		return err
 	}
-	return writeSnapshotBody(w, s)
+	return EncodeSnapshot(w, s)
 }
 
 // writeFloats writes a uint32 length followed by the values.
@@ -995,9 +898,11 @@ func writeSelectGen(w io.Writer, name string, gen uint64) error {
 	return err
 }
 
-// writeQuerySpecBody serializes an est.QuerySpec: name, kind and mechanism
-// strings, the ε budget, d and m, then the cardinality vector.
-func writeQuerySpecBody(w io.Writer, spec est.QuerySpec) error {
+// EncodeQuerySpec serializes an est.QuerySpec in the canonical wire
+// layout (the OPENQUERY frame body, without the frame type byte — the
+// spec codec checkpoint files embed): name, kind and mechanism strings,
+// the ε budget, d and m, then the cardinality vector.
+func EncodeQuerySpec(w io.Writer, spec est.QuerySpec) error {
 	if err := writeString(w, spec.Name, maxNameLen); err != nil {
 		return err
 	}
@@ -1023,9 +928,9 @@ func writeQuerySpecBody(w io.Writer, spec est.QuerySpec) error {
 	return err
 }
 
-// readQuerySpecBody deserializes an est.QuerySpec written by
-// writeQuerySpecBody, rejecting hostile length fields.
-func readQuerySpecBody(r io.Reader) (est.QuerySpec, error) {
+// DecodeQuerySpec deserializes an est.QuerySpec written by
+// EncodeQuerySpec, rejecting hostile length fields.
+func DecodeQuerySpec(r io.Reader) (est.QuerySpec, error) {
 	var spec est.QuerySpec
 	var err error
 	if spec.Name, err = readString(r, maxNameLen); err != nil {
@@ -1085,7 +990,7 @@ func WriteOpenQuery(w io.Writer, spec est.QuerySpec) error {
 	if _, err := w.Write([]byte{frameOpenQuery}); err != nil {
 		return err
 	}
-	return writeQuerySpecBody(w, spec)
+	return EncodeQuerySpec(w, spec)
 }
 
 // readInts reads a uint32 length followed by that many int64s.

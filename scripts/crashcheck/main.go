@@ -53,7 +53,7 @@ import (
 
 	hdr4me "github.com/hdr4me/hdr4me"
 	"github.com/hdr4me/hdr4me/internal/transport"
-	"github.com/hdr4me/hdr4me/internal/transport/faultconn"
+	"github.com/hdr4me/hdr4me/internal/transport/faultconn/proxy"
 )
 
 // e2eUsers is how many reports seed streams into each query.
@@ -483,12 +483,12 @@ func flakyFold(addr string) error {
 
 	// Flaky path: the buffered client dials the proxy, so every redial
 	// goes back through it; the cuts land while batches are unacked.
-	proxy, err := faultconn.NewProxy(addr)
+	px, err := proxy.New(addr)
 	if err != nil {
 		return err
 	}
-	defer proxy.Close()
-	bc, err := hdr4me.DialCollectorBuffered(proxy.Addr(),
+	defer px.Close()
+	bc, err := hdr4me.DialCollectorBuffered(px.Addr(),
 		hdr4me.WithBatchSize(flakyBatch), hdr4me.WithQueryName("flk"),
 		hdr4me.WithReconnect(nil), hdr4me.WithReconnectLimit(20))
 	if err != nil {
@@ -496,7 +496,7 @@ func flakyFold(addr string) error {
 	}
 	for i, rep := range reps {
 		if i == flakyUsers/3 || i == 2*flakyUsers/3 {
-			proxy.CutLinks()
+			px.CutLinks()
 		}
 		if err := bc.Add(rep); err != nil {
 			return fmt.Errorf("flaky path: Add at report %d: %w", i, err)
