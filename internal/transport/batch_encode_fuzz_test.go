@@ -49,9 +49,9 @@ func refAppendBatch(dst []byte, query string, seq uint64, reps []est.Report, v2 
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(reps)))
 	for _, rep := range reps {
 		if len(rep.Dims) == len(rep.Values) {
-			dst = appendReport(dst, rep)
+			dst = appendReport(dst, rep.Dims, rep.Values)
 		} else {
-			dst = appendVecReport(dst, rep)
+			dst = appendVecReport(dst, rep.Dims, rep.Values)
 		}
 	}
 	return dst, nil
@@ -62,9 +62,18 @@ func refAppendBatch(dst []byte, query string, seq uint64, reps []est.Report, v2 
 // column out of the reports before encoding it and streaming the
 // values report by report.
 func refAppendCBatchReports(dst []byte, query string, seq uint64, reps []est.Report, ndims, nvals int) ([]byte, error) {
-	dst, err := appendCBatchHeader(dst, query, seq, len(reps), ndims, nvals)
-	if err != nil {
+	if len(query) > maxNameLen {
+		return nil, errNameTooLong
+	}
+	if err := checkCBatchShape(len(reps), ndims, nvals); err != nil {
 		return nil, err
+	}
+	dst = append(dst, frameCBatch)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(query)))
+	dst = append(dst, query...)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	for _, v := range []int{len(reps), ndims, nvals} {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(v))
 	}
 	col := make([]uint32, 0, len(reps))
 	for c := 0; c < ndims; c++ {

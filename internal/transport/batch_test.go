@@ -527,3 +527,89 @@ func TestOversizedSnapshotRejectedAtSender(t *testing.T) {
 		t.Fatal("oversized snapshot must be refused at the sender")
 	}
 }
+
+// TestBufferedClientCopiesEveryReport: Add copies each report, so a
+// caller that reuses its slices after Add — here after a shape change
+// breaks the rectangle — cannot change what the batch ships.
+func TestBufferedClientCopiesEveryReport(t *testing.T) {
+	for _, v := range []int{ProtocolV1, ProtocolV2} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 4, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, addr := startTestServer(t, p)
+			bc, err := DialBuffered(addr, WithBatchSize(16), WithClientOptions(WithProtocolVersion(v)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bc.Add(est.Report{Dims: []uint32{1}, Values: []float64{0.5}}); err != nil {
+				t.Fatal(err)
+			}
+			vals := []float64{0.25, -0.25}
+			if err := bc.Add(est.Report{Dims: []uint32{2, 3}, Values: vals}); err != nil {
+				t.Fatal(err)
+			}
+			vals[0], vals[1] = 0.875, 0.875
+			if err := bc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s := srv.Est.Snapshot()
+			if s.Sums[1] != 0.5 || s.Sums[2] != 0.25 || s.Sums[3] != -0.25 {
+				t.Fatalf("collector sums %v; want [_ 0.5 0.25 -0.25]: the batch shipped the caller's reused slice", s.Sums)
+			}
+		})
+	}
+}
+
+// TestBufferedClientBatchAllocs pins the allocations of one 64-report
+// batch — staged, encoded, shipped and acknowledged, the collector's
+// decode and ingest included, since the count is process-wide. A ragged
+// batch (pair counts varying report to report) takes no more than a
+// rectangular one.
+func TestBufferedClientBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const n = 64
+	p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startTestServer(t, p)
+	rect, ragged := make([]est.Report, n), make([]est.Report, n)
+	for i := range rect {
+		rect[i] = est.Report{Dims: []uint32{0, 9, uint32(20 + i%7), 63}, Values: []float64{0.5, -0.5, 0.25, 1}}
+		k := 1 + i%4
+		ragged[i] = est.Report{Dims: rect[i].Dims[:k], Values: rect[i].Values[:k]}
+	}
+	for _, tc := range []struct{ v, rectMax int }{{ProtocolV1, 5}, {ProtocolV2, 5}} {
+		bc, err := DialBuffered(addr, WithBatchSize(n), WithClientOptions(WithProtocolVersion(tc.v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := func(reps []est.Report) float64 {
+			return testing.AllocsPerRun(100, func() {
+				for _, rep := range reps {
+					if err := bc.Add(rep); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := bc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		r, g := batch(rect), batch(ragged)
+		t.Logf("v%d: %v allocs per rectangular batch, %v per ragged batch", tc.v, r, g)
+		if r > float64(tc.rectMax) {
+			t.Errorf("v%d: %v allocs per rectangular %d-report batch, want ≤ %d", tc.v, r, n, tc.rectMax)
+		}
+		if g > r {
+			t.Errorf("v%d: %v allocs per ragged %d-report batch, want ≤ %v (rectangular)", tc.v, g, n, r)
+		}
+		if err := bc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -153,18 +153,9 @@ type BufferedClient struct {
 	clientOpts   []ClientOption
 
 	mu sync.Mutex
-	// Staging: while every buffered report has the same shape the batch
-	// accumulates directly as columns (dims and values copied row-major
-	// into colDims/colVals), so a v2 ship is a straight CBATCH build with
-	// no per-report encoding work. The first differently-shaped report
-	// spills the columns into buf as rows and the batch continues ragged.
-	buf        []est.Report // row-staged reports (ragged batches only)
-	colN       int          // reports staged columnar
-	colND      int          // dims per columnar report
-	colNV      int          // values per columnar report
-	colDims    []uint32     // colN×colND dims, row-major
-	colVals    []float64    // colN×colNV values, row-major
-	repScratch []est.Report // transient row views for the v1 encoder
+	// stage holds the reports added since the last ship, copied, so a
+	// caller may reuse its slices as soon as Add returns.
+	stage      stagedBatch
 	pending    []*pendingBatch
 	token      uint64
 	nextSeq    uint64
@@ -208,11 +199,10 @@ func DialBuffered(addr string, opts ...BufferOption) (*BufferedClient, error) {
 }
 
 // Add buffers one report, shipping a batch frame when the buffer fills.
-// While the batch stays rectangular the report's dims and values are
-// copied into the columnar staging area (the caller may reuse its
-// slices); a shape break spills to row staging, which retains the
-// report's slices until the batch ships. The returned error is sticky:
-// once the pipeline fails unrecoverably, every subsequent Add reports it.
+// Every report's dims and values are copied into the staged batch, so
+// the caller may reuse its slices once Add returns. The returned error
+// is sticky: once the pipeline fails unrecoverably, every subsequent Add
+// reports it.
 func (b *BufferedClient) Add(rep est.Report) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -222,45 +212,13 @@ func (b *BufferedClient) Add(rep est.Report) error {
 	if b.err != nil {
 		return b.err
 	}
-	if len(b.buf) == 0 && (b.colN == 0 || (len(rep.Dims) == b.colND && len(rep.Values) == b.colNV)) {
-		if b.colN == 0 {
-			b.colND, b.colNV = len(rep.Dims), len(rep.Values)
-		}
-		b.colDims = append(b.colDims, rep.Dims...)
-		b.colVals = append(b.colVals, rep.Values...)
-		b.colN++
-	} else {
-		if b.colN > 0 {
-			b.spillColumnsLocked()
-		}
-		b.buf = append(b.buf, rep)
-	}
-	if n := b.batchLenLocked(); n >= b.size {
+	b.stage.add(rep)
+	if n := len(b.stage.ends); n >= b.size {
 		b.shipLocked()
 	} else if n == 1 && b.interval > 0 && b.timer == nil {
 		b.timer = time.AfterFunc(b.interval, b.timedFlush)
 	}
 	return b.err
-}
-
-// batchLenLocked is the number of reports currently staged, across the
-// columnar lanes and the row buffer (at most one of which is non-empty).
-// Caller holds b.mu.
-func (b *BufferedClient) batchLenLocked() int { return b.colN + len(b.buf) }
-
-// spillColumnsLocked materializes the columnar staging area into row
-// reports when a differently-shaped report breaks the rectangle. The
-// rows alias the staged arrays, which are then orphaned so the next
-// columnar batch cannot clobber the views. Caller holds b.mu.
-func (b *BufferedClient) spillColumnsLocked() {
-	for i := 0; i < b.colN; i++ {
-		b.buf = append(b.buf, est.Report{
-			Dims:   b.colDims[i*b.colND : (i+1)*b.colND : (i+1)*b.colND],
-			Values: b.colVals[i*b.colNV : (i+1)*b.colNV : (i+1)*b.colNV],
-		})
-	}
-	b.colDims, b.colVals = nil, nil
-	b.colN = 0
 }
 
 // Flush ships any buffered reports and drains every outstanding
@@ -374,7 +332,7 @@ func (b *BufferedClient) helloLocked() error {
 // without waiting for the ack, draining first if the pipeline is at its
 // depth bound. Caller holds b.mu.
 func (b *BufferedClient) shipLocked() {
-	if b.err != nil || b.batchLenLocked() == 0 {
+	if b.err != nil || len(b.stage.ends) == 0 {
 		return
 	}
 	b.stopTimerLocked()
@@ -390,7 +348,7 @@ func (b *BufferedClient) shipLocked() {
 			return
 		}
 	}
-	pb := &pendingBatch{n: b.batchLenLocked()}
+	pb := &pendingBatch{n: len(b.stage.ends)}
 	if b.reconnect {
 		pb.seq = b.nextSeq
 		b.nextSeq++
@@ -401,7 +359,7 @@ func (b *BufferedClient) shipLocked() {
 		b.err = err
 		return
 	}
-	b.resetStagingLocked()
+	b.stage.reset()
 	b.pending = append(b.pending, pb)
 	b.sent += int64(pb.n)
 	if err := b.shipOneLocked(pb); err != nil {
@@ -416,28 +374,13 @@ func (b *BufferedClient) shipLocked() {
 	}
 }
 
-// encodePendingLocked encodes the staged batch into pb.enc with the
-// connection's negotiated codec. A columnar-staged batch on a v2
-// connection builds the CBATCH frame straight from the columns, with no
-// per-report work; on v1 it is encoded through transient row views.
-// Caller holds b.mu.
+// encodePendingLocked encodes the staged batch into pb.enc for the
+// connection's negotiated protocol: a CBATCH when the connection speaks
+// v2 and the batch is rectangular, a 0x06 BATCH otherwise. Caller holds
+// b.mu.
 func (b *BufferedClient) encodePendingLocked(pb *pendingBatch) error {
 	bp := encPool.Get().(*[]byte)
-	v2 := b.c.ProtocolVersion() >= ProtocolV2
-	var (
-		buf []byte
-		err error
-	)
-	switch {
-	case b.colN > 0 && v2:
-		buf, err = appendCBatchColumns((*bp)[:0], b.query, pb.seq, b.colN, b.colND, b.colNV, b.colDims, b.colVals)
-	case b.colN > 0:
-		buf, err = CodecV1{}.AppendBatch((*bp)[:0], b.query, pb.seq, b.colReportsLocked())
-	case v2:
-		buf, err = CodecV2{}.AppendBatch((*bp)[:0], b.query, pb.seq, b.buf)
-	default:
-		buf, err = CodecV1{}.AppendBatch((*bp)[:0], b.query, pb.seq, b.buf)
-	}
+	buf, err := b.stage.appendFrame((*bp)[:0], b.query, pb.seq, b.c.ProtocolVersion() >= ProtocolV2)
 	if err != nil {
 		putEncBuf(bp)
 		return err
@@ -445,45 +388,6 @@ func (b *BufferedClient) encodePendingLocked(pb *pendingBatch) error {
 	*bp = buf
 	pb.enc = bp
 	return nil
-}
-
-// colReportsLocked builds transient row views over the columnar staging
-// area for the v1 encoder; the views are dead once encoding returns.
-// Caller holds b.mu.
-func (b *BufferedClient) colReportsLocked() []est.Report {
-	reps := b.repScratch[:0]
-	for i := 0; i < b.colN; i++ {
-		reps = append(reps, est.Report{
-			Dims:   b.colDims[i*b.colND : (i+1)*b.colND],
-			Values: b.colVals[i*b.colNV : (i+1)*b.colNV],
-		})
-	}
-	b.repScratch = reps
-	return reps
-}
-
-// resetStagingLocked clears the staged batch for reuse after its bytes
-// were encoded, bounding retained capacity. Caller holds b.mu.
-func (b *BufferedClient) resetStagingLocked() {
-	for i := range b.buf {
-		b.buf[i] = est.Report{}
-	}
-	b.buf = b.buf[:0]
-	for i := range b.repScratch {
-		b.repScratch[i] = est.Report{}
-	}
-	b.repScratch = b.repScratch[:0]
-	b.colN = 0
-	if cap(b.colDims) > maxRetainLanes {
-		b.colDims = nil
-	} else {
-		b.colDims = b.colDims[:0]
-	}
-	if cap(b.colVals) > maxRetainLanes {
-		b.colVals = nil
-	} else {
-		b.colVals = b.colVals[:0]
-	}
 }
 
 // shipOneLocked writes one pending batch's pre-encoded frame. Caller

@@ -250,7 +250,7 @@ func decodeRLEColumn(data []byte, out []uint32, stride, n int) error {
 	return nil
 }
 
-// checkCBatchShape enforces the wire limits shared by every CBATCH
+// checkCBatchShape enforces the wire limits shared by the CBATCH
 // encoder and the server's decoder: the batch cap, the per-report shape
 // cap, and the whole-batch payload cap sequenced decoding already obeys.
 func checkCBatchShape(n, ndims, nvals int) error {
@@ -298,9 +298,17 @@ func readCBatchHeader(br *bufio.Reader, sc *decodeScratch) (name []byte, h batch
 	return name, h, checkCBatchShape(int(h.n), h.nd, h.nv)
 }
 
-// appendCBatchHeader marshals the fixed CBATCH prefix: type byte, route,
-// sequence number and the (n, ndims, nvals) shape.
-func appendCBatchHeader(dst []byte, query string, seq uint64, n, ndims, nvals int) ([]byte, error) {
+// appendCBatchColumns marshals one whole CBATCH frame onto dst from n
+// row-major rectangular reports whose dims and values live in flat
+// arrays (report i owns dims[i*ndims:(i+1)*ndims] and
+// vals[i*nvals:(i+1)*nvals]). It is the one CBATCH encoder: every
+// client-side CBATCH is a rectangular stagedBatch handed over by
+// appendFrame, its columns going to the wire without any per-report
+// structure. The value run grows dst once and is written by index.
+func appendCBatchColumns(dst []byte, query string, seq uint64, n, ndims, nvals int, dims []uint32, vals []float64) ([]byte, error) {
+	if err := est.CheckColumns(n, ndims, nvals, len(dims), len(vals)); err != nil {
+		return nil, err
+	}
 	if len(query) > maxNameLen {
 		return nil, fmt.Errorf("transport: string of %d bytes exceeds limit %d", len(query), maxNameLen)
 	}
@@ -314,23 +322,6 @@ func appendCBatchHeader(dst []byte, query string, seq uint64, n, ndims, nvals in
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(ndims))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(nvals))
-	return dst, nil
-}
-
-// appendCBatchColumns marshals one whole CBATCH frame onto dst from
-// columnar staging: n row-major rectangular reports whose dims and
-// values already live in flat arrays (report i owns
-// dims[i*ndims:(i+1)*ndims] and vals[i*nvals:(i+1)*nvals]). This is the
-// zero-alloc encode path BufferedClient ships through — the columns go
-// to the wire without materializing any per-report structure.
-func appendCBatchColumns(dst []byte, query string, seq uint64, n, ndims, nvals int, dims []uint32, vals []float64) ([]byte, error) {
-	if err := est.CheckColumns(n, ndims, nvals, len(dims), len(vals)); err != nil {
-		return nil, err
-	}
-	dst, err := appendCBatchHeader(dst, query, seq, n, ndims, nvals)
-	if err != nil {
-		return nil, err
-	}
 	for c := 0; c < ndims; c++ {
 		off := len(dst)
 		dst = append(dst, 0, 0, 0, 0)
@@ -339,61 +330,116 @@ func appendCBatchColumns(dst []byte, query string, seq uint64, n, ndims, nvals i
 		}
 		binary.BigEndian.PutUint32(dst[off:], uint32(len(dst)-off-4))
 	}
-	return appendFloats(dst, vals[:n*nvals]), nil
-}
-
-// appendFloats appends vals as little-endian float64 bits, growing dst
-// once.
-func appendFloats(dst []byte, vals []float64) []byte {
 	off := len(dst)
-	dst = slices.Grow(dst, 8*len(vals))[:off+8*len(vals)]
+	dst = slices.Grow(dst, 8*n*nvals)[:off+8*n*nvals]
 	out := dst[off:]
-	for i, v := range vals {
+	for i, v := range vals[:n*nvals] {
 		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 	}
-	return dst
+	return dst, nil
 }
 
-// colPool recycles the column-gather scratch appendCBatchReports uses,
-// so encoding row-shaped batches stays allocation-free after warm-up.
-var colPool = sync.Pool{New: func() any { b := make([]uint32, 0, 4096); return &b }}
+// stagedBatch is a batch of reports copied row-major into flat arrays:
+// report i owns dims[ends[i-1].dims:ends[i].dims] and the values span
+// that ends[i].vals closes, the first report's spans starting at 0.
+// ragged records that some report's shape differs from the first's; a
+// batch that is not ragged is one CBATCH can carry. BufferedClient
+// stages into one as reports arrive; the codecs and Client stage a
+// whole slice through stagePool.
+type stagedBatch struct {
+	dims   []uint32
+	vals   []float64
+	ends   []rowEnd
+	ragged bool
+}
 
-func putColBuf(cp *[]uint32) {
-	if cap(*cp) > maxRetainLanes {
+// rowEnd is where one staged report's dims and values end.
+type rowEnd struct{ dims, vals int }
+
+// add copies reps onto the end of the batch. The arrays stay in locals
+// across the loop, so staging a whole slice does not store three slice
+// headers back per report.
+func (s *stagedBatch) add(reps ...est.Report) {
+	dims, vals, ends := s.dims, s.vals, s.ends
+	for _, rep := range reps {
+		if len(ends) > 0 && (len(rep.Dims) != ends[0].dims || len(rep.Values) != ends[0].vals) {
+			s.ragged = true
+		}
+		dims = append(dims, rep.Dims...)
+		vals = append(vals, rep.Values...)
+		ends = append(ends, rowEnd{len(dims), len(vals)})
+	}
+	s.dims, s.vals, s.ends = dims, vals, ends
+}
+
+// reset empties the batch for reuse, dropping arrays a giant batch grew
+// past maxRetainLanes.
+func (s *stagedBatch) reset() {
+	if cap(s.dims) > maxRetainLanes || cap(s.vals) > maxRetainLanes || cap(s.ends) > maxRetainLanes {
+		*s = stagedBatch{}
 		return
 	}
-	*cp = (*cp)[:0]
-	colPool.Put(cp)
+	s.dims, s.vals, s.ends, s.ragged = s.dims[:0], s.vals[:0], s.ends[:0], false
 }
 
-// appendCBatchReports marshals one CBATCH frame from row-shaped reports
-// that the caller has verified rectangular: every report has ndims dims
-// and nvals values. Columns are gathered through pooled scratch, values
-// stream straight from the reports.
-func appendCBatchReports(dst []byte, query string, seq uint64, reps []est.Report, ndims, nvals int) ([]byte, error) {
-	dst, err := appendCBatchHeader(dst, query, seq, len(reps), ndims, nvals)
-	if err != nil {
-		return nil, err
-	}
-	cp := colPool.Get().(*[]uint32)
-	col := (*cp)[:0]
-	for c := 0; c < ndims; c++ {
-		col = col[:0]
-		for _, rep := range reps {
-			col = append(col, rep.Dims[c])
+// appendFrame marshals the batch as one frame onto dst, and is the one
+// place that picks the grammar by shape: a CBATCH carrying query
+// in-frame when columnar is set and the batch is rectangular (the empty
+// batch included), otherwise a 0x06 BATCH of per-report 0x01/0x05
+// frames behind a SELECT route when query is non-empty. seq 0 means
+// un-sequenced.
+func (s *stagedBatch) appendFrame(dst []byte, query string, seq uint64, columnar bool) ([]byte, error) {
+	n := len(s.ends)
+	if columnar && !s.ragged {
+		var shape rowEnd
+		if n > 0 {
+			shape = s.ends[0]
 		}
-		off := len(dst)
-		dst = append(dst, 0, 0, 0, 0)
-		dst = appendRLEColumn(dst, col, 1, len(reps))
-		binary.BigEndian.PutUint32(dst[off:], uint32(len(dst)-off-4))
+		return appendCBatchColumns(dst, query, seq, n, shape.dims, shape.vals, s.dims, s.vals)
 	}
-	*cp = col
-	putColBuf(cp)
-	dst = slices.Grow(dst, 8*len(reps)*nvals)
-	for _, rep := range reps {
-		dst = appendFloats(dst, rep.Values)
+	if n > maxBatch {
+		return nil, fmt.Errorf("transport: batch of %d reports exceeds limit %d", n, maxBatch)
+	}
+	if query != "" {
+		if len(query) > maxNameLen {
+			return nil, fmt.Errorf("transport: string of %d bytes exceeds limit %d", len(query), maxNameLen)
+		}
+		dst = append(dst, frameSelect)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(query)))
+		dst = append(dst, query...)
+	}
+	dst = append(dst, frameBatch)
+	if seq != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, seq)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dims, vals := s.dims, s.vals // locals: the row loop keeps them in registers
+	var start rowEnd
+	for _, end := range s.ends {
+		d, v := dims[start.dims:end.dims], vals[start.vals:end.vals]
+		if len(d) == len(v) {
+			dst = appendReport(dst, d, v)
+		} else {
+			dst = appendVecReport(dst, d, v)
+		}
+		start = end
 	}
 	return dst, nil
+}
+
+// stagePool recycles the stagedBatch appendReports copies a report slice
+// into, so encoding a batch allocates nothing after warm-up.
+var stagePool = sync.Pool{New: func() any { return new(stagedBatch) }}
+
+// appendReports stages reps through stagePool and marshals them as one
+// frame with appendFrame.
+func appendReports(dst []byte, query string, seq uint64, reps []est.Report, columnar bool) ([]byte, error) {
+	s := stagePool.Get().(*stagedBatch)
+	s.add(reps...)
+	dst, err := s.appendFrame(dst, query, seq, columnar)
+	s.reset()
+	stagePool.Put(s)
+	return dst, err
 }
 
 // cbatchValueChunk bounds the raw-byte chunk the value run is read
@@ -404,10 +450,13 @@ const cbatchValueChunk = 64 << 10
 // decodeCBatchBody decodes the CBATCH payload after the fixed header —
 // ndims RLE columns and the value run — into sc's arenas and returns
 // the row-major dims and vals arrays, shaped for est.AddColumns. The
-// shape must already have passed checkCBatchShape.
+// shape must already have passed checkCBatchShape. The arenas grow only
+// as bytes arrive: the dims arena is sized once the first column is in
+// hand, and the value arena one cbatchValueChunk at a time, so a header
+// announcing a maximal batch reserves nothing its sender has not paid
+// for in bytes.
 func decodeCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int) (dims []uint32, vals []float64, err error) {
 	sc.reset()
-	dims = sc.growDims(n * ndims)
 	for c := 0; c < ndims; c++ {
 		clen, err := sc.readUint32(br)
 		if err != nil {
@@ -420,6 +469,9 @@ func decodeCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int) 
 		if _, err := io.ReadFull(br, raw); err != nil {
 			return nil, nil, err
 		}
+		if c == 0 {
+			dims = sc.growDims(n * ndims)
+		}
 		var out []uint32
 		if n > 0 {
 			out = dims[c:]
@@ -428,22 +480,19 @@ func decodeCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int) 
 			return nil, nil, err
 		}
 	}
-	vals = sc.growVals(n * nvals)
-	for off := 0; off < len(vals); {
-		chunk := len(vals) - off
-		if chunk > cbatchValueChunk/8 {
-			chunk = cbatchValueChunk / 8
-		}
+	for off := 0; off < n*nvals; {
+		chunk := min(n*nvals-off, cbatchValueChunk/8)
 		raw := sc.bytes(8 * chunk)
 		if _, err := io.ReadFull(br, raw); err != nil {
 			return nil, nil, err
 		}
-		for i := 0; i < chunk; i++ {
-			vals[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		out := sc.growVals(chunk)
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 		off += chunk
 	}
-	return dims, vals, nil
+	return dims, sc.vals, nil
 }
 
 // discardCBatchBody consumes a CBATCH payload without decoding it — the
@@ -470,7 +519,10 @@ func discardCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int)
 // without knowing which frame grammar the connection negotiated.
 // AppendBatch marshals a whole batch frame (route prefix included; an
 // empty query means the default route, seq 0 means un-sequenced) onto
-// dst. DecodeBatch reads one batch frame — route and sequence included
+// dst; both codecs stage reps through stagePool and encode the staged
+// batch with stagedBatch.appendFrame, the writer BufferedClient and
+// Client ship through, so every client-side batch has one encoder per
+// grammar. DecodeBatch reads one batch frame — route and sequence included
 // — returning deep-copied reports; sequenced tells the v1 grammar
 // (whose 0x06 frame is not self-describing) whether the connection's
 // session grammar puts a sequence field after the type byte. DecodeBatch
@@ -508,30 +560,7 @@ func (CodecV1) Version() int { return ProtocolV1 }
 // AppendBatch marshals a SELECT-prefixed (when query is non-empty),
 // optionally sequenced (when seq is non-zero) 0x06 batch frame onto dst.
 func (CodecV1) AppendBatch(dst []byte, query string, seq uint64, reps []est.Report) ([]byte, error) {
-	if len(reps) > maxBatch {
-		return nil, fmt.Errorf("transport: batch of %d reports exceeds limit %d", len(reps), maxBatch)
-	}
-	if query != "" {
-		if len(query) > maxNameLen {
-			return nil, fmt.Errorf("transport: string of %d bytes exceeds limit %d", len(query), maxNameLen)
-		}
-		dst = append(dst, frameSelect)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(query)))
-		dst = append(dst, query...)
-	}
-	dst = append(dst, frameBatch)
-	if seq != 0 {
-		dst = binary.BigEndian.AppendUint64(dst, seq)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(reps)))
-	for _, rep := range reps {
-		if len(rep.Dims) == len(rep.Values) {
-			dst = appendReport(dst, rep)
-		} else {
-			dst = appendVecReport(dst, rep)
-		}
-	}
-	return dst, nil
+	return appendReports(dst, query, seq, reps, false)
 }
 
 // DecodeBatch reads one v1 batch frame: an optional SELECT prefix, the
@@ -593,8 +622,9 @@ func (CodecV1) DecodeBatch(br *bufio.Reader, sequenced bool) (string, uint64, []
 }
 
 // CodecV2 marshals rectangular batches as columnar 0x13 CBATCH frames
-// and falls back to the v1 grammar for ragged ones — the v2 frame
-// grammar is a superset of v1, so a v2 connection carries both shapes.
+// (through appendCBatchColumns, the one CBATCH encoder) and falls back
+// to the v1 grammar for ragged ones — the v2 frame grammar is a
+// superset of v1, so a v2 connection carries both shapes.
 type CodecV2 struct{}
 
 // Version returns ProtocolV2.
@@ -604,17 +634,7 @@ func (CodecV2) Version() int { return ProtocolV2 }
 // rectangular (every report shares one (ndims, nvals) shape — the empty
 // batch included), and as a v1 batch frame otherwise.
 func (CodecV2) AppendBatch(dst []byte, query string, seq uint64, reps []est.Report) ([]byte, error) {
-	ndims, nvals := 0, 0
-	for i, rep := range reps {
-		if i == 0 {
-			ndims, nvals = len(rep.Dims), len(rep.Values)
-			continue
-		}
-		if len(rep.Dims) != ndims || len(rep.Values) != nvals {
-			return CodecV1{}.AppendBatch(dst, query, seq, reps)
-		}
-	}
-	return appendCBatchReports(dst, query, seq, reps, ndims, nvals)
+	return appendReports(dst, query, seq, reps, true)
 }
 
 // DecodeBatch reads one batch frame in the v2 grammar: a 0x13 CBATCH

@@ -12,12 +12,13 @@ import (
 	"github.com/hdr4me/hdr4me/internal/mathx"
 )
 
-// Golden CBATCH frames: FNV-64a digests of whole frames from both v2
-// encoders, appendCBatchColumns (the BufferedClient path, columnar
-// staging) and CodecV2{}.AppendBatch (row-shaped reports), for fixed
-// inputs. The frame bytes are wire format: a changed digest means the
-// encoder changed what it puts on the wire. Never update one to make a
-// change pass.
+// Golden CBATCH frames: FNV-64a digests of whole frames for fixed
+// inputs, from the one CBATCH encoder through both of its entry points:
+// appendCBatchColumns called on flat columns, and CodecV2{}.AppendBatch,
+// which stages row-shaped reports into a stagedBatch first (the path
+// BufferedClient and Client take). The frame bytes are wire format: a
+// changed digest means the encoder changed what it puts on the wire.
+// Never update one to make a change pass.
 
 var goldenCBatch = map[string]uint64{
 	"reports/d=1024/m=32": 0xa60861ac9b3a36ae, // 78019 bytes

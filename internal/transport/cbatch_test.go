@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -160,8 +164,8 @@ func TestBufferedClientColumnarSession(t *testing.T) {
 	}
 }
 
-// TestBufferedClientShapeSpill: a shape break mid-batch spills the
-// columnar staging to rows and the batch still ships whole; the
+// TestBufferedClientShapeSpill: a shape break mid-batch makes the staged
+// batch ragged, so it ships whole as a 0x06 BATCH even on v2; the
 // collector's books must be identical under either protocol pin (the
 // estimator rejects the off-shape reports itself — m=1 here — which is
 // exactly the skip semantics both grammars must agree on).
@@ -265,5 +269,56 @@ func TestV2PinNegotiatesOnEveryBatchEntryPoint(t *testing.T) {
 				t.Errorf("CBatches = %d; want 1", got)
 			}
 		})
+	}
+}
+
+// TestCBatchDecodeGrowsWithPayload: decodeCBatchBody reserves its arenas
+// only as the bytes that fill them arrive. A bare header announcing a
+// maximal batch must reserve no dims arena; 64 run columns (512 bytes)
+// followed by EOF must reserve no more than one chunk of values. A batch
+// whose values span several chunks still decodes whole.
+func TestCBatchDecodeGrowsWithPayload(t *testing.T) {
+	const n, ndims, nvals = maxBatch, 64, 64
+	if err := checkCBatchShape(n, ndims, nvals); err != nil {
+		t.Fatal(err)
+	}
+	sc := &decodeScratch{}
+	if _, _, err := decodeCBatchBody(bufio.NewReader(bytes.NewReader(nil)), sc, n, ndims, nvals); err == nil {
+		t.Fatal("a bare header decoded")
+	}
+	if cap(sc.dims) != 0 || cap(sc.vals) != 0 {
+		t.Fatalf("a bare header reserved %d dims and %d values", cap(sc.dims), cap(sc.vals))
+	}
+	run := appendRLEColumn(nil, make([]uint32, n), 1, n) // one run of n zero deltas
+	var cols []byte
+	for c := 0; c < ndims; c++ {
+		cols = binary.BigEndian.AppendUint32(cols, uint32(len(run)))
+		cols = append(cols, run...)
+	}
+	if len(cols) != 512 {
+		t.Fatalf("run columns take %d bytes; want 512", len(cols))
+	}
+	sc = &decodeScratch{}
+	if _, _, err := decodeCBatchBody(bufio.NewReader(bytes.NewReader(cols)), sc, n, ndims, nvals); err == nil {
+		t.Fatal("columns without values decoded")
+	}
+	if cap(sc.vals) > cbatchValueChunk/8 {
+		t.Fatalf("columns without values reserved %d values", cap(sc.vals))
+	}
+
+	const rows = 3 * cbatchValueChunk / 8 / 2
+	dims, vals := make([]uint32, rows*2), make([]float64, rows*2)
+	for i := range dims {
+		dims[i], vals[i] = uint32(i), float64(i)/7
+	}
+	frame, err := appendCBatchColumns(nil, "", 0, rows, 2, 2, dims, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 1 + 4 + 8 + 12 // type, empty route, seq, shape
+	gotDims, gotVals, err := decodeCBatchBody(bufio.NewReader(bytes.NewReader(frame[header:])), &decodeScratch{}, rows, 2, 2)
+	if err != nil || !slices.Equal(gotDims, dims) || !slices.Equal(gotVals, vals) {
+		t.Fatalf("multi-chunk body: err %v, dims equal %t, values equal %t",
+			err, slices.Equal(gotDims, dims), slices.Equal(gotVals, vals))
 	}
 }

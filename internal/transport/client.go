@@ -201,7 +201,7 @@ func (c *Client) SendBatch(reps []est.Report) (accepted int, err error) {
 func (c *Client) SendBatchContext(ctx context.Context, reps []est.Report) (accepted int, err error) {
 	defer c.begin()()
 	defer c.guard(ctx)()
-	n, err := c.sendBatchLocked("", reps)
+	n, err := c.writeBatchLocked("", 0, reps, true)
 	if err != nil {
 		return 0, err
 	}
@@ -222,15 +222,6 @@ func (c *Client) maybeNegotiateLocked() error {
 	return err
 }
 
-// codecLocked returns the batch codec for the connection's effective
-// protocol version; the caller holds c.mu.
-func (c *Client) codecLocked() FrameCodec {
-	if c.proto >= ProtocolV2 {
-		return CodecV2{}
-	}
-	return CodecV1{}
-}
-
 // writeEncodedLocked writes one pre-marshaled frame and flushes; the
 // caller holds c.mu.
 func (c *Client) writeEncodedLocked(frame []byte) error {
@@ -240,37 +231,28 @@ func (c *Client) writeEncodedLocked(frame []byte) error {
 	return c.bw.Flush()
 }
 
-// sendBatchLocked marshals one un-sequenced batch frame through the
-// connection's negotiated codec — routed to query when non-empty,
-// negotiating first under a v2 pin — and writes it without reading the
-// ack; the caller holds c.mu. It returns len(reps) for ack bookkeeping.
-func (c *Client) sendBatchLocked(query string, reps []est.Report) (int, error) {
-	if err := c.maybeNegotiateLocked(); err != nil {
-		return 0, err
+// writeBatchLocked marshals reps as one batch frame into a pooled
+// buffer and writes it with a single flush, without reading the ack.
+// seq is carried when non-zero (valid only after a successful HELLO). A
+// route travels in-frame on a CBATCH and as a SELECT prefix on a 0x06
+// BATCH. With columnar set — negotiating first under a v2 pin — a
+// rectangular batch goes as a CBATCH once the connection speaks v2;
+// callers that write their own route or EPOCH header pass columnar
+// false and an empty query, since CBATCH composes with neither. It
+// returns len(reps) for ack bookkeeping. Caller holds c.mu.
+func (c *Client) writeBatchLocked(query string, seq uint64, reps []est.Report, columnar bool) (int, error) {
+	if columnar {
+		if err := c.maybeNegotiateLocked(); err != nil {
+			return 0, err
+		}
+		columnar = c.proto >= ProtocolV2
 	}
-	return c.sendSeqBatchLocked(query, 0, reps)
-}
-
-// sendSeqBatchLocked marshals one batch frame through the negotiated
-// codec, carrying seq when non-zero (only valid after a successful
-// HELLO exchange), and writes it without reading the ack. Caller holds
-// c.mu.
-func (c *Client) sendSeqBatchLocked(query string, seq uint64, reps []est.Report) (int, error) {
-	return c.encodeAndSendLocked(c.codecLocked(), query, seq, reps)
-}
-
-// encodeAndSendLocked marshals one batch frame through an explicit
-// codec into a pooled buffer and writes it with a single flush; the
-// caller holds c.mu.
-func (c *Client) encodeAndSendLocked(codec FrameCodec, query string, seq uint64, reps []est.Report) (int, error) {
 	bp := encPool.Get().(*[]byte)
-	buf, err := codec.AppendBatch((*bp)[:0], query, seq, reps)
-	if err != nil {
-		putEncBuf(bp)
-		return 0, err
+	buf, err := appendReports((*bp)[:0], query, seq, reps, columnar)
+	if err == nil {
+		*bp = buf
+		err = c.writeEncodedLocked(buf)
 	}
-	*bp = buf
-	err = c.writeEncodedLocked(buf)
 	putEncBuf(bp)
 	if err != nil {
 		return 0, err

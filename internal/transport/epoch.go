@@ -162,7 +162,7 @@ func (q *Query) SendBatchEpoch(id uint64, reps []est.Report) (accepted int, err 
 	if err := q.writeEpochHeaderLocked(id); err != nil {
 		return 0, err
 	}
-	n, err := c.encodeAndSendLocked(CodecV1{}, "", 0, reps)
+	n, err := c.writeBatchLocked("", 0, reps, false)
 	if err != nil {
 		return 0, err
 	}

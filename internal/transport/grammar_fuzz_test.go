@@ -57,7 +57,7 @@ func fuzzRegistry() *est.Registry {
 // on the same reject-and-drain paths the framedrain analyzer guards.
 func FuzzFrameExchange(f *testing.F) {
 	rep := rep2(0.5, -0.5)
-	repFrame := appendReport(nil, rep)
+	repFrame := appendReport(nil, rep.Dims, rep.Values)
 	gen := fuzzRegistry().Get(est.DefaultName).Gen()
 	snap := func() est.Snapshot {
 		reg := fuzzRegistry()
@@ -85,7 +85,7 @@ func FuzzFrameExchange(f *testing.F) {
 	seed(func(b *bytes.Buffer) { b.WriteByte(frameReport); b.Write(repFrame[1:]) })
 	seed(func(b *bytes.Buffer) {
 		b.WriteByte(frameVecReport)
-		b.Write(appendVecReport(nil, est.Report{Values: []float64{0.5, -0.5}})[1:])
+		b.Write(appendVecReport(nil, nil, []float64{0.5, -0.5})[1:])
 	})
 	seed(func(b *bytes.Buffer) { b.WriteByte(frameBatch); u32(b, 1); b.Write(repFrame) })
 	seed(func(b *bytes.Buffer) { b.WriteByte(frameEstimate) })

@@ -133,9 +133,9 @@ func (q *Query) SendBatch(reps []est.Report) (accepted int, err error) {
 		if err := q.routeLocked(); err != nil {
 			return 0, err
 		}
-		n, err = c.encodeAndSendLocked(CodecV1{}, "", 0, reps)
+		n, err = c.writeBatchLocked("", 0, reps, false)
 	} else {
-		n, err = c.sendBatchLocked(q.name, reps)
+		n, err = c.writeBatchLocked(q.name, 0, reps, true)
 	}
 	if err != nil {
 		return 0, err

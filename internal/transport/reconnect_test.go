@@ -189,7 +189,7 @@ func TestSequencedBatchDedupe(t *testing.T) {
 				srv.inflight.Add(995) // another batch holds the gate: 995 + 10 > 1000
 			}
 			cl.mu.Lock()
-			n, err := cl.sendSeqBatchLocked(st.query, st.seq, reps)
+			n, err := cl.writeBatchLocked(st.query, st.seq, reps, true)
 			if err != nil {
 				t.Fatalf("%s: send seq %d: %v", st.name, st.seq, err)
 			}
@@ -255,7 +255,7 @@ func TestHelloResumeCarriesProgress(t *testing.T) {
 	}
 	reps := reconnectReports(7, 4)
 	cl1.mu.Lock()
-	if _, err := cl1.sendSeqBatchLocked("", 1, reps); err != nil {
+	if _, err := cl1.writeBatchLocked("", 1, reps, true); err != nil {
 		cl1.mu.Unlock()
 		t.Fatalf("send: %v", err)
 	}
@@ -280,7 +280,7 @@ func TestHelloResumeCarriesProgress(t *testing.T) {
 	}
 	// Sequencing continues where the dead connection left off.
 	cl2.mu.Lock()
-	if _, err := cl2.sendSeqBatchLocked("", 2, reps); err != nil {
+	if _, err := cl2.writeBatchLocked("", 2, reps, true); err != nil {
 		cl2.mu.Unlock()
 		t.Fatalf("send seq 2: %v", err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -101,6 +103,29 @@ func TestReadFrameGrowsWithPayload(t *testing.T) {
 	got, err := readReport(frameReport, bytes.NewReader(buf.Bytes()[1:]), &decodeScratch{})
 	if err != nil || !reportsEqual(got, rep) {
 		t.Fatalf("multi-stage frame: err %v, equal %t", err, reportsEqual(got, rep))
+	}
+}
+
+// TestReferenceReadersGrowWithPayload: the reference decoders
+// readReportBody and readVecReportBody also read as bytes arrive, so a
+// bare header announcing maxPairs entries allocates about one read
+// stage, not the frame it promises.
+func TestReferenceReadersGrowWithPayload(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, maxPairs)
+	for _, tc := range []struct {
+		name string
+		read func(io.Reader) (est.Report, error)
+	}{{"readReportBody", readReportBody}, {"readVecReportBody", readVecReportBody}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.read(bytes.NewReader(hdr))
+		runtime.ReadMemStats(&after)
+		if err != io.EOF {
+			t.Fatalf("%s: bare header: err %v, want io.EOF", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*readStageMax {
+			t.Fatalf("%s: a bare header allocated %d bytes", tc.name, got)
+		}
 	}
 }
 

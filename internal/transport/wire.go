@@ -200,26 +200,29 @@ func putEncBuf(bp *[]byte) {
 	encPool.Put(bp)
 }
 
-// appendReport marshals one pair-shaped report frame (0x01) onto buf.
-func appendReport(buf []byte, rep est.Report) []byte {
+// appendReport marshals one pair-shaped report frame (0x01) onto buf:
+// dims[i] paired with vals[i]. It takes the two lists rather than an
+// est.Report so that, inlined into the batch writer's loop, it works on
+// slices held in registers.
+func appendReport(buf []byte, dims []uint32, vals []float64) []byte {
 	buf = append(buf, frameReport)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rep.Dims)))
-	for i, d := range rep.Dims {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(dims)))
+	for i, d := range dims {
 		buf = binary.BigEndian.AppendUint32(buf, d)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(rep.Values[i]))
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(vals[i]))
 	}
 	return buf
 }
 
 // appendVecReport marshals one vector report frame (0x05) onto buf.
-func appendVecReport(buf []byte, rep est.Report) []byte {
+func appendVecReport(buf []byte, dims []uint32, vals []float64) []byte {
 	buf = append(buf, frameVecReport)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rep.Dims)))
-	for _, d := range rep.Dims {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(dims)))
+	for _, d := range dims {
 		buf = binary.BigEndian.AppendUint32(buf, d)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rep.Values)))
-	for _, v := range rep.Values {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(vals)))
+	for _, v := range vals {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
@@ -233,7 +236,7 @@ func WriteReport(w io.Writer, rep est.Report) error {
 		return fmt.Errorf("transport: report dims/values length mismatch")
 	}
 	bp := encPool.Get().(*[]byte)
-	*bp = appendReport((*bp)[:0], rep)
+	*bp = appendReport((*bp)[:0], rep.Dims, rep.Values)
 	_, err := w.Write(*bp)
 	putEncBuf(bp)
 	return err
@@ -257,11 +260,11 @@ func readReportBody(r io.Reader) (est.Report, error) {
 	if cnt > maxPairs {
 		return est.Report{}, fmt.Errorf("transport: report with %d pairs exceeds limit", cnt)
 	}
-	rep := est.Report{Dims: make([]uint32, cnt), Values: make([]float64, cnt)}
-	buf := make([]byte, 12*cnt)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readGrowing(r, 12*int(cnt))
+	if err != nil {
 		return est.Report{}, err
 	}
+	rep := est.Report{Dims: make([]uint32, cnt), Values: make([]float64, cnt)}
 	for i := uint32(0); i < cnt; i++ {
 		off := 12 * i
 		rep.Dims[i] = binary.BigEndian.Uint32(buf[off:])
@@ -270,11 +273,32 @@ func readReportBody(r io.Reader) (est.Report, error) {
 	return rep, nil
 }
 
+// readGrowing reads exactly n bytes from r, growing its buffer in
+// stages of at most max(bytes held, readStageMax) as they arrive, so a
+// count field costs only the bytes that follow it. Errors are
+// io.ReadFull's over the whole n: io.EOF when r ends before the first
+// byte, io.ErrUnexpectedEOF when it ends after.
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	var buf []byte
+	for have := 0; have < n; {
+		step := min(n-have, max(have, readStageMax))
+		buf = slices.Grow(buf, step)[:have+step]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		have += step
+	}
+	return buf, nil
+}
+
 // WriteVecReport serializes one vector report frame (0x05): dims and
 // values as independently sized lists, through a pooled marshal buffer.
 func WriteVecReport(w io.Writer, rep est.Report) error {
 	bp := encPool.Get().(*[]byte)
-	*bp = appendVecReport((*bp)[:0], rep)
+	*bp = appendVecReport((*bp)[:0], rep.Dims, rep.Values)
 	_, err := w.Write(*bp)
 	putEncBuf(bp)
 	return err
@@ -289,11 +313,11 @@ func readVecReportBody(r io.Reader) (est.Report, error) {
 	if nd > maxPairs {
 		return est.Report{}, fmt.Errorf("transport: report with %d dims exceeds limit", nd)
 	}
-	rep := est.Report{Dims: make([]uint32, nd)}
-	dbuf := make([]byte, 4*nd)
-	if _, err := io.ReadFull(r, dbuf); err != nil {
+	dbuf, err := readGrowing(r, 4*int(nd))
+	if err != nil {
 		return est.Report{}, err
 	}
+	rep := est.Report{Dims: make([]uint32, nd)}
 	for i := range rep.Dims {
 		rep.Dims[i] = binary.BigEndian.Uint32(dbuf[4*i:])
 	}
@@ -304,11 +328,11 @@ func readVecReportBody(r io.Reader) (est.Report, error) {
 	if nv > maxPairs {
 		return est.Report{}, fmt.Errorf("transport: report with %d values exceeds limit", nv)
 	}
-	rep.Values = make([]float64, nv)
-	vbuf := make([]byte, 8*nv)
-	if _, err := io.ReadFull(r, vbuf); err != nil {
+	vbuf, err := readGrowing(r, 8*int(nv))
+	if err != nil {
 		return est.Report{}, err
 	}
+	rep.Values = make([]float64, nv)
 	for i := range rep.Values {
 		rep.Values[i] = math.Float64frombits(binary.BigEndian.Uint64(vbuf[8*i:]))
 	}
