@@ -118,12 +118,12 @@
 // CBATCH header and the HELLO request and reply each have one codec.
 // The transport fuzzers check the served readers against the reference
 // decoders (readReportBody, readVecReportBody, CodecV1.DecodeBatch).
-// On the client, every batch takes one path: its reports are copied
-// into one staged batch (flat dims and values with per-report end
-// offsets), and one writer sends it as a CBATCH when the connection
-// speaks v2 and the batch is rectangular, and as a 0x06 BATCH
-// otherwise. BufferedClient stages as reports are added; SendBatch, the
-// query handles and both codecs' AppendBatch stage a whole slice.
+// On the client, one writer picks a batch's grammar: BufferedClient and
+// CodecV2 copy reports into one staged batch (flat dims and values with
+// per-report end offsets), sent as a CBATCH when the connection speaks
+// v2 and the batch is rectangular, and as a 0x06 BATCH otherwise.
+// SendBatch and the query handles write through one method that picks
+// CodecV2 or CodecV1 by protocol.
 // See the README's "Protocol versions & negotiation" section.
 //
 // The invariants all of the above rests on are machine-enforced:

@@ -344,8 +344,8 @@ func appendCBatchColumns(dst []byte, query string, seq uint64, n, ndims, nvals i
 // that ends[i].vals closes, the first report's spans starting at 0.
 // ragged records that some report's shape differs from the first's; a
 // batch that is not ragged is one CBATCH can carry. BufferedClient
-// stages into one as reports arrive; the codecs and Client stage a
-// whole slice through stagePool.
+// stages into one as reports arrive; CodecV2.AppendBatch stages a whole
+// slice through stagePool.
 type stagedBatch struct {
 	dims   []uint32
 	vals   []float64
@@ -397,6 +397,28 @@ func (s *stagedBatch) appendFrame(dst []byte, query string, seq uint64, columnar
 		}
 		return appendCBatchColumns(dst, query, seq, n, shape.dims, shape.vals, s.dims, s.vals)
 	}
+	dst, err := appendBatchHeader(dst, query, seq, n)
+	if err != nil {
+		return nil, err
+	}
+	dims, vals := s.dims, s.vals // locals: the row loop keeps them in registers
+	var start rowEnd
+	for _, end := range s.ends {
+		d, v := dims[start.dims:end.dims], vals[start.vals:end.vals]
+		if len(d) == len(v) {
+			dst = appendReport(dst, d, v)
+		} else {
+			dst = appendVecReport(dst, d, v)
+		}
+		start = end
+	}
+	return dst, nil
+}
+
+// appendBatchHeader marshals the head of a 0x06 BATCH frame onto dst: a
+// SELECT route when query is non-empty, the type byte, seq when
+// non-zero, and the report count n. The n report frames follow.
+func appendBatchHeader(dst []byte, query string, seq uint64, n int) ([]byte, error) {
 	if n > maxBatch {
 		return nil, fmt.Errorf("transport: batch of %d reports exceeds limit %d", n, maxBatch)
 	}
@@ -412,35 +434,13 @@ func (s *stagedBatch) appendFrame(dst []byte, query string, seq uint64, columnar
 	if seq != 0 {
 		dst = binary.BigEndian.AppendUint64(dst, seq)
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dims, vals := s.dims, s.vals // locals: the row loop keeps them in registers
-	var start rowEnd
-	for _, end := range s.ends {
-		d, v := dims[start.dims:end.dims], vals[start.vals:end.vals]
-		if len(d) == len(v) {
-			dst = appendReport(dst, d, v)
-		} else {
-			dst = appendVecReport(dst, d, v)
-		}
-		start = end
-	}
-	return dst, nil
+	return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
 }
 
-// stagePool recycles the stagedBatch appendReports copies a report slice
-// into, so encoding a batch allocates nothing after warm-up.
+// stagePool recycles the stagedBatch CodecV2.AppendBatch copies a
+// report slice into, so encoding a batch allocates nothing after
+// warm-up.
 var stagePool = sync.Pool{New: func() any { return new(stagedBatch) }}
-
-// appendReports stages reps through stagePool and marshals them as one
-// frame with appendFrame.
-func appendReports(dst []byte, query string, seq uint64, reps []est.Report, columnar bool) ([]byte, error) {
-	s := stagePool.Get().(*stagedBatch)
-	s.add(reps...)
-	dst, err := s.appendFrame(dst, query, seq, columnar)
-	s.reset()
-	stagePool.Put(s)
-	return dst, err
-}
 
 // cbatchValueChunk bounds the raw-byte chunk the value run is read
 // through, so a maximal frame never demands a frame-sized contiguous
@@ -519,20 +519,20 @@ func discardCBatchBody(br *bufio.Reader, sc *decodeScratch, n, ndims, nvals int)
 // without knowing which frame grammar the connection negotiated.
 // AppendBatch marshals a whole batch frame (route prefix included; an
 // empty query means the default route, seq 0 means un-sequenced) onto
-// dst; both codecs stage reps through stagePool and encode the staged
-// batch with stagedBatch.appendFrame, the writer BufferedClient and
-// Client ship through, so every client-side batch has one encoder per
-// grammar. DecodeBatch reads one batch frame — route and sequence included
-// — returning deep-copied reports; sequenced tells the v1 grammar
-// (whose 0x06 frame is not self-describing) whether the connection's
-// session grammar puts a sequence field after the type byte. DecodeBatch
-// is the reference decode path, written independently of the served
-// one: the server measures every embedded report frame with reportLen
-// and decodes it with decodeReport — inside the zero-alloc windowed
-// decoder (decodeBatch, behind readBatchBuffered and readSeqBatch), or
-// one frame at a time through readFrame — and shares the CBATCH header
-// parser, readCBatchHeader, with CodecV2. Tests and fuzzers diff the
-// served path against DecodeBatch.
+// dst. CodecV2 stages reps through stagePool and encodes them with
+// stagedBatch.appendFrame, the writer BufferedClient ships through;
+// CodecV1 writes its 0x06 rows straight from reps, since staging would
+// only copy them. DecodeBatch reads one batch frame — route and
+// sequence included — returning deep-copied reports; sequenced tells
+// the v1 grammar (whose 0x06 frame is not self-describing) whether the
+// connection's session grammar puts a sequence field after the type
+// byte. DecodeBatch is the reference decode path, written independently
+// of the served one: the server measures every embedded report frame
+// with reportLen and decodes it with decodeReport — inside the
+// zero-alloc windowed decoder (decodeBatch, behind readBatchBuffered
+// and readSeqBatch), or one frame at a time through readFrame — and
+// shares the CBATCH header parser, readCBatchHeader, with CodecV2.
+// Tests and fuzzers diff the served path against DecodeBatch.
 type FrameCodec interface {
 	Version() int
 	AppendBatch(dst []byte, query string, seq uint64, reps []est.Report) ([]byte, error)
@@ -560,7 +560,18 @@ func (CodecV1) Version() int { return ProtocolV1 }
 // AppendBatch marshals a SELECT-prefixed (when query is non-empty),
 // optionally sequenced (when seq is non-zero) 0x06 batch frame onto dst.
 func (CodecV1) AppendBatch(dst []byte, query string, seq uint64, reps []est.Report) ([]byte, error) {
-	return appendReports(dst, query, seq, reps, false)
+	dst, err := appendBatchHeader(dst, query, seq, len(reps))
+	if err != nil {
+		return nil, err
+	}
+	for _, rep := range reps {
+		if len(rep.Dims) == len(rep.Values) {
+			dst = appendReport(dst, rep.Dims, rep.Values)
+		} else {
+			dst = appendVecReport(dst, rep.Dims, rep.Values)
+		}
+	}
+	return dst, nil
 }
 
 // DecodeBatch reads one v1 batch frame: an optional SELECT prefix, the
@@ -634,7 +645,12 @@ func (CodecV2) Version() int { return ProtocolV2 }
 // rectangular (every report shares one (ndims, nvals) shape — the empty
 // batch included), and as a v1 batch frame otherwise.
 func (CodecV2) AppendBatch(dst []byte, query string, seq uint64, reps []est.Report) ([]byte, error) {
-	return appendReports(dst, query, seq, reps, true)
+	s := stagePool.Get().(*stagedBatch)
+	s.add(reps...)
+	dst, err := s.appendFrame(dst, query, seq, true)
+	s.reset()
+	stagePool.Put(s)
+	return dst, err
 }
 
 // DecodeBatch reads one batch frame in the v2 grammar: a 0x13 CBATCH

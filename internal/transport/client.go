@@ -232,14 +232,16 @@ func (c *Client) writeEncodedLocked(frame []byte) error {
 }
 
 // writeBatchLocked marshals reps as one batch frame into a pooled
-// buffer and writes it with a single flush, without reading the ack.
+// buffer and writes it with a single flush, without reading the ack;
+// SendBatch, Query.SendBatch and SendBatchEpoch all write through it.
 // seq is carried when non-zero (valid only after a successful HELLO). A
 // route travels in-frame on a CBATCH and as a SELECT prefix on a 0x06
-// BATCH. With columnar set — negotiating first under a v2 pin — a
-// rectangular batch goes as a CBATCH once the connection speaks v2;
-// callers that write their own route or EPOCH header pass columnar
-// false and an empty query, since CBATCH composes with neither. It
-// returns len(reps) for ack bookkeeping. Caller holds c.mu.
+// BATCH. With columnar set — negotiating first under a v2 pin — the
+// batch goes through CodecV2, so a rectangular one ships as a CBATCH
+// once the connection speaks v2; callers that write their own route or
+// EPOCH header pass columnar false and an empty query, since CBATCH
+// composes with neither. It returns len(reps) for ack bookkeeping.
+// Caller holds c.mu.
 func (c *Client) writeBatchLocked(query string, seq uint64, reps []est.Report, columnar bool) (int, error) {
 	if columnar {
 		if err := c.maybeNegotiateLocked(); err != nil {
@@ -247,8 +249,12 @@ func (c *Client) writeBatchLocked(query string, seq uint64, reps []est.Report, c
 		}
 		columnar = c.proto >= ProtocolV2
 	}
+	var codec FrameCodec = CodecV1{}
+	if columnar {
+		codec = CodecV2{}
+	}
 	bp := encPool.Get().(*[]byte)
-	buf, err := appendReports((*bp)[:0], query, seq, reps, columnar)
+	buf, err := codec.AppendBatch((*bp)[:0], query, seq, reps)
 	if err == nil {
 		*bp = buf
 		err = c.writeEncodedLocked(buf)

@@ -109,7 +109,8 @@ func TestReadFrameGrowsWithPayload(t *testing.T) {
 // TestReferenceReadersGrowWithPayload: the reference decoders
 // readReportBody and readVecReportBody also read as bytes arrive, so a
 // bare header announcing maxPairs entries allocates about one read
-// stage, not the frame it promises.
+// stage, not the 4–12 MiB frame it promises. The bound leaves room for
+// the race detector's own allocations.
 func TestReferenceReadersGrowWithPayload(t *testing.T) {
 	hdr := binary.BigEndian.AppendUint32(nil, maxPairs)
 	for _, tc := range []struct {
@@ -123,7 +124,7 @@ func TestReferenceReadersGrowWithPayload(t *testing.T) {
 		if err != io.EOF {
 			t.Fatalf("%s: bare header: err %v, want io.EOF", tc.name, err)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 2*readStageMax {
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4*readStageMax {
 			t.Fatalf("%s: a bare header allocated %d bytes", tc.name, got)
 		}
 	}
