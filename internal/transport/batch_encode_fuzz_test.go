@@ -11,11 +11,11 @@ import (
 	"github.com/hdr4me/hdr4me/internal/est"
 )
 
-// refAppendBatch is the reference batch encoder, written per report the
-// way the codecs once marshaled row-shaped batches: under v1 an optional
-// SELECT route, then a 0x06 BATCH of embedded 0x01/0x05 frames; under v2
-// a shape scan that sends a rectangular batch (the empty one included)
-// as a CBATCH and a ragged one in the v1 grammar.
+// refAppendBatch is the reference batch encoder, written report by
+// report with no staging: under v1 an optional SELECT route, then a 0x06
+// BATCH of embedded 0x01/0x05 frames; under v2 a shape scan that sends a
+// rectangular batch (the empty one included) as a CBATCH and a ragged
+// one in the v1 grammar.
 func refAppendBatch(dst []byte, query string, seq uint64, reps []est.Report, v2 bool) ([]byte, error) {
 	if v2 {
 		ndims, nvals, rect := 0, 0, true
