@@ -37,6 +37,15 @@
 // bitwise-identical to the serial path. See the README's Performance
 // section for measured numbers.
 //
+// The read path allocates only what its caller keeps. A naive, windowed,
+// decayed or HDR4ME-enhanced estimate folds the stripes into pooled
+// scratch and re-calibrates in place, so Estimate, WindowEstimate and
+// Enhanced allocate just the vector they return; the collector encodes a
+// SNAPSHOT reply straight from a pooled fold, every vector reply goes
+// out in one Write from a pooled buffer, the client reads each payload
+// with one io.ReadFull into a pooled buffer, and checkpoints reuse their
+// payload buffer.
+//
 // One collector serves many concurrent analytics: a Registry of named
 // queries (each a QuerySpec-built estimator with an open → sealed →
 // deleted lifecycle) behind a single TCP port, budget-gated by an

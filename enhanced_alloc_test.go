@@ -3,10 +3,17 @@ package hdr4me
 import "testing"
 
 // TestEnhancedAllocs pins the query-side HDR4ME path's allocation budget
-// at the paper's shape: the snapshot's sums and counts, the naive
-// estimate, the per-dimension deviations and the enhanced output — the
-// §IV moments are cached per budget, so nothing else is built per query.
+// at the paper's shape: the enhanced output, re-calibrated in place over
+// the naive estimate. The fold and the per-dimension deviations are
+// pooled scratch and the §IV moments are cached per budget, so the
+// budget's second allocation only covers a pool refill after a GC.
+// Under -race, where sync.Pool drops a share of Puts at random, the
+// pre-pooling budget of 5 applies instead.
 func TestEnhancedAllocs(t *testing.T) {
+	budget := 2.0
+	if raceEnabled {
+		budget = 5
+	}
 	const d, m = 1024, 32
 	s, err := New(WithMechanism(Piecewise()), WithBudget(0.8), WithDims(d, m), WithEnhance(DefaultEnhanceConfig(RegL1)))
 	if err != nil {
@@ -22,7 +29,7 @@ func TestEnhancedAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 5 {
-		t.Fatalf("EstimateEnhanced at (d=%d, m=%d): %v allocs/op, want ≤ 5", d, m, allocs)
+	if allocs > budget {
+		t.Fatalf("EstimateEnhanced at (d=%d, m=%d): %v allocs/op, want ≤ %v", d, m, allocs, budget)
 	}
 }

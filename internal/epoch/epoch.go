@@ -195,6 +195,10 @@ func (r *Ring) Counts() []int64 { return r.inner.Counts() }
 // frozen epochs are read through State and the Window/Decayed paths.
 func (r *Ring) Snapshot() est.Snapshot { return r.inner.Snapshot() }
 
+// SnapshotInto implements est.SnapshotFolder: the live epoch's
+// accumulation, folded into dst's arrays.
+func (r *Ring) SnapshotInto(dst *est.Snapshot) { est.SnapshotInto(r.inner, dst) }
+
 // Merge implements est.Estimator: peer snapshots fold into the live epoch.
 func (r *Ring) Merge(s est.Snapshot) error { return r.inner.Merge(s) }
 
@@ -360,36 +364,47 @@ func (r *Ring) entryLocked(id uint64) *Entry {
 // epochs exist). Counts add in int64 — exact; sums add plainly, oldest
 // epoch first then the live epoch, a fixed deterministic order.
 func (r *Ring) WindowSnapshot(w int) (est.Snapshot, error) {
+	var out est.Snapshot
+	err := r.windowInto(&out, w)
+	return out, err
+}
+
+// windowInto is WindowSnapshot into dst's arrays: the live epoch folds
+// into dst, then the frozen epochs of the window add onto it.
+func (r *Ring) windowInto(dst *est.Snapshot, w int) error {
 	if w < 1 {
-		return est.Snapshot{}, fmt.Errorf("epoch: window %d < 1", w)
+		return fmt.Errorf("epoch: window %d < 1", w)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := r.inner.Snapshot() // freshly allocated fold — safe to mutate
-	frozen := w - 1
-	if frozen > len(r.entries) {
-		frozen = len(r.entries)
-	}
+	est.SnapshotInto(r.inner, dst)
+	sums, counts := dst.Sums, dst.Counts // the fold's own output arrays
+	frozen := min(w-1, len(r.entries))
 	for _, e := range r.entries[len(r.entries)-frozen:] {
 		for i, s := range e.Snap.Sums {
-			out.Sums[i] += s
+			sums[i] += s
 		}
 		for i, c := range e.Snap.Counts {
-			out.Counts[i] += c
+			counts[i] += c
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // WindowEstimate is the family estimate over the last w epochs (live
-// epoch included): EstimateFrom applied to WindowSnapshot.
+// epoch included): EstimateFrom applied to the window's fold, which is
+// pooled scratch, so the returned vector is the only allocation.
 func (r *Ring) WindowEstimate(w int) ([]float64, error) {
-	snap, err := r.WindowSnapshot(w)
-	if err != nil {
+	f := est.GetScratch()
+	defer est.PutScratch(f)
+	if err := r.windowInto(f, w); err != nil {
 		return nil, err
 	}
-	return r.inner.(est.SnapshotEstimator).EstimateFrom(snap)
+	return r.inner.(est.SnapshotEstimator).EstimateFrom(*f)
 }
+
+// weightPool recycles DecayedEstimate's real-valued effective counts.
+var weightPool est.SlicePool[float64]
 
 // DecayedEstimate folds every retained epoch with weight gamma^age (the
 // live epoch has age 0, the epoch frozen by the most recent rotation age
@@ -404,10 +419,14 @@ func (r *Ring) DecayedEstimate(gamma float64) ([]float64, error) {
 	if !ok {
 		return nil, fmt.Errorf("epoch: %T has no weighted estimate", r.inner)
 	}
+	live := est.GetScratch()
+	defer est.PutScratch(live)
 	r.mu.Lock()
-	live := r.inner.Snapshot()
-	sums := live.Sums // freshly allocated fold — safe to mutate
-	counts := make([]float64, len(live.Counts))
+	est.SnapshotInto(r.inner, live)
+	sums := live.Sums // pooled scratch — safe to mutate
+	cp := weightPool.Get(len(live.Counts))
+	defer weightPool.Put(cp)
+	counts := *cp
 	for i, c := range live.Counts {
 		counts[i] = float64(c)
 	}
@@ -486,4 +505,6 @@ var (
 	_ est.BatchAdder   = (*Ring)(nil)
 	_ est.LaneProvider = (*Ring)(nil)
 	_ est.Enhancer     = (*Ring)(nil)
+
+	_ est.SnapshotFolder = (*Ring)(nil)
 )

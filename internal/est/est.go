@@ -238,7 +238,9 @@ type Rotator interface {
 // SnapshotEstimator is implemented by estimators that can compute their
 // estimate from an arbitrary same-shape snapshot instead of their own
 // live accumulation — the read path windowed (multi-epoch) estimates
-// fold through.
+// fold through. The snapshot may be pooled scratch (GetScratch):
+// EstimateFrom must neither retain its arrays nor return a slice of
+// them.
 type SnapshotEstimator interface {
 	EstimateFrom(s Snapshot) ([]float64, error)
 }

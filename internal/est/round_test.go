@@ -50,7 +50,7 @@ func (e *noisySum) AddReport(Report) error { return errors.New("noisy: no report
 func (e *noisySum) Estimate() []float64    { return e.Snapshot().Sums }
 func (e *noisySum) Counts() []int64        { return e.acc.FoldCounts() }
 func (e *noisySum) Snapshot() Snapshot {
-	sums, counts := e.acc.Fold()
+	sums, counts := e.acc.FoldInto(nil, nil)
 	return Snapshot{Kind: "noisy", Dims: e.d, Sums: sums, Counts: counts}
 }
 func (e *noisySum) Merge(s Snapshot) error {

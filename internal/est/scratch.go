@@ -1,0 +1,73 @@
+package est
+
+import (
+	"slices"
+	"sync"
+)
+
+// SnapshotFolder is implemented by estimators that fold into a caller's
+// snapshot: SnapshotInto is Snapshot with dst's Sums, Counts and Cards
+// arrays reused (reallocated only when short), so a fold the caller
+// discards costs nothing once dst has held one. It is the fold core of
+// every built-in family; their Snapshot methods wrap it.
+type SnapshotFolder interface {
+	SnapshotInto(dst *Snapshot)
+}
+
+// SnapshotInto folds e's accumulated state into dst: through e's
+// SnapshotFolder core when implemented, as a fresh Snapshot (replacing
+// dst's arrays) otherwise.
+func SnapshotInto(e Estimator, dst *Snapshot) {
+	if sf, ok := e.(SnapshotFolder); ok {
+		sf.SnapshotInto(dst)
+		return
+	}
+	*dst = e.Snapshot()
+}
+
+// scratchPool recycles the snapshots that queries fold into and discard
+// — the fold under a naive, windowed or re-calibrated estimate, the
+// snapshot a collector encodes into a reply — so a query allocates only
+// the vector its caller keeps.
+var scratchPool = sync.Pool{New: func() any { return new(Snapshot) }}
+
+// maxScratchRetain caps the entries of each array a pooled scratch
+// keeps: one fold of an unusually wide query must not pin its arrays in
+// the pool for the life of the process.
+const maxScratchRetain = 1 << 18
+
+// GetScratch returns a pooled snapshot for a transient fold. Its contents
+// are undefined until filled (SnapshotInto, Stripes.FoldInto); hand it
+// back with PutScratch once nothing references its arrays.
+func GetScratch() *Snapshot { return scratchPool.Get().(*Snapshot) }
+
+// PutScratch returns s to the pool. The caller must not use s, or any
+// slice of its arrays, afterwards.
+func PutScratch(s *Snapshot) {
+	if cap(s.Sums) > maxScratchRetain || cap(s.Counts) > maxScratchRetain || cap(s.Cards) > maxScratchRetain {
+		return
+	}
+	scratchPool.Put(s)
+}
+
+// SlicePool recycles scratch slices of one element type, for the
+// per-query intermediates that are not folds (HDR4ME's per-dimension
+// deviations). The zero value is ready to use.
+type SlicePool[T any] struct{ p sync.Pool }
+
+// Get returns a pooled slice of n elements with undefined contents.
+func (p *SlicePool[T]) Get(n int) *[]T {
+	sp, _ := p.p.Get().(*[]T)
+	if sp == nil {
+		sp = new([]T)
+	}
+	*sp = slices.Grow((*sp)[:0], n)[:n]
+	return sp
+}
+
+// Put returns sp to the pool unless it grew past maxScratchRetain.
+func (p *SlicePool[T]) Put(sp *[]T) {
+	if cap(*sp) <= maxScratchRetain {
+		p.p.Put(sp)
+	}
+}

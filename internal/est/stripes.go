@@ -26,6 +26,7 @@
 package est
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -202,33 +203,58 @@ func (l stripeLane[K]) AddColumns(n, ndims, nvals int, dims []uint32, vals []flo
 	return accepted, err
 }
 
-// Fold returns a point-in-time copy of the accumulated state. It holds
-// the merge lane and every stripe lock simultaneously, so the fold is
-// atomic exactly as the old single-mutex Snapshot was. Fold order is
-// fixed — base first, then stripes by ascending index — and each lane
-// contributes its compensated value with one plain addition, so folding
-// is deterministic for a fixed ingest history and untouched stripes
-// leave the folded value bitwise unchanged.
-func (s *Stripes) Fold() (sums []float64, counts []int64) { return s.fold(false) }
+// FoldInto folds the accumulated state into the caller's arrays: sums
+// and counts are resliced to the lane widths (reallocated only when
+// their capacity is short, so FoldInto(nil, nil) is a fresh copy),
+// overwritten with the fold and returned. It holds the merge lane and
+// every stripe lock simultaneously, so the fold is atomic exactly as the
+// old single-mutex Snapshot was. Fold order is fixed — base first, then
+// stripes by ascending index — and each lane contributes its
+// compensated value with one plain addition, so folding is
+// deterministic for a fixed ingest history and untouched stripes leave
+// the folded value bitwise unchanged. It is the one fold core —
+// DrainFold and FoldCounts wrap it — and a query that discards its fold
+// passes pooled scratch (GetScratch), so the fold allocates nothing.
+func (s *Stripes) FoldInto(sums []float64, counts []int64) ([]float64, []int64) {
+	return s.foldInto(sums, counts, true, false)
+}
 
 // DrainFold atomically folds the accumulated state into a fresh copy and
-// zeroes every lane — the epoch-rotation primitive. It is Fold followed
+// zeroes every lane — the epoch-rotation primitive. It is a fold followed
 // by a reset under the same all-locks hold, so reports accumulated
 // before the drain land in the returned vectors and reports accumulated
 // after land in the (now empty) live lanes: nothing is lost or counted
 // twice, and the ingest hot path never learns a rotation happened.
 // Drained lanes keep their allocations, so rotation costs the caller two
 // result slices and nothing on the ingest side.
-func (s *Stripes) DrainFold() (sums []float64, counts []int64) { return s.fold(true) }
+func (s *Stripes) DrainFold() (sums []float64, counts []int64) {
+	return s.foldInto(nil, nil, true, true)
+}
 
-func (s *Stripes) fold(drain bool) (sums []float64, counts []int64) {
+// FoldCounts folds only the count lanes — the Counts() fast path, which
+// skips materializing the (possibly much wider) sum vector.
+func (s *Stripes) FoldCounts() []int64 {
+	_, counts := s.foldInto(nil, nil, false, false)
+	return counts
+}
+
+// foldInto is the fold core: under every lock it overwrites counts —
+// and sums when withSums — with the fixed-order fold, zeroing the lanes
+// afterwards when drain.
+func (s *Stripes) foldInto(sums []float64, counts []int64, withSums, drain bool) ([]float64, []int64) {
+	if withSums {
+		sums = slices.Grow(sums[:0], s.nsums)[:s.nsums]
+		clear(sums)
+	}
+	counts = slices.Grow(counts[:0], s.ncounts)[:s.ncounts]
+	clear(counts)
 	s.lockAll()
 	defer s.unlockAll()
-	sums = make([]float64, s.nsums)
-	counts = make([]int64, s.ncounts)
 	s.each(func(l *Lanes) {
-		for j := range l.Sums {
-			sums[j] += l.Sums[j].Value()
+		if withSums {
+			for j := range l.Sums {
+				sums[j] += l.Sums[j].Value()
+			}
 		}
 		for j, c := range l.Counts {
 			counts[j] += c
@@ -239,20 +265,6 @@ func (s *Stripes) fold(drain bool) (sums []float64, counts []int64) {
 		}
 	})
 	return sums, counts
-}
-
-// FoldCounts folds only the count lanes — the Counts() fast path, which
-// skips materializing the (possibly much wider) sum vector.
-func (s *Stripes) FoldCounts() []int64 {
-	s.lockAll()
-	defer s.unlockAll()
-	counts := make([]int64, s.ncounts)
-	s.each(func(l *Lanes) {
-		for j, c := range l.Counts {
-			counts[j] += c
-		}
-	})
-	return counts
 }
 
 // each visits every lane set in the fixed fold order: the merge lane,

@@ -56,7 +56,7 @@ func TestStripesSingleStripeBitwise(t *testing.T) {
 		for _, v := range vals {
 			addAt(s, lane, v)
 		}
-		sums, counts := s.Fold()
+		sums, counts := s.FoldInto(nil, nil)
 		if sums[0] != serial.Value() {
 			t.Fatalf("stripe %d fold = %v, serial = %v (must be bitwise equal)", lane, sums[0], serial.Value())
 		}
@@ -72,7 +72,7 @@ func TestStripesBaseFoldsFirst(t *testing.T) {
 	s := newSums(2)
 	s.Merge([]float64{2}, []int64{5})
 	addAt(s, 1, 3)
-	sums, counts := s.Fold()
+	sums, counts := s.FoldInto(nil, nil)
 	if sums[0] != 5 || counts[0] != 6 {
 		t.Fatalf("fold = %v/%v, want 5/6", sums[0], counts[0])
 	}
@@ -116,7 +116,7 @@ func TestStripesConcurrentFoldConsistency(t *testing.T) {
 				return
 			default:
 			}
-			sums, counts := s.Fold()
+			sums, counts := s.FoldInto(nil, nil)
 			if sums[0] != float64(counts[0]) {
 				t.Errorf("torn fold: sum %v != count %d", sums[0], counts[0])
 				return
@@ -126,7 +126,7 @@ func TestStripesConcurrentFoldConsistency(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	folds.Wait()
-	sums, counts := s.Fold()
+	sums, counts := s.FoldInto(nil, nil)
 	if want := float64(workers * adds); sums[0] != want || counts[0] != int64(want) {
 		t.Fatalf("final fold = %v/%d, want %v", sums[0], counts[0], want)
 	}

@@ -113,28 +113,24 @@ func (f *Flat) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (i
 func (f *Flat) AcquireLane() est.Lane { return f.acc.AcquireLane() }
 
 // Estimate implements est.Estimator: the flattened naive frequency
-// estimates in [0, 1] (unprojected; see ProjectSimplex).
+// estimates in [0, 1] (unprojected; see ProjectSimplex), from a pooled
+// fold. A dimension without reports estimates 1/2 in every entry.
 func (f *Flat) Estimate() []float64 {
-	return f.flatten(f.Aggregator.Estimate())
+	s := est.GetScratch()
+	f.SnapshotInto(s)
+	out := naiveInto(f.Aggregator, make([]float64, f.total), s.Sums, s.Counts, 0.5)
+	est.PutScratch(s)
+	return out
 }
 
 // EstimateFrom computes the flattened naive frequency estimates from a
-// snapshot of this (or an identically configured) collector.
+// snapshot of this (or an identically configured) collector. A dimension
+// without reports estimates 0 in every entry.
 func (f *Flat) EstimateFrom(s est.Snapshot) ([]float64, error) {
 	if err := est.CheckMerge(f, s, f.total, len(f.Aggregator.P.Cards)); err != nil {
 		return nil, err
 	}
-	out := make([]float64, f.total)
-	for j, card := range f.Aggregator.P.Cards {
-		if s.Counts[j] == 0 {
-			continue
-		}
-		for k := 0; k < card; k++ {
-			i := f.offsets[j] + k
-			out[i] = (s.Sums[i]/float64(s.Counts[j]) + 1) / 2
-		}
-	}
-	return out, nil
+	return naiveInto(f.Aggregator, make([]float64, f.total), s.Sums, s.Counts, 0), nil
 }
 
 // EstimateWeighted implements est.WeightedEstimator: the same naive
@@ -145,24 +141,28 @@ func (f *Flat) EstimateWeighted(sums, counts []float64) ([]float64, error) {
 		return nil, fmt.Errorf("freq: weighted fold shape %d/%d, want %d/%d sums/counts",
 			len(sums), len(counts), f.total, len(f.Aggregator.P.Cards))
 	}
-	out := make([]float64, f.total)
-	for j, card := range f.Aggregator.P.Cards {
-		if counts[j] == 0 {
-			continue
-		}
-		for k := 0; k < card; k++ {
-			i := f.offsets[j] + k
-			out[i] = (sums[i]/counts[j] + 1) / 2
-		}
-	}
-	return out, nil
+	return naiveInto(f.Aggregator, make([]float64, f.total), sums, counts, 0), nil
 }
 
 // Enhanced implements est.Enhancer: the flattened HDR4ME re-calibrated
-// frequencies under the bound configuration.
+// frequencies under the bound configuration, from one pooled fold.
 func (f *Flat) Enhanced() ([]float64, error) {
-	_, enhanced := f.Aggregator.EstimateEnhanced(f.Cfg)
-	return f.flatten(enhanced), nil
+	s := est.GetScratch()
+	f.SnapshotInto(s)
+	out, err := f.EnhancedFrom(*s)
+	est.PutScratch(s)
+	return out, err
+}
+
+// EnhancedFrom is Enhanced computed from a snapshot of this (or an
+// identically configured) collector: the naive estimate (1/2 in every
+// entry of a dimension without reports), re-calibrated in place.
+func (f *Flat) EnhancedFrom(s est.Snapshot) ([]float64, error) {
+	if err := est.CheckMerge(f, s, f.total, len(f.Aggregator.P.Cards)); err != nil {
+		return nil, err
+	}
+	out := naiveInto(f.Aggregator, make([]float64, f.total), s.Sums, s.Counts, 0.5)
+	return f.enhanceInto(out, out, s.Counts, f.Cfg), nil
 }
 
 // Unflatten maps a flattened entry vector back to per-dimension frequency
@@ -179,23 +179,25 @@ func (f *Flat) Unflatten(flat []float64) ([][]float64, error) {
 	return out, nil
 }
 
-func (f *Flat) flatten(rows [][]float64) []float64 {
-	out := make([]float64, 0, f.total)
-	for _, row := range rows {
-		out = append(out, row...)
-	}
-	return out
-}
-
 // Snapshot implements est.Estimator: flattened released-frame sums plus
 // per-dimension report counts, folded atomically across every stripe.
-func (f *Flat) Snapshot() est.Snapshot { return f.snapshot(f.acc.Fold()) }
+func (f *Flat) Snapshot() est.Snapshot {
+	var s est.Snapshot
+	f.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto implements est.SnapshotFolder: Snapshot into dst's arrays.
+func (f *Flat) SnapshotInto(dst *est.Snapshot) {
+	dst.Kind, dst.Dims = KindFreq, f.total
+	dst.Cards = append(dst.Cards[:0], f.Aggregator.P.Cards...)
+	dst.Sums, dst.Counts = f.acc.FoldInto(dst.Sums, dst.Counts)
+}
 
 // Rotate implements est.Rotator: it drains every stripe into a frozen
 // epoch snapshot, leaving the live lanes empty for the next epoch.
-func (f *Flat) Rotate() est.Snapshot { return f.snapshot(f.acc.DrainFold()) }
-
-func (f *Flat) snapshot(sums []float64, counts []int64) est.Snapshot {
+func (f *Flat) Rotate() est.Snapshot {
+	sums, counts := f.acc.DrainFold()
 	cards := append([]int(nil), f.Aggregator.P.Cards...)
 	return est.Snapshot{Kind: KindFreq, Dims: f.total, Cards: cards, Sums: sums, Counts: counts}
 }
@@ -228,4 +230,5 @@ var (
 	_ est.Rotator           = (*Flat)(nil)
 	_ est.SnapshotEstimator = (*Flat)(nil)
 	_ est.WeightedEstimator = (*Flat)(nil)
+	_ est.SnapshotFolder    = (*Flat)(nil)
 )

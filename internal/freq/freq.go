@@ -173,33 +173,15 @@ func (k freqKernel) Add(l *est.Lanes, rep est.Report) error {
 // Counts returns the per-dimension report counts.
 func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }
 
-// rawMeans returns the per-entry naive means in the released frame.
-func (a *Aggregator) rawMeans() [][]float64 {
-	sums, counts := a.acc.Fold()
-	out := make([][]float64, len(a.P.Cards))
-	for j, card := range a.P.Cards {
-		out[j] = make([]float64, card)
-		if counts[j] == 0 {
-			continue
-		}
-		off := a.offsets[j]
-		for k := 0; k < card; k++ {
-			out[j][k] = sums[off+k] / float64(counts[j])
-		}
-	}
-	return out
-}
-
 // Estimate returns the naive frequency estimates: per-entry released-frame
-// means mapped back to [0, 1], without simplex projection.
+// means mapped back to [0, 1], without simplex projection. A dimension
+// without reports estimates 1/2 in every entry.
 func (a *Aggregator) Estimate() [][]float64 {
-	means := a.rawMeans()
-	for j := range means {
-		for k := range means[j] {
-			means[j][k] = (means[j][k] + 1) / 2
-		}
-	}
-	return means
+	f := est.GetScratch()
+	f.Sums, f.Counts = a.acc.FoldInto(f.Sums, f.Counts)
+	naive := naiveInto(a, make([]float64, a.total), f.Sums, f.Counts, 0.5)
+	est.PutScratch(f)
+	return a.rows(naive)
 }
 
 // EstimateEnhanced applies HDR4ME per dimension in the [0, 1] frequency
@@ -210,37 +192,79 @@ func (a *Aggregator) Estimate() [][]float64 {
 // of frequency vectors. Deviations follow Lemma 2/3 with a plug-in two-atom
 // spec per entry ({−1, +1} weighted by the entry's estimated frequency) for
 // bounded mechanisms. Both the naive and enhanced estimates are returned so
-// callers can compare.
+// callers can compare; both come from one fold.
 func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]float64) {
-	means := a.rawMeans()
-	counts := a.Counts()
-	naive = make([][]float64, len(means))
-	enhanced = make([][]float64, len(means))
+	f := est.GetScratch()
+	f.Sums, f.Counts = a.acc.FoldInto(f.Sums, f.Counts)
+	flat := naiveInto(a, make([]float64, a.total), f.Sums, f.Counts, 0.5)
+	enh := a.enhanceInto(make([]float64, a.total), flat, f.Counts, cfg)
+	est.PutScratch(f)
+	return a.rows(flat), a.rows(enh)
+}
+
+// rows splits a flattened entry vector into per-dimension rows viewing
+// it, each capped at its own entries.
+func (a *Aggregator) rows(flat []float64) [][]float64 {
+	out := make([][]float64, len(a.P.Cards))
+	for j, card := range a.P.Cards {
+		off := a.offsets[j]
+		out[j] = flat[off : off+card : off+card]
+	}
+	return out
+}
+
+// naiveInto writes the flattened naive frequency estimates of the fold
+// (sums, counts) into out — entry (j, k) at offsets[j]+k, the released
+// mean mapped back to [0, 1] as (s/r + 1)/2 — and returns it. Entries of
+// a dimension without reports take unseen. It is the one loop behind the
+// naive, windowed, weighted and enhanced estimates of both the
+// Aggregator and Flat.
+func naiveInto[C int64 | float64](a *Aggregator, out, sums []float64, counts []C, unseen float64) []float64 {
+	for j, card := range a.P.Cards {
+		off := a.offsets[j]
+		seg := out[off : off+card]
+		if counts[j] == 0 {
+			for k := range seg {
+				seg[k] = unseen
+			}
+			continue
+		}
+		for k := range seg {
+			seg[k] = (sums[off+k]/float64(counts[j]) + 1) / 2
+		}
+	}
+	return out
+}
+
+// devPool recycles the per-dimension deviations of enhanceInto.
+var devPool est.SlicePool[analysis.Deviation]
+
+// enhanceInto writes the HDR4ME re-calibration of the flattened naive
+// estimate into out (which may alias naive) and returns it. Dimensions
+// without reports keep their naive entries.
+func (a *Aggregator) enhanceInto(out, naive []float64, counts []int64, cfg recal.Config) []float64 {
+	copy(out, naive)
 	fw := analysis.Framework{Mech: a.P.Mech, EpsPerDim: a.P.EpsPerEntry()}
 	bounded := a.P.Mech.Bounded()
 	// Unbounded moments ignore the data; bounded ones are re-evaluated per
 	// entry through one reused two-atom spec. Enhance does not keep devs,
-	// so one buffer serves every dimension.
+	// so one pooled buffer serves every dimension.
 	var mom analysis.Moments
 	if !bounded {
 		mom = fw.Moments(nil)
 	}
 	spec := analysis.DataSpec{Values: []float64{-1, 1}, Probs: make([]float64, 2)}
-	var devs []analysis.Deviation
-	for j := range means {
-		naive[j] = make([]float64, len(means[j]))
-		for k := range means[j] {
-			naive[j][k] = (means[j][k] + 1) / 2
-		}
+	dp := devPool.Get(0)
+	for j, card := range a.P.Cards {
 		r := float64(counts[j])
 		if r == 0 {
-			enhanced[j] = mathx.Clone(naive[j])
 			continue
 		}
-		devs = slices.Grow(devs[:0], len(means[j]))[:len(means[j])]
+		seg := out[a.offsets[j] : a.offsets[j]+card]
+		devs := slices.Grow((*dp)[:0], card)[:card]
 		for k := range devs {
 			if bounded {
-				f := mathx.Clamp(naive[j][k], 1/(10*float64(len(means[j]))), 1)
+				f := mathx.Clamp(seg[k], 1/(10*float64(card)), 1)
 				spec.Probs[0], spec.Probs[1] = 1-f, f
 				mom = fw.Moments(&spec)
 			}
@@ -249,9 +273,11 @@ func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]flo
 			// f = (y+1)/2 halves the bias and quarters the variance.
 			devs[k] = analysis.Deviation{Delta: dev.Delta / 2, Sigma2: dev.Sigma2 / 4}
 		}
-		enhanced[j] = recal.Enhance(naive[j], devs, cfg)
+		recal.EnhanceInto(seg, seg, devs, cfg)
+		*dp = devs
 	}
-	return naive, enhanced
+	devPool.Put(dp)
+	return out
 }
 
 // ProjectSimplex clips frequencies to [0, 1] and renormalizes each

@@ -59,8 +59,15 @@ func (a *Aggregator) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error)
 // Snapshot implements est.Estimator: an atomic fold of every
 // accumulation stripe plus the merge lane.
 func (a *Aggregator) Snapshot() est.Snapshot {
-	sums, counts := a.acc.Fold()
-	return est.Snapshot{Kind: KindMean, Dims: a.P.D, Sums: sums, Counts: counts}
+	var s est.Snapshot
+	a.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto implements est.SnapshotFolder: Snapshot into dst's arrays.
+func (a *Aggregator) SnapshotInto(dst *est.Snapshot) {
+	dst.Kind, dst.Dims, dst.Cards = KindMean, a.P.D, dst.Cards[:0]
+	dst.Sums, dst.Counts = a.acc.FoldInto(dst.Sums, dst.Counts)
 }
 
 // Rotate implements est.Rotator: it drains every accumulation stripe
@@ -178,9 +185,13 @@ func (a *MDAggregator) AddColumns(n, ndims, nvals int, dims []uint32, vals []flo
 // AcquireLane implements est.LaneProvider.
 func (a *MDAggregator) AcquireLane() est.Lane { return a.acc.AcquireLane() }
 
-// Estimate implements est.Estimator: the per-dimension average release.
+// Estimate implements est.Estimator: the per-dimension average release,
+// from a pooled fold.
 func (a *MDAggregator) Estimate() []float64 {
-	out, _ := a.EstimateFrom(a.Snapshot())
+	f := est.GetScratch()
+	a.SnapshotInto(f)
+	out := average(make([]float64, a.M.D), f.Sums, f.Counts[0])
+	est.PutScratch(f)
 	return out
 }
 
@@ -190,14 +201,19 @@ func (a *MDAggregator) EstimateFrom(s est.Snapshot) ([]float64, error) {
 	if err := est.CheckMerge(a, s, a.M.D, 1); err != nil {
 		return nil, err
 	}
-	out := make([]float64, a.M.D)
-	if s.Counts[0] == 0 {
-		return out, nil
+	return average(make([]float64, a.M.D), s.Sums, s.Counts[0]), nil
+}
+
+// average writes sums/n into out (zeros when n is 0) and returns it.
+func average[C int64 | float64](out, sums []float64, n C) []float64 {
+	if n == 0 {
+		clear(out)
+		return out
 	}
 	for j := range out {
-		out[j] = s.Sums[j] / float64(s.Counts[0])
+		out[j] = sums[j] / float64(n)
 	}
-	return out, nil
+	return out
 }
 
 // Counts implements est.Estimator: every dimension has seen every tuple.
@@ -212,8 +228,15 @@ func (a *MDAggregator) Counts() []int64 {
 
 // Snapshot implements est.Estimator: an atomic fold of every stripe.
 func (a *MDAggregator) Snapshot() est.Snapshot {
-	sums, counts := a.acc.Fold()
-	return est.Snapshot{Kind: KindWholeTuple, Dims: a.M.D, Sums: sums, Counts: counts}
+	var s est.Snapshot
+	a.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto implements est.SnapshotFolder: Snapshot into dst's arrays.
+func (a *MDAggregator) SnapshotInto(dst *est.Snapshot) {
+	dst.Kind, dst.Dims, dst.Cards = KindWholeTuple, a.M.D, dst.Cards[:0]
+	dst.Sums, dst.Counts = a.acc.FoldInto(dst.Sums, dst.Counts)
 }
 
 // EstimateWeighted implements est.WeightedEstimator: the per-dimension
@@ -223,14 +246,7 @@ func (a *MDAggregator) EstimateWeighted(sums, counts []float64) ([]float64, erro
 		return nil, fmt.Errorf("highdim: weighted fold shape %d/%d, want %d/1 sums/counts",
 			len(sums), len(counts), a.M.D)
 	}
-	out := make([]float64, a.M.D)
-	if counts[0] == 0 {
-		return out, nil
-	}
-	for j := range out {
-		out[j] = sums[j] / counts[0]
-	}
-	return out, nil
+	return average(make([]float64, a.M.D), sums, counts[0]), nil
 }
 
 // Rotate implements est.Rotator: it drains every stripe into a frozen
@@ -265,4 +281,6 @@ var (
 	_ est.SnapshotEstimator = (*MDAggregator)(nil)
 	_ est.WeightedEstimator = (*Aggregator)(nil)
 	_ est.WeightedEstimator = (*MDAggregator)(nil)
+	_ est.SnapshotFolder    = (*Aggregator)(nil)
+	_ est.SnapshotFolder    = (*MDAggregator)(nil)
 )

@@ -263,9 +263,13 @@ func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }
 // Estimate returns the naive aggregation θ̂ⱼ = (1/rⱼ)Σ t*ᵢⱼ, calibrated by
 // the data-independent bias for unbounded mechanisms (δ = E[N]; zero for
 // every mechanism in this library, but subtracted on principle). Dimensions
-// that received no reports estimate 0.
+// that received no reports estimate 0. The fold it estimates from is
+// pooled scratch, so the returned vector is its only allocation.
 func (a *Aggregator) Estimate() []float64 {
-	out, _ := a.EstimateFrom(a.Snapshot())
+	f := est.GetScratch()
+	a.SnapshotInto(f)
+	out := calibrate(a, make([]float64, a.P.D), f.Sums, f.Counts)
+	est.PutScratch(f)
 	return out
 }
 
@@ -277,19 +281,7 @@ func (a *Aggregator) EstimateFrom(s est.Snapshot) ([]float64, error) {
 	if err := est.CheckMerge(a, s, a.P.D, a.P.D); err != nil {
 		return nil, err
 	}
-	out := make([]float64, a.P.D)
-	unbounded := !a.P.Mech.Bounded()
-	for j := range out {
-		if s.Counts[j] == 0 {
-			continue
-		}
-		var delta float64
-		if unbounded {
-			delta = a.P.Mech.Bias(0, a.EpsFor(j))
-		}
-		out[j] = s.Sums[j]/float64(s.Counts[j]) - delta
-	}
-	return out, nil
+	return calibrate(a, make([]float64, a.P.D), s.Sums, s.Counts), nil
 }
 
 // EstimateWeighted implements est.WeightedEstimator: the same calibrated
@@ -301,17 +293,24 @@ func (a *Aggregator) EstimateWeighted(sums, counts []float64) ([]float64, error)
 		return nil, fmt.Errorf("highdim: weighted fold shape %d/%d, want %d/%d sums/counts",
 			len(sums), len(counts), a.P.D, a.P.D)
 	}
-	out := make([]float64, a.P.D)
+	return calibrate(a, make([]float64, a.P.D), sums, counts), nil
+}
+
+// calibrate writes the calibrated naive aggregation of (sums, counts)
+// into out and returns it: the one loop behind Estimate, EstimateFrom
+// and EstimateWeighted. A dimension without reports estimates 0.
+func calibrate[C int64 | float64](a *Aggregator, out, sums []float64, counts []C) []float64 {
 	unbounded := !a.P.Mech.Bounded()
 	for j := range out {
 		if counts[j] == 0 {
+			out[j] = 0
 			continue
 		}
 		var delta float64
 		if unbounded {
 			delta = a.P.Mech.Bias(0, a.EpsFor(j))
 		}
-		out[j] = sums[j]/counts[j] - delta
+		out[j] = sums[j]/float64(counts[j]) - delta
 	}
-	return out, nil
+	return out
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"github.com/hdr4me/hdr4me/internal/epoch"
 	"github.com/hdr4me/hdr4me/internal/transport"
@@ -74,17 +75,33 @@ var ErrCorrupt = errors.New("persist: corrupt checkpoint")
 // on both amd64 and arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// payloadPool recycles checkpoint payload buffers: a collector
+// checkpoints on a cadence, and each payload is about as large as the
+// last, so a warm buffer absorbs the next one without growing.
+var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPayloadRetain caps the payload buffer the pool keeps, so one
+// outsized checkpoint does not pin its buffer for the process lifetime.
+const maxPayloadRetain = 64 << 20
+
 // Encode serializes state to w in the versioned, CRC-guarded layout.
 func Encode(w io.Writer, state State) error {
-	var payload bytes.Buffer
-	if err := encodePayload(&payload, state); err != nil {
+	payload := payloadPool.Get().(*bytes.Buffer)
+	defer func() {
+		if payload.Cap() <= maxPayloadRetain {
+			payload.Reset()
+			payloadPool.Put(payload)
+		}
+	}()
+	payload.Reset()
+	if err := encodePayload(payload, state); err != nil {
 		return err
 	}
-	hdr := make([]byte, len(magic)+4+8)
-	copy(hdr, magic)
+	var hdr [len(magic) + 4 + 8]byte
+	copy(hdr[:], magic)
 	binary.BigEndian.PutUint32(hdr[len(magic):], version)
 	binary.BigEndian.PutUint64(hdr[len(magic)+4:], uint64(payload.Len()))
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload.Bytes()); err != nil {

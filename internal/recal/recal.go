@@ -154,7 +154,16 @@ func (c Config) lambdaSup(dev analysis.Deviation, sup float64) float64 {
 // bit for bit what the Eq. 34 soft-threshold or the Eq. 42 shrinkage
 // return for the per-dimension weights Config.Lambda selects.
 func Enhance(est []float64, devs []analysis.Deviation, cfg Config) []float64 {
-	out := make([]float64, len(est))
+	return EnhanceInto(make([]float64, len(est)), est, devs, cfg)
+}
+
+// EnhanceInto is Enhance into out (len(out) must be len(est)) and
+// returns it. out may be est itself: each dimension is read before it is
+// written, so a collector re-calibrates its naive vector in place.
+func EnhanceInto(out, est []float64, devs []analysis.Deviation, cfg Config) []float64 {
+	if len(out) != len(est) {
+		panic(fmt.Sprintf("recal: %d outputs for %d dims", len(out), len(est)))
+	}
 	if cfg.Reg == RegNone {
 		copy(out, est)
 		return out

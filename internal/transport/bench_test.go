@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/est"
@@ -184,6 +185,50 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rd.Reset(body)
 				if _, err := DecodeSnapshot(rd); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVectorCodec times the vector codec behind every ESTIMATE,
+// ENHANCED, WINDOW and DECAY reply: writeFloats into a bufio.Writer
+// (flushed to io.Discard each time, as the server flushes each reply)
+// and readFloats from a bufio.Reader over one encoded reply.
+func BenchmarkVectorCodec(b *testing.B) {
+	for _, d := range []int{32, 256, 1024} {
+		xs := make([]float64, d)
+		for j := range xs {
+			xs[j] = float64(j) / 4
+		}
+		var buf bytes.Buffer
+		if err := writeFloats(&buf, xs); err != nil {
+			b.Fatal(err)
+		}
+		body := buf.Bytes()
+		b.Run(fmt.Sprintf("write/d=%d", d), func(b *testing.B) {
+			bw := bufio.NewWriter(io.Discard)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := writeFloats(bw, xs); err != nil {
+					b.Fatal(err)
+				}
+				if err := bw.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("read/d=%d", d), func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			br := bufio.NewReader(rd)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				br.Reset(rd)
+				if _, err := readFloats(br); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -609,7 +609,10 @@ func (CodecV1) DecodeBatch(br *bufio.Reader, sequenced bool) (string, uint64, []
 	if cnt > maxBatch {
 		return "", 0, nil, fmt.Errorf("transport: batch of %d reports exceeds limit %d", cnt, maxBatch)
 	}
-	reps := make([]est.Report, 0, cnt)
+	// The count is untrusted: reserve a little and grow as reports
+	// arrive, so a bare header cannot make the decoder reserve what it
+	// announces.
+	reps := make([]est.Report, 0, min(cnt, 16))
 	for i := uint32(0); i < cnt; i++ {
 		ft, err := readFrameType(br)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -320,5 +321,30 @@ func TestCBatchDecodeGrowsWithPayload(t *testing.T) {
 	if err != nil || !slices.Equal(gotDims, dims) || !slices.Equal(gotVals, vals) {
 		t.Fatalf("multi-chunk body: err %v, dims equal %t, values equal %t",
 			err, slices.Equal(gotDims, dims), slices.Equal(gotVals, vals))
+	}
+}
+
+// TestV1DecodeBatchBareHeaderReservesLittle: the v1 batch decoder must
+// not size its report slice from the untrusted count field. A bare
+// header announcing maxBatch reports, then EOF, reserves less than
+// 64 KiB (sizing from the count reserved ~3 MiB).
+func TestV1DecodeBatchBareHeaderReservesLittle(t *testing.T) {
+	hdr := []byte{frameBatch, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[1:], maxBatch)
+	rd := bytes.NewReader(hdr)
+	br := bufio.NewReader(rd)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		rd.Reset(hdr)
+		br.Reset(rd)
+		if _, _, _, err := (CodecV1{}).DecodeBatch(br, false); err == nil {
+			t.Fatal("a bare batch header decoded without error")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 64<<10 {
+		t.Fatalf("bare header of %d reports reserved %d bytes per decode, want < 64 KiB", maxBatch, perRun)
 	}
 }

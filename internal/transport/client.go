@@ -132,11 +132,11 @@ func (c *Client) writeReport(rep est.Report) error {
 // readAck reads a single status byte; reject is the error for ackErr.
 // A retryable NACK surfaces as ErrOverloaded.
 func (c *Client) readAck(reject string) error {
-	var ack [1]byte
-	if _, err := io.ReadFull(c.br, ack[:]); err != nil {
+	ack, err := c.br.ReadByte()
+	if err != nil {
 		return err
 	}
-	switch ack[0] {
+	switch ack {
 	case ackOK:
 		return nil
 	case ackRetry:
@@ -151,14 +151,14 @@ func (c *Client) readAck(reject string) error {
 // ErrOverloaded on a retryable NACK, and reject wrapping the
 // collector's reason otherwise. Caller holds c.mu.
 func (c *Client) readReasonedAck(reject error) error {
-	var ack [1]byte
-	if _, err := io.ReadFull(c.br, ack[:]); err != nil {
+	ack, err := c.br.ReadByte()
+	if err != nil {
 		return err
 	}
-	if ack[0] == ackOK {
+	if ack == ackOK {
 		return nil
 	}
-	if ack[0] == ackRetry {
+	if ack == ackRetry {
 		return ErrOverloaded
 	}
 	msg, err := readString(c.br, maxErrLen)
@@ -258,6 +258,11 @@ func (c *Client) writeBatchLocked(query string, seq uint64, reps []est.Report, c
 	if err == nil {
 		*bp = buf
 		err = c.writeEncodedLocked(buf)
+	} else {
+		// A refused batch (too many reports) must not leave the route or
+		// epoch header a pinned handle buffered ahead of it to prefix the
+		// next exchange: drop everything this exchange buffered.
+		c.bw.Reset(c.conn)
 	}
 	putEncBuf(bp)
 	if err != nil {

@@ -235,3 +235,51 @@ func TestStaleGenerationRoutesNACK(t *testing.T) {
 		t.Fatalf("handle pinned to the new generation: %v", err)
 	}
 }
+
+// TestRefusedPinnedBatchKeepsConnectionInSync: a generation-pinned batch
+// (SELECTGEN route) or an epoch-tagged batch (EPOCH header) of more than
+// maxBatch reports is refused client-side after its header went into
+// the write buffer; the header must not leak into the next exchange, so
+// every later exchange on the connection still answers correctly.
+func TestRefusedPinnedBatchKeepsConnectionInSync(t *testing.T) {
+	reg := est.NewRegistry(epochFactory(t, epoch.Config{}), nil)
+	if _, err := reg.Open(est.QuerySpec{Name: "default", Kind: est.KindMean, Eps: 1, D: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Get("default").AddReport(rep2(0.5, -0.5)); err != nil {
+		t.Fatal(err)
+	}
+	addr := listenRegistry(t, reg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	info, err := cl.QueryInfo("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := cl.QueryAt("default", info.Gen)
+	tooMany := make([]est.Report, maxBatch+1)
+	for i := range tooMany {
+		tooMany[i] = rep2(0.25, 0.25)
+	}
+	refusals := map[string]func() (int, error){
+		"SendBatch":      func() (int, error) { return pinned.SendBatch(tooMany) },
+		"SendBatchEpoch": func() (int, error) { return cl.Query("default").SendBatchEpoch(info.Epoch, tooMany) },
+	}
+	for name, send := range refusals {
+		if _, err := send(); err == nil {
+			t.Fatalf("%s of %d reports was not refused", name, len(tooMany))
+		}
+		for i := 0; i < 2; i++ {
+			counts, err := pinned.Counts()
+			if err != nil {
+				t.Fatalf("after a refused %s, Counts #%d: %v", name, i+1, err)
+			}
+			if len(counts) != 2 || counts[0] != 1 || counts[1] != 1 {
+				t.Fatalf("after a refused %s, Counts #%d = %v, want [1 1]", name, i+1, counts)
+			}
+		}
+	}
+}

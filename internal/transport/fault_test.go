@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,4 +142,42 @@ func TestEstimateWhileSending(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestTruncatedReportFrameIsLogged: a peer that closes inside a report
+// frame is logged as a truncated frame ("unexpected EOF") — also when it
+// closes exactly at one of readFrame's read-stage boundaries, where the
+// stage read sees no bytes at all — never passed off as a clean close.
+func TestTruncatedReportFrameIsLogged(t *testing.T) {
+	p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]byte{
+		{0x01, 0, 0, 0, 2},    // header complete, no pair bytes
+		{0x01, 0, 0, 0, 2, 0}, // one pair byte
+	} {
+		srv := NewServer(highdim.NewAggregator(p))
+		logs := make(chan string, 4)
+		srv.Logf = func(format string, args ...any) { logs <- fmt.Sprintf(format, args...) }
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(frame)
+		conn.Close()
+		select {
+		case line := <-logs:
+			if !strings.Contains(line, "unexpected EOF") {
+				t.Errorf("% x then close: logged %q, want an unexpected EOF", frame, line)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("% x then close: nothing logged", frame)
+		}
+		srv.Close()
+	}
 }

@@ -502,20 +502,26 @@ func (s *Server) serveConn(conn net.Conn) error {
 			if q == nil && !routed {
 				return fmt.Errorf("transport: no default query to serve frame 0x%02x", ft)
 			}
-			if routed {
-				err = writeAck(bw, q != nil)
+			if q == nil {
+				err = writeAck(bw, false)
+				break
 			}
-			if err == nil && q != nil {
-				if ft == frameEstimate {
-					err = writeFloats(bw, q.Estimator().Estimate())
-				} else {
-					err = writeInts(bw, q.Estimator().Counts())
-				}
+			// One Write per reply: the routed status byte, then the vector.
+			var status []byte
+			if routed {
+				status = []byte{ackOK}
+			}
+			if ft == frameEstimate {
+				err = writeFloats(bw, q.Estimator().Estimate(), status...)
+			} else {
+				err = writeInts(bw, q.Estimator().Counts(), status...)
 			}
 		case frameSnapshot:
-			if err = writeAck(bw, q != nil); err == nil && q != nil {
-				err = EncodeSnapshot(bw, q.Estimator().Snapshot())
+			if q == nil {
+				err = writeAck(bw, false)
+				break
 			}
+			err = writeSnapshotReply(bw, q.Estimator())
 		case frameMerge:
 			var snap est.Snapshot
 			if snap, err = DecodeSnapshot(br); err != nil {
@@ -536,20 +542,19 @@ func (s *Server) serveConn(conn net.Conn) error {
 		case frameEpoch:
 			err = c.serveEpoch(br, bw, q)
 		case frameWindow:
-			var wb [4]byte
-			if _, err = io.ReadFull(br, wb[:]); err != nil {
+			var wb uint32
+			if wb, err = c.sc.readUint32(br); err != nil {
 				return err
 			}
-			w := int(binary.BigEndian.Uint32(wb[:]))
+			w := int(wb)
 			err = serveRingVector(bw, q, func(r epochEstimator) ([]float64, error) {
 				return r.WindowEstimate(w)
 			})
 		case frameDecay:
-			var gb [8]byte
-			if _, err = io.ReadFull(br, gb[:]); err != nil {
+			if _, err = io.ReadFull(br, c.sc.n[:8]); err != nil {
 				return err
 			}
-			gamma := math.Float64frombits(binary.BigEndian.Uint64(gb[:]))
+			gamma := math.Float64frombits(binary.BigEndian.Uint64(c.sc.n[:8]))
 			err = serveRingVector(bw, q, func(r epochEstimator) ([]float64, error) {
 				return r.DecayedEstimate(gamma)
 			})
@@ -615,11 +620,10 @@ func (c *serverConn) route(br *bufio.Reader, ft byte) (inner byte, q *est.Query,
 	}
 	q = c.s.reg.Get(name)
 	if ft == frameSelectGen {
-		var gb [8]byte
-		if _, err := io.ReadFull(br, gb[:]); err != nil {
+		if _, err := io.ReadFull(br, c.sc.n[:8]); err != nil {
 			return 0, nil, true, err
 		}
-		if gen := binary.BigEndian.Uint64(gb[:]); q != nil && q.Gen() != gen {
+		if gen := binary.BigEndian.Uint64(c.sc.n[:8]); q != nil && q.Gen() != gen {
 			q = nil
 		}
 	}
@@ -657,15 +661,25 @@ func writeResult(bw *bufio.Writer, cause error) error {
 
 // writeVector answers a status-prefixed vector exchange (ENHANCED,
 // WINDOW, DECAY): ackErr when the vector could not be computed, ackOK
-// and the vector otherwise.
+// and the vector otherwise, in one Write.
 func writeVector(bw *bufio.Writer, out []float64, verr error) error {
 	if verr != nil {
 		return bw.WriteByte(ackErr)
 	}
-	if err := bw.WriteByte(ackOK); err != nil {
+	return writeFloats(bw, out, ackOK)
+}
+
+// writeSnapshotReply answers a SNAPSHOT exchange with ackOK and the
+// estimator's snapshot in one Write. The fold is pooled scratch, encoded
+// straight from its arrays, so the reply allocates nothing.
+func writeSnapshotReply(bw *bufio.Writer, e est.Estimator) error {
+	f := est.GetScratch()
+	defer est.PutScratch(f)
+	est.SnapshotInto(e, f)
+	if err := checkSnapshot(*f); err != nil {
 		return err
 	}
-	return writeFloats(bw, out)
+	return writePooled(bw, func(b []byte) []byte { return appendSnapshot(append(b, ackOK), *f) })
 }
 
 // writeBatchReply writes the 5-byte batch acknowledgement: status plus

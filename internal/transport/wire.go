@@ -235,11 +235,35 @@ func WriteReport(w io.Writer, rep est.Report) error {
 	if len(rep.Dims) != len(rep.Values) {
 		return fmt.Errorf("transport: report dims/values length mismatch")
 	}
+	return writePooled(w, func(b []byte) []byte { return appendReport(b, rep.Dims, rep.Values) })
+}
+
+// writePooled marshals one message with build into a pooled buffer and
+// sends it with a single Write, so a reply costs one call on w and no
+// allocation once the pool is warm.
+func writePooled(w io.Writer, build func([]byte) []byte) error {
 	bp := encPool.Get().(*[]byte)
-	*bp = appendReport((*bp)[:0], rep.Dims, rep.Values)
+	*bp = build((*bp)[:0])
 	_, err := w.Write(*bp)
 	putEncBuf(bp)
 	return err
+}
+
+// readPooled reads exactly n bytes of r into the pooled buffer bp and
+// returns them, valid until bp's next use.
+func readPooled(r io.Reader, bp *[]byte, n int) ([]byte, error) {
+	*bp = slices.Grow((*bp)[:0], n)[:n]
+	_, err := io.ReadFull(r, *bp)
+	return *bp, err
+}
+
+// readUint32Pooled reads one big-endian uint32 through bp.
+func readUint32Pooled(r io.Reader, bp *[]byte) (uint32, error) {
+	b, err := readPooled(r, bp, 4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(b), nil
 }
 
 // readFrameType reads the next frame type byte from r.
@@ -297,11 +321,7 @@ func readGrowing(r io.Reader, n int) ([]byte, error) {
 // WriteVecReport serializes one vector report frame (0x05): dims and
 // values as independently sized lists, through a pooled marshal buffer.
 func WriteVecReport(w io.Writer, rep est.Report) error {
-	bp := encPool.Get().(*[]byte)
-	*bp = appendVecReport((*bp)[:0], rep.Dims, rep.Values)
-	_, err := w.Write(*bp)
-	putEncBuf(bp)
-	return err
+	return writePooled(w, func(b []byte) []byte { return appendVecReport(b, rep.Dims, rep.Values) })
 }
 
 // readVecReportBody reads the payload of a vector report frame.
@@ -619,6 +639,11 @@ func (sc *decodeScratch) readFrame(r io.Reader, ft byte) ([]byte, error) {
 		step := min(need-have, max(have, readStageMax))
 		sc.b = slices.Grow(sc.b, step)[:have+step]
 		if _, err := io.ReadFull(r, sc.b[have:]); err != nil {
+			if err == io.EOF {
+				// The type byte is consumed, so even a close exactly at a
+				// stage boundary truncates the frame.
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
 	}
@@ -736,8 +761,17 @@ func (sc *decodeScratch) decodeBatch(br *bufio.Reader, cnt uint32, maxVals, maxD
 // snapshots are byte-identical and stay in sync by construction. It
 // enforces the same limits the reader does, so an unshippable snapshot
 // fails with a clear error at the sender instead of a torn-down
-// connection at the receiver.
+// connection at the receiver. The body goes out in one Write from a
+// pooled buffer.
 func EncodeSnapshot(w io.Writer, s est.Snapshot) error {
+	if err := checkSnapshot(s); err != nil {
+		return err
+	}
+	return writePooled(w, func(b []byte) []byte { return appendSnapshot(b, s) })
+}
+
+// checkSnapshot enforces the wire limits on a snapshot about to be sent.
+func checkSnapshot(s est.Snapshot) error {
 	if len(s.Kind) > maxKindLen {
 		return fmt.Errorf("transport: snapshot kind %q exceeds %d bytes", s.Kind, maxKindLen)
 	}
@@ -745,61 +779,59 @@ func EncodeSnapshot(w io.Writer, s est.Snapshot) error {
 		return fmt.Errorf("transport: snapshot shape %d/%d/%d/%d exceeds the wire limit of %d",
 			s.Dims, len(s.Cards), len(s.Sums), len(s.Counts), maxPairs)
 	}
-	hdr := make([]byte, 4+len(s.Kind)+4)
-	binary.BigEndian.PutUint32(hdr, uint32(len(s.Kind)))
-	copy(hdr[4:], s.Kind)
-	binary.BigEndian.PutUint32(hdr[4+len(s.Kind):], uint32(s.Dims))
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	return nil
+}
+
+// appendSnapshot marshals a checked snapshot body onto b.
+func appendSnapshot(b []byte, s est.Snapshot) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Kind)))
+	b = append(b, s.Kind...)
+	b = binary.BigEndian.AppendUint32(b, uint32(s.Dims))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Cards)))
+	for _, c := range s.Cards {
+		b = binary.BigEndian.AppendUint32(b, uint32(c))
 	}
-	cards := make([]byte, 4+4*len(s.Cards))
-	binary.BigEndian.PutUint32(cards, uint32(len(s.Cards)))
-	for i, c := range s.Cards {
-		binary.BigEndian.PutUint32(cards[4+4*i:], uint32(c))
-	}
-	if _, err := w.Write(cards); err != nil {
-		return err
-	}
-	if err := writeFloats(w, s.Sums); err != nil {
-		return err
-	}
-	return writeInts(w, s.Counts)
+	b = appendFloats(b, s.Sums)
+	return appendInts(b, s.Counts)
 }
 
 // DecodeSnapshot deserializes an est.Snapshot written by EncodeSnapshot,
-// rejecting hostile length fields.
+// rejecting hostile length fields. Every field is read through one
+// pooled buffer, so the snapshot's own fields are its only allocations.
 func DecodeSnapshot(r io.Reader) (est.Snapshot, error) {
+	bp := encPool.Get().(*[]byte)
+	defer putEncBuf(bp)
 	var s est.Snapshot
-	var kl uint32
-	if err := binary.Read(r, binary.BigEndian, &kl); err != nil {
+	kl, err := readUint32Pooled(r, bp)
+	if err != nil {
 		return s, err
 	}
 	if kl > maxKindLen {
 		return s, fmt.Errorf("transport: snapshot kind of %d bytes exceeds limit", kl)
 	}
-	kind := make([]byte, kl)
-	if _, err := io.ReadFull(r, kind); err != nil {
+	kind, err := readPooled(r, bp, int(kl))
+	if err != nil {
 		return s, err
 	}
 	s.Kind = string(kind)
-	var dims uint32
-	if err := binary.Read(r, binary.BigEndian, &dims); err != nil {
+	dims, err := readUint32Pooled(r, bp)
+	if err != nil {
 		return s, err
 	}
 	if dims > maxPairs {
 		return s, fmt.Errorf("transport: snapshot with %d dims exceeds limit", dims)
 	}
 	s.Dims = int(dims)
-	var nc uint32
-	if err := binary.Read(r, binary.BigEndian, &nc); err != nil {
+	nc, err := readUint32Pooled(r, bp)
+	if err != nil {
 		return s, err
 	}
 	if nc > maxPairs {
 		return s, fmt.Errorf("transport: snapshot with %d cards exceeds limit", nc)
 	}
 	if nc > 0 {
-		buf := make([]byte, 4*nc)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := readPooled(r, bp, 4*int(nc))
+		if err != nil {
 			return s, err
 		}
 		s.Cards = make([]int, nc)
@@ -807,7 +839,6 @@ func DecodeSnapshot(r io.Reader) (est.Snapshot, error) {
 			s.Cards[i] = int(binary.BigEndian.Uint32(buf[4*i:]))
 		}
 	}
-	var err error
 	if s.Sums, err = readFloats(r); err != nil {
 		return s, err
 	}
@@ -826,75 +857,118 @@ func WriteMerge(w io.Writer, s est.Snapshot) error {
 	return EncodeSnapshot(w, s)
 }
 
-// writeFloats writes a uint32 length followed by the values.
-func writeFloats(w io.Writer, xs []float64) error {
-	buf := make([]byte, 4+8*len(xs))
-	binary.BigEndian.PutUint32(buf, uint32(len(xs)))
-	for i, x := range xs {
-		binary.BigEndian.PutUint64(buf[4+8*i:], math.Float64bits(x))
-	}
-	_, err := w.Write(buf)
-	return err
+// writeFloats writes one vector reply in a single Write from a pooled
+// buffer: the status bytes, if any, then a uint32 length followed by the
+// values.
+func writeFloats(w io.Writer, xs []float64, status ...byte) error {
+	return writePooled(w, func(b []byte) []byte { return appendFloats(append(b, status...), xs) })
 }
 
-// readFloats reads a uint32 length followed by that many float64s.
+// writeInts is writeFloats for int64 values.
+func writeInts(w io.Writer, xs []int64, status ...byte) error {
+	return writePooled(w, func(b []byte) []byte { return appendInts(append(b, status...), xs) })
+}
+
+// appendFloats marshals a uint32 length followed by the values onto b,
+// growing it once.
+func appendFloats(b []byte, xs []float64) []byte {
+	off := len(b)
+	b = slices.Grow(b, 4+8*len(xs))[:off+4+8*len(xs)]
+	binary.BigEndian.PutUint32(b[off:], uint32(len(xs)))
+	out := b[off+4:]
+	for i, x := range xs {
+		binary.BigEndian.PutUint64(out[8*i:8*i+8], math.Float64bits(x))
+	}
+	return b
+}
+
+// appendInts is appendFloats for int64 values.
+func appendInts(b []byte, xs []int64) []byte {
+	off := len(b)
+	b = slices.Grow(b, 4+8*len(xs))[:off+4+8*len(xs)]
+	binary.BigEndian.PutUint32(b[off:], uint32(len(xs)))
+	out := b[off+4:]
+	for i, x := range xs {
+		binary.BigEndian.PutUint64(out[8*i:8*i+8], uint64(x))
+	}
+	return b
+}
+
+// readFloats reads a uint32 length followed by that many float64s: the
+// length and the payload each in one io.ReadFull through a pooled
+// buffer, so the returned vector is the only allocation.
 func readFloats(r io.Reader) ([]float64, error) {
-	var n uint32
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
+	bp := encPool.Get().(*[]byte)
+	defer putEncBuf(bp)
+	raw, err := readVecPayload(r, bp)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(raw)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i : 8*i+8]))
+	}
+	return out, nil
+}
+
+// readInts reads a uint32 length followed by that many int64s, exactly
+// as readFloats.
+func readInts(r io.Reader) ([]int64, error) {
+	bp := encPool.Get().(*[]byte)
+	defer putEncBuf(bp)
+	raw, err := readVecPayload(r, bp)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, len(raw)/8)
+	for i := range out {
+		out[i] = int64(binary.BigEndian.Uint64(raw[8*i : 8*i+8]))
+	}
+	return out, nil
+}
+
+// readVecPayload reads a vector's uint32 length, rejecting one past
+// maxPairs, and then its 8-byte entries through bp.
+func readVecPayload(r io.Reader, bp *[]byte) ([]byte, error) {
+	n, err := readUint32Pooled(r, bp)
+	if err != nil {
 		return nil, err
 	}
 	if n > maxPairs {
 		return nil, fmt.Errorf("transport: vector of %d values exceeds limit", n)
 	}
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
+	return readPooled(r, bp, 8*int(n))
 }
 
-// writeInts writes a uint32 length followed by int64 values.
-func writeInts(w io.Writer, xs []int64) error {
-	buf := make([]byte, 4+8*len(xs))
-	binary.BigEndian.PutUint32(buf, uint32(len(xs)))
-	for i, x := range xs {
-		binary.BigEndian.PutUint64(buf[4+8*i:], uint64(x))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// writeString writes a uint32 length followed by the bytes of s.
+// writeString writes a uint32 length followed by the bytes of s, in one
+// Write from a pooled buffer.
 func writeString(w io.Writer, s string, max int) error {
 	if len(s) > max {
 		return fmt.Errorf("transport: string of %d bytes exceeds limit %d", len(s), max)
 	}
-	buf := make([]byte, 4+len(s))
-	binary.BigEndian.PutUint32(buf, uint32(len(s)))
-	copy(buf[4:], s)
-	_, err := w.Write(buf)
-	return err
+	return writePooled(w, func(b []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
+	})
 }
 
 // readString reads a uint32 length followed by that many bytes, rejecting
-// lengths beyond max.
+// lengths beyond max. Both go through one pooled buffer, so the string is
+// the only allocation.
 func readString(r io.Reader, max int) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
+	bp := encPool.Get().(*[]byte)
+	defer putEncBuf(bp)
+	n, err := readUint32Pooled(r, bp)
+	if err != nil {
 		return "", err
 	}
 	if n > uint32(max) {
 		return "", fmt.Errorf("transport: string of %d bytes exceeds limit %d", n, max)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	b, err := readPooled(r, bp, int(n))
+	if err != nil {
 		return "", err
 	}
-	return string(buf), nil
+	return string(b), nil
 }
 
 // writeSelect writes one SELECT route header (0x0A): the next frame on the
@@ -1015,24 +1089,4 @@ func WriteOpenQuery(w io.Writer, spec est.QuerySpec) error {
 		return err
 	}
 	return EncodeQuerySpec(w, spec)
-}
-
-// readInts reads a uint32 length followed by that many int64s.
-func readInts(r io.Reader) ([]int64, error) {
-	var n uint32
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > maxPairs {
-		return nil, fmt.Errorf("transport: vector of %d values exceeds limit", n)
-	}
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.BigEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
 }

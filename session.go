@@ -695,7 +695,7 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 			return nil, err
 		}
 		if s.cfg.enhance != nil {
-			if res.Enhanced, err = e.Enhanced(); err != nil {
+			if res.Enhanced, err = e.EnhancedFrom(snap); err != nil {
 				return nil, err
 			}
 		}
@@ -755,20 +755,30 @@ func newMeanEnhancer(agg *highdim.Aggregator, cfg recal.Config) *meanEnhancer {
 }
 
 // Enhanced implements the est.Enhancer interface. It works from one
-// Snapshot so the estimate and the report counts weighting its deviations
-// come from the same instant even while reports stream in.
+// pooled fold so the estimate and the report counts weighting its
+// deviations come from the same instant even while reports stream in;
+// the returned vector is its only allocation.
 func (m *meanEnhancer) Enhanced() ([]float64, error) {
-	return m.enhancedFrom(m.Aggregator.Snapshot())
+	f := est.GetScratch()
+	m.Aggregator.SnapshotInto(f)
+	out, err := m.enhancedFrom(*f)
+	est.PutScratch(f)
+	return out, err
 }
 
-// enhancedFrom re-calibrates the snapshot's naive estimate, deriving the
-// calibration from the aggregator's single EstimateFrom source of truth.
+// devPool recycles the per-dimension deviations of enhancedFrom.
+var devPool est.SlicePool[analysis.Deviation]
+
+// enhancedFrom re-calibrates the snapshot's naive estimate in place,
+// deriving the calibration from the aggregator's single EstimateFrom
+// source of truth.
 func (m *meanEnhancer) enhancedFrom(snap Snapshot) ([]float64, error) {
-	naive, err := m.Aggregator.EstimateFrom(snap)
+	out, err := m.Aggregator.EstimateFrom(snap)
 	if err != nil {
 		return nil, err
 	}
-	devs := make([]analysis.Deviation, len(naive))
+	dp := devPool.Get(len(out))
+	devs := *dp
 	for j := range devs {
 		r := float64(snap.Counts[j])
 		if r < 1 {
@@ -780,7 +790,9 @@ func (m *meanEnhancer) enhancedFrom(snap Snapshot) ([]float64, error) {
 		}
 		devs[j] = mom.At(r)
 	}
-	return recal.Enhance(naive, devs, m.cfg), nil
+	recal.EnhanceInto(out, out, devs, m.cfg)
+	devPool.Put(dp)
+	return out, nil
 }
 
 var _ est.Enhancer = (*meanEnhancer)(nil)
