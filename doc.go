@@ -40,11 +40,21 @@
 // The read path allocates only what its caller keeps. A naive, windowed,
 // decayed or HDR4ME-enhanced estimate folds the stripes into pooled
 // scratch and re-calibrates in place, so Estimate, WindowEstimate and
-// Enhanced allocate just the vector they return; the collector encodes a
-// SNAPSHOT reply straight from a pooled fold, every vector reply goes
-// out in one Write from a pooled buffer, the client reads each payload
-// with one io.ReadFull into a pooled buffer, and checkpoints reuse their
-// payload buffer.
+// Enhanced allocate just the vector they return. A served exchange
+// allocates nothing on the collector: each estimator family writes its
+// estimate, counts or enhanced estimate into a pooled vector (an
+// estimator without that form, such as a custom WithEstimator, falls
+// back to its allocating method), the SNAPSHOT reply encodes straight
+// from a pooled fold, and every reply goes out in one Write from a
+// pooled buffer. A client round trip then allocates exactly what it
+// returns: one vector for Estimate, Counts, Enhanced, WindowEstimate and
+// DecayedEstimate, the kind string and two vectors for a mean-family
+// PullSnapshot. A checkpoint copies no accumulated state: frozen epochs
+// are immutable (a late report rebuilds its epoch's snapshot), so the
+// checkpoint shares them with the ring, the live epoch folds into pooled
+// scratch, and the file streams out through a pooled 64 KiB buffer that
+// computes the CRC on the way — about 1.8 KB per save at d = 1024,
+// whether the ring holds 4 frozen epochs or 40.
 //
 // One collector serves many concurrent analytics: a Registry of named
 // queries (each a QuerySpec-built estimator with an open → sealed →

@@ -237,7 +237,9 @@ func StartCheckpointer(interval time.Duration, save func() error, onErr func(err
 // ticker, and the SIGTERM path) to make the collector durable; see
 // cmd/ldpcollect.
 func SaveCollectorState(dir string, reg *Registry, acct *Accountant) error {
-	state := persist.State{Queries: persist.Capture(reg)}
+	records := persist.Capture(reg)
+	defer persist.Release(records)
+	state := persist.State{Queries: records}
 	if acct != nil {
 		ast := &persist.AccountantState{Total: acct.Total(), Spent: acct.Spent()}
 		if h := acct.Horizon(); h > 0 {

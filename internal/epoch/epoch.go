@@ -27,11 +27,17 @@
 // bounded: Retain caps the frozen epochs kept, older snapshots are
 // compacted away (their ids remain implied by Cur), so checkpoints stop
 // growing without bound.
+//
+// Frozen epochs are immutable: a late report folded into one builds a
+// new snapshot and swaps it in (copy-on-write), and rotation builds a
+// new entry list, so State hands the ring's entries to a checkpoint
+// without copying them.
 package epoch
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -117,9 +123,12 @@ type Ring struct {
 
 	pending atomic.Int64 // reports accepted since the last rotation
 
-	mu      sync.Mutex
-	cur     uint64  // live epoch id
-	entries []Entry // frozen epochs, oldest first, ≤ cfg.Retain
+	mu  sync.Mutex
+	cur uint64 // live epoch id
+	// entries are the frozen epochs, oldest first, ≤ cfg.Retain. Neither
+	// the slice's elements nor their snapshots' arrays are ever written
+	// once stored: changes replace the slice (and the changed snapshot).
+	entries []Entry
 }
 
 // New wraps inner (and scratch, an identically configured sibling used
@@ -186,10 +195,18 @@ func (r *Ring) AddReports(reps []est.Report) (int, error) {
 }
 
 // Estimate implements est.Estimator: the live epoch's estimate.
-func (r *Ring) Estimate() []float64 { return r.inner.Estimate() }
+func (r *Ring) Estimate() []float64 { return r.EstimateInto(nil) }
+
+// EstimateInto implements est.VectorFolder: the live epoch's estimate,
+// written into dst.
+func (r *Ring) EstimateInto(dst []float64) []float64 { return est.EstimateInto(r.inner, dst) }
 
 // Counts implements est.Estimator: the live epoch's counts.
-func (r *Ring) Counts() []int64 { return r.inner.Counts() }
+func (r *Ring) Counts() []int64 { return r.CountsInto(nil) }
+
+// CountsInto implements est.VectorFolder: the live epoch's counts,
+// written into dst.
+func (r *Ring) CountsInto(dst []int64) []int64 { return est.CountsInto(r.inner, dst) }
 
 // Snapshot implements est.Estimator: the live epoch's accumulation. The
 // frozen epochs are read through State and the Window/Decayed paths.
@@ -203,9 +220,12 @@ func (r *Ring) SnapshotInto(dst *est.Snapshot) { est.SnapshotInto(r.inner, dst) 
 func (r *Ring) Merge(s est.Snapshot) error { return r.inner.Merge(s) }
 
 // Enhanced implements est.Enhancer when the wrapped estimator does.
-func (r *Ring) Enhanced() ([]float64, error) {
+func (r *Ring) Enhanced() ([]float64, error) { return r.EnhancedInto(nil) }
+
+// EnhancedInto implements est.EnhancedFolder: Enhanced into dst.
+func (r *Ring) EnhancedInto(dst []float64) ([]float64, error) {
 	if en, ok := r.inner.(est.Enhancer); ok {
-		return en.Enhanced()
+		return est.EnhancedInto(en, dst)
 	}
 	return nil, fmt.Errorf("epoch: %T has no enhanced estimate", r.inner)
 }
@@ -275,10 +295,12 @@ func (r *Ring) Rotate() uint64 {
 
 func (r *Ring) rotateLocked() uint64 {
 	snap := r.rot.Rotate()
-	r.entries = append(r.entries, Entry{ID: r.cur, Snap: snap})
-	if drop := len(r.entries) - r.cfg.Retain; drop > 0 {
-		r.entries = append(r.entries[:0], r.entries[drop:]...)
-	}
+	// A new list rather than an in-place shift: State may have handed
+	// the current one out.
+	kept := r.entries[max(0, len(r.entries)+1-r.cfg.Retain):]
+	entries := make([]Entry, len(kept), len(kept)+1)
+	copy(entries, kept)
+	r.entries = append(entries, Entry{ID: r.cur, Snap: snap})
 	r.cur++
 	r.pending.Store(0)
 	return r.cur
@@ -318,42 +340,48 @@ func (r *Ring) AddLate(id uint64, reps []est.Report) (int, error) {
 		return accepted, err
 	}
 	// Bucket: fold through the scratch estimator so the family's own
-	// validation applies, then add the drained delta into the frozen
-	// snapshot. The scratch is only ever touched under r.mu.
-	e := r.entryLocked(id)
-	if e == nil {
+	// validation applies, then add the frozen snapshot onto the drained
+	// delta — fresh arrays — and swap the sum in as a new entry list:
+	// the frozen snapshot itself is never written (copy-on-write). The
+	// scratch is only ever touched under r.mu.
+	i := r.entryLocked(id)
+	if i < 0 {
 		return 0, fmt.Errorf("epoch: epoch %d was compacted away (retaining %d epochs before live %d)",
 			id, len(r.entries), r.cur)
 	}
 	accepted, err := est.AddReports(r.scratch, reps)
 	if accepted > 0 {
-		delta := r.scratch.(est.Rotator).Rotate()
-		for i := range e.Snap.Sums {
+		sum := r.scratch.(est.Rotator).Rotate()
+		frozen := r.entries[i].Snap
+		for j, s := range frozen.Sums {
 			// Plain adds, intentionally: a frozen snapshot has no Kahan
 			// lanes to resume — compensation terms do not ride the
 			// checkpoint — so one uncompensated add per late batch is
 			// the only fold a restored collector can reproduce bitwise.
-			//hdrvet:ignore kahansum -- frozen snapshots carry no compensation lanes across checkpoints; a plain add is the reproducible fold
-			e.Snap.Sums[i] += delta.Sums[i]
+			sum.Sums[j] += s
 		}
-		for i := range e.Snap.Counts {
-			e.Snap.Counts[i] += delta.Counts[i]
+		for j, c := range frozen.Counts {
+			sum.Counts[j] += c
 		}
+		entries := slices.Clone(r.entries)
+		entries[i].Snap = sum
+		r.entries = entries
 	}
 	return accepted, err
 }
 
-// entryLocked returns the retained entry with the given id, or nil.
-func (r *Ring) entryLocked(id uint64) *Entry {
+// entryLocked returns the index of the retained entry with the given
+// id, or −1.
+func (r *Ring) entryLocked(id uint64) int {
 	// Entries are contiguous ids ending at cur−1; index directly.
 	if len(r.entries) == 0 {
-		return nil
+		return -1
 	}
 	first := r.entries[0].ID
 	if id < first || id >= first+uint64(len(r.entries)) {
-		return nil
+		return -1
 	}
-	return &r.entries[id-first]
+	return int(id - first)
 }
 
 // ---- derived reads ----------------------------------------------------------
@@ -392,15 +420,19 @@ func (r *Ring) windowInto(dst *est.Snapshot, w int) error {
 }
 
 // WindowEstimate is the family estimate over the last w epochs (live
-// epoch included): EstimateFrom applied to the window's fold, which is
-// pooled scratch, so the returned vector is the only allocation.
-func (r *Ring) WindowEstimate(w int) ([]float64, error) {
+// epoch included).
+func (r *Ring) WindowEstimate(w int) ([]float64, error) { return r.WindowEstimateInto(nil, w) }
+
+// WindowEstimateInto is WindowEstimate written into dst: the family's
+// snapshot estimate applied to the window's fold, which is pooled
+// scratch, so it allocates nothing once dst has held one estimate.
+func (r *Ring) WindowEstimateInto(dst []float64, w int) ([]float64, error) {
 	f := est.GetScratch()
 	defer est.PutScratch(f)
 	if err := r.windowInto(f, w); err != nil {
 		return nil, err
 	}
-	return r.inner.(est.SnapshotEstimator).EstimateFrom(*f)
+	return r.inner.(est.SnapshotEstimator).EstimateFromInto(dst, *f)
 }
 
 // weightPool recycles DecayedEstimate's real-valued effective counts.
@@ -412,6 +444,12 @@ var weightPool est.SlicePool[float64]
 // family's weighted estimate. gamma must be in (0, 1]; gamma == 1
 // weights every retained epoch equally.
 func (r *Ring) DecayedEstimate(gamma float64) ([]float64, error) {
+	return r.DecayedEstimateInto(nil, gamma)
+}
+
+// DecayedEstimateInto is DecayedEstimate written into dst; the decayed
+// fold is pooled scratch.
+func (r *Ring) DecayedEstimateInto(dst []float64, gamma float64) ([]float64, error) {
 	if !(gamma > 0 && gamma <= 1) || math.IsNaN(gamma) {
 		return nil, fmt.Errorf("epoch: decay factor %v outside (0, 1]", gamma)
 	}
@@ -440,23 +478,22 @@ func (r *Ring) DecayedEstimate(gamma float64) ([]float64, error) {
 		}
 	}
 	r.mu.Unlock()
-	return we.EstimateWeighted(sums, counts)
+	return we.EstimateWeightedInto(dst, sums, counts)
 }
 
 // ---- persistence ------------------------------------------------------------
 
-// State returns the live epoch id and a deep copy of the frozen entries
-// (oldest first) for checkpointing. The live epoch's accumulation is NOT
-// included — it is the wrapped estimator's Snapshot, which the
-// checkpoint captures through the ordinary est.Estimator path.
+// State returns the live epoch id and the frozen entries (oldest first)
+// for checkpointing. The entries are the ring's own, shared rather than
+// copied: frozen epochs are immutable, so they stay valid however the
+// ring moves on, and the caller must not modify them. The live epoch's
+// accumulation is NOT included — it is the wrapped estimator's
+// Snapshot, which the checkpoint captures through the ordinary
+// est.Estimator path.
 func (r *Ring) State() (cur uint64, entries []Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	entries = make([]Entry, len(r.entries))
-	for i, e := range r.entries {
-		entries[i] = Entry{ID: e.ID, Snap: cloneSnapshot(e.Snap)}
-	}
-	return r.cur, entries
+	return r.cur, r.entries
 }
 
 // SetState restores a checkpointed ring: the live epoch id and the
@@ -464,6 +501,8 @@ func (r *Ring) State() (cur uint64, entries []Entry) {
 // required to be contiguous ids ending at cur−1). The live epoch's
 // accumulation is restored separately via Merge. Entries beyond the
 // retention cap are compacted, oldest first, exactly as rotation would.
+// The ring keeps the entries' snapshots, as frozen epochs it never
+// writes; the caller must not modify them afterwards.
 func (r *Ring) SetState(cur uint64, entries []Entry) error {
 	shape := r.inner.Snapshot()
 	for i, e := range entries {
@@ -478,26 +517,13 @@ func (r *Ring) SetState(cur uint64, entries []Entry) error {
 				i, e.ID, want, cur)
 		}
 	}
-	cp := make([]Entry, len(entries))
-	for i, e := range entries {
-		cp[i] = Entry{ID: e.ID, Snap: cloneSnapshot(e.Snap)}
-	}
-	if drop := len(cp) - r.cfg.Retain; drop > 0 {
-		cp = cp[drop:]
-	}
+	kept := slices.Clone(entries[max(0, len(entries)-r.cfg.Retain):])
 	r.mu.Lock()
 	r.cur = cur
-	r.entries = cp
+	r.entries = kept
 	r.pending.Store(0)
 	r.mu.Unlock()
 	return nil
-}
-
-func cloneSnapshot(s est.Snapshot) est.Snapshot {
-	s.Cards = append([]int(nil), s.Cards...)
-	s.Sums = append([]float64(nil), s.Sums...)
-	s.Counts = append([]int64(nil), s.Counts...)
-	return s
 }
 
 var (
@@ -507,4 +533,6 @@ var (
 	_ est.Enhancer     = (*Ring)(nil)
 
 	_ est.SnapshotFolder = (*Ring)(nil)
+	_ est.VectorFolder   = (*Ring)(nil)
+	_ est.EnhancedFolder = (*Ring)(nil)
 )

@@ -238,22 +238,23 @@ type Rotator interface {
 // SnapshotEstimator is implemented by estimators that can compute their
 // estimate from an arbitrary same-shape snapshot instead of their own
 // live accumulation — the read path windowed (multi-epoch) estimates
-// fold through. The snapshot may be pooled scratch (GetScratch):
-// EstimateFrom must neither retain its arrays nor return a slice of
+// fold through. The estimate is written into dst, as VectorFolder's
+// methods do. The snapshot may be pooled scratch (GetScratch):
+// EstimateFromInto must neither retain its arrays nor return a slice of
 // them.
 type SnapshotEstimator interface {
-	EstimateFrom(s Snapshot) ([]float64, error)
+	EstimateFromInto(dst []float64, s Snapshot) ([]float64, error)
 }
 
 // WeightedEstimator is implemented by estimators whose estimate can be
-// computed from real-valued (weighted) sums and counts. Exponentially
-// decayed epoch folds produce non-integer effective counts, so the int64
-// Counts of a Snapshot cannot carry them; every built-in family's
-// estimate is a pure per-entry function of sum/count ratios, so the
-// weighted variant is exact for weight 1 and well-defined for any
-// positive weights.
+// computed from real-valued (weighted) sums and counts, written into
+// dst as VectorFolder's methods do. Exponentially decayed epoch folds
+// produce non-integer effective counts, so the int64 Counts of a
+// Snapshot cannot carry them; every built-in family's estimate is a
+// pure per-entry function of sum/count ratios, so the weighted variant
+// is exact for weight 1 and well-defined for any positive weights.
 type WeightedEstimator interface {
-	EstimateWeighted(sums, counts []float64) ([]float64, error)
+	EstimateWeightedInto(dst, sums, counts []float64) ([]float64, error)
 }
 
 // Enhancer is implemented by estimators that support the HDR4ME §V

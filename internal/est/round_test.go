@@ -48,7 +48,7 @@ func (e *noisySum) Observe(t Tuple, rng *mathx.RNG) error {
 }
 func (e *noisySum) AddReport(Report) error { return errors.New("noisy: no reports") }
 func (e *noisySum) Estimate() []float64    { return e.Snapshot().Sums }
-func (e *noisySum) Counts() []int64        { return e.acc.FoldCounts() }
+func (e *noisySum) Counts() []int64        { return e.acc.FoldCounts(nil) }
 func (e *noisySum) Snapshot() Snapshot {
 	sums, counts := e.acc.FoldInto(nil, nil)
 	return Snapshot{Kind: "noisy", Dims: e.d, Sums: sums, Counts: counts}

@@ -52,7 +52,8 @@ func PutScratch(s *Snapshot) {
 
 // SlicePool recycles scratch slices of one element type, for the
 // per-query intermediates that are not folds (HDR4ME's per-dimension
-// deviations). The zero value is ready to use.
+// deviations, the vectors a collector fills only to marshal them into a
+// reply). The zero value is ready to use.
 type SlicePool[T any] struct{ p sync.Pool }
 
 // Get returns a pooled slice of n elements with undefined contents.
@@ -61,7 +62,7 @@ func (p *SlicePool[T]) Get(n int) *[]T {
 	if sp == nil {
 		sp = new([]T)
 	}
-	*sp = slices.Grow((*sp)[:0], n)[:n]
+	*sp = Resize(*sp, n)
 	return sp
 }
 
@@ -71,3 +72,56 @@ func (p *SlicePool[T]) Put(sp *[]T) {
 		p.p.Put(sp)
 	}
 }
+
+// VectorFolder is implemented by estimators that write their naive
+// estimate and their counts into a caller's vector: EstimateInto and
+// CountsInto are Estimate and Counts with dst's backing array reused
+// (reallocated only when short), so a collector that marshals the
+// vector and discards it allocates nothing once dst has held one. Every
+// built-in family implements it; their Estimate and Counts wrap it.
+type VectorFolder interface {
+	EstimateInto(dst []float64) []float64
+	CountsInto(dst []int64) []int64
+}
+
+// EnhancedFolder is implemented by enhancers whose HDR4ME re-calibrated
+// estimate can be written into a caller's vector, exactly as
+// VectorFolder's methods; their Enhanced wraps EnhancedInto.
+type EnhancedFolder interface {
+	EnhancedInto(dst []float64) ([]float64, error)
+}
+
+// EstimateInto writes e's naive estimate into dst: through e's
+// VectorFolder core when implemented, as a copy of Estimate's vector
+// otherwise, so the result never aliases memory e may still hold.
+func EstimateInto(e Estimator, dst []float64) []float64 {
+	if vf, ok := e.(VectorFolder); ok {
+		return vf.EstimateInto(dst)
+	}
+	return append(dst[:0], e.Estimate()...)
+}
+
+// CountsInto is EstimateInto for the per-dimension report counts.
+func CountsInto(e Estimator, dst []int64) []int64 {
+	if vf, ok := e.(VectorFolder); ok {
+		return vf.CountsInto(dst)
+	}
+	return append(dst[:0], e.Counts()...)
+}
+
+// EnhancedInto is EstimateInto for an Enhancer's re-calibrated estimate.
+func EnhancedInto(en Enhancer, dst []float64) ([]float64, error) {
+	if ef, ok := en.(EnhancedFolder); ok {
+		return ef.EnhancedInto(dst)
+	}
+	out, err := en.Enhanced()
+	if err != nil {
+		return nil, err
+	}
+	return append(dst[:0], out...), nil
+}
+
+// Resize returns dst resliced to n entries, reallocated only when its
+// capacity is short; its contents are undefined. It is how every Into
+// method sizes the caller's vector.
+func Resize[T any](dst []T, n int) []T { return slices.Grow(dst[:0], n)[:n] }

@@ -26,7 +26,6 @@
 package est
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -231,10 +230,11 @@ func (s *Stripes) DrainFold() (sums []float64, counts []int64) {
 	return s.foldInto(nil, nil, true, true)
 }
 
-// FoldCounts folds only the count lanes — the Counts() fast path, which
-// skips materializing the (possibly much wider) sum vector.
-func (s *Stripes) FoldCounts() []int64 {
-	_, counts := s.foldInto(nil, nil, false, false)
+// FoldCounts folds only the count lanes into dst, as FoldInto does —
+// the Counts() fast path, which skips materializing the (possibly much
+// wider) sum vector.
+func (s *Stripes) FoldCounts(dst []int64) []int64 {
+	_, counts := s.foldInto(nil, dst, false, false)
 	return counts
 }
 
@@ -243,10 +243,10 @@ func (s *Stripes) FoldCounts() []int64 {
 // afterwards when drain.
 func (s *Stripes) foldInto(sums []float64, counts []int64, withSums, drain bool) ([]float64, []int64) {
 	if withSums {
-		sums = slices.Grow(sums[:0], s.nsums)[:s.nsums]
+		sums = Resize(sums, s.nsums)
 		clear(sums)
 	}
-	counts = slices.Grow(counts[:0], s.ncounts)[:s.ncounts]
+	counts = Resize(counts, s.ncounts)
 	clear(counts)
 	s.lockAll()
 	defer s.unlockAll()

@@ -76,7 +76,7 @@ func TestStripesBaseFoldsFirst(t *testing.T) {
 	if sums[0] != 5 || counts[0] != 6 {
 		t.Fatalf("fold = %v/%v, want 5/6", sums[0], counts[0])
 	}
-	if c := s.FoldCounts(); c[0] != 6 {
+	if c := s.FoldCounts(nil); c[0] != 6 {
 		t.Fatalf("FoldCounts = %d, want 6", c[0])
 	}
 }

@@ -113,55 +113,70 @@ func (f *Flat) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (i
 func (f *Flat) AcquireLane() est.Lane { return f.acc.AcquireLane() }
 
 // Estimate implements est.Estimator: the flattened naive frequency
-// estimates in [0, 1] (unprojected; see ProjectSimplex), from a pooled
-// fold. A dimension without reports estimates 1/2 in every entry.
-func (f *Flat) Estimate() []float64 {
+// estimates in [0, 1] (unprojected; see ProjectSimplex). A dimension
+// without reports estimates 1/2 in every entry.
+func (f *Flat) Estimate() []float64 { return f.EstimateInto(nil) }
+
+// EstimateInto implements est.VectorFolder: Estimate into dst, from a
+// pooled fold.
+func (f *Flat) EstimateInto(dst []float64) []float64 {
 	s := est.GetScratch()
 	f.SnapshotInto(s)
-	out := naiveInto(f.Aggregator, make([]float64, f.total), s.Sums, s.Counts, 0.5)
+	out := naiveInto(f.Aggregator, est.Resize(dst, f.total), s.Sums, s.Counts)
 	est.PutScratch(s)
 	return out
 }
 
 // EstimateFrom computes the flattened naive frequency estimates from a
-// snapshot of this (or an identically configured) collector. A dimension
-// without reports estimates 0 in every entry.
-func (f *Flat) EstimateFrom(s est.Snapshot) ([]float64, error) {
+// snapshot of this (or an identically configured) collector, exactly as
+// Estimate does from the live fold.
+func (f *Flat) EstimateFrom(s est.Snapshot) ([]float64, error) { return f.EstimateFromInto(nil, s) }
+
+// EstimateFromInto implements est.SnapshotEstimator: EstimateFrom into
+// dst.
+func (f *Flat) EstimateFromInto(dst []float64, s est.Snapshot) ([]float64, error) {
 	if err := est.CheckMerge(f, s, f.total, len(f.Aggregator.P.Cards)); err != nil {
 		return nil, err
 	}
-	return naiveInto(f.Aggregator, make([]float64, f.total), s.Sums, s.Counts, 0), nil
+	return naiveInto(f.Aggregator, est.Resize(dst, f.total), s.Sums, s.Counts), nil
 }
 
-// EstimateWeighted implements est.WeightedEstimator: the same naive
+// EstimateWeightedInto implements est.WeightedEstimator: the same naive
 // frequency mapping as EstimateFrom computed from real-valued sums and
 // per-dimension counts, so decayed epoch folds share the math.
-func (f *Flat) EstimateWeighted(sums, counts []float64) ([]float64, error) {
+func (f *Flat) EstimateWeightedInto(dst, sums, counts []float64) ([]float64, error) {
 	if len(sums) != f.total || len(counts) != len(f.Aggregator.P.Cards) {
 		return nil, fmt.Errorf("freq: weighted fold shape %d/%d, want %d/%d sums/counts",
 			len(sums), len(counts), f.total, len(f.Aggregator.P.Cards))
 	}
-	return naiveInto(f.Aggregator, make([]float64, f.total), sums, counts, 0), nil
+	return naiveInto(f.Aggregator, est.Resize(dst, f.total), sums, counts), nil
 }
 
 // Enhanced implements est.Enhancer: the flattened HDR4ME re-calibrated
-// frequencies under the bound configuration, from one pooled fold.
-func (f *Flat) Enhanced() ([]float64, error) {
+// frequencies under the bound configuration.
+func (f *Flat) Enhanced() ([]float64, error) { return f.EnhancedInto(nil) }
+
+// EnhancedInto implements est.EnhancedFolder: Enhanced into dst, from
+// one pooled fold.
+func (f *Flat) EnhancedInto(dst []float64) ([]float64, error) {
 	s := est.GetScratch()
 	f.SnapshotInto(s)
-	out, err := f.EnhancedFrom(*s)
+	out, err := f.enhancedFrom(dst, *s)
 	est.PutScratch(s)
 	return out, err
 }
 
 // EnhancedFrom is Enhanced computed from a snapshot of this (or an
-// identically configured) collector: the naive estimate (1/2 in every
-// entry of a dimension without reports), re-calibrated in place.
-func (f *Flat) EnhancedFrom(s est.Snapshot) ([]float64, error) {
-	if err := est.CheckMerge(f, s, f.total, len(f.Aggregator.P.Cards)); err != nil {
+// identically configured) collector: the naive estimate, re-calibrated
+// in place.
+func (f *Flat) EnhancedFrom(s est.Snapshot) ([]float64, error) { return f.enhancedFrom(nil, s) }
+
+// enhancedFrom is EnhancedFrom into dst.
+func (f *Flat) enhancedFrom(dst []float64, s est.Snapshot) ([]float64, error) {
+	out, err := f.EstimateFromInto(dst, s)
+	if err != nil {
 		return nil, err
 	}
-	out := naiveInto(f.Aggregator, make([]float64, f.total), s.Sums, s.Counts, 0.5)
 	return f.enhanceInto(out, out, s.Counts, f.Cfg), nil
 }
 
@@ -231,4 +246,6 @@ var (
 	_ est.SnapshotEstimator = (*Flat)(nil)
 	_ est.WeightedEstimator = (*Flat)(nil)
 	_ est.SnapshotFolder    = (*Flat)(nil)
+	_ est.VectorFolder      = (*Flat)(nil)
+	_ est.EnhancedFolder    = (*Flat)(nil)
 )

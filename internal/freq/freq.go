@@ -171,7 +171,10 @@ func (k freqKernel) Add(l *est.Lanes, rep est.Report) error {
 }
 
 // Counts returns the per-dimension report counts.
-func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }
+func (a *Aggregator) Counts() []int64 { return a.CountsInto(nil) }
+
+// CountsInto is Counts into dst (est.VectorFolder, through Flat).
+func (a *Aggregator) CountsInto(dst []int64) []int64 { return a.acc.FoldCounts(dst) }
 
 // Estimate returns the naive frequency estimates: per-entry released-frame
 // means mapped back to [0, 1], without simplex projection. A dimension
@@ -179,7 +182,7 @@ func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }
 func (a *Aggregator) Estimate() [][]float64 {
 	f := est.GetScratch()
 	f.Sums, f.Counts = a.acc.FoldInto(f.Sums, f.Counts)
-	naive := naiveInto(a, make([]float64, a.total), f.Sums, f.Counts, 0.5)
+	naive := naiveInto(a, make([]float64, a.total), f.Sums, f.Counts)
 	est.PutScratch(f)
 	return a.rows(naive)
 }
@@ -196,7 +199,7 @@ func (a *Aggregator) Estimate() [][]float64 {
 func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]float64) {
 	f := est.GetScratch()
 	f.Sums, f.Counts = a.acc.FoldInto(f.Sums, f.Counts)
-	flat := naiveInto(a, make([]float64, a.total), f.Sums, f.Counts, 0.5)
+	flat := naiveInto(a, make([]float64, a.total), f.Sums, f.Counts)
 	enh := a.enhanceInto(make([]float64, a.total), flat, f.Counts, cfg)
 	est.PutScratch(f)
 	return a.rows(flat), a.rows(enh)
@@ -216,16 +219,16 @@ func (a *Aggregator) rows(flat []float64) [][]float64 {
 // naiveInto writes the flattened naive frequency estimates of the fold
 // (sums, counts) into out — entry (j, k) at offsets[j]+k, the released
 // mean mapped back to [0, 1] as (s/r + 1)/2 — and returns it. Entries of
-// a dimension without reports take unseen. It is the one loop behind the
-// naive, windowed, weighted and enhanced estimates of both the
-// Aggregator and Flat.
-func naiveInto[C int64 | float64](a *Aggregator, out, sums []float64, counts []C, unseen float64) []float64 {
+// a dimension without reports take 1/2, the image of the released
+// frame's zero mean. It is the one loop behind the naive, windowed,
+// weighted and enhanced estimates of both the Aggregator and Flat.
+func naiveInto[C int64 | float64](a *Aggregator, out, sums []float64, counts []C) []float64 {
 	for j, card := range a.P.Cards {
 		off := a.offsets[j]
 		seg := out[off : off+card]
 		if counts[j] == 0 {
 			for k := range seg {
-				seg[k] = unseen
+				seg[k] = 0.5
 			}
 			continue
 		}

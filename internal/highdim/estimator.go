@@ -185,12 +185,15 @@ func (a *MDAggregator) AddColumns(n, ndims, nvals int, dims []uint32, vals []flo
 // AcquireLane implements est.LaneProvider.
 func (a *MDAggregator) AcquireLane() est.Lane { return a.acc.AcquireLane() }
 
-// Estimate implements est.Estimator: the per-dimension average release,
-// from a pooled fold.
-func (a *MDAggregator) Estimate() []float64 {
+// Estimate implements est.Estimator: the per-dimension average release.
+func (a *MDAggregator) Estimate() []float64 { return a.EstimateInto(nil) }
+
+// EstimateInto implements est.VectorFolder: Estimate into dst, from a
+// pooled fold.
+func (a *MDAggregator) EstimateInto(dst []float64) []float64 {
 	f := est.GetScratch()
 	a.SnapshotInto(f)
-	out := average(make([]float64, a.M.D), f.Sums, f.Counts[0])
+	out := average(est.Resize(dst, a.M.D), f.Sums, f.Counts[0])
 	est.PutScratch(f)
 	return out
 }
@@ -198,10 +201,16 @@ func (a *MDAggregator) Estimate() []float64 {
 // EstimateFrom computes the per-dimension average from a snapshot of this
 // (or an identically configured) collector.
 func (a *MDAggregator) EstimateFrom(s est.Snapshot) ([]float64, error) {
+	return a.EstimateFromInto(nil, s)
+}
+
+// EstimateFromInto implements est.SnapshotEstimator: EstimateFrom into
+// dst.
+func (a *MDAggregator) EstimateFromInto(dst []float64, s est.Snapshot) ([]float64, error) {
 	if err := est.CheckMerge(a, s, a.M.D, 1); err != nil {
 		return nil, err
 	}
-	return average(make([]float64, a.M.D), s.Sums, s.Counts[0]), nil
+	return average(est.Resize(dst, a.M.D), s.Sums, s.Counts[0]), nil
 }
 
 // average writes sums/n into out (zeros when n is 0) and returns it.
@@ -217,9 +226,13 @@ func average[C int64 | float64](out, sums []float64, n C) []float64 {
 }
 
 // Counts implements est.Estimator: every dimension has seen every tuple.
-func (a *MDAggregator) Counts() []int64 {
-	n := a.acc.FoldCounts()[0]
-	out := make([]int64, a.M.D)
+func (a *MDAggregator) Counts() []int64 { return a.CountsInto(nil) }
+
+// CountsInto implements est.VectorFolder: Counts into dst.
+func (a *MDAggregator) CountsInto(dst []int64) []int64 {
+	var total [1]int64
+	n := a.acc.FoldCounts(total[:0])[0]
+	out := est.Resize(dst, a.M.D)
 	for j := range out {
 		out[j] = n
 	}
@@ -239,14 +252,15 @@ func (a *MDAggregator) SnapshotInto(dst *est.Snapshot) {
 	dst.Sums, dst.Counts = a.acc.FoldInto(dst.Sums, dst.Counts)
 }
 
-// EstimateWeighted implements est.WeightedEstimator: the per-dimension
-// average from real-valued sums and a single real-valued count.
-func (a *MDAggregator) EstimateWeighted(sums, counts []float64) ([]float64, error) {
+// EstimateWeightedInto implements est.WeightedEstimator: the
+// per-dimension average from real-valued sums and a single real-valued
+// count, written into dst.
+func (a *MDAggregator) EstimateWeightedInto(dst, sums, counts []float64) ([]float64, error) {
 	if len(sums) != a.M.D || len(counts) != 1 {
 		return nil, fmt.Errorf("highdim: weighted fold shape %d/%d, want %d/1 sums/counts",
 			len(sums), len(counts), a.M.D)
 	}
-	return average(make([]float64, a.M.D), sums, counts[0]), nil
+	return average(est.Resize(dst, a.M.D), sums, counts[0]), nil
 }
 
 // Rotate implements est.Rotator: it drains every stripe into a frozen
@@ -283,4 +297,6 @@ var (
 	_ est.WeightedEstimator = (*MDAggregator)(nil)
 	_ est.SnapshotFolder    = (*Aggregator)(nil)
 	_ est.SnapshotFolder    = (*MDAggregator)(nil)
+	_ est.VectorFolder      = (*Aggregator)(nil)
+	_ est.VectorFolder      = (*MDAggregator)(nil)
 )

@@ -258,17 +258,24 @@ func (a *Aggregator) AddColumns(n, ndims, nvals int, dims []uint32, vals []float
 func (a *Aggregator) AcquireLane() est.Lane { return a.acc.AcquireLane() }
 
 // Counts returns a copy of the per-dimension report counts rⱼ.
-func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }
+func (a *Aggregator) Counts() []int64 { return a.CountsInto(nil) }
+
+// CountsInto implements est.VectorFolder: Counts into dst.
+func (a *Aggregator) CountsInto(dst []int64) []int64 { return a.acc.FoldCounts(dst) }
 
 // Estimate returns the naive aggregation θ̂ⱼ = (1/rⱼ)Σ t*ᵢⱼ, calibrated by
 // the data-independent bias for unbounded mechanisms (δ = E[N]; zero for
 // every mechanism in this library, but subtracted on principle). Dimensions
-// that received no reports estimate 0. The fold it estimates from is
-// pooled scratch, so the returned vector is its only allocation.
-func (a *Aggregator) Estimate() []float64 {
+// that received no reports estimate 0.
+func (a *Aggregator) Estimate() []float64 { return a.EstimateInto(nil) }
+
+// EstimateInto implements est.VectorFolder: Estimate into dst. The fold
+// it estimates from is pooled scratch, so it allocates nothing once dst
+// has held one estimate.
+func (a *Aggregator) EstimateInto(dst []float64) []float64 {
 	f := est.GetScratch()
 	a.SnapshotInto(f)
-	out := calibrate(a, make([]float64, a.P.D), f.Sums, f.Counts)
+	out := calibrate(a, est.Resize(dst, a.P.D), f.Sums, f.Counts)
 	est.PutScratch(f)
 	return out
 }
@@ -278,27 +285,33 @@ func (a *Aggregator) Estimate() []float64 {
 // of the §IV-B calibration math, shared by Estimate, the collector-side
 // enhancement and consistent Session results.
 func (a *Aggregator) EstimateFrom(s est.Snapshot) ([]float64, error) {
+	return a.EstimateFromInto(nil, s)
+}
+
+// EstimateFromInto implements est.SnapshotEstimator: EstimateFrom into
+// dst.
+func (a *Aggregator) EstimateFromInto(dst []float64, s est.Snapshot) ([]float64, error) {
 	if err := est.CheckMerge(a, s, a.P.D, a.P.D); err != nil {
 		return nil, err
 	}
-	return calibrate(a, make([]float64, a.P.D), s.Sums, s.Counts), nil
+	return calibrate(a, est.Resize(dst, a.P.D), s.Sums, s.Counts), nil
 }
 
-// EstimateWeighted implements est.WeightedEstimator: the same calibrated
-// aggregation as EstimateFrom computed from real-valued sums and counts,
-// so decayed epoch folds (whose effective counts are non-integer) share
-// the single source of the calibration math.
-func (a *Aggregator) EstimateWeighted(sums, counts []float64) ([]float64, error) {
+// EstimateWeightedInto implements est.WeightedEstimator: the same
+// calibrated aggregation as EstimateFrom computed from real-valued sums
+// and counts, so decayed epoch folds (whose effective counts are
+// non-integer) share the single source of the calibration math.
+func (a *Aggregator) EstimateWeightedInto(dst, sums, counts []float64) ([]float64, error) {
 	if len(sums) != a.P.D || len(counts) != a.P.D {
 		return nil, fmt.Errorf("highdim: weighted fold shape %d/%d, want %d/%d sums/counts",
 			len(sums), len(counts), a.P.D, a.P.D)
 	}
-	return calibrate(a, make([]float64, a.P.D), sums, counts), nil
+	return calibrate(a, est.Resize(dst, a.P.D), sums, counts), nil
 }
 
 // calibrate writes the calibrated naive aggregation of (sums, counts)
 // into out and returns it: the one loop behind Estimate, EstimateFrom
-// and EstimateWeighted. A dimension without reports estimates 0.
+// and the weighted estimate. A dimension without reports estimates 0.
 func calibrate[C int64 | float64](a *Aggregator, out, sums []float64, counts []C) []float64 {
 	unbounded := !a.P.Mech.Bounded()
 	for j := range out {

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -43,6 +44,12 @@ import (
 // hand-edited file is refused outright (ErrCorrupt) rather than half
 // restored. Unknown versions are refused the same way, so a format bump
 // can never be silently misparsed.
+//
+// Encode streams: the payload length comes from a size computation over
+// the state (payloadLen), and the payload goes out through a buffered
+// writer that computes the CRC on the way, so a checkpoint of any size
+// costs one pooled 64 KiB buffer rather than an in-memory copy of the
+// file.
 const (
 	magic   = "HDR4CKPT"
 	version = 2
@@ -75,66 +82,112 @@ var ErrCorrupt = errors.New("persist: corrupt checkpoint")
 // on both amd64 and arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// payloadPool recycles checkpoint payload buffers: a collector
-// checkpoints on a cadence, and each payload is about as large as the
-// last, so a warm buffer absorbs the next one without growing.
-var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPayloadRetain caps the payload buffer the pool keeps, so one
-// outsized checkpoint does not pin its buffer for the process lifetime.
-const maxPayloadRetain = 64 << 20
-
-// Encode serializes state to w in the versioned, CRC-guarded layout.
+// Encode serializes state to w in the versioned, CRC-guarded layout,
+// streaming the payload (see the layout notes above). On an error w may
+// hold a partial checkpoint, which Save never renames into place.
 func Encode(w io.Writer, state State) error {
-	payload := payloadPool.Get().(*bytes.Buffer)
-	defer func() {
-		if payload.Cap() <= maxPayloadRetain {
-			payload.Reset()
-			payloadPool.Put(payload)
-		}
-	}()
-	payload.Reset()
-	if err := encodePayload(payload, state); err != nil {
+	size, err := payloadLen(state)
+	if err != nil {
 		return err
 	}
 	var hdr [len(magic) + 4 + 8]byte
 	copy(hdr[:], magic)
 	binary.BigEndian.PutUint32(hdr[len(magic):], version)
-	binary.BigEndian.PutUint64(hdr[len(magic)+4:], uint64(payload.Len()))
+	binary.BigEndian.PutUint64(hdr[len(magic)+4:], uint64(size))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	cw := &crcWriter{w: w}
+	bw := writerPool.Get().(*bufio.Writer)
+	defer writerPool.Put(bw)
+	bw.Reset(cw)
+	defer bw.Reset(nil)
+	if err := encodePayload(bw, state); err != nil {
 		return err
 	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if cw.n != size {
+		// A header announcing the wrong length would make the file
+		// unreadable: refuse it rather than let it replace a good one.
+		return fmt.Errorf("persist: encoded a %d-byte payload, sized it at %d", cw.n, size)
+	}
 	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), castagnoli))
-	_, err := w.Write(crc[:])
+	binary.BigEndian.PutUint32(crc[:], cw.crc)
+	_, err = w.Write(crc[:])
 	return err
 }
 
-func encodePayload(w *bytes.Buffer, state State) error {
-	if state.Accountant != nil {
-		w.WriteByte(1)
-		var b [16]byte
-		binary.BigEndian.PutUint64(b[:8], math.Float64bits(state.Accountant.Total))
-		binary.BigEndian.PutUint64(b[8:], math.Float64bits(state.Accountant.Spent))
-		w.Write(b[:])
-		if ren := state.Accountant.Renewal; ren != nil {
+// writerPool recycles the payload stream's write buffers. Each holds
+// 64 KiB, so a wide checkpoint reaches the file in few write calls.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// crcWriter passes the payload on to w, keeping its CRC-32C and length.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	c.n += n
+	return n, err
+}
+
+// payloadLen is the length of state's payload — the bytes encodePayload
+// writes — checking the same limits it does.
+func payloadLen(state State) (int, error) {
+	n := 1 // accountant flag
+	if acct := state.Accountant; acct != nil {
+		n += 16 + 1 // ε ledger, renewal flag
+		if ren := acct.Renewal; ren != nil {
 			if len(ren.Tail) > maxTail {
-				return fmt.Errorf("persist: %d retired charges exceed the checkpoint limit %d", len(ren.Tail), maxTail)
+				return 0, fmt.Errorf("persist: %d retired charges exceed the checkpoint limit %d", len(ren.Tail), maxTail)
 			}
+			n += 16 + 12*len(ren.Tail)
+		}
+	}
+	if len(state.Queries) > maxQueries {
+		return 0, fmt.Errorf("persist: %d queries exceed the checkpoint limit %d", len(state.Queries), maxQueries)
+	}
+	n += 4 // query count
+	for _, q := range state.Queries {
+		n += transport.QuerySpecLen(q.Spec) + 1 + transport.SnapshotLen(q.Snap) + 1 // spec, lifecycle, snapshot, epoch flag
+		if ep := q.Epochs; ep != nil {
+			if len(ep.Entries) > maxEpochs {
+				return 0, fmt.Errorf("persist: query %q: %d frozen epochs exceed the checkpoint limit %d",
+					q.Spec.Name, len(ep.Entries), maxEpochs)
+			}
+			n += 12 // live epoch id, frozen epoch count
+			for _, e := range ep.Entries {
+				n += 8 + transport.SnapshotLen(e.Snap)
+			}
+		}
+	}
+	return n, nil
+}
+
+// encodePayload writes state's payload to w. Fixed-width fields are
+// built in w's own buffer (AvailableBuffer), so none escapes to the
+// heap; w's first error sticks and surfaces at the caller's Flush.
+func encodePayload(w *bufio.Writer, state State) error {
+	u32 := func(v uint32) { w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), v)) }
+	u64 := func(v uint64) { w.Write(binary.BigEndian.AppendUint64(w.AvailableBuffer(), v)) }
+	if acct := state.Accountant; acct != nil {
+		w.WriteByte(1)
+		u64(math.Float64bits(acct.Total))
+		u64(math.Float64bits(acct.Spent))
+		if ren := acct.Renewal; ren != nil {
 			w.WriteByte(1)
-			var rb [16]byte
-			binary.BigEndian.PutUint32(rb[:4], uint32(ren.Horizon))
-			binary.BigEndian.PutUint64(rb[4:12], ren.Epoch)
-			binary.BigEndian.PutUint32(rb[12:], uint32(len(ren.Tail)))
-			w.Write(rb[:])
+			u32(uint32(ren.Horizon))
+			u64(ren.Epoch)
+			u32(uint32(len(ren.Tail)))
 			for _, tc := range ren.Tail {
-				var tb [12]byte
-				binary.BigEndian.PutUint64(tb[:8], math.Float64bits(tc.Eps))
-				binary.BigEndian.PutUint32(tb[8:], uint32(tc.Left))
-				w.Write(tb[:])
+				u64(math.Float64bits(tc.Eps))
+				u32(uint32(tc.Left))
 			}
 		} else {
 			w.WriteByte(0)
@@ -142,12 +195,7 @@ func encodePayload(w *bytes.Buffer, state State) error {
 	} else {
 		w.WriteByte(0)
 	}
-	if len(state.Queries) > maxQueries {
-		return fmt.Errorf("persist: %d queries exceed the checkpoint limit %d", len(state.Queries), maxQueries)
-	}
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(state.Queries)))
-	w.Write(n[:])
+	u32(uint32(len(state.Queries)))
 	for _, q := range state.Queries {
 		if err := transport.EncodeQuerySpec(w, q.Spec); err != nil {
 			return err
@@ -161,19 +209,11 @@ func encodePayload(w *bytes.Buffer, state State) error {
 			return err
 		}
 		if ep := q.Epochs; ep != nil {
-			if len(ep.Entries) > maxEpochs {
-				return fmt.Errorf("persist: query %q: %d frozen epochs exceed the checkpoint limit %d",
-					q.Spec.Name, len(ep.Entries), maxEpochs)
-			}
 			w.WriteByte(1)
-			var eb [12]byte
-			binary.BigEndian.PutUint64(eb[:8], ep.Cur)
-			binary.BigEndian.PutUint32(eb[8:], uint32(len(ep.Entries)))
-			w.Write(eb[:])
+			u64(ep.Cur)
+			u32(uint32(len(ep.Entries)))
 			for _, e := range ep.Entries {
-				var id [8]byte
-				binary.BigEndian.PutUint64(id[:], e.ID)
-				w.Write(id[:])
+				u64(e.ID)
 				if err := transport.EncodeSnapshot(w, e.Snap); err != nil {
 					return err
 				}

@@ -82,6 +82,9 @@ type QueryRecord struct {
 	Snap est.Snapshot
 	// Epochs is the query's frozen epoch ring; nil for one-shot queries.
 	Epochs *EpochState
+
+	// fold is the pooled scratch Capture folded Snap into (see Release).
+	fold *est.Snapshot
 }
 
 // State is a complete collector checkpoint.
@@ -95,7 +98,10 @@ type State struct {
 // Capture takes a durable view of reg: every live query's spec,
 // lifecycle and folded snapshot, in name order. Each snapshot is an
 // atomic fold of that query's estimator; queries mutating concurrently
-// checkpoint whatever prefix of their stream had landed.
+// checkpoint whatever prefix of their stream had landed. The folds are
+// pooled scratch and an epoch ring's frozen epochs are the ring's own
+// (immutable) entries, so a capture copies no accumulated state; hand
+// the records to Release once they are encoded.
 func Capture(reg *est.Registry) []QueryRecord {
 	queries := reg.All()
 	records := make([]QueryRecord, 0, len(queries))
@@ -103,10 +109,13 @@ func Capture(reg *est.Registry) []QueryRecord {
 		if q.State() == est.StateDeleted {
 			continue // deleted between All and here: gone, not durable
 		}
+		fold := est.GetScratch()
+		est.SnapshotInto(q.Estimator(), fold)
 		rec := QueryRecord{
 			Spec:   q.Spec(),
 			Sealed: q.State() == est.StateSealed,
-			Snap:   q.Estimator().Snapshot(),
+			Snap:   *fold,
+			fold:   fold,
 		}
 		if ring, ok := q.Estimator().(*epoch.Ring); ok {
 			cur, entries := ring.State()
@@ -115,6 +124,18 @@ func Capture(reg *est.Registry) []QueryRecord {
 		records = append(records, rec)
 	}
 	return records
+}
+
+// Release returns the snapshot folds of records made by Capture to the
+// scratch pool. Neither the records' snapshots nor anything sliced from
+// them may be used afterwards.
+func Release(records []QueryRecord) {
+	for i := range records {
+		if f := records[i].fold; f != nil {
+			records[i].Snap, records[i].fold = est.Snapshot{}, nil
+			est.PutScratch(f)
+		}
+	}
 }
 
 // Restore replays records into reg through its ordinary Open path: the

@@ -313,7 +313,8 @@ func (b *BufferedClient) timedFlush() {
 // pipeline stays on the v1 grammar. Caller holds b.mu.
 func (b *BufferedClient) helloLocked() error {
 	if !b.reconnect {
-		defer b.c.begin()()
+		b.c.begin()
+		defer b.c.end()
 		return b.c.maybeNegotiateLocked()
 	}
 	if b.token != 0 {

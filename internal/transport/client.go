@@ -101,22 +101,26 @@ func (c *Client) SetTimeout(d time.Duration) {
 	c.timeout = d
 }
 
-// begin serializes one exchange and arms the per-exchange deadline; the
-// returned func disarms it and releases the exchange lock.
-func (c *Client) begin() func() {
+// begin serializes one exchange and arms the per-exchange deadline; end
+// disarms it and releases the exchange lock. Every caller defers end
+// right after begin (a returned release func would cost an allocation
+// per exchange).
+func (c *Client) begin() {
 	c.mu.Lock()
 	if c.timeout > 0 {
 		c.armed = time.Now().Add(c.timeout)
 		c.conn.SetDeadline(c.armed)
-		//hdrvet:ignore lockorder -- begin hands c.mu to its caller as a guard; every caller defers the release
-		return func() {
-			c.armed = time.Time{}
-			c.conn.SetDeadline(time.Time{})
-			c.mu.Unlock()
-		}
 	}
-	//hdrvet:ignore lockorder -- begin hands c.mu to its caller as a guard; every caller defers the release
-	return c.mu.Unlock
+	//hdrvet:ignore lockorder -- begin hands c.mu to its caller as a guard; every caller defers end
+}
+
+// end closes the exchange begin opened.
+func (c *Client) end() {
+	if !c.armed.IsZero() {
+		c.armed = time.Time{}
+		c.conn.SetDeadline(time.Time{})
+	}
+	c.mu.Unlock()
 }
 
 // writeReport picks the compact 0x01 frame for pair-shaped reports (the
@@ -129,9 +133,14 @@ func (c *Client) writeReport(rep est.Report) error {
 	return WriteVecReport(c.bw, rep)
 }
 
-// readAck reads a single status byte; reject is the error for ackErr.
-// A retryable NACK surfaces as ErrOverloaded.
-func (c *Client) readAck(reject string) error {
+// errRejected is readAck's error for a NACK, which the caller replaces
+// with its own message through rejected.
+var errRejected = errors.New("transport: exchange rejected")
+
+// readAck reads a single status byte: nil on ackOK, ErrOverloaded on a
+// retryable NACK and errRejected on any other. Callers pass a non-nil
+// result through rejected, so an accepted exchange formats nothing.
+func (c *Client) readAck() error {
 	ack, err := c.br.ReadByte()
 	if err != nil {
 		return err
@@ -142,8 +151,17 @@ func (c *Client) readAck(reject string) error {
 	case ackRetry:
 		return ErrOverloaded
 	default:
-		return fmt.Errorf("transport: %s", reject)
+		return errRejected
 	}
+}
+
+// rejected returns readAck's error err, with errRejected replaced by
+// the exchange's own rejection message.
+func rejected(err error, format string, args ...any) error {
+	if err == errRejected {
+		return fmt.Errorf(format, args...)
+	}
+	return err
 }
 
 // readReasonedAck reads the status byte of an exchange whose rejection
@@ -176,7 +194,8 @@ func (c *Client) Send(rep est.Report) error {
 // SendContext is Send bound to a context: cancellation or expiry aborts
 // the exchange instead of hanging on an unresponsive collector.
 func (c *Client) SendContext(ctx context.Context, rep est.Report) error {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	defer c.guard(ctx)()
 	if err := c.writeReport(rep); err != nil {
 		return err
@@ -184,7 +203,10 @@ func (c *Client) SendContext(ctx context.Context, rep est.Report) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	return c.readAck("collector rejected report")
+	if err := c.readAck(); err != nil {
+		return rejected(err, "transport: collector rejected report")
+	}
+	return nil
 }
 
 // SendBatch submits reps as one BATCH frame — one syscall and one ack
@@ -199,7 +221,8 @@ func (c *Client) SendBatch(reps []est.Report) (accepted int, err error) {
 // SendBatchContext is SendBatch bound to a context; a v2 pin's lazy
 // negotiation runs inside the same bound exchange.
 func (c *Client) SendBatchContext(ctx context.Context, reps []est.Report) (accepted int, err error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	defer c.guard(ctx)()
 	n, err := c.writeBatchLocked("", 0, reps, true)
 	if err != nil {
@@ -342,7 +365,8 @@ type SessionInfo struct {
 // collector sheds the exchange with ErrOverloaded; an unknown or
 // expired token comes back wrapped in ErrSessionRejected.
 func (c *Client) Hello(token uint64) (SessionInfo, error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	ask := c.helloVersion()
 	err := writeHello(c.bw, token, ask, false)
 	if err == nil {
@@ -366,7 +390,8 @@ func (c *Client) Hello(token uint64) (SessionInfo, error) {
 // negotiated, is free. A client pinned to v1 never negotiates and
 // reports ProtocolV1.
 func (c *Client) Negotiate() (int, error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	return c.negotiateLocked()
 }
 
@@ -454,7 +479,8 @@ func (c *Client) Estimate() ([]float64, error) {
 
 // EstimateContext is Estimate bound to a context.
 func (c *Client) EstimateContext(ctx context.Context) ([]float64, error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameEstimate); err != nil {
 		return nil, err
@@ -471,13 +497,14 @@ func (c *Client) Enhanced() ([]float64, error) {
 
 // EnhancedContext is Enhanced bound to a context.
 func (c *Client) EnhancedContext(ctx context.Context) ([]float64, error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameEnhanced); err != nil {
 		return nil, err
 	}
-	if err := c.readAck("collector cannot serve an enhanced estimate"); err != nil {
-		return nil, err
+	if err := c.readAck(); err != nil {
+		return nil, rejected(err, "transport: collector cannot serve an enhanced estimate")
 	}
 	return readFloats(c.br)
 }
@@ -489,7 +516,8 @@ func (c *Client) Counts() ([]int64, error) {
 
 // CountsContext is Counts bound to a context.
 func (c *Client) CountsContext(ctx context.Context) ([]int64, error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameCounts); err != nil {
 		return nil, err
@@ -508,13 +536,14 @@ func (c *Client) PullSnapshot() (est.Snapshot, error) {
 // aborts when ctx expires or is cancelled, so an unresponsive collector
 // cannot hang the caller forever.
 func (c *Client) PullSnapshotContext(ctx context.Context) (est.Snapshot, error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameSnapshot); err != nil {
 		return est.Snapshot{}, err
 	}
-	if err := c.readAck("collector cannot serve a snapshot"); err != nil {
-		return est.Snapshot{}, err
+	if err := c.readAck(); err != nil {
+		return est.Snapshot{}, rejected(err, "transport: collector cannot serve a snapshot")
 	}
 	return DecodeSnapshot(c.br)
 }
@@ -529,7 +558,8 @@ func (c *Client) PushSnapshot(s est.Snapshot) error {
 // PushSnapshotContext is PushSnapshot bound to a context, exactly as
 // PullSnapshotContext.
 func (c *Client) PushSnapshotContext(ctx context.Context, s est.Snapshot) error {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	defer c.guard(ctx)()
 	if err := WriteMerge(c.bw, s); err != nil {
 		return err
@@ -537,7 +567,10 @@ func (c *Client) PushSnapshotContext(ctx context.Context, s est.Snapshot) error 
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	return c.readAck("collector rejected snapshot merge")
+	if err := c.readAck(); err != nil {
+		return rejected(err, "transport: collector rejected snapshot merge")
+	}
+	return nil
 }
 
 // Checkpoint asks the collector to persist its full state to disk now
@@ -558,7 +591,8 @@ var errCheckpointRejected = errors.New("transport: collector rejected checkpoint
 // context abort only stops the wait: the collector may still complete
 // the checkpoint after the client has given up on the reply.
 func (c *Client) CheckpointContext(ctx context.Context) error {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	defer c.guard(ctx)()
 	if err := c.writeRequestLocked(frameCheckpoint); err != nil {
 		return err

@@ -17,8 +17,8 @@ import (
 type epochEstimator interface {
 	Current() uint64
 	AddLate(id uint64, reps []est.Report) (int, error)
-	WindowEstimate(w int) ([]float64, error)
-	DecayedEstimate(gamma float64) ([]float64, error)
+	WindowEstimateInto(dst []float64, w int) ([]float64, error)
+	DecayedEstimateInto(dst []float64, gamma float64) ([]float64, error)
 	Rotate() uint64
 }
 
@@ -74,15 +74,15 @@ func (c *serverConn) serveEpoch(br *bufio.Reader, bw *bufio.Writer, q *est.Query
 }
 
 // serveRingVector answers one status-prefixed vector exchange (WINDOW,
-// DECAY) against q's ring: ackErr when the query is missing or one-shot,
-// or when the ring refuses the parameters.
-func serveRingVector(bw *bufio.Writer, q *est.Query, fn func(epochEstimator) ([]float64, error)) error {
+// DECAY) against q's ring, fn writing the vector into writeVector's
+// pooled one: ackErr when the query is missing or one-shot, or when the
+// ring refuses the parameters.
+func serveRingVector(bw *bufio.Writer, q *est.Query, fn func(r epochEstimator, dst []float64) ([]float64, error)) error {
 	ring := ringOf(q, false)
 	if ring == nil {
 		return bw.WriteByte(ackErr)
 	}
-	out, err := fn(ring)
-	return writeVector(bw, out, err)
+	return writeVector(bw, func(dst []float64) ([]float64, error) { return fn(ring, dst) })
 }
 
 // QueryInfo is a collector's description of one named query: its
@@ -99,7 +99,8 @@ type QueryInfo struct {
 // QueryInfo asks the collector about the named query (the QUERYINFO
 // frame). An unknown name is an error.
 func (c *Client) QueryInfo(name string) (QueryInfo, error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := c.bw.WriteByte(frameQueryInfo); err != nil {
 		return QueryInfo{}, err
 	}
@@ -109,8 +110,8 @@ func (c *Client) QueryInfo(name string) (QueryInfo, error) {
 	if err := c.bw.Flush(); err != nil {
 		return QueryInfo{}, err
 	}
-	if err := c.readAck(fmt.Sprintf("collector has no query %q", name)); err != nil {
-		return QueryInfo{}, err
+	if err := c.readAck(); err != nil {
+		return QueryInfo{}, rejected(err, "transport: collector has no query %q", name)
 	}
 	var body [18]byte
 	if _, err := io.ReadFull(c.br, body[:]); err != nil {
@@ -139,7 +140,8 @@ func (c *Client) QueryAt(name string, gen uint64) *Query {
 // policy) instead of the live one.
 func (q *Query) SendEpoch(id uint64, rep est.Report) error {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.writeEpochHeaderLocked(id); err != nil {
 		return err
 	}
@@ -149,7 +151,10 @@ func (q *Query) SendEpoch(id uint64, rep est.Report) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	return c.readAck(fmt.Sprintf("query %q rejected epoch-%d report", q.name, id))
+	if err := c.readAck(); err != nil {
+		return rejected(err, "transport: query %q rejected epoch-%d report", q.name, id)
+	}
+	return nil
 }
 
 // SendBatchEpoch submits reps as one epoch-tagged BATCH frame and
@@ -158,7 +163,8 @@ func (q *Query) SendEpoch(id uint64, rep est.Report) error {
 // SendBatch.
 func (q *Query) SendBatchEpoch(id uint64, reps []est.Report) (accepted int, err error) {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.writeEpochHeaderLocked(id); err != nil {
 		return 0, err
 	}
@@ -176,10 +182,10 @@ func (q *Query) writeEpochHeaderLocked(id uint64) error {
 	if err := q.routeLocked(); err != nil {
 		return err
 	}
-	var buf [9]byte
-	buf[0] = frameEpoch
-	binary.BigEndian.PutUint64(buf[1:], id)
-	_, err := q.c.bw.Write(buf[:])
+	// Built in the writer's own buffer: a stack array handed to Write
+	// would escape.
+	bw := q.c.bw
+	_, err := bw.Write(binary.BigEndian.AppendUint64(append(bw.AvailableBuffer(), frameEpoch), id))
 	return err
 }
 
@@ -191,21 +197,22 @@ func (q *Query) WindowEstimate(w int) ([]float64, error) {
 		return nil, fmt.Errorf("transport: window of %d epochs", w)
 	}
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.routeLocked(); err != nil {
 		return nil, err
 	}
-	var buf [5]byte
-	buf[0] = frameWindow
-	binary.BigEndian.PutUint32(buf[1:], uint32(w))
-	if _, err := c.bw.Write(buf[:]); err != nil {
+	// Built in the writer's own buffer: a stack array handed to Write
+	// would escape.
+	req := binary.BigEndian.AppendUint32(append(c.bw.AvailableBuffer(), frameWindow), uint32(w))
+	if _, err := c.bw.Write(req); err != nil {
 		return nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	if err := c.readAck(fmt.Sprintf("query %q cannot serve a %d-epoch window estimate", q.name, w)); err != nil {
-		return nil, err
+	if err := c.readAck(); err != nil {
+		return nil, rejected(err, "transport: query %q cannot serve a %d-epoch window estimate", q.name, w)
 	}
 	return readFloats(c.br)
 }
@@ -215,21 +222,20 @@ func (q *Query) WindowEstimate(w int) ([]float64, error) {
 // DECAY frame). Requires a continual query and gamma in (0, 1].
 func (q *Query) DecayedEstimate(gamma float64) ([]float64, error) {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.routeLocked(); err != nil {
 		return nil, err
 	}
-	var buf [9]byte
-	buf[0] = frameDecay
-	binary.BigEndian.PutUint64(buf[1:], math.Float64bits(gamma))
-	if _, err := c.bw.Write(buf[:]); err != nil {
+	req := binary.BigEndian.AppendUint64(append(c.bw.AvailableBuffer(), frameDecay), math.Float64bits(gamma))
+	if _, err := c.bw.Write(req); err != nil {
 		return nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	if err := c.readAck(fmt.Sprintf("query %q cannot serve a decayed estimate (γ=%g)", q.name, gamma)); err != nil {
-		return nil, err
+	if err := c.readAck(); err != nil {
+		return nil, rejected(err, "transport: query %q cannot serve a decayed estimate (γ=%g)", q.name, gamma)
 	}
 	return readFloats(c.br)
 }
@@ -239,7 +245,8 @@ func (q *Query) DecayedEstimate(gamma float64) ([]float64, error) {
 // query.
 func (q *Query) Rotate() (uint64, error) {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.routeLocked(); err != nil {
 		return 0, err
 	}
@@ -249,8 +256,8 @@ func (q *Query) Rotate() (uint64, error) {
 	if err := c.bw.Flush(); err != nil {
 		return 0, err
 	}
-	if err := c.readAck(fmt.Sprintf("query %q cannot rotate (not a continual query?)", q.name)); err != nil {
-		return 0, err
+	if err := c.readAck(); err != nil {
+		return 0, rejected(err, "transport: query %q cannot rotate (not a continual query?)", q.name)
 	}
 	var nb [8]byte
 	if _, err := io.ReadFull(c.br, nb[:]); err != nil {

@@ -87,7 +87,8 @@ func (c *Client) Query(name string) *Query { return &Query{c: c, name: name} }
 // rejection (name taken, budget exceeded, bad spec) comes back as an
 // error carrying the collector's reason.
 func (c *Client) Open(spec est.QuerySpec) (*Query, error) {
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := WriteOpenQuery(c.bw, spec); err != nil {
 		return nil, err
 	}
@@ -106,7 +107,8 @@ func (q *Query) Name() string { return q.name }
 // Send submits one report to the query and waits for the acknowledgement.
 func (q *Query) Send(rep est.Report) error {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.routeLocked(); err != nil {
 		return err
 	}
@@ -116,7 +118,10 @@ func (q *Query) Send(rep est.Report) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	return c.readAck(fmt.Sprintf("query %q rejected report", q.name))
+	if err := c.readAck(); err != nil {
+		return rejected(err, "transport: query %q rejected report", q.name)
+	}
+	return nil
 }
 
 // SendBatch submits reps to the query as one routed batch frame and
@@ -127,7 +132,8 @@ func (q *Query) Send(rep est.Report) error {
 // pin has no columnar equivalent.
 func (q *Query) SendBatch(reps []est.Report) (accepted int, err error) {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	var n int
 	if q.pinned {
 		if err := q.routeLocked(); err != nil {
@@ -151,7 +157,8 @@ func (q *Query) Estimate() ([]float64, error) {
 // Counts asks the collector for the query's per-dimension report counts.
 func (q *Query) Counts() ([]int64, error) {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.requestLocked(frameCounts); err != nil {
 		return nil, err
 	}
@@ -167,7 +174,8 @@ func (q *Query) Enhanced() ([]float64, error) {
 // PullSnapshot fetches the query's current estimator snapshot.
 func (q *Query) PullSnapshot() (est.Snapshot, error) {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.requestLocked(frameSnapshot); err != nil {
 		return est.Snapshot{}, err
 	}
@@ -179,7 +187,8 @@ func (q *Query) PullSnapshot() (est.Snapshot, error) {
 // reject merges).
 func (q *Query) PushSnapshot(s est.Snapshot) error {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.routeLocked(); err != nil {
 		return err
 	}
@@ -189,14 +198,18 @@ func (q *Query) PushSnapshot(s est.Snapshot) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	return c.readAck(fmt.Sprintf("query %q rejected snapshot merge", q.name))
+	if err := c.readAck(); err != nil {
+		return rejected(err, "transport: query %q rejected snapshot merge", q.name)
+	}
+	return nil
 }
 
 // vector runs one routed status-prefixed vector exchange (ESTIMATE,
 // ENHANCED).
 func (q *Query) vector(frame byte) ([]float64, error) {
 	c := q.c
-	defer c.begin()()
+	c.begin()
+	defer c.end()
 	if err := q.requestLocked(frame); err != nil {
 		return nil, err
 	}
@@ -217,5 +230,8 @@ func (q *Query) requestLocked(frame byte) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	return c.readAck(fmt.Sprintf("collector cannot serve query %q", q.name))
+	if err := c.readAck(); err != nil {
+		return rejected(err, "transport: collector cannot serve query %q", q.name)
+	}
+	return nil
 }

@@ -207,6 +207,37 @@ func TestRouteToUnknownQueryKeepsConnectionUsable(t *testing.T) {
 	}
 }
 
+// TestOverlongRouteNameKeepsConnectionInSync checks that a handle whose
+// query name exceeds the wire limit fails its exchange before writing
+// any of its route header: the next exchange on the same connection is
+// answered, not read by the collector as the rest of a SELECT.
+func TestOverlongRouteNameKeepsConnectionInSync(t *testing.T) {
+	reg := est.NewRegistry(nil, nil)
+	if _, err := reg.Attach(est.QuerySpec{Name: est.DefaultName}, meanAgg(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	addr := listenRegistry(t, reg)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetTimeout(5 * time.Second)
+	long := strings.Repeat("q", maxNameLen+1)
+	if _, err := cl.Query(long).Estimate(); err == nil {
+		t.Fatal("estimate routed to an overlong name succeeded")
+	}
+	if _, err := cl.QueryAt(long, 1).Counts(); err == nil {
+		t.Fatal("counts routed to an overlong pinned name succeeded")
+	}
+	if err := cl.Send(rep2(0.3, 0.4)); err != nil {
+		t.Fatalf("connection out of sync after overlong route names: %v", err)
+	}
+	if got := reg.Default().Estimator().Counts()[0]; got != 1 {
+		t.Fatalf("default query count = %d, want 1", got)
+	}
+}
+
 // TestUnroutableFramesTearDownRoutedConnection is the routing rules as
 // one table: a frame that acts on the whole collector (OPENQUERY,
 // CHECKPOINT, HELLO) or names its query in the body (QUERYINFO, CBATCH)

@@ -407,6 +407,9 @@ type serverConn struct {
 	sc    decodeScratch
 	lanes map[*est.Query]est.Lane
 	sess  *connSession
+	// routed is the query name of the last route header, reused while
+	// the headers repeat it (see routeName).
+	routed string
 }
 
 // lane returns the connection's accumulation lane on q, acquiring it on
@@ -511,10 +514,18 @@ func (s *Server) serveConn(conn net.Conn) error {
 			if routed {
 				status = []byte{ackOK}
 			}
+			// The vector is filled into a pooled one and marshalled
+			// from it, so the reply allocates nothing.
 			if ft == frameEstimate {
-				err = writeFloats(bw, q.Estimator().Estimate(), status...)
+				vp := floatPool.Get(0)
+				*vp = est.EstimateInto(q.Estimator(), *vp)
+				err = writeFloats(bw, *vp, status...)
+				floatPool.Put(vp)
 			} else {
-				err = writeInts(bw, q.Estimator().Counts(), status...)
+				vp := intPool.Get(0)
+				*vp = est.CountsInto(q.Estimator(), *vp)
+				err = writeInts(bw, *vp, status...)
+				intPool.Put(vp)
 			}
 		case frameSnapshot:
 			if q == nil {
@@ -537,8 +548,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 				err = bw.WriteByte(ackErr)
 				break
 			}
-			out, verr := en.Enhanced()
-			err = writeVector(bw, out, verr)
+			err = writeVector(bw, func(dst []float64) ([]float64, error) { return est.EnhancedInto(en, dst) })
 		case frameEpoch:
 			err = c.serveEpoch(br, bw, q)
 		case frameWindow:
@@ -547,16 +557,16 @@ func (s *Server) serveConn(conn net.Conn) error {
 				return err
 			}
 			w := int(wb)
-			err = serveRingVector(bw, q, func(r epochEstimator) ([]float64, error) {
-				return r.WindowEstimate(w)
+			err = serveRingVector(bw, q, func(r epochEstimator, dst []float64) ([]float64, error) {
+				return r.WindowEstimateInto(dst, w)
 			})
 		case frameDecay:
 			if _, err = io.ReadFull(br, c.sc.n[:8]); err != nil {
 				return err
 			}
 			gamma := math.Float64frombits(binary.BigEndian.Uint64(c.sc.n[:8]))
-			err = serveRingVector(bw, q, func(r epochEstimator) ([]float64, error) {
-				return r.DecayedEstimate(gamma)
+			err = serveRingVector(bw, q, func(r epochEstimator, dst []float64) ([]float64, error) {
+				return r.DecayedEstimateInto(dst, gamma)
 			})
 		case frameRotate:
 			if ring := ringOf(q, true); ring == nil {
@@ -614,7 +624,7 @@ func (c *serverConn) route(br *bufio.Reader, ft byte) (inner byte, q *est.Query,
 	if ft != frameSelect && ft != frameSelectGen {
 		return ft, c.s.reg.Default(), false, nil
 	}
-	name, err := readString(br, maxNameLen)
+	name, err := c.routeName(br)
 	if err != nil {
 		return 0, nil, true, err
 	}
@@ -629,6 +639,28 @@ func (c *serverConn) route(br *bufio.Reader, ft byte) (inner byte, q *est.Query,
 	}
 	inner, err = c.sc.readFrameType(br)
 	return inner, q, true, err
+}
+
+// routeName reads a route header's query name, exactly as readString
+// does. A connection routes to the same few queries over and over, so
+// the last name read is kept and reused when the next header repeats
+// it: a routed exchange then allocates no string.
+func (c *serverConn) routeName(br *bufio.Reader) (string, error) {
+	n, err := c.sc.readUint32(br)
+	if err != nil {
+		return "", err
+	}
+	if n > maxNameLen {
+		return "", fmt.Errorf("transport: string of %d bytes exceeds limit %d", n, maxNameLen)
+	}
+	b := c.sc.bytes(int(n))
+	if _, err := io.ReadFull(br, b); err != nil {
+		return "", err
+	}
+	if string(b) != c.routed {
+		c.routed = string(b)
+	}
+	return c.routed, nil
 }
 
 // routable reports whether a frame of type ft may follow a route
@@ -659,13 +691,25 @@ func writeResult(bw *bufio.Writer, cause error) error {
 	return writeNack(bw, cause.Error())
 }
 
+// floatPool and intPool recycle the vectors the collector fills only to
+// marshal them into a reply.
+var (
+	floatPool est.SlicePool[float64]
+	intPool   est.SlicePool[int64]
+)
+
 // writeVector answers a status-prefixed vector exchange (ENHANCED,
-// WINDOW, DECAY): ackErr when the vector could not be computed, ackOK
-// and the vector otherwise, in one Write.
-func writeVector(bw *bufio.Writer, out []float64, verr error) error {
-	if verr != nil {
+// WINDOW, DECAY): fill writes the vector into a pooled one, and the
+// reply is ackErr when it fails, ackOK and the vector otherwise, in one
+// Write.
+func writeVector(bw *bufio.Writer, fill func(dst []float64) ([]float64, error)) error {
+	vp := floatPool.Get(0)
+	defer floatPool.Put(vp)
+	out, err := fill(*vp)
+	if err != nil {
 		return bw.WriteByte(ackErr)
 	}
+	*vp = out
 	return writeFloats(bw, out, ackOK)
 }
 

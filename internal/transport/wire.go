@@ -770,6 +770,12 @@ func EncodeSnapshot(w io.Writer, s est.Snapshot) error {
 	return writePooled(w, func(b []byte) []byte { return appendSnapshot(b, s) })
 }
 
+// SnapshotLen is the length of s's EncodeSnapshot encoding, for callers
+// that must announce it before streaming it (checkpoint files).
+func SnapshotLen(s est.Snapshot) int {
+	return 4 + len(s.Kind) + 4 + 4 + 4*len(s.Cards) + 4 + 8*len(s.Sums) + 4 + 8*len(s.Counts)
+}
+
 // checkSnapshot enforces the wire limits on a snapshot about to be sent.
 func checkSnapshot(s est.Snapshot) error {
 	if len(s.Kind) > maxKindLen {
@@ -943,12 +949,24 @@ func readVecPayload(r io.Reader, bp *[]byte) ([]byte, error) {
 // writeString writes a uint32 length followed by the bytes of s, in one
 // Write from a pooled buffer.
 func writeString(w io.Writer, s string, max int) error {
+	if err := checkString(s, max); err != nil {
+		return err
+	}
+	return writePooled(w, func(b []byte) []byte { return appendString(b, s) })
+}
+
+// checkString enforces a string field's length limit before it is sent.
+func checkString(s string, max int) error {
 	if len(s) > max {
 		return fmt.Errorf("transport: string of %d bytes exceeds limit %d", len(s), max)
 	}
-	return writePooled(w, func(b []byte) []byte {
-		return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
-	})
+	return nil
+}
+
+// appendString marshals a uint32 length followed by the bytes of s onto
+// b.
+func appendString(b []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
 // readString reads a uint32 length followed by that many bytes, rejecting
@@ -971,59 +989,63 @@ func readString(r io.Reader, max int) (string, error) {
 	return string(b), nil
 }
 
-// writeSelect writes one SELECT route header (0x0A): the next frame on the
-// connection executes against the named query.
+// writeSelect writes one SELECT route header (0x0A), in one Write from a
+// pooled buffer: the next frame on the connection executes against the
+// named query.
 func writeSelect(w io.Writer, name string) error {
-	if _, err := w.Write([]byte{frameSelect}); err != nil {
+	if err := checkString(name, maxNameLen); err != nil {
 		return err
 	}
-	return writeString(w, name, maxNameLen)
+	return writePooled(w, func(b []byte) []byte { return appendString(append(b, frameSelect), name) })
 }
 
-// writeSelectGen writes one SELECTGEN route header (0x10): the next frame
-// executes against the named query only if its registration generation
-// still matches gen.
+// writeSelectGen writes one SELECTGEN route header (0x10), exactly as
+// writeSelect: the next frame executes against the named query only if
+// its registration generation still matches gen.
 func writeSelectGen(w io.Writer, name string, gen uint64) error {
-	if _, err := w.Write([]byte{frameSelectGen}); err != nil {
+	if err := checkString(name, maxNameLen); err != nil {
 		return err
 	}
-	if err := writeString(w, name, maxNameLen); err != nil {
-		return err
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], gen)
-	_, err := w.Write(buf[:])
-	return err
+	return writePooled(w, func(b []byte) []byte {
+		return binary.BigEndian.AppendUint64(appendString(append(b, frameSelectGen), name), gen)
+	})
 }
 
 // EncodeQuerySpec serializes an est.QuerySpec in the canonical wire
 // layout (the OPENQUERY frame body, without the frame type byte — the
 // spec codec checkpoint files embed): name, kind and mechanism strings,
-// the ε budget, d and m, then the cardinality vector.
+// the ε budget, d and m, then the cardinality vector, in one Write from
+// a pooled buffer.
 func EncodeQuerySpec(w io.Writer, spec est.QuerySpec) error {
-	if err := writeString(w, spec.Name, maxNameLen); err != nil {
+	if err := checkString(spec.Name, maxNameLen); err != nil {
 		return err
 	}
-	if err := writeString(w, spec.Kind, maxKindLen); err != nil {
+	if err := checkString(spec.Kind, maxKindLen); err != nil {
 		return err
 	}
-	if err := writeString(w, spec.Mech, maxKindLen); err != nil {
+	if err := checkString(spec.Mech, maxKindLen); err != nil {
 		return err
 	}
 	if spec.D < 0 || spec.D > maxPairs || spec.M < 0 || spec.M > maxPairs || len(spec.Cards) > maxPairs {
 		return fmt.Errorf("transport: query spec shape %d/%d/%d exceeds the wire limit of %d",
 			spec.D, spec.M, len(spec.Cards), maxPairs)
 	}
-	buf := make([]byte, 8+4+4+4+4*len(spec.Cards))
-	binary.BigEndian.PutUint64(buf, math.Float64bits(spec.Eps))
-	binary.BigEndian.PutUint32(buf[8:], uint32(spec.D))
-	binary.BigEndian.PutUint32(buf[12:], uint32(spec.M))
-	binary.BigEndian.PutUint32(buf[16:], uint32(len(spec.Cards)))
-	for i, c := range spec.Cards {
-		binary.BigEndian.PutUint32(buf[20+4*i:], uint32(c))
-	}
-	_, err := w.Write(buf)
-	return err
+	return writePooled(w, func(b []byte) []byte {
+		b = appendString(appendString(appendString(b, spec.Name), spec.Kind), spec.Mech)
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(spec.Eps))
+		b = binary.BigEndian.AppendUint32(b, uint32(spec.D))
+		b = binary.BigEndian.AppendUint32(b, uint32(spec.M))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(spec.Cards)))
+		for _, c := range spec.Cards {
+			b = binary.BigEndian.AppendUint32(b, uint32(c))
+		}
+		return b
+	})
+}
+
+// QuerySpecLen is the length of spec's EncodeQuerySpec encoding.
+func QuerySpecLen(spec est.QuerySpec) int {
+	return 4 + len(spec.Name) + 4 + len(spec.Kind) + 4 + len(spec.Mech) + 8 + 4 + 4 + 4 + 4*len(spec.Cards)
 }
 
 // DecodeQuerySpec deserializes an est.QuerySpec written by

@@ -54,7 +54,7 @@ func TestQueriesBesideIngestMatchSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		win, err := freshFrom(t, spec, est.Snapshot{}).(est.SnapshotEstimator).EstimateFrom(wsnap)
+		win, err := freshFrom(t, spec, est.Snapshot{}).(est.SnapshotEstimator).EstimateFromInto(nil, wsnap)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -686,7 +686,7 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 			return nil, err
 		}
 		if s.cfg.enhance != nil {
-			if res.Enhanced, err = e.enhancedFrom(snap); err != nil {
+			if res.Enhanced, err = e.enhancedFrom(nil, snap); err != nil {
 				return nil, err
 			}
 		}
@@ -754,14 +754,18 @@ func newMeanEnhancer(agg *highdim.Aggregator, cfg recal.Config) *meanEnhancer {
 	return m
 }
 
-// Enhanced implements the est.Enhancer interface. It works from one
-// pooled fold so the estimate and the report counts weighting its
-// deviations come from the same instant even while reports stream in;
-// the returned vector is its only allocation.
-func (m *meanEnhancer) Enhanced() ([]float64, error) {
+// Enhanced implements the est.Enhancer interface.
+func (m *meanEnhancer) Enhanced() ([]float64, error) { return m.EnhancedInto(nil) }
+
+// EnhancedInto implements est.EnhancedFolder: Enhanced written into dst.
+// It works from one pooled fold so the estimate and the report counts
+// weighting its deviations come from the same instant even while
+// reports stream in, and allocates nothing once dst has held one
+// estimate.
+func (m *meanEnhancer) EnhancedInto(dst []float64) ([]float64, error) {
 	f := est.GetScratch()
 	m.Aggregator.SnapshotInto(f)
-	out, err := m.enhancedFrom(*f)
+	out, err := m.enhancedFrom(dst, *f)
 	est.PutScratch(f)
 	return out, err
 }
@@ -769,11 +773,11 @@ func (m *meanEnhancer) Enhanced() ([]float64, error) {
 // devPool recycles the per-dimension deviations of enhancedFrom.
 var devPool est.SlicePool[analysis.Deviation]
 
-// enhancedFrom re-calibrates the snapshot's naive estimate in place,
-// deriving the calibration from the aggregator's single EstimateFrom
-// source of truth.
-func (m *meanEnhancer) enhancedFrom(snap Snapshot) ([]float64, error) {
-	out, err := m.Aggregator.EstimateFrom(snap)
+// enhancedFrom re-calibrates the snapshot's naive estimate in place in
+// dst, deriving the calibration from the aggregator's single
+// EstimateFromInto source of truth.
+func (m *meanEnhancer) enhancedFrom(dst []float64, snap Snapshot) ([]float64, error) {
+	out, err := m.Aggregator.EstimateFromInto(dst, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -795,7 +799,10 @@ func (m *meanEnhancer) enhancedFrom(snap Snapshot) ([]float64, error) {
 	return out, nil
 }
 
-var _ est.Enhancer = (*meanEnhancer)(nil)
+var (
+	_ est.Enhancer       = (*meanEnhancer)(nil)
+	_ est.EnhancedFolder = (*meanEnhancer)(nil)
+)
 
 // NewEstimatorServer wraps any Estimator — a Session's, or a bare
 // aggregator — in a TCP collector. Unlike NewCollectorServer it serves
