@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/dist"
@@ -345,10 +346,13 @@ func BenchmarkSessionReport(b *testing.B) {
 }
 
 // BenchmarkEnhanced is the query side of the performance ledger: one
-// collector-side Session.EstimateEnhanced (snapshot, naive estimate,
-// per-dimension deviations from the cached §IV moments, one-pass HDR4ME)
-// under L1 and L2 across the ledger's shapes. Run with -benchmem.
+// collector-side Session.EstimateEnhanced (snapshot, then one pass of
+// calibration, deviation and HDR4ME step per dimension) under L1 and L2
+// across the ledger's shapes, plus the frequency family at 64
+// dimensions of 16 categories (1024 entries, Piecewise's per-entry
+// moments). Run with -benchmem.
 func BenchmarkEnhanced(b *testing.B) {
+	cards := slices.Repeat([]int{16}, 64)
 	for _, reg := range []Reg{RegL1, RegL2} {
 		for _, sh := range []struct{ d, m int }{{32, 1}, {256, 8}, {1024, 32}} {
 			b.Run(fmt.Sprintf("%s/d=%d/m=%d", reg, sh.d, sh.m), func(b *testing.B) {
@@ -362,14 +366,36 @@ func BenchmarkEnhanced(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.EstimateEnhanced(); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchEnhanced(b, s)
 			})
+		}
+		b.Run(fmt.Sprintf("%s/freq/cards=64x16/m=8", reg), func(b *testing.B) {
+			s, err := New(WithMechanism(Piecewise()), WithBudget(0.8), WithCards(cards), WithDims(len(cards), 8),
+				WithEnhance(DefaultEnhanceConfig(reg)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			cats := make([]int, len(cards))
+			for u := 0; u < 256; u++ {
+				for j := range cats {
+					cats[j] = (u*7 + j*3 + u/11) % cards[j]
+				}
+				if err := s.Observe(Tuple{Cats: cats}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchEnhanced(b, s)
+		})
+	}
+}
+
+// benchEnhanced times s.EstimateEnhanced.
+func benchEnhanced(b *testing.B, s *Session) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.EstimateEnhanced(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

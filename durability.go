@@ -97,7 +97,12 @@ func (s *Session) SaveCheckpoint() error {
 	// and final saves overlap.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	rec := persist.QueryRecord{Spec: spec, Snap: s.Snapshot()}
+	// The fold is pooled scratch, as persist.Capture's: Save only
+	// encodes it, so it goes back to the pool once the file is written.
+	fold := est.GetScratch()
+	defer est.PutScratch(fold)
+	est.SnapshotInto(s.est, fold)
+	rec := persist.QueryRecord{Spec: spec, Snap: *fold}
 	if s.ring != nil {
 		cur, entries := s.ring.State()
 		rec.Epochs = &persist.EpochState{Cur: cur, Entries: entries}

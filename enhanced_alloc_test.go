@@ -3,10 +3,10 @@ package hdr4me
 import "testing"
 
 // TestEnhancedAllocs pins the query-side HDR4ME path's allocation budget
-// at the paper's shape: the enhanced output, re-calibrated in place over
-// the naive estimate. The fold and the per-dimension deviations are
-// pooled scratch and the §IV moments are cached per budget, so the
-// budget's second allocation only covers a pool refill after a GC.
+// at the paper's shape: the enhanced output, written in one pass over
+// the fold. The fold is pooled scratch, no per-dimension deviations are
+// stored and the §IV moments are cached per budget, so the budget's
+// second allocation only covers a pool refill after a GC.
 // Under -race, where sync.Pool drops a share of Puts at random, the
 // pre-pooling budget of 5 applies instead.
 func TestEnhancedAllocs(t *testing.T) {

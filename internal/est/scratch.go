@@ -51,9 +51,9 @@ func PutScratch(s *Snapshot) {
 }
 
 // SlicePool recycles scratch slices of one element type, for the
-// per-query intermediates that are not folds (HDR4ME's per-dimension
-// deviations, the vectors a collector fills only to marshal them into a
-// reply). The zero value is ready to use.
+// per-query intermediates that are not folds (decay weights, the vectors
+// a collector fills only to marshal them into a reply). The zero value
+// is ready to use.
 type SlicePool[T any] struct{ p sync.Pool }
 
 // Get returns a pooled slice of n elements with undefined contents.

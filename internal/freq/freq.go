@@ -17,7 +17,6 @@ package freq
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/hdr4me/hdr4me/internal/analysis"
 	"github.com/hdr4me/hdr4me/internal/est"
@@ -239,47 +238,40 @@ func naiveInto[C int64 | float64](a *Aggregator, out, sums []float64, counts []C
 	return out
 }
 
-// devPool recycles the per-dimension deviations of enhanceInto.
-var devPool est.SlicePool[analysis.Deviation]
-
 // enhanceInto writes the HDR4ME re-calibration of the flattened naive
-// estimate into out (which may alias naive) and returns it. Dimensions
-// without reports keep their naive entries.
+// estimate into out (which may alias naive) and returns it: one step,
+// built once, applied entry by entry. Dimensions without reports keep
+// their naive entries.
 func (a *Aggregator) enhanceInto(out, naive []float64, counts []int64, cfg recal.Config) []float64 {
 	copy(out, naive)
+	step := cfg.Step()
 	fw := analysis.Framework{Mech: a.P.Mech, EpsPerDim: a.P.EpsPerEntry()}
 	bounded := a.P.Mech.Bounded()
 	// Unbounded moments ignore the data; bounded ones are re-evaluated per
-	// entry through one reused two-atom spec. Enhance does not keep devs,
-	// so one pooled buffer serves every dimension.
+	// entry, from its naive frequency, through one reused two-atom spec.
 	var mom analysis.Moments
 	if !bounded {
 		mom = fw.Moments(nil)
 	}
 	spec := analysis.DataSpec{Values: []float64{-1, 1}, Probs: make([]float64, 2)}
-	dp := devPool.Get(0)
 	for j, card := range a.P.Cards {
 		r := float64(counts[j])
 		if r == 0 {
 			continue
 		}
 		seg := out[a.offsets[j] : a.offsets[j]+card]
-		devs := slices.Grow((*dp)[:0], card)[:card]
-		for k := range devs {
+		for k, v := range seg {
 			if bounded {
-				f := mathx.Clamp(seg[k], 1/(10*float64(card)), 1)
+				f := mathx.Clamp(v, 1/(10*float64(card)), 1)
 				spec.Probs[0], spec.Probs[1] = 1-f, f
 				mom = fw.Moments(&spec)
 			}
 			dev := mom.At(r)
 			// Map the released-frame Gaussian into the frequency frame:
 			// f = (y+1)/2 halves the bias and quarters the variance.
-			devs[k] = analysis.Deviation{Delta: dev.Delta / 2, Sigma2: dev.Sigma2 / 4}
+			seg[k] = step.Apply(v, analysis.Deviation{Delta: dev.Delta / 2, Sigma2: dev.Sigma2 / 4})
 		}
-		recal.EnhanceInto(seg, seg, devs, cfg)
-		*dp = devs
 	}
-	devPool.Put(dp)
 	return out
 }
 

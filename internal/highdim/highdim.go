@@ -145,16 +145,24 @@ type Aggregator struct {
 	// pert randomizes user-side at EpsFor(j): one Perturber under the
 	// uniform budget, one per dimension under an allocation.
 	pert []ldp.Perturber
+	// shift is the calibration step's bias at EpsFor(j) (§IV-B step 2):
+	// E[N] for an unbounded mechanism, 0 for a bounded one, whose bias
+	// depends on the data. One value under the uniform budget, one per
+	// dimension under an allocation; an estimate only divides and
+	// subtracts.
+	shift []float64
 
 	acc *est.Ingest[meanKernel] // D sum lanes, D count lanes
 }
 
 // NewAggregator returns an empty collector for protocol p.
 func NewAggregator(p Protocol) *Aggregator {
+	eps := []float64{p.EpsPerDim()}
 	return &Aggregator{
-		P:    p,
-		pert: []ldp.Perturber{ldp.At(p.Mech, p.EpsPerDim())},
-		acc:  est.NewIngest(meanKernel{m: p.M, d: p.D}, est.DefaultStripeCount, p.D, p.D),
+		P:     p,
+		pert:  perturbers(p.Mech, eps),
+		shift: shifts(p.Mech, eps),
+		acc:   est.NewIngest(meanKernel{m: p.M, d: p.D}, est.DefaultStripeCount, p.D, p.D),
 	}
 }
 
@@ -173,6 +181,7 @@ func NewAllocatedAggregator(p Protocol, alloc Allocation) (*Aggregator, error) {
 	a := NewAggregator(p)
 	a.alloc = append([]float64(nil), alloc.Eps...)
 	a.pert = perturbers(p.Mech, a.alloc)
+	a.shift = shifts(p.Mech, a.alloc)
 	return a, nil
 }
 
@@ -181,6 +190,17 @@ func perturbers(mech ldp.Mechanism, eps []float64) []ldp.Perturber {
 	out := make([]ldp.Perturber, len(eps))
 	for j, e := range eps {
 		out[j] = ldp.At(mech, e)
+	}
+	return out
+}
+
+// shifts evaluates mech's calibration shift at each budget.
+func shifts(mech ldp.Mechanism, eps []float64) []float64 {
+	out := make([]float64, len(eps))
+	if !mech.Bounded() {
+		for j, e := range eps {
+			out[j] = mech.Bias(0, e)
+		}
 	}
 	return out
 }
@@ -311,19 +331,25 @@ func (a *Aggregator) EstimateWeightedInto(dst, sums, counts []float64) ([]float6
 
 // calibrate writes the calibrated naive aggregation of (sums, counts)
 // into out and returns it: the one loop behind Estimate, EstimateFrom
-// and the weighted estimate. A dimension without reports estimates 0.
+// and the weighted estimate.
 func calibrate[C int64 | float64](a *Aggregator, out, sums []float64, counts []C) []float64 {
-	unbounded := !a.P.Mech.Bounded()
 	for j := range out {
-		if counts[j] == 0 {
-			out[j] = 0
-			continue
-		}
-		var delta float64
-		if unbounded {
-			delta = a.P.Mech.Bias(0, a.EpsFor(j))
-		}
-		out[j] = sums[j]/float64(counts[j]) - delta
+		out[j] = a.NaiveAt(j, sums[j], float64(counts[j]))
 	}
 	return out
+}
+
+// NaiveAt returns dimension j's calibrated naive estimate from its report
+// sum and count r: sum/r less the data-independent bias, and 0 for a
+// dimension without reports. It is the one formula behind every estimate
+// of the family, so a collector that walks a fold itself (the one-pass
+// HDR4ME re-calibration) calibrates exactly as Estimate does.
+func (a *Aggregator) NaiveAt(j int, sum, r float64) float64 {
+	if r == 0 {
+		return 0
+	}
+	if len(a.shift) == 1 {
+		return sum/r - a.shift[0]
+	}
+	return sum/r - a.shift[j]
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -81,6 +82,10 @@ func (q *Query) routeLocked() error {
 // until the first method call, and the query need not exist yet.
 func (c *Client) Query(name string) *Query { return &Query{c: c, name: name} }
 
+// errQueryRejected prefixes the collector's reason for refusing an
+// OPENQUERY; Open names the query only on such a rejection.
+var errQueryRejected = errors.New("transport: collector rejected query")
+
 // Open registers a new named query on the collector (the OPENQUERY frame)
 // and returns its handle. The collector validates the spec, charges its ε
 // against the per-user budget accountant, and builds the estimator; a
@@ -95,7 +100,10 @@ func (c *Client) Open(spec est.QuerySpec) (*Query, error) {
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	if err := c.readReasonedAck(fmt.Errorf("transport: collector rejected query %q", spec.Name)); err != nil {
+	if err := c.readReasonedAck(errQueryRejected); err != nil {
+		if errors.Is(err, errQueryRejected) {
+			err = fmt.Errorf("%w (query %q)", err, spec.Name)
+		}
 		return nil, err
 	}
 	return &Query{c: c, name: spec.Name}, nil

@@ -374,18 +374,19 @@ func TestOpenQueryOverWire(t *testing.T) {
 	if got := reg.Get("remote").Estimator().Counts()[0]; got != 1 {
 		t.Fatalf("remote query count = %d, want 1", got)
 	}
-	// Duplicate name: the rejection carries the server's reason.
+	// Duplicate name: the rejection carries the server's reason and
+	// names the query.
 	if _, err := cl.Open(est.QuerySpec{Name: "remote", Kind: est.KindMean, Eps: 1, D: 2}); err == nil ||
-		!strings.Contains(err.Error(), "already exists") {
-		t.Fatalf("duplicate Open = %v, want 'already exists'", err)
+		!strings.Contains(err.Error(), "already exists") || !strings.Contains(err.Error(), `"remote"`) {
+		t.Fatalf("duplicate Open = %v, want 'already exists' naming the query", err)
 	}
 	// Admission limit reached: rejection also carries the reason.
 	if _, err := cl.Open(est.QuerySpec{Name: "third", Kind: est.KindMean, Eps: 1, D: 2}); err != nil {
 		t.Fatalf("second Open: %v", err)
 	}
 	if _, err := cl.Open(est.QuerySpec{Name: "fourth", Kind: est.KindMean, Eps: 1, D: 2}); err == nil ||
-		!strings.Contains(err.Error(), "limit") {
-		t.Fatalf("over-limit Open = %v, want limit rejection", err)
+		!strings.Contains(err.Error(), "limit") || !strings.Contains(err.Error(), `"fourth"`) {
+		t.Fatalf("over-limit Open = %v, want limit rejection naming the query", err)
 	}
 	// The connection survives every rejection.
 	if _, err := q.Counts(); err != nil {

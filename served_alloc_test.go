@@ -140,3 +140,46 @@ func TestSaveCollectorStateAllocs(t *testing.T) {
 		t.Errorf("a save with 40 frozen epochs allocates %d B, with 4 %d B: want the same amount", perSave[1], perSave[0])
 	}
 }
+
+// TestSaveCheckpointAllocs pins what Session.SaveCheckpoint allocates at
+// the paper's shape (d = 1024, m = 32): the fold it encodes is pooled
+// scratch, returned after the file is written, so a save allocates less
+// than one d-vector of its own.
+func TestSaveCheckpointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const d, m, saves = 1024, 32, 20
+	s, err := New(WithMechanism(Piecewise()), WithBudget(0.8), WithDims(d, m), WithSeed(3), WithStateDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < 256; u++ {
+		if err := s.Observe(goldenTuple(u, d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save := func() {
+		if err := s.SaveCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// As TestSaveCollectorStateAllocs: settle, warm the pool, keep the
+	// smallest of three counts.
+	runtime.GC()
+	save()
+	perSave := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range saves {
+			save()
+		}
+		runtime.ReadMemStats(&after)
+		perSave = min(perSave, (after.TotalAlloc-before.TotalAlloc)/saves)
+	}
+	t.Logf("%d B per save", perSave)
+	if bound := uint64(8 * d); perSave >= bound {
+		t.Errorf("SaveCheckpoint at d=%d: %d B per save, want < %d", d, perSave, bound)
+	}
+}

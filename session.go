@@ -770,32 +770,29 @@ func (m *meanEnhancer) EnhancedInto(dst []float64) ([]float64, error) {
 	return out, err
 }
 
-// devPool recycles the per-dimension deviations of enhancedFrom.
-var devPool est.SlicePool[analysis.Deviation]
-
-// enhancedFrom re-calibrates the snapshot's naive estimate in place in
-// dst, deriving the calibration from the aggregator's single
-// EstimateFromInto source of truth.
+// enhancedFrom re-calibrates the snapshot into dst in one pass: each
+// dimension's calibrated naive value (the aggregator's NaiveAt, the
+// formula behind EstimateFrom), its deviation from the cached moments at
+// the dimension's report count (at least 1), and the HDR4ME step.
 func (m *meanEnhancer) enhancedFrom(dst []float64, snap Snapshot) ([]float64, error) {
-	out, err := m.Aggregator.EstimateFromInto(dst, snap)
-	if err != nil {
+	agg := m.Aggregator
+	if err := est.CheckMerge(agg, snap, agg.P.D, agg.P.D); err != nil {
 		return nil, err
 	}
-	dp := devPool.Get(len(out))
-	devs := *dp
-	for j := range devs {
-		r := float64(snap.Counts[j])
-		if r < 1 {
-			r = 1
+	out := est.Resize(dst, agg.P.D)
+	step := m.cfg.Step()
+	mom, moms, sums := m.mom, m.moms, snap.Sums
+	for j, c := range snap.Counts {
+		if moms != nil {
+			mom = moms[j]
 		}
-		mom := m.mom
-		if m.moms != nil {
-			mom = m.moms[j]
+		r := float64(c)
+		rdev := r
+		if rdev < 1 {
+			rdev = 1
 		}
-		devs[j] = mom.At(r)
+		out[j] = step.Apply(agg.NaiveAt(j, sums[j], r), mom.At(rdev))
 	}
-	recal.EnhanceInto(out, out, devs, m.cfg)
-	devPool.Put(dp)
 	return out, nil
 }
 
