@@ -210,6 +210,35 @@ func (f Framework) momentsDiscrete(spec DataSpec) Moments {
 	return Moments{Delta: db.Value(), Var: vb.Value()}
 }
 
+// Binary is Lemma 3 over the two-atom support {−1, 1}, the released
+// frame of one histogram entry, with the mechanism's bias and variance at
+// both atoms evaluated once. A collector that re-weights the atoms entry
+// by entry then pays only the two-term sums per entry.
+type Binary struct {
+	bias, vari [2]float64 // at −1, then at 1
+}
+
+// Binary returns f's Lemma 3 evaluator over {−1, 1}.
+func (f Framework) Binary() Binary {
+	var b Binary
+	for z, v := range [2]float64{-1, 1} {
+		b.bias[z], b.vari[z] = f.Mech.Bias(v, f.EpsPerDim), f.Mech.Var(v, f.EpsPerDim)
+	}
+	return b
+}
+
+// Moments returns, bit for bit, what f.Moments returns for the spec
+// {Values: {−1, 1}, Probs: {1−p, p}}: the same Kahan sums of the same
+// products, in the same order. p must lie in [0, 1].
+func (b Binary) Moments(p float64) Moments {
+	var db, vb mathx.KahanSum
+	for z, pz := range [2]float64{1 - p, p} {
+		db.Add(pz * b.bias[z])
+		vb.Add(pz * b.vari[z])
+	}
+	return Moments{Delta: db.Value(), Var: vb.Value()}
+}
+
 // WorstCaseDeviation returns the data-free upper envelope of the Lemma 3
 // Gaussian: the maximum of Var(t) and |δ(t)| over a fine grid of t ∈ [−1,1].
 // It lets a collector who knows nothing about the data pick conservative

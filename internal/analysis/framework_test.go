@@ -196,3 +196,32 @@ func TestMomentsAreCountFree(t *testing.T) {
 		}
 	}
 }
+
+// TestBinaryMatchesMoments: the two-atom evaluator returns the moments of
+// the spec {−1, 1} with probabilities {1−p, p} bit for bit, for every
+// bounded mechanism, across budgets and weights (the atoms' endpoints and
+// the frequency family's clamp floor included).
+func TestBinaryMatchesMoments(t *testing.T) {
+	rng := mathx.NewRNG(31)
+	for name, mech := range ldp.Registry() {
+		if !mech.Bounded() {
+			continue
+		}
+		for _, eps := range []float64{0.025, 0.05, 0.8, 3.7} {
+			fw := Framework{Mech: mech, EpsPerDim: eps}
+			atoms := fw.Binary()
+			ps := []float64{0, 1, 0.5, 1.0 / 160, 1.0 / 30}
+			for i := 0; i < 200; i++ {
+				ps = append(ps, rng.Float64())
+			}
+			for _, p := range ps {
+				spec := DataSpec{Values: []float64{-1, 1}, Probs: []float64{1 - p, p}}
+				got, want := atoms.Moments(p), fw.Moments(&spec)
+				if math.Float64bits(got.Delta) != math.Float64bits(want.Delta) ||
+					math.Float64bits(got.Var) != math.Float64bits(want.Var) {
+					t.Fatalf("%s ε=%v p=%v: Binary %+v, Moments %+v", name, eps, p, got, want)
+				}
+			}
+		}
+	}
+}

@@ -110,11 +110,16 @@ func LogLen(t Tuple) {
 	fmt.Println(len(t.Values))
 }
 
-// Batcher is a batch randomizer reached through an interface, as the
-// client path reaches ldp.PerturbBatch: every value it stores in dst is
-// a randomized release of src.
+// Batcher is a batch randomizer reached through an interface: every
+// value it stores in dst is a randomized release of src.
 type Batcher interface {
 	PerturbBatch(dst, src []float64)
+}
+
+// Gatherer is the indexed batch randomizer, as the client path reaches
+// ldp.PerturbBatch: dst[i] is a randomized release of src[idx[i]].
+type Gatherer interface {
+	PerturbBatch(dst, src []float64, idx []uint32)
 }
 
 // Filler is an opaque batch step that is not a randomizer: the
@@ -132,6 +137,14 @@ func BatchReport(b Batcher, t Tuple) Report {
 	}
 	rep := Report{Values: make([]float64, len(raw))}
 	b.PerturbBatch(rep.Values, raw[:])
+	return rep
+}
+
+// SampledReport releases the sampled raw values where they stand in the
+// tuple through the indexed batch randomizer: clean.
+func SampledReport(g Gatherer, t Tuple, idx []uint32) Report {
+	rep := Report{Dims: idx, Values: make([]float64, len(idx))}
+	g.PerturbBatch(rep.Values, t.Values, idx)
 	return rep
 }
 

@@ -67,15 +67,13 @@ func (f *Flat) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error) {
 		}
 	}
 	epsEntry := p.EpsPerEntry()
-	var buf [64]int // sample scratch; stays on the stack for m ≤ 64
-	dims := rng.SampleIndices(len(p.Cards), p.M, buf[:0])
+	dims := rng.SampleIndices(len(p.Cards), p.M, nil)
 	nvals := 0
 	for _, j := range dims {
 		nvals += p.Cards[j]
 	}
-	rep := est.Report{Dims: make([]uint32, len(dims)), Values: make([]float64, 0, nvals)}
-	for i, j := range dims {
-		rep.Dims[i] = uint32(j)
+	rep := est.Report{Dims: dims, Values: make([]float64, 0, nvals)}
+	for _, j := range dims {
 		for k := 0; k < p.Cards[j]; k++ {
 			e := -1.0
 			if k == t.Cats[j] {

@@ -247,13 +247,16 @@ func (a *Aggregator) enhanceInto(out, naive []float64, counts []int64, cfg recal
 	step := cfg.Step()
 	fw := analysis.Framework{Mech: a.P.Mech, EpsPerDim: a.P.EpsPerEntry()}
 	bounded := a.P.Mech.Bounded()
-	// Unbounded moments ignore the data; bounded ones are re-evaluated per
-	// entry, from its naive frequency, through one reused two-atom spec.
+	// Unbounded moments ignore the data; bounded ones are re-weighted per
+	// entry, from its naive frequency, over the two atoms' bias and
+	// variance evaluated once here.
 	var mom analysis.Moments
-	if !bounded {
+	var atoms analysis.Binary
+	if bounded {
+		atoms = fw.Binary()
+	} else {
 		mom = fw.Moments(nil)
 	}
-	spec := analysis.DataSpec{Values: []float64{-1, 1}, Probs: make([]float64, 2)}
 	for j, card := range a.P.Cards {
 		r := float64(counts[j])
 		if r == 0 {
@@ -262,9 +265,7 @@ func (a *Aggregator) enhanceInto(out, naive []float64, counts []int64, cfg recal
 		seg := out[a.offsets[j] : a.offsets[j]+card]
 		for k, v := range seg {
 			if bounded {
-				f := mathx.Clamp(v, 1/(10*float64(card)), 1)
-				spec.Probs[0], spec.Probs[1] = 1-f, f
-				mom = fw.Moments(&spec)
+				mom = atoms.Moments(mathx.Clamp(v, 1/(10*float64(card)), 1))
 			}
 			dev := mom.At(r)
 			// Map the released-frame Gaussian into the frequency frame:

@@ -195,10 +195,11 @@ func SimulateOracle(p Protocol, o Oracle, ds CatDataset, rng *mathx.RNG, workers
 				supports[j] = make([]int64, v)
 			}
 			counts := make([]int64, d)
-			var dims []int
+			var dims []uint32
 			for i := w; i < n; i += workers {
 				dims = wrng.SampleIndices(d, p.M, dims)
-				for _, j := range dims {
+				for _, dj := range dims {
+					j := int(dj)
 					rep := o.Perturb(wrng, ds.Value(i, j), p.Cards[j], epsPer)
 					for k := 0; k < p.Cards[j]; k++ {
 						if o.Support(rep, k) {

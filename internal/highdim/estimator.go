@@ -44,13 +44,8 @@ func (a *Aggregator) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error)
 	if len(t.Values) != a.P.D {
 		return est.Report{}, fmt.Errorf("highdim: tuple has %d dims, protocol says %d", len(t.Values), a.P.D)
 	}
-	var buf [64]int // sample scratch; stays on the stack for m ≤ 64
-	dims := rng.SampleIndices(a.P.D, a.P.M, buf[:0])
-	rep := est.Report{Dims: make([]uint32, a.P.M), Values: make([]float64, a.P.M)}
-	for i, j := range dims {
-		rep.Dims[i] = uint32(j)
-	}
-	if err := perturbSample(rep.Values, t.Values, dims, a.pert, rng); err != nil {
+	rep := est.Report{Dims: rng.SampleIndices(a.P.D, a.P.M, nil), Values: make([]float64, a.P.M)}
+	if err := perturbSample(rep.Values, t.Values, rep.Dims, a.pert, rng); err != nil {
 		return est.Report{}, err
 	}
 	return rep, nil

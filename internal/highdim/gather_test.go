@@ -9,11 +9,12 @@ import (
 	"github.com/hdr4me/hdr4me/internal/mathx"
 )
 
-// TestReportGatherChunks: MakeReport and Client.Report gather the sampled
-// values in chunks of 64 before perturbing them. For m on both sides of
-// a chunk boundary the reports must equal the one-loop reference (sample,
-// then perturb each sampled value in dimension order) bit for bit, under
-// both a uniform and an allocated budget.
+// TestReportGatherChunks: MakeReport and Client.Report check every
+// sampled value before perturbing any, then perturb from the tuple, the
+// uniform budget in the Piecewise kernel's draw chunks of 32. For m from
+// 1 past several chunks the reports must equal the one-loop reference
+// (sample, then perturb each sampled value in dimension order) bit for
+// bit, under both a uniform and an allocated budget.
 func TestReportGatherChunks(t *testing.T) {
 	for _, m := range []int{1, 63, 64, 65, 130} {
 		p := mustProtocol(t, ldp.Piecewise{}, 0.8, 200, m)
@@ -40,7 +41,7 @@ func TestReportGatherChunks(t *testing.T) {
 				ref := mathx.NewRNG(uint64(u))
 				for i, j := range ref.SampleIndices(p.D, p.M, nil) {
 					want := perturberAt(agg.pert, j).Perturb(ref, row[j])
-					if rep.Dims[i] != uint32(j) || math.Float64bits(rep.Values[i]) != math.Float64bits(want) {
+					if rep.Dims[i] != j || math.Float64bits(rep.Values[i]) != math.Float64bits(want) {
 						t.Fatalf("m=%d user %d slot %d: MakeReport (%d, %v), reference (%d, %v)",
 							m, u, i, rep.Dims[i], rep.Values[i], j, want)
 					}
@@ -51,7 +52,7 @@ func TestReportGatherChunks(t *testing.T) {
 			pert := ldp.At(p.Mech, p.EpsPerDim())
 			for i, j := range ref.SampleIndices(p.D, p.M, nil) {
 				want := pert.Perturb(ref, row[j])
-				if rep.Dims[i] != uint32(j) || math.Float64bits(rep.Values[i]) != math.Float64bits(want) {
+				if rep.Dims[i] != j || math.Float64bits(rep.Values[i]) != math.Float64bits(want) {
 					t.Fatalf("m=%d user %d slot %d: Client.Report (%d, %v), reference (%d, %v)",
 						m, u, i, rep.Dims[i], rep.Values[i], j, want)
 				}
@@ -63,7 +64,7 @@ func TestReportGatherChunks(t *testing.T) {
 // perturberAt returns dimension j's user-side randomizer from pert, which
 // holds one per dimension (bound to EpsFor(j)) under an allocation and a
 // single shared one otherwise.
-func perturberAt(pert []ldp.Perturber, j int) ldp.Perturber {
+func perturberAt(pert []ldp.Perturber, j uint32) ldp.Perturber {
 	if len(pert) > 1 {
 		return pert[j]
 	}

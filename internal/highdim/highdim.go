@@ -66,7 +66,6 @@ type Client struct {
 	P    Protocol
 	rng  *mathx.RNG
 	pert []ldp.Perturber // one entry: the uniform ε/m
-	dims []int
 }
 
 // NewClient returns a user-side perturber drawing randomness from rng.
@@ -81,15 +80,11 @@ func (c *Client) Report(tuple []float64) Report {
 	if len(tuple) != c.P.D {
 		panic(fmt.Sprintf("highdim: tuple has %d dims, protocol says %d", len(tuple), c.P.D))
 	}
-	c.dims = c.rng.SampleIndices(c.P.D, c.P.M, c.dims)
 	rep := Report{
-		Dims:   make([]uint32, c.P.M),
+		Dims:   c.rng.SampleIndices(c.P.D, c.P.M, nil),
 		Values: make([]float64, c.P.M),
 	}
-	for i, j := range c.dims {
-		rep.Dims[i] = uint32(j)
-	}
-	if err := perturbSample(rep.Values, tuple, c.dims, c.pert, c.rng); err != nil {
+	if err := perturbSample(rep.Values, tuple, rep.Dims, c.pert, c.rng); err != nil {
 		panic(err.Error())
 	}
 	return rep
@@ -97,34 +92,27 @@ func (c *Client) Report(tuple []float64) Report {
 
 // perturbSample sets vals[i] to tuple[dims[i]] perturbed by that
 // dimension's randomizer (pert[j] under a per-dimension budget, pert[0]
-// under a uniform one). It gathers up to 64 sampled values before
-// perturbing any, so their loads (cache misses over a large population)
-// are in flight together instead of each waiting on the previous
-// perturbation. The perturbations still run in dimension order, so the
-// draws are unchanged; under a uniform budget each chunk is one
-// ldp.PerturbBatch call. Raw values stay in a stack buffer and never
-// enter vals. A gathered value outside [−1, 1] (or NaN) is an error
-// naming only its dimension, since the value is the user's private
-// datum; it is returned before any value of its chunk of 64 is
-// perturbed, so for m ≤ 64 before any perturbation draw.
-func perturbSample(vals, tuple []float64, dims []int, pert []ldp.Perturber, rng *mathx.RNG) error {
-	var raw [64]float64
-	for lo := 0; lo < len(dims); lo += len(raw) {
-		chunk := dims[lo:min(lo+len(raw), len(dims))]
-		for k, j := range chunk {
-			v := tuple[j]
-			if !(v >= -1 && v <= 1) {
-				return fmt.Errorf("highdim: value outside [−1, 1] in dimension %d", j)
-			}
-			raw[k] = v
+// under a uniform one). It first checks every sampled value, so their
+// loads (cache misses over a large population) are in flight together
+// instead of each waiting on the previous perturbation, and so a value
+// outside [−1, 1] (or NaN) is an error before any perturbation draw; the
+// error names only its dimension, since the value is the user's private
+// datum. It then perturbs in dimension order, reading each value from
+// the tuple where it stands, so the draws are unchanged: under a uniform
+// budget through one ldp.PerturbBatch call, under an allocated one value
+// by value. No raw value is copied: vals receives only releases.
+func perturbSample(vals, tuple []float64, dims []uint32, pert []ldp.Perturber, rng *mathx.RNG) error {
+	for _, j := range dims {
+		if v := tuple[j]; !(v >= -1 && v <= 1) {
+			return fmt.Errorf("highdim: value outside [−1, 1] in dimension %d", j)
 		}
-		if len(pert) == 1 {
-			ldp.PerturbBatch(pert[0], rng, vals[lo:lo+len(chunk)], raw[:len(chunk)])
-			continue
-		}
-		for k, j := range chunk {
-			vals[lo+k] = pert[j].Perturb(rng, raw[k])
-		}
+	}
+	if len(pert) == 1 {
+		ldp.PerturbBatch(pert[0], rng, vals, tuple, dims)
+		return nil
+	}
+	for i, j := range dims {
+		vals[i] = pert[j].Perturb(rng, tuple[j])
 	}
 	return nil
 }

@@ -32,20 +32,21 @@ type bound struct {
 // Perturb implements Perturber.
 func (b bound) Perturb(rng *mathx.RNG, t float64) float64 { return b.mech.Perturb(rng, t, b.eps) }
 
-// PerturbBatch sets dst[i] to p's release of src[i] for every i of src,
-// drawing from rng exactly as len(src) successive p.Perturb(rng, src[i])
-// calls do, so the outputs are bit for bit the same. dst must hold
-// len(src) values and must not partially overlap src. A Piecewise
-// perturber runs one batch kernel; any other runs the per-value loop.
-// src is never passed through an interface, so a caller's stack buffer
-// of raw values stays on the stack and never has to pass through dst.
-func PerturbBatch(p Perturber, rng *mathx.RNG, dst, src []float64) {
+// PerturbBatch sets dst[i] to p's release of src[idx[i]] for every i of
+// idx, drawing from rng exactly as len(idx) successive
+// p.Perturb(rng, src[idx[i]]) calls do, so the outputs are bit for bit
+// the same. dst must hold len(idx) values and must not overlap src. A
+// Piecewise perturber runs one batch kernel; any other runs the
+// per-value loop. The values are read from src where they stand, so a
+// caller hands over its raw tuple and the sampled indices, never a copy
+// of the raw values.
+func PerturbBatch(p Perturber, rng *mathx.RNG, dst, src []float64, idx []uint32) {
 	if a, ok := p.(*pmAt); ok {
-		a.perturbBatch(rng, dst, src)
+		a.perturbBatch(rng, dst, src, idx)
 		return
 	}
-	dst = dst[:len(src)]
-	for i, t := range src {
-		dst[i] = p.Perturb(rng, t)
+	dst = dst[:len(idx)]
+	for i, j := range idx {
+		dst[i] = p.Perturb(rng, src[j])
 	}
 }

@@ -80,9 +80,11 @@ func TestAtValidates(t *testing.T) {
 func TestPanicNamesNoValue(t *testing.T) {
 	for name, mech := range Registry() {
 		paths := map[string]func(){
-			"Perturb":      func() { mech.Perturb(mathx.NewRNG(1), 52000.5, 1) },
-			"At":           func() { At(mech, 1).Perturb(mathx.NewRNG(1), 52000.5) },
-			"PerturbBatch": func() { PerturbBatch(At(mech, 1), mathx.NewRNG(1), make([]float64, 2), []float64{0.5, 52000.5}) },
+			"Perturb": func() { mech.Perturb(mathx.NewRNG(1), 52000.5, 1) },
+			"At":      func() { At(mech, 1).Perturb(mathx.NewRNG(1), 52000.5) },
+			"PerturbBatch": func() {
+				PerturbBatch(At(mech, 1), mathx.NewRNG(1), make([]float64, 2), []float64{0.5, 52000.5}, []uint32{0, 1})
+			},
 		}
 		for path, call := range paths {
 			func() {
@@ -99,23 +101,27 @@ func TestPanicNamesNoValue(t *testing.T) {
 }
 
 // TestPerturbBatchMatchesPerturb: PerturbBatch returns the per-value
-// Perturb outputs bit for bit and leaves the stream where they leave it,
-// for every mechanism and for lengths on both sides of the Piecewise
-// kernel's draw chunk.
+// Perturb outputs of the indexed values bit for bit and leaves the stream
+// where they leave it, for every mechanism and for lengths on both sides
+// of the Piecewise kernel's draw chunk.
 func TestPerturbBatchMatchesPerturb(t *testing.T) {
 	for name, mech := range Registry() {
 		for _, eps := range []float64{0.025, 0.8, 3.7} {
 			p := At(mech, eps)
 			for _, n := range []int{0, 1, 31, 32, 33, 64, 100} {
-				src := make([]float64, n)
+				src := make([]float64, 2*n+1)
 				for i := range src {
 					src[i] = math.Sin(float64(i)*0.77+eps) * float64(i%3) / 2
 				}
+				idx := make([]uint32, n)
+				for i := range idx {
+					idx[i] = uint32(2*(n-1-i) + i%2) // a descending gather that skips values
+				}
 				got := make([]float64, n)
 				a, b := mathx.NewRNG(uint64(n)), mathx.NewRNG(uint64(n))
-				PerturbBatch(p, a, got, src)
-				for i, v := range src {
-					if want := p.Perturb(b, v); math.Float64bits(got[i]) != math.Float64bits(want) {
+				PerturbBatch(p, a, got, src, idx)
+				for i, j := range idx {
+					if want := p.Perturb(b, src[j]); math.Float64bits(got[i]) != math.Float64bits(want) {
 						t.Fatalf("%s ε=%v n=%d value %d: batch %v, per value %v", name, eps, n, i, got[i], want)
 					}
 				}

@@ -105,25 +105,37 @@ func (a *pmAt) Perturb(rng *mathx.RNG, t float64) float64 {
 	return a.release(t, u[0], u[1])
 }
 
-// perturbBatch sets dst[i] to Perturb(rng, src[i]) for each i in order:
-// the same draws and the same bits as the per-value calls. It draws the
-// uniforms of up to pmChunk values in one rng.Float64s call, in the
-// order the per-value calls draw them (u1, u2 of value 0, then of value
-// 1, …), after validating those values, so an invalid value panics
-// before any draw of its chunk.
-func (a *pmAt) perturbBatch(rng *mathx.RNG, dst, src []float64) {
-	dst = dst[:len(src)]
+// perturbBatch sets dst[i] to Perturb(rng, src[idx[i]]) for each i in
+// order: the same draws and the same bits as the per-value calls. It
+// draws the uniforms of up to pmChunk values in one rng.Float64s call,
+// in the order the per-value calls draw them (u1, u2 of value 0, then of
+// value 1, …), after validating those values, so an invalid value
+// panics before any draw of its chunk. Its loop spells out release's
+// operations in release's order rather than calling it: Go does not
+// inline release, and a call per value cost a (1024, 32) report ~80 ns
+// of ~950 (BenchmarkSessionReport). TestPerturbBatchMatchesPerturb holds
+// the two to the same bits.
+func (a *pmAt) perturbBatch(rng *mathx.RNG, dst, src []float64, idx []uint32) {
+	dst = dst[:len(idx)]
+	q := a.q
 	var u [2 * pmChunk]float64
-	for lo := 0; lo < len(src); lo += pmChunk {
-		in := src[lo:min(lo+pmChunk, len(src))]
+	for lo := 0; lo < len(idx); lo += pmChunk {
+		in := idx[lo:min(lo+pmChunk, len(idx))]
 		out := dst[lo : lo+len(in)]
-		for _, t := range in {
-			validate(t, a.eps)
+		for _, j := range in {
+			validate(src[j], a.eps)
 		}
 		draws := u[:2*len(in)]
 		rng.Float64s(draws)
-		for i, t := range in {
-			out[i] = a.release(t, draws[2*i], draws[2*i+1])
+		for i, j := range in {
+			t, u1, u2 := src[j], draws[2*i], draws[2*i+1]
+			l := a.slope*t - a.offset
+			r := l + q - 1
+			band := l + (r-l)*u2
+			w := u2 * (q + 1)
+			left := l + q
+			tail := pick(w < left, -q+w, r+(w-left))
+			out[i] = pick(u1 < a.pBand, band, tail)
 		}
 	}
 }

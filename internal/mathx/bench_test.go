@@ -8,16 +8,17 @@ import (
 
 // sampleShapes are the (d, m) rows of the sampling ledger. At m = 8, 16
 // and 32 they sit on both sides of orderSample's bitmap/sort rule
-// (⌈d/64⌉ ≤ m²/8): (256,8), (2048,16), (1024,32) and (8192,32) take the
-// bitmap; (1024,8), (4096,16), (16384,32), (65536,32) and (2²⁰,32) sort.
-// The last row spreads the shuffle's guard bits over a 128 KB bitmap.
+// (⌈d/64⌉ ≤ m²/4): (256,8), (1024,8), (2048,16), (4096,16), (1024,32),
+// (8192,32) and (16384,32) take the bitmap; (2048,8), (8192,16),
+// (32768,32), (65536,32) and (2²⁰,32) sort. The last row spreads the
+// sample's bits over a 128 KB bitmap.
 var sampleShapes = []struct{ d, m int }{
-	{32, 1}, {256, 8}, {1024, 8}, {2048, 16}, {4096, 16},
-	{1024, 32}, {8192, 32}, {16384, 32}, {65536, 32}, {1 << 20, 32},
+	{32, 1}, {256, 8}, {1024, 8}, {2048, 8}, {2048, 16}, {4096, 16}, {8192, 16},
+	{1024, 32}, {8192, 32}, {16384, 32}, {32768, 32}, {65536, 32}, {1 << 20, 32},
 }
 
-// BenchmarkSampleIndices times one user's m-of-d sample (shuffle plus
-// ordering) through the public path. Run with -benchmem; a sized dst
+// BenchmarkSampleIndices times one user's m-of-d sample (draws, Floyd
+// pass and ordering) through the public path. Run with -benchmem; a sized dst
 // keeps it at zero allocations.
 func BenchmarkSampleIndices(b *testing.B) {
 	for _, sh := range sampleShapes {
@@ -35,15 +36,18 @@ func BenchmarkSampleIndices(b *testing.B) {
 
 // BenchmarkSampleOrder times orderSample's two ordering strategies alone
 // on the same real (shuffled) samples: these rows are what the
-// bitmap/sort threshold in orderSample is read from. The pool holds
-// enough distinct samples that the branch predictor cannot learn the
-// sequence; with a few hundred it does, and the rows then time a replay
-// rather than the fresh samples SampleIndices orders.
+// bitmap/sort threshold in orderSample is read from. Each op first marks
+// the sample's members in the bitmap, as SampleIndices' Floyd pass
+// leaves them, at the same cost on both sides; then "bitmap" reads the
+// bitmap back and "sort" sorts the slice and clears the members' bits.
+// The pool holds enough distinct samples that the branch predictor
+// cannot learn the sequence; with a few hundred it does, and the rows
+// then time a replay rather than the fresh samples SampleIndices orders.
 func BenchmarkSampleOrder(b *testing.B) {
 	for _, sh := range sampleShapes {
 		const pool = 4096
 		r := NewRNG(2)
-		samples := make([][]int, pool)
+		samples := make([][]uint32, pool)
 		for i := range samples {
 			samples[i] = r.SampleIndices(sh.d, sh.m, nil)
 			s := samples[i]
@@ -51,13 +55,20 @@ func BenchmarkSampleOrder(b *testing.B) {
 		}
 		for _, way := range []string{"bitmap", "sort"} {
 			b.Run(fmt.Sprintf("d=%d/m=%d/%s", sh.d, sh.m, way), func(b *testing.B) {
-				work := make([]int, sh.m)
+				work := make([]uint32, sh.m)
+				bm := r.bits
 				for i := 0; i < b.N; i++ {
 					copy(work, samples[i%pool])
+					for _, j := range work {
+						bm[j>>6] |= 1 << (j & 63)
+					}
 					if way == "bitmap" {
-						r.orderBitmap(work, sh.d)
+						r.orderBitmap(work)
 					} else {
 						slices.Sort(work)
+						for _, j := range work {
+							bm[j>>6] = 0
+						}
 					}
 				}
 			})

@@ -26,11 +26,9 @@ type RNG struct {
 	pcg  rand.PCG
 	src  rand.Rand // draws from &pcg; for Normal, Exponential and Perm
 	seed uint64
-	// SampleIndices' scratch, reused across calls: bits marks the
-	// positions ≥ m its shuffle has displaced (all zero between calls),
-	// and moved[k] now holds held[k].
-	bits        []uint64
-	moved, held []int
+	// bits is SampleIndices' membership bitmap over [0, d), reused
+	// across calls and all zero between them.
+	bits []uint64
 }
 
 // NewRNG returns a deterministic RNG seeded with seed.
@@ -196,87 +194,84 @@ func (r *RNG) poissonPTRS(lambda float64) int {
 }
 
 // SampleIndices fills dst with a uniform random m-subset of [0, d) in
-// increasing order (m is clamped to d). It runs a partial Fisher–Yates
-// shuffle over a virtual permutation of [0, d): dst holds positions
-// [0, m), and a position j ≥ m the shuffle has displaced has its bit set
-// in the RNG's bitmap, with its current value kept in two O(m) slices the
-// RNG owns and reuses. The slices are scanned only when a target's bit is
-// already set, about m²/2d times per sample. The sample is then ordered
-// (see orderSample), which leaves the bitmap all zero again. It allocates
-// only when dst is too small or the RNG's scratch first grows to a larger
-// shape. It draws exactly the IntN sequence of a dense Fisher–Yates over
-// a d-int permutation and returns the same subset, so a seed yields the
-// same sample stream as that dense shuffle; the ordering step draws
-// nothing.
-func (r *RNG) SampleIndices(d, m int, dst []int) []int {
-	if m > d {
-		m = d
+// increasing order (m is clamped to d; d must not exceed 2³²).
+//
+// It draws exactly what a partial Fisher–Yates shuffle over a virtual
+// permutation of [0, d) draws — jᵢ = i + IntN(d−i) for i = 0, 1, …, m−1,
+// in that order — and returns the subset that shuffle leaves in
+// positions [0, m), so a seed yields the same sample stream as the
+// dense shuffle. The subset is built without the permutation, by
+// Floyd's sampler (Bentley & Floyd, "A Sample of Brilliance", CACM 1987)
+// run over the draws in reverse: for i = m−1 down to 0, add jᵢ, or i if
+// jᵢ is already in. Why this is the shuffle's subset: let Tᵢ be the
+// positions, as they stand before swap i, whose contents end in [i, m).
+// Swap i exchanges positions i and jᵢ, and Tᵢ₊₁ ⊆ [i+1, d), so those
+// contents are the one swap i moves to i (from jᵢ) plus those of Tᵢ₊₁,
+// where a member jᵢ of Tᵢ₊₁ now holds what stood at i. Hence
+// Tᵢ = Tᵢ₊₁ ∪ {jᵢ} when jᵢ ∉ Tᵢ₊₁ and Tᵢ₊₁ ∪ {i} otherwise; each step
+// adds a new member, since i ∉ Tᵢ₊₁. Before swap 0 every position holds
+// itself, so T₀ is the sample.
+//
+// The draws go into dst first; the Floyd pass marks members in the
+// RNG's bitmap, which orderSample then reads back or sorts past, leaving
+// it all zero. The ordering draws nothing. It allocates only when dst is
+// too small or the bitmap first grows to a larger d.
+func (r *RNG) SampleIndices(d, m int, dst []uint32) []uint32 {
+	if uint64(d) > 1<<32 {
+		panic("mathx: SampleIndices domain exceeds 2³²")
 	}
+	m = min(m, d)
 	if cap(dst) < m {
-		dst = make([]int, m)
+		dst = make([]uint32, m)
 	}
 	dst = dst[:m]
-	for k := range dst {
-		dst[k] = k
+	for i := range dst {
+		dst[i] = uint32(i + r.IntN(d-i))
 	}
 	if words := (d + 63) >> 6; cap(r.bits) < words {
 		r.bits = make([]uint64, words)
 	}
-	if cap(r.moved) < m {
-		r.moved, r.held = make([]int, 0, m), make([]int, 0, m)
-	}
 	bm := r.bits
-	moved, held := r.moved[:0], r.held[:0]
-	for i := 0; i < m; i++ {
-		j := i + r.IntN(d-i)
-		if j < m {
-			dst[i], dst[j] = dst[j], dst[i]
-			continue
+	for i := m - 1; i >= 0; i-- {
+		j := dst[i]
+		if bm[j>>6]&(1<<(j&63)) != 0 {
+			j = uint32(i)
 		}
-		w, b := j>>6, uint64(1)<<(uint(j)&63)
-		if bm[w]&b == 0 {
-			// First visit: position j still holds j.
-			bm[w] |= b
-			moved, held = append(moved, j), append(held, dst[i])
-			dst[i] = j
-			continue
-		}
-		k := slices.Index(moved, j)
-		dst[i], held[k] = held[k], dst[i]
+		bm[j>>6] |= 1 << (j & 63)
+		dst[i] = j
 	}
-	r.moved, r.held = moved, held
 	r.orderSample(dst, d)
 	return dst
 }
 
-// orderSample sorts the distinct sample dst of [0, d) in increasing order
-// and clears the shuffle's guard bits. The members of dst that are ≥ m
-// are exactly the positions the shuffle visited first-hand (a revisited
-// position hands back a value < m), so their bits are the ones set in
-// the bitmap. When m ≥ 8 and the bitmap's w = ⌈d/64⌉ words are at most
-// m²/8, it sets the remaining members' bits and reads the bitmap back in
-// order, in O(w + m); otherwise it calls slices.Sort, in O(m log m), and
-// clears the guard bits through the displaced list. slices.Sort is an
-// insertion sort below 13 elements and mispredicts heavily above, so the
-// break-even w grows faster than m; BenchmarkSampleOrder holds rows on
-// both sides of the rule at m = 8, 16 and 32. The ordering draws
-// nothing, so either branch returns the same slice. (m² overflows only
-// for a dst larger than memory.)
-func (r *RNG) orderSample(dst []int, d int) {
+// orderSample sorts the distinct sample dst of [0, d), whose members are
+// the bits set in the RNG's bitmap, in increasing order, and clears those
+// bits. When m ≥ 8 and the bitmap's w = ⌈d/64⌉ words are at most m²/4,
+// it reads the bitmap back in order, in O(w + m); otherwise it calls
+// slices.Sort, in O(m log m), and clears the members' bits one by one.
+// slices.Sort is an insertion sort below 13 elements and mispredicts
+// heavily above, so the break-even w grows faster than m.
+// BenchmarkSampleOrder holds rows on both sides of the rule at m = 8, 16
+// and 32; on a 2-core Xeon the bitmap read-back won at (1024, 8),
+// (4096, 16) and (8192, 32), tied at (16384, 32), and lost at (2048, 8),
+// (8192, 16) and (32768, 32). Either branch returns the same slice. (m²
+// overflows only for a dst larger than memory.)
+func (r *RNG) orderSample(dst []uint32, d int) {
 	m := len(dst)
-	if m < 8 || (d+63)>>6 > m*m/8 {
+	if m < 8 || (d+63)>>6 > m*m/4 {
 		slices.Sort(dst)
-		for _, j := range r.moved {
+		for _, j := range dst {
 			r.bits[j>>6] = 0
 		}
 		return
 	}
-	r.orderBitmap(dst, d)
+	r.orderBitmap(dst)
 }
 
-// orderBitmap orders the distinct sample dst of [0, d) through the RNG's
-// bitmap, clearing each word as it is read so the bitmap is all zero
-// again on return. Bits already set for members of dst are harmless.
+// orderBitmap writes the members of the RNG's bitmap into dst in
+// increasing order, clearing each word as it is read so the bitmap is
+// all zero again on return. dst must hold exactly as many slots as the
+// bitmap has members.
 //
 // A sparse sample puts a word's member count anywhere from 0 to a few,
 // so a loop over each word's members mispredicts its trip count on
@@ -287,34 +282,27 @@ func (r *RNG) orderSample(dst []int, d int) {
 // filled), and k advances by the word's population count. Only words
 // with more than four members loop, and the last few slots take the
 // plain loop.
-func (r *RNG) orderBitmap(dst []int, d int) {
-	words := (d + 63) >> 6
-	if cap(r.bits) < words {
-		r.bits = make([]uint64, words)
-	}
-	bm := r.bits[:words]
-	for _, v := range dst {
-		bm[v>>6] |= 1 << (uint(v) & 63)
-	}
+func (r *RNG) orderBitmap(dst []uint32) {
+	bm := r.bits
 	m := len(dst)
 	k, w := 0, 0
 	for ; k+4 <= m; w++ {
 		b := bm[w]
 		bm[w] = 0
-		base := w << 6
+		base := uint32(w << 6)
 		n := bits.OnesCount64(b)
 		out := dst[k : k+4 : k+4]
-		out[0] = base | bits.TrailingZeros64(b)
+		out[0] = base | uint32(bits.TrailingZeros64(b))
 		b &= b - 1
-		out[1] = base | bits.TrailingZeros64(b)
+		out[1] = base | uint32(bits.TrailingZeros64(b))
 		b &= b - 1
-		out[2] = base | bits.TrailingZeros64(b)
+		out[2] = base | uint32(bits.TrailingZeros64(b))
 		b &= b - 1
-		out[3] = base | bits.TrailingZeros64(b)
+		out[3] = base | uint32(bits.TrailingZeros64(b))
 		b &= b - 1
 		k += min(n, 4)
 		for ; b != 0; b &= b - 1 {
-			dst[k] = base | bits.TrailingZeros64(b)
+			dst[k] = base | uint32(bits.TrailingZeros64(b))
 			k++
 		}
 	}
@@ -322,7 +310,7 @@ func (r *RNG) orderBitmap(dst []int, d int) {
 		b := bm[w]
 		bm[w] = 0
 		for ; b != 0; b &= b - 1 {
-			dst[k] = w<<6 | bits.TrailingZeros64(b)
+			dst[k] = uint32(w<<6 | bits.TrailingZeros64(b))
 			k++
 		}
 	}

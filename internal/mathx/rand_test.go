@@ -137,7 +137,7 @@ func TestNormalMoments(t *testing.T) {
 
 func TestSampleIndicesProperties(t *testing.T) {
 	r := NewRNG(8)
-	var dst []int
+	var dst []uint32
 	for trial := 0; trial < 200; trial++ {
 		d := 1 + r.IntN(50)
 		m := 1 + r.IntN(d)
@@ -146,7 +146,7 @@ func TestSampleIndicesProperties(t *testing.T) {
 			t.Fatalf("len = %d, want %d", len(dst), m)
 		}
 		for i, v := range dst {
-			if v < 0 || v >= d {
+			if int(v) >= d {
 				t.Fatalf("index %d out of range [0,%d)", v, d)
 			}
 			if i > 0 && dst[i-1] >= v {
@@ -169,7 +169,7 @@ func TestSampleIndicesUniformity(t *testing.T) {
 	r := NewRNG(10)
 	const d, m, trials = 10, 3, 60_000
 	counts := make([]int, d)
-	var dst []int
+	var dst []uint32
 	for i := 0; i < trials; i++ {
 		dst = r.SampleIndices(d, m, dst)
 		for _, v := range dst {

@@ -1,9 +1,6 @@
 package mathx
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // denseSampleIndices is the reference sampler SampleIndices replaced: a
 // partial Fisher–Yates over a materialized d-int permutation followed by
@@ -30,7 +27,21 @@ func denseSampleIndices(r *RNG, d, m int) []int {
 	return dst
 }
 
-// checkGuardClear fails t unless SampleIndices left the RNG's shuffle
+// sameSample reports whether SampleIndices' sample got equals the
+// reference sample want.
+func sameSample(got []uint32, want []int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, j := range want {
+		if got[i] != uint32(j) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkGuardClear fails t unless SampleIndices left the RNG's membership
 // bitmap all zero, as the next call requires.
 func checkGuardClear(t *testing.T, r *RNG, d, m int) {
 	t.Helper()
@@ -44,7 +55,7 @@ func checkGuardClear(t *testing.T, r *RNG, d, m int) {
 func TestSampleIndicesMatchesDenseShuffle(t *testing.T) {
 	shapes := NewRNG(12)
 	sparse, dense := NewRNG(99), NewRNG(99)
-	var dst []int
+	var dst []uint32
 	for trial := 0; trial < 3000; trial++ {
 		d := 1 + shapes.IntN(300)
 		if trial%7 == 0 {
@@ -61,7 +72,7 @@ func TestSampleIndicesMatchesDenseShuffle(t *testing.T) {
 		}
 		dst = sparse.SampleIndices(d, m, dst)
 		want := denseSampleIndices(dense, d, m)
-		if !slices.Equal(dst, want) {
+		if !sameSample(dst, want) {
 			t.Fatalf("trial %d (d=%d, m=%d): sparse %v, dense %v", trial, d, m, dst, want)
 		}
 		checkGuardClear(t, sparse, d, m)
@@ -73,7 +84,7 @@ func TestSampleIndicesMatchesDenseShuffle(t *testing.T) {
 }
 
 func TestSampleIndicesLargeD(t *testing.T) {
-	// Large domains with small samples: the bitmap-guarded shuffle must
+	// Large domains with small samples: the reverse Floyd pass must
 	// still reproduce the dense shuffle exactly, and leave the bitmap
 	// clear, whether the sample is ordered through the bitmap
 	// ((8192, 32)) or by sorting.
@@ -81,7 +92,7 @@ func TestSampleIndicesLargeD(t *testing.T) {
 	for _, sh := range []struct{ d, m int }{{1 << 20, 64}, {8192, 32}, {65536, 32}} {
 		for trial := 0; trial < 50; trial++ {
 			got := sparse.SampleIndices(sh.d, sh.m, nil)
-			if want := denseSampleIndices(dense, sh.d, sh.m); !slices.Equal(got, want) {
+			if want := denseSampleIndices(dense, sh.d, sh.m); !sameSample(got, want) {
 				t.Fatalf("(d=%d, m=%d) trial %d: sparse %v, dense %v", sh.d, sh.m, trial, got, want)
 			}
 			checkGuardClear(t, sparse, sh.d, sh.m)
@@ -91,7 +102,7 @@ func TestSampleIndicesLargeD(t *testing.T) {
 
 func TestSampleIndicesZeroAlloc(t *testing.T) {
 	r := NewRNG(3)
-	dst := make([]int, 32)
+	dst := make([]uint32, 32)
 	r.SampleIndices(1024, 32, dst) // size the RNG's scratch once
 	allocs := testing.AllocsPerRun(200, func() {
 		dst = r.SampleIndices(1024, 32, dst)
@@ -99,6 +110,46 @@ func TestSampleIndicesZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("SampleIndices into a sized dst: %v allocs/op, want 0", allocs)
 	}
+}
+
+// FuzzSampleIndicesParity: for any seed and shape, SampleIndices returns
+// the dense shuffle's sample and leaves the stream where the dense
+// shuffle leaves it, on both sides of orderSample's bitmap/sort rule
+// (the seeds hold shapes of each), and leaves the bitmap all zero for
+// the next call — checked on two calls through one RNG.
+func FuzzSampleIndicesParity(f *testing.F) {
+	for _, c := range []struct {
+		seed uint64
+		d, m uint32
+	}{
+		{1, 1024, 32},  // bitmap
+		{2, 16384, 32}, // bitmap, at the rule's edge
+		{3, 16385, 32}, // sort, just past it
+		{4, 2048, 8},   // sort
+		{5, 1024, 8},   // bitmap
+		{6, 10, 3},     // sort (m < 8)
+		{7, 300, 300},  // full permutation
+		{8, 5, 9},      // clamped
+		{9, 1, 1},
+	} {
+		f.Add(c.seed, c.d, c.m)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, d, m uint32) {
+		dd := max(1, int(d%(1<<17)))
+		mm := int(m % 1024)
+		sparse, dense := NewRNG(seed), NewRNG(seed)
+		var dst []uint32
+		for call := 0; call < 2; call++ {
+			dst = sparse.SampleIndices(dd, mm, dst)
+			if want := denseSampleIndices(dense, dd, mm); !sameSample(dst, want) {
+				t.Fatalf("call %d (d=%d, m=%d): got %v, dense %v", call, dd, mm, dst, want)
+			}
+			checkGuardClear(t, sparse, dd, mm)
+			if a, b := sparse.Float64(), dense.Float64(); a != b {
+				t.Fatalf("call %d (d=%d, m=%d): streams diverged after sampling", call, dd, mm)
+			}
+		}
+	})
 }
 
 func TestReseedMatchesNewRNG(t *testing.T) {

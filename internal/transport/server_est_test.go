@@ -51,11 +51,9 @@ func TestServerServesFrequencyEstimator(t *testing.T) {
 			defer cl.Close()
 			rng := mathx.NewRNG(50).Child(uint64(c))
 			for i := c; i < ds.NumUsers(); i += conns {
-				dims := rng.SampleIndices(len(cards), 2, nil)
-				rep := est.Report{Dims: make([]uint32, len(dims))}
-				for di, j := range dims {
-					rep.Dims[di] = uint32(j)
-					cat := ds.Value(i, j)
+				rep := est.Report{Dims: rng.SampleIndices(len(cards), 2, nil)}
+				for _, j := range rep.Dims {
+					cat := ds.Value(i, int(j))
 					for k := 0; k < cards[j]; k++ {
 						e := -1.0
 						if k == cat {
