@@ -62,17 +62,11 @@ type EpochConfig struct {
 func NewEpochQueryRegistry(acct *Accountant, cfg EpochConfig) (*Registry, error) {
 	ecfg := epoch.Config{Every: cfg.Every, Retain: cfg.Retain, Lateness: cfg.Lateness}
 	factory := func(spec est.QuerySpec) (est.Estimator, error) {
-		inner, err := estimatorForSpec(spec)
+		fam, err := familyForSpec(spec)
 		if err != nil {
 			return nil, err
 		}
-		var scratch est.Estimator
-		if ecfg.Lateness == epoch.Bucket {
-			if scratch, err = estimatorForSpec(spec); err != nil {
-				return nil, err
-			}
-		}
-		return epoch.New(inner, scratch, ecfg)
+		return epoch.New(fam, ecfg)
 	}
 	if cfg.Horizon > 0 {
 		if acct == nil {
@@ -254,31 +248,20 @@ func (s *Session) DecayedEstimate(gamma float64) ([]float64, error) {
 	return s.ring.DecayedEstimate(gamma)
 }
 
-// buildRing wraps the session's freshly built estimator in an epoch
-// ring, constructing the scratch estimator the Bucket lateness policy
-// folds late reports through. Called from New when any epoch option is
-// set.
-func (s *Session) buildRing(e Estimator) (*epoch.Ring, error) {
+// buildRing wraps the session's family core in an epoch ring. Called
+// from New when any epoch option is set.
+func (s *Session) buildRing() (*epoch.Ring, error) {
 	c := &s.cfg
-	if c.custom != nil {
-		// buildEstimator would hand back the same injected instance as
-		// "scratch", and rotation semantics of an arbitrary estimator are
-		// unknowable here.
+	if s.fam == nil {
+		// Rotation semantics of an arbitrary estimator are unknowable here.
 		return nil, fmt.Errorf("hdr4me: epoch options cannot wrap a custom estimator")
-	}
-	var scratch Estimator
-	if c.lateness == LateBucket {
-		var err error
-		if scratch, err = buildEstimator(c); err != nil {
-			return nil, err
-		}
 	}
 	retain := c.epochRetain
 	if retain < c.window {
 		// A w-epoch window needs w-1 frozen epochs; keep the whole window.
 		retain = c.window
 	}
-	return epoch.New(e, scratch, epoch.Config{
+	return epoch.New(s.fam, epoch.Config{
 		Every:    c.epochEvery,
 		Retain:   retain,
 		Lateness: c.lateness,

@@ -101,7 +101,7 @@ func (s *Session) SaveCheckpoint() error {
 	// encodes it, so it goes back to the pool once the file is written.
 	fold := est.GetScratch()
 	defer est.PutScratch(fold)
-	est.SnapshotInto(s.est, fold)
+	s.est.SnapshotInto(fold)
 	rec := persist.QueryRecord{Spec: spec, Snap: *fold}
 	if s.ring != nil {
 		cur, entries := s.ring.State()

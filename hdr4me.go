@@ -1,7 +1,6 @@
 package hdr4me
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -151,16 +150,7 @@ func UniformSpec(values ...float64) DataSpec { return analysis.UniformSpec(value
 // spaced across [−1, 1] with equal mass (k ≥ 2; anything less cannot span
 // the domain and panics). The collector-side enhancement paths use the
 // 21-atom instance.
-func UniformGridSpec(k int) DataSpec {
-	if k < 2 {
-		panic(fmt.Sprintf("hdr4me: UniformGridSpec needs k ≥ 2, have %d", k))
-	}
-	vals := make([]float64, k)
-	for i := range vals {
-		vals[i] = -1 + 2*float64(i)/float64(k-1)
-	}
-	return analysis.UniformSpec(vals...)
-}
+func UniformGridSpec(k int) DataSpec { return analysis.UniformGridSpec(k) }
 
 // CaseStudySpec returns the §IV-C case-study data model.
 func CaseStudySpec() DataSpec { return analysis.CaseStudySpec() }

@@ -1,10 +1,11 @@
-package analysis
+package analysis_test
 
 import (
 	"context"
 	"math"
 	"testing"
 
+	"github.com/hdr4me/hdr4me/internal/analysis"
 	"github.com/hdr4me/hdr4me/internal/dataset"
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/highdim"
@@ -45,8 +46,8 @@ func TestSquareWaveDeviationMatchesEmpirical(t *testing.T) {
 		ds.Row(i, row)
 		col[i] = row[0]
 	}
-	spec := SpecFromCounts(col)
-	fw := Framework{Mech: ldp.SquareWave{}, EpsPerDim: p.EpsPerDim(), R: float64(n)}
+	spec := analysis.SpecFromCounts(col)
+	fw := analysis.Framework{Mech: ldp.SquareWave{}, EpsPerDim: p.EpsPerDim(), R: float64(n)}
 	dev := fw.Deviation(&spec)
 
 	var w mathx.Welford
@@ -63,5 +64,51 @@ func TestSquareWaveDeviationMatchesEmpirical(t *testing.T) {
 	}
 	if rel := math.Abs(w.Var()-dev.Sigma2) / dev.Sigma2; rel > 0.3 {
 		t.Errorf("empirical var %v, framework σ² %v", w.Var(), dev.Sigma2)
+	}
+}
+
+func TestDeviationMatchesEmpiricalDistribution(t *testing.T) {
+	// The heart of Fig. 2: the Lemma 2/3 Gaussian must match the empirical
+	// distribution of θ̂ⱼ − θ̄ⱼ over repeated collection rounds.
+	if testing.Short() {
+		t.Skip("empirical CLT check skipped in -short")
+	}
+	const (
+		n      = 4000
+		d      = 8
+		eps    = 4.0
+		trials = 600
+	)
+	ds := dataset.Memoize(dataset.NewCaseStudyDiscrete(n, d, 33))
+	truth := ds.TrueMean()
+	spec := analysis.CaseStudySpec()
+
+	for _, mech := range []ldp.Mechanism{ldp.Laplace{}, ldp.Piecewise{}} {
+		p, err := highdim.NewProtocol(mech, eps, d, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := analysis.Framework{Mech: mech, EpsPerDim: p.EpsPerDim(), R: p.ExpectedReports(n)}
+		var dev analysis.Deviation
+		if mech.Bounded() {
+			dev = f.Deviation(&spec)
+		} else {
+			dev = f.Deviation(nil)
+		}
+		var w mathx.Welford
+		rng := mathx.NewRNG(77)
+		for tr := 0; tr < trials; tr++ {
+			agg, err := simulate(p, ds, rng.Child(uint64(tr)), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Add(agg.Estimate()[0] - truth[0])
+		}
+		if math.Abs(w.Mean()-dev.Delta) > 5*dev.Sigma()/math.Sqrt(trials) {
+			t.Errorf("%s: empirical mean dev %v, framework δ %v (σ=%v)", mech.Name(), w.Mean(), dev.Delta, dev.Sigma())
+		}
+		if rel := math.Abs(w.Var()-dev.Sigma2) / dev.Sigma2; rel > 0.25 {
+			t.Errorf("%s: empirical var %v, framework σ² %v", mech.Name(), w.Var(), dev.Sigma2)
+		}
 	}
 }

@@ -57,6 +57,19 @@ func UniformSpec(values ...float64) DataSpec {
 	return DataSpec{Values: values, Probs: probs}
 }
 
+// UniformGridSpec is the uninformative prior over [−1, 1]: k atoms evenly
+// spaced from −1 to 1, each with probability 1/k (k ≥ 2).
+func UniformGridSpec(k int) DataSpec {
+	if k < 2 {
+		panic(fmt.Sprintf("analysis: UniformGridSpec needs k ≥ 2, have %d", k))
+	}
+	vals := make([]float64, k)
+	for i := range vals {
+		vals[i] = -1 + 2*float64(i)/float64(k-1)
+	}
+	return UniformSpec(vals...)
+}
+
 // CaseStudySpec is the §IV-C workload: v = 10 values {0.1, ..., 1.0}, each
 // with probability 10%.
 func CaseStudySpec() DataSpec {

@@ -29,7 +29,7 @@ func BenchmarkEpochIngest(b *testing.B) {
 	}
 	newRing := func(b *testing.B) *Ring {
 		b.Helper()
-		r, err := New(newAgg(b), newAgg(b), Config{Every: benchEvery})
+		r, err := New(newAgg(b).Family, Config{Every: benchEvery})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkWindowEstimate(b *testing.B) {
 				}
 				return highdim.NewAggregator(p)
 			}
-			r, err := New(newAgg(), newAgg(), Config{})
+			r, err := New(newAgg().Family, Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -102,7 +102,7 @@ func TestUnseenFreqDimensionOneEstimate(t *testing.T) {
 		return f
 	}
 	inner := mk()
-	ring, err := New(inner, mk(), Config{})
+	ring, err := New(inner.Family, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +117,14 @@ func TestUnseenFreqDimensionOneEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		from, err := inner.EstimateFrom(ring.Snapshot())
+		from, err := inner.EstimateFromInto(nil, ring.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, got := range []struct {
 			path string
 			vec  []float64
-		}{{"WindowEstimate(1)", window}, {"DecayedEstimate(1)", decayed}, {"EstimateFrom(Snapshot())", from}} {
+		}{{"WindowEstimate(1)", window}, {"DecayedEstimate(1)", decayed}, {"EstimateFromInto(Snapshot())", from}} {
 			if len(got.vec) != len(live) {
 				t.Fatalf("%s: %s has %d entries, Estimate %d", state, got.path, len(got.vec), len(live))
 			}

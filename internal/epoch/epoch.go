@@ -1,13 +1,13 @@
 // Package epoch adds continual collection on top of the one-shot
-// estimator families: a Ring wraps any rotatable estimator and slices
+// estimator families: a Ring wraps a family's est.Family core and slices
 // its accumulation into epochs — the live epoch accumulates in the
-// wrapped estimator's stripe lanes exactly as before (the ingest hot
-// path is untouched), and a rotation drain-folds those lanes into a
-// bounded ring of frozen per-epoch snapshots.
+// core's stripe lanes exactly as before (the ingest hot path is
+// untouched), and a rotation drain-folds those lanes into a bounded
+// ring of frozen per-epoch snapshots.
 //
 // Three read paths derive from the ring without ever blocking ingest:
 //
-//   - current-epoch: the wrapped estimator's ordinary Estimate/Snapshot,
+//   - current-epoch: the wrapped core's ordinary Estimate/Snapshot,
 //     which after a rotation covers only reports since that rotation;
 //   - sliding-window: WindowSnapshot/WindowEstimate fold the live epoch
 //     plus the last W−1 frozen epochs (int64 counts add exactly, float
@@ -15,7 +15,7 @@
 //     fixed order so the fold is deterministic);
 //   - decayed: DecayedEstimate folds every retained epoch with weight
 //     γ^age (live epoch age 0), producing real-valued effective counts
-//     fed through the family's WeightedEstimator.
+//     fed through the family's weighted estimate.
 //
 // Rotation triggers are the caller's: call Rotate from a wall-clock
 // ticker, or construct the Ring with Every > 0 to rotate after that many
@@ -109,16 +109,17 @@ type Entry struct {
 	Snap est.Snapshot
 }
 
-// Ring wraps a rotatable estimator with an epoch ring. It implements
-// est.Estimator (plus BatchAdder/LaneProvider) by delegating to the
-// wrapped estimator, so a Ring registers, serves and checkpoints exactly
-// like the estimator it wraps — Snapshot/Estimate/Counts cover the LIVE
-// epoch only; the frozen epochs are read through the Window/Decayed
-// paths and persisted through State. Safe for concurrent use.
+// Ring wraps a family core with an epoch ring. It implements est.Core
+// by embedding the core — Snapshot/Estimate/Counts/Enhanced cover the
+// LIVE epoch only, and Merge folds into it — and overrides only the
+// ingest paths, which count reports toward the rotation trigger. The
+// frozen epochs are read through the Window/Decayed paths and persisted
+// through State. Safe for concurrent use.
 type Ring struct {
-	inner   est.Estimator
-	rot     est.Rotator // inner, asserted once at construction
-	scratch est.Estimator
+	*est.Family
+	// scratch is an empty sibling of the core that the Bucket policy
+	// folds late reports through (nil under the other policies).
+	scratch *est.Family
 	cfg     Config
 
 	pending atomic.Int64 // reports accepted since the last rotation
@@ -131,26 +132,10 @@ type Ring struct {
 	entries []Entry
 }
 
-// New wraps inner (and scratch, an identically configured sibling used
-// to validate and fold late reports under the Bucket policy) in an epoch
-// ring. inner must implement est.Rotator and est.SnapshotEstimator;
-// scratch must implement est.Rotator and may be nil when cfg.Lateness is
-// not Bucket.
-func New(inner, scratch est.Estimator, cfg Config) (*Ring, error) {
-	rot, ok := inner.(est.Rotator)
-	if !ok {
-		return nil, fmt.Errorf("epoch: %T cannot rotate (no est.Rotator)", inner)
-	}
-	if _, ok := inner.(est.SnapshotEstimator); !ok {
-		return nil, fmt.Errorf("epoch: %T cannot estimate from a fold (no est.SnapshotEstimator)", inner)
-	}
-	if cfg.Lateness == Bucket {
-		if scratch == nil {
-			return nil, fmt.Errorf("epoch: Bucket lateness policy needs a scratch estimator")
-		}
-		if _, ok := scratch.(est.Rotator); !ok {
-			return nil, fmt.Errorf("epoch: scratch %T cannot rotate (no est.Rotator)", scratch)
-		}
+// New wraps the family core inner in an epoch ring.
+func New(inner *est.Family, cfg Config) (*Ring, error) {
+	if inner == nil {
+		return nil, fmt.Errorf("epoch: nil family core")
 	}
 	if cfg.Retain < 1 {
 		cfg.Retain = DefaultRetain
@@ -158,20 +143,18 @@ func New(inner, scratch est.Estimator, cfg Config) (*Ring, error) {
 	if cfg.Every < 0 {
 		return nil, fmt.Errorf("epoch: negative report-count trigger %d", cfg.Every)
 	}
-	return &Ring{inner: inner, rot: rot, scratch: scratch, cfg: cfg}, nil
+	r := &Ring{Family: inner, cfg: cfg}
+	if cfg.Lateness == Bucket {
+		r.scratch = inner.Empty()
+	}
+	return r, nil
 }
 
-// ---- est.Estimator by delegation (live epoch) -------------------------------
-
-// Kind implements est.Estimator.
-func (r *Ring) Kind() string { return r.inner.Kind() }
-
-// Dims implements est.Estimator.
-func (r *Ring) Dims() int { return r.inner.Dims() }
+// ---- ingest into the live epoch ----------------------------------------------
 
 // Observe implements est.Estimator against the live epoch.
 func (r *Ring) Observe(t est.Tuple, rng *mathx.RNG) error {
-	if err := r.inner.Observe(t, rng); err != nil {
+	if err := r.Family.Observe(t, rng); err != nil {
 		return err
 	}
 	r.tick(1)
@@ -180,7 +163,7 @@ func (r *Ring) Observe(t est.Tuple, rng *mathx.RNG) error {
 
 // AddReport implements est.Estimator against the live epoch.
 func (r *Ring) AddReport(rep est.Report) error {
-	if err := r.inner.AddReport(rep); err != nil {
+	if err := r.Family.AddReport(rep); err != nil {
 		return err
 	}
 	r.tick(1)
@@ -189,53 +172,28 @@ func (r *Ring) AddReport(rep est.Report) error {
 
 // AddReports implements est.BatchAdder against the live epoch.
 func (r *Ring) AddReports(reps []est.Report) (int, error) {
-	accepted, err := est.AddReports(r.inner, reps)
+	accepted, err := r.Family.AddReports(reps)
 	r.tick(int64(accepted))
 	return accepted, err
 }
 
-// Estimate implements est.Estimator: the live epoch's estimate.
-func (r *Ring) Estimate() []float64 { return r.EstimateInto(nil) }
-
-// EstimateInto implements est.VectorFolder: the live epoch's estimate,
-// written into dst.
-func (r *Ring) EstimateInto(dst []float64) []float64 { return est.EstimateInto(r.inner, dst) }
-
-// Counts implements est.Estimator: the live epoch's counts.
-func (r *Ring) Counts() []int64 { return r.CountsInto(nil) }
-
-// CountsInto implements est.VectorFolder: the live epoch's counts,
-// written into dst.
-func (r *Ring) CountsInto(dst []int64) []int64 { return est.CountsInto(r.inner, dst) }
-
-// Snapshot implements est.Estimator: the live epoch's accumulation. The
-// frozen epochs are read through State and the Window/Decayed paths.
-func (r *Ring) Snapshot() est.Snapshot { return r.inner.Snapshot() }
-
-// SnapshotInto implements est.SnapshotFolder: the live epoch's
-// accumulation, folded into dst's arrays.
-func (r *Ring) SnapshotInto(dst *est.Snapshot) { est.SnapshotInto(r.inner, dst) }
-
-// Merge implements est.Estimator: peer snapshots fold into the live epoch.
-func (r *Ring) Merge(s est.Snapshot) error { return r.inner.Merge(s) }
-
-// Enhanced implements est.Enhancer when the wrapped estimator does.
-func (r *Ring) Enhanced() ([]float64, error) { return r.EnhancedInto(nil) }
-
-// EnhancedInto implements est.EnhancedFolder: Enhanced into dst.
-func (r *Ring) EnhancedInto(dst []float64) ([]float64, error) {
-	if en, ok := r.inner.(est.Enhancer); ok {
-		return est.EnhancedInto(en, dst)
-	}
-	return nil, fmt.Errorf("epoch: %T has no enhanced estimate", r.inner)
+// AddColumns implements est.ColumnAdder against the live epoch.
+func (r *Ring) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
+	accepted, err := r.Family.AddColumns(n, ndims, nvals, dims, vals)
+	r.tick(int64(accepted))
+	return accepted, err
 }
 
-// AcquireLane implements est.LaneProvider: the returned lane accumulates
-// into the live epoch under one stripe of the wrapped estimator and
-// counts accepted reports toward the report-count rotation trigger with
-// one atomic add per call — nothing else rides the hot path.
+// AcquireLane returns a lane into the live epoch under one stripe of the
+// core. With a report-count trigger the lane counts accepted reports
+// toward it, one atomic add per call; without one it is the core's own
+// lane.
 func (r *Ring) AcquireLane() est.Lane {
-	return ringLane{r: r, lane: est.AcquireLane(r.inner)}
+	lane := r.Family.AcquireLane()
+	if r.cfg.Every <= 0 {
+		return lane
+	}
+	return ringLane{r: r, lane: lane}
 }
 
 type ringLane struct {
@@ -257,11 +215,8 @@ func (l ringLane) AddReports(reps []est.Report) (int, error) {
 	return accepted, err
 }
 
-// AddColumns implements est.ColumnAdder, so a columnar batch reaches the
-// wrapped estimator's columnar fast path instead of est.AddColumns'
-// per-report fallback.
 func (l ringLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	accepted, err := est.AddColumns(l.lane, n, ndims, nvals, dims, vals)
+	accepted, err := l.lane.AddColumns(n, ndims, nvals, dims, vals)
 	l.r.tick(int64(accepted))
 	return accepted, err
 }
@@ -283,7 +238,7 @@ func (r *Ring) tick(n int64) {
 
 // ---- rotation ---------------------------------------------------------------
 
-// Rotate freezes the live epoch: the wrapped estimator's stripes are
+// Rotate freezes the live epoch: the core's stripes are
 // drained into a snapshot appended to the ring (compacting the oldest
 // frozen epoch beyond the retention cap) and the next epoch starts
 // empty. Returns the id of the NEW live epoch.
@@ -294,7 +249,7 @@ func (r *Ring) Rotate() uint64 {
 }
 
 func (r *Ring) rotateLocked() uint64 {
-	snap := r.rot.Rotate()
+	snap := r.Family.Rotate()
 	// A new list rather than an in-place shift: State may have handed
 	// the current one out.
 	kept := r.entries[max(0, len(r.entries)+1-r.cfg.Retain):]
@@ -316,7 +271,7 @@ func (r *Ring) Current() uint64 {
 // ---- late reports -----------------------------------------------------------
 
 // AddLate accumulates reports tagged with epoch id. Reports for the live
-// epoch fold into the wrapped estimator under the ring lock (serialized
+// epoch fold into the core under the ring lock (serialized
 // with rotation, so a tagged report can never leak into the wrong
 // epoch); reports for a frozen epoch follow the lateness policy. The
 // return contract is est.BatchAdder's.
@@ -327,7 +282,7 @@ func (r *Ring) AddLate(id uint64, reps []est.Report) (int, error) {
 	case id > r.cur:
 		return 0, fmt.Errorf("epoch: report for future epoch %d (live epoch is %d)", id, r.cur)
 	case id == r.cur:
-		accepted, err := est.AddReports(r.inner, reps)
+		accepted, err := r.Family.AddReports(reps)
 		r.pending.Add(int64(accepted)) // trigger handled at next un-tagged tick or Rotate
 		return accepted, err
 	}
@@ -335,11 +290,11 @@ func (r *Ring) AddLate(id uint64, reps []est.Report) (int, error) {
 	case Reject:
 		return 0, fmt.Errorf("epoch: late report for epoch %d rejected (live epoch is %d)", id, r.cur)
 	case Current:
-		accepted, err := est.AddReports(r.inner, reps)
+		accepted, err := r.Family.AddReports(reps)
 		r.pending.Add(int64(accepted))
 		return accepted, err
 	}
-	// Bucket: fold through the scratch estimator so the family's own
+	// Bucket: fold through the scratch core so the family's own
 	// validation applies, then add the frozen snapshot onto the drained
 	// delta — fresh arrays — and swap the sum in as a new entry list:
 	// the frozen snapshot itself is never written (copy-on-write). The
@@ -349,9 +304,9 @@ func (r *Ring) AddLate(id uint64, reps []est.Report) (int, error) {
 		return 0, fmt.Errorf("epoch: epoch %d was compacted away (retaining %d epochs before live %d)",
 			id, len(r.entries), r.cur)
 	}
-	accepted, err := est.AddReports(r.scratch, reps)
+	accepted, err := r.scratch.AddReports(reps)
 	if accepted > 0 {
-		sum := r.scratch.(est.Rotator).Rotate()
+		sum := r.scratch.Rotate()
 		frozen := r.entries[i].Snap
 		for j, s := range frozen.Sums {
 			// Plain adds, intentionally: a frozen snapshot has no Kahan
@@ -405,7 +360,7 @@ func (r *Ring) windowInto(dst *est.Snapshot, w int) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	est.SnapshotInto(r.inner, dst)
+	r.Family.SnapshotInto(dst)
 	sums, counts := dst.Sums, dst.Counts // the fold's own output arrays
 	frozen := min(w-1, len(r.entries))
 	for _, e := range r.entries[len(r.entries)-frozen:] {
@@ -432,7 +387,7 @@ func (r *Ring) WindowEstimateInto(dst []float64, w int) ([]float64, error) {
 	if err := r.windowInto(f, w); err != nil {
 		return nil, err
 	}
-	return r.inner.(est.SnapshotEstimator).EstimateFromInto(dst, *f)
+	return r.Family.EstimateFromInto(dst, *f)
 }
 
 // weightPool recycles DecayedEstimate's real-valued effective counts.
@@ -453,14 +408,10 @@ func (r *Ring) DecayedEstimateInto(dst []float64, gamma float64) ([]float64, err
 	if !(gamma > 0 && gamma <= 1) || math.IsNaN(gamma) {
 		return nil, fmt.Errorf("epoch: decay factor %v outside (0, 1]", gamma)
 	}
-	we, ok := r.inner.(est.WeightedEstimator)
-	if !ok {
-		return nil, fmt.Errorf("epoch: %T has no weighted estimate", r.inner)
-	}
 	live := est.GetScratch()
 	defer est.PutScratch(live)
 	r.mu.Lock()
-	est.SnapshotInto(r.inner, live)
+	r.Family.SnapshotInto(live)
 	sums := live.Sums // pooled scratch — safe to mutate
 	cp := weightPool.Get(len(live.Counts))
 	defer weightPool.Put(cp)
@@ -478,7 +429,7 @@ func (r *Ring) DecayedEstimateInto(dst []float64, gamma float64) ([]float64, err
 		}
 	}
 	r.mu.Unlock()
-	return we.EstimateWeightedInto(dst, sums, counts)
+	return r.Family.EstimateWeightedInto(dst, sums, counts)
 }
 
 // ---- persistence ------------------------------------------------------------
@@ -487,9 +438,8 @@ func (r *Ring) DecayedEstimateInto(dst []float64, gamma float64) ([]float64, err
 // for checkpointing. The entries are the ring's own, shared rather than
 // copied: frozen epochs are immutable, so they stay valid however the
 // ring moves on, and the caller must not modify them. The live epoch's
-// accumulation is NOT included — it is the wrapped estimator's
-// Snapshot, which the checkpoint captures through the ordinary
-// est.Estimator path.
+// accumulation is NOT included — it is the core's Snapshot, which the
+// checkpoint captures through the ordinary est.Estimator path.
 func (r *Ring) State() (cur uint64, entries []Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -497,14 +447,14 @@ func (r *Ring) State() (cur uint64, entries []Entry) {
 }
 
 // SetState restores a checkpointed ring: the live epoch id and the
-// frozen entries (validated against the wrapped estimator's shape and
+// frozen entries (validated against the core's shape and
 // required to be contiguous ids ending at cur−1). The live epoch's
 // accumulation is restored separately via Merge. Entries beyond the
 // retention cap are compacted, oldest first, exactly as rotation would.
 // The ring keeps the entries' snapshots, as frozen epochs it never
 // writes; the caller must not modify them afterwards.
 func (r *Ring) SetState(cur uint64, entries []Entry) error {
-	shape := r.inner.Snapshot()
+	shape := r.Family.Snapshot()
 	for i, e := range entries {
 		if e.Snap.Kind != shape.Kind ||
 			len(e.Snap.Sums) != len(shape.Sums) || len(e.Snap.Counts) != len(shape.Counts) {
@@ -526,13 +476,4 @@ func (r *Ring) SetState(cur uint64, entries []Entry) error {
 	return nil
 }
 
-var (
-	_ est.Estimator    = (*Ring)(nil)
-	_ est.BatchAdder   = (*Ring)(nil)
-	_ est.LaneProvider = (*Ring)(nil)
-	_ est.Enhancer     = (*Ring)(nil)
-
-	_ est.SnapshotFolder = (*Ring)(nil)
-	_ est.VectorFolder   = (*Ring)(nil)
-	_ est.EnhancedFolder = (*Ring)(nil)
-)
+var _ est.Core = (*Ring)(nil)

@@ -27,7 +27,7 @@ func meanEst(t *testing.T) *highdim.Aggregator {
 // meanRing wraps a fresh mean estimator (plus scratch) in a ring.
 func meanRing(t *testing.T, cfg Config) *Ring {
 	t.Helper()
-	r, err := New(meanEst(t), meanEst(t), cfg)
+	r, err := New(meanEst(t).Family, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,19 +419,15 @@ func TestSetStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRingDelegation: the ring keeps the wrapped estimator's surface —
-// kind, dims, merge, enhanced error shape — and New rejects estimators
-// that cannot rotate.
+// TestRingDelegation: the ring keeps the wrapped core's surface — kind,
+// dims, merge, enhanced error shape — and New rejects a nil core and a
+// negative trigger.
 func TestRingDelegation(t *testing.T) {
 	f, err := freq.NewFlat(freq.Protocol{Mech: ldp.Laplace{}, Eps: 2, Cards: []int{3, 4}, M: 2}, recal.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := freq.NewFlat(freq.Protocol{Mech: ldp.Laplace{}, Eps: 2, Cards: []int{3, 4}, M: 2}, recal.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := New(f, scratch, Config{})
+	ring, err := New(f.Family, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,13 +446,10 @@ func TestRingDelegation(t *testing.T) {
 		t.Fatalf("freq rotation lost the cards: %+v", entries)
 	}
 
-	if _, err := New(nil, nil, Config{}); err == nil {
+	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("nil inner accepted")
 	}
-	if _, err := New(meanEst(t), nil, Config{Lateness: Bucket}); err == nil {
-		t.Fatal("Bucket policy without scratch accepted")
-	}
-	if _, err := New(meanEst(t), meanEst(t), Config{Every: -1}); err == nil {
+	if _, err := New(meanEst(t).Family, Config{Every: -1}); err == nil {
 		t.Fatal("negative trigger accepted")
 	}
 }

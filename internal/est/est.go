@@ -10,11 +10,17 @@
 // and fold together — the associativity that makes the collector scale
 // horizontally.
 //
-// The collector-side aggregation every family ends in is written once,
-// here: Ingest owns the lock-striped accumulation lanes and every path
-// into them (per report, batch, columnar, acquired lane, merge), and a
-// family contributes only a Kernel that checks one report against its
-// grammar and folds it into the *Lanes it is handed (see stripes.go).
+// The contract is implemented once, here. Family (family.go) is the one
+// estimator core: striped ingest and lanes, the fold, the naive estimate
+// and the reads into a caller's vector, estimates from a snapshot or a
+// weighted fold, Snapshot, Rotate, Merge and the one-pass HDR4ME
+// estimate. A family package supplies only a Kernel, which checks one
+// report against its grammar and folds it into the *Lanes it is handed
+// (see stripes.go), and a Calibrator: its MakeReport, its Calibrate from a
+// fold to the naive estimate and, to be re-calibrated, its Enhance loop
+// over the per-entry deviations. Core is that whole contract; Adapt
+// wraps a custom Estimator in it once, so the registry, the server, the
+// epoch ring and the Session never probe for optional interfaces.
 package est
 
 import (
@@ -102,7 +108,7 @@ type Estimator interface {
 // rejection for diagnostics and is nil when everything landed. Partial
 // success is therefore expressed by accepted < len(reps), not by err —
 // callers that treat any non-nil err as total failure must check accepted
-// first. All three built-in families implement BatchAdder.
+// first.
 type BatchAdder interface {
 	AddReports(reps []Report) (accepted int, err error)
 }
@@ -114,31 +120,15 @@ type BatchAdder interface {
 // dimension columns and the contiguous value run land in stripe lanes
 // without materializing per-report structures. The return contract is
 // BatchAdder's: malformed rows are skipped, accepted counts the rest,
-// err carries the first rejection. All three built-in families (and
-// their lanes) implement ColumnAdder.
+// err carries the first rejection.
 type ColumnAdder interface {
 	AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (accepted int, err error)
 }
 
-// AddColumns bulk-adds a columnar batch through lane l: via its
-// ColumnAdder fast path when implemented, by materializing per-report
-// views over the columns and batch-adding them otherwise. The layout and
+// AddColumns bulk-adds a columnar batch through lane l; the layout and
 // return contract are ColumnAdder's.
 func AddColumns(l Lane, n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	if ca, ok := l.(ColumnAdder); ok {
-		return ca.AddColumns(n, ndims, nvals, dims, vals)
-	}
-	if err := CheckColumns(n, ndims, nvals, len(dims), len(vals)); err != nil {
-		return 0, err
-	}
-	reps := make([]Report, n)
-	for i := range reps {
-		reps[i] = Report{
-			Dims:   dims[i*ndims : (i+1)*ndims],
-			Values: vals[i*nvals : (i+1)*nvals],
-		}
-	}
-	return l.AddReports(reps)
+	return l.AddColumns(n, ndims, nvals, dims, vals)
 }
 
 // CheckColumns validates the shape invariant shared by every ColumnAdder:
@@ -161,55 +151,24 @@ func CheckColumns(n, ndims, nvals, lenDims, lenVals int) error {
 // Lane is a stripe-bound ingest handle: every report added through one
 // Lane accumulates under the same stripe lock, in arrival order, so a
 // single caller's stream keeps the serial path's exact floating-point
-// association while independent lanes never contend. AddReports shares
-// BatchAdder's skip-don't-abort contract.
+// association while independent lanes never contend. AddReports and
+// AddColumns share BatchAdder's skip-don't-abort contract.
 type Lane interface {
 	AddReport(rep Report) error
-	AddReports(reps []Report) (accepted int, err error)
+	BatchAdder
+	ColumnAdder
 }
 
-// LaneProvider is implemented by estimators with lock-striped
-// accumulation: AcquireLane binds the caller to one stripe (round-robin)
-// for the lifetime of the handle. Long-lived ingest loops — a collector
-// connection, a Run worker — acquire once and reuse the lane.
-type LaneProvider interface {
-	AcquireLane() Lane
-}
-
-// AddReports batch-adds into any estimator: through its BatchAdder fast
-// path when implemented, one AddReport at a time otherwise. The return
-// contract is BatchAdder's.
+// AddReports batch-adds into any estimator under the BatchAdder
+// contract: through its Core, or one AddReport at a time for a custom
+// estimator (see Adapt).
 func AddReports(e Estimator, reps []Report) (accepted int, err error) {
-	if ba, ok := e.(BatchAdder); ok {
-		return ba.AddReports(reps)
-	}
-	for _, rep := range reps {
-		if aerr := e.AddReport(rep); aerr != nil {
-			if err == nil {
-				err = aerr
-			}
-			continue
-		}
-		accepted++
-	}
-	return accepted, err
+	return Adapt(e).AddReports(reps)
 }
 
-// AcquireLane returns an ingest lane for e: a striped lane when the
-// estimator provides them, a pass-through adapter otherwise.
-func AcquireLane(e Estimator) Lane {
-	if lp, ok := e.(LaneProvider); ok {
-		return lp.AcquireLane()
-	}
-	return passLane{e}
-}
-
-// passLane adapts a non-striped estimator to the Lane surface.
-type passLane struct{ e Estimator }
-
-func (l passLane) AddReport(rep Report) error { return l.e.AddReport(rep) }
-
-func (l passLane) AddReports(reps []Report) (int, error) { return AddReports(l.e, reps) }
+// AcquireLane returns an ingest lane for e: a striped lane for every
+// built-in family, a pass-through for a custom estimator.
+func AcquireLane(e Estimator) Lane { return Adapt(e).AcquireLane() }
 
 // Reporter is implemented by estimators whose user-side perturbation can
 // run detached from accumulation: MakeReport perturbs one raw tuple into
@@ -228,41 +187,15 @@ type Reporter interface {
 // into a frozen snapshot atomically — the primitive the epoch subsystem
 // rotates on. Rotate is Snapshot plus a reset under the same lock hold:
 // reports accumulated before the call land in the returned snapshot,
-// reports after start the next epoch from zero. All three built-in
-// families implement Rotator by forwarding to their Ingest core's
-// DrainFold.
+// reports after start the next epoch from zero. Family implements it
+// with its Stripes' DrainFold.
 type Rotator interface {
 	Rotate() Snapshot
 }
 
-// SnapshotEstimator is implemented by estimators that can compute their
-// estimate from an arbitrary same-shape snapshot instead of their own
-// live accumulation — the read path windowed (multi-epoch) estimates
-// fold through. The estimate is written into dst, as VectorFolder's
-// methods do. The snapshot may be pooled scratch (GetScratch):
-// EstimateFromInto must neither retain its arrays nor return a slice of
-// them.
-type SnapshotEstimator interface {
-	EstimateFromInto(dst []float64, s Snapshot) ([]float64, error)
-}
-
-// WeightedEstimator is implemented by estimators whose estimate can be
-// computed from real-valued (weighted) sums and counts, written into
-// dst as VectorFolder's methods do. Exponentially decayed epoch folds
-// produce non-integer effective counts, so the int64 Counts of a
-// Snapshot cannot carry them; every built-in family's estimate is a
-// pure per-entry function of sum/count ratios, so the weighted variant
-// is exact for weight 1 and well-defined for any positive weights.
-type WeightedEstimator interface {
-	EstimateWeightedInto(dst, sums, counts []float64) ([]float64, error)
-}
-
 // Enhancer is implemented by estimators that support the HDR4ME §V
-// re-calibration of their naive estimate. The enhancement configuration is
-// bound at construction time (see the Session options and the freq and
-// root-package wrappers), keeping this package free of the analysis/recal
-// dependency so the empirical tests of those packages can exercise the
-// estimators without an import cycle.
+// re-calibration of their naive estimate. The enhancement configuration
+// is bound at construction time (Family.SetEnhance).
 type Enhancer interface {
 	// Enhanced returns the HDR4ME re-calibrated estimate.
 	Enhanced() ([]float64, error)

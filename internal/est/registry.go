@@ -64,13 +64,14 @@ func (s QueryState) String() string {
 	return fmt.Sprintf("QueryState(%d)", int32(s))
 }
 
-// Query is one live entry of a Registry: a named estimator plus its
+// Query is one live entry of a Registry: a named estimator, adapted to
+// the Core contract once at registration (see Adapt), plus its
 // lifecycle state. Mutating calls (AddReport, Merge) go through the Query
 // so sealing takes effect immediately; reads go straight to the estimator
 // and keep working on sealed queries. Safe for concurrent use.
 type Query struct {
 	spec  QuerySpec
-	est   Estimator
+	est   Core
 	gen   uint64
 	state atomic.Int32
 }
@@ -90,7 +91,7 @@ func (q *Query) Name() string { return q.spec.Name }
 
 // Estimator returns the underlying estimator (reads remain valid in every
 // lifecycle state; a deleted query's estimator simply stops growing).
-func (q *Query) Estimator() Estimator { return q.est }
+func (q *Query) Estimator() Core { return q.est }
 
 // State returns the query's lifecycle state.
 func (q *Query) State() QueryState { return QueryState(q.state.Load()) }
@@ -104,20 +105,20 @@ func (q *Query) AddReport(rep Report) error {
 }
 
 // AddReports accumulates a batch of reports with one lifecycle check and
-// (for BatchAdder estimators) one accumulation-lock acquisition for the
+// (for the built-in families) one accumulation-lock acquisition for the
 // whole batch. The return contract is BatchAdder's: rejected reports are
 // skipped and counted out of accepted, err carries the first rejection.
 func (q *Query) AddReports(reps []Report) (int, error) {
 	if st := q.State(); st != StateOpen {
 		return 0, fmt.Errorf("est: query %q is %s, not accepting reports", q.spec.Name, st)
 	}
-	return AddReports(q.est, reps)
+	return q.est.AddReports(reps)
 }
 
 // AcquireLane binds the caller to one accumulation stripe of the query's
-// estimator (round-robin; a pass-through for non-striped estimators).
-// The returned lane re-checks the query lifecycle on every call, so
-// sealing still takes effect immediately on connections holding lanes.
+// estimator (round-robin; a pass-through for a custom estimator). The
+// returned lane re-checks the query lifecycle on every call, so sealing
+// still takes effect immediately on connections holding lanes.
 func (q *Query) AcquireLane() Lane {
 	return queryLane{q: q, lane: AcquireLane(q.est)}
 }
@@ -128,28 +129,33 @@ type queryLane struct {
 	lane Lane
 }
 
-func (l queryLane) AddReport(rep Report) error {
+// open errors unless the lane's query accepts reports.
+func (l queryLane) open() error {
 	if st := l.q.State(); st != StateOpen {
 		return fmt.Errorf("est: query %q is %s, not accepting reports", l.q.spec.Name, st)
+	}
+	return nil
+}
+
+func (l queryLane) AddReport(rep Report) error {
+	if err := l.open(); err != nil {
+		return err
 	}
 	return l.lane.AddReport(rep)
 }
 
 func (l queryLane) AddReports(reps []Report) (int, error) {
-	if st := l.q.State(); st != StateOpen {
-		return 0, fmt.Errorf("est: query %q is %s, not accepting reports", l.q.spec.Name, st)
+	if err := l.open(); err != nil {
+		return 0, err
 	}
 	return l.lane.AddReports(reps)
 }
 
-// AddColumns implements ColumnAdder with the same lifecycle gate,
-// forwarding to the inner lane's columnar fast path (or the materializing
-// fallback) so routed columnar ingest keeps the bulk decode benefit.
 func (l queryLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	if st := l.q.State(); st != StateOpen {
-		return 0, fmt.Errorf("est: query %q is %s, not accepting reports", l.q.spec.Name, st)
+	if err := l.open(); err != nil {
+		return 0, err
 	}
-	return AddColumns(l.lane, n, ndims, nvals, dims, vals)
+	return l.lane.AddColumns(n, ndims, nvals, dims, vals)
 }
 
 // Merge folds a peer snapshot in, rejecting it unless the query is open.
@@ -233,7 +239,7 @@ func (r *Registry) admit(spec QuerySpec, e Estimator) (*Query, error) {
 		}
 	}
 	r.gens++
-	q := &Query{spec: spec.clone(), est: e, gen: r.gens}
+	q := &Query{spec: spec.clone(), est: Adapt(e), gen: r.gens}
 	r.queries[spec.Name] = q
 	return q, nil
 }

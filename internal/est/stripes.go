@@ -112,9 +112,9 @@ type Kernel interface {
 // Ingest is the striped-ingest core every estimator family is built on:
 // stripe choice, lazy lane allocation, locking, the per-report, batch,
 // columnar and lane paths and their skip-malformed contract are written
-// here once, and the family supplies only its Kernel K. Families hold an
-// *Ingest in an unexported field and forward to it, so the core's fold
-// methods (promoted from Stripes) stay off their public method sets.
+// here once, and the family supplies only its Kernel K. A Family holds
+// its Ingest in an unexported field, so the fold methods (promoted from
+// Stripes) stay off the families' public method sets.
 type Ingest[K Kernel] struct {
 	Stripes
 	k K
@@ -149,7 +149,7 @@ func (in *Ingest[K]) AddColumns(n, ndims, nvals int, dims []uint32, vals []float
 	return stripeLane[K]{in, in.Acquire()}.AddColumns(n, ndims, nvals, dims, vals)
 }
 
-// AcquireLane implements LaneProvider: the caller gets its own stripe for
+// AcquireLane binds the caller to its own stripe for
 // the lifetime of the handle.
 func (in *Ingest[K]) AcquireLane() Lane { return stripeLane[K]{in, in.Acquire()} }
 

@@ -126,4 +126,4 @@ func TestFlatObserveValidatesTuple(t *testing.T) {
 }
 
 // Offset returns the flattened index of dimension j's first entry.
-func (f *Flat) Offset(j int) int { return f.offsets[j] }
+func (f *Flat) Offset(j int) int { return f.Aggregator.cal.offsets[j] }

@@ -99,28 +99,50 @@ func (p Protocol) Validate() error {
 // encoding [37].
 func (p Protocol) EpsPerEntry() float64 { return p.Eps / (2 * float64(p.M)) }
 
-// Aggregator accumulates per-entry sums in the released [−1, 1] frame.
-// The per-dimension entry vectors are stored flattened (entry (j, k)
-// lives at offsets[j]+k) inside a lock-striped ingest core (est.Ingest),
-// so concurrent ingest paths do not serialize on one mutex.
+// Aggregator is the frequency family's per-dimension view: it estimates
+// the frequency vectors of the accumulation it reads, naive and HDR4ME
+// re-calibrated. The per-dimension entry vectors are stored flattened
+// (entry (j, k) lives at offsets[j]+k) inside an est.Family core, whose
+// striped ingest keeps concurrent paths off one mutex; Flat is the same
+// core under the unified estimator interface.
 type Aggregator struct {
-	P Protocol
-
-	offsets []int // flattened index of each dimension's first entry
-	total   int   // Σⱼ card(j)
-	acc     *est.Ingest[freqKernel]
+	P   Protocol
+	cal *freqCal
+	fam *est.Family
 }
 
-// NewAggregator returns an empty frequency collector.
+// freqCal is the frequency family's est.Deviator: the user-side
+// histogram encoding, the map from released-frame means back to
+// frequencies, and the per-entry HDR4ME deviations.
+type freqCal struct {
+	p       Protocol
+	offsets []int // flattened index of each dimension's first entry
+	total   int   // Σⱼ card(j)
+	// The deviation inputs, evaluated once at the entry budget: the
+	// moments of an unbounded mechanism, which ignore the data, or the
+	// bias and variance of a bounded one at the two atoms −1 and +1,
+	// re-weighted per entry by its naive frequency.
+	mom   analysis.Moments
+	atoms analysis.Binary
+}
+
+// NewAggregator returns an empty frequency collector (see NewFlat for
+// the validated constructor).
 func NewAggregator(p Protocol) *Aggregator {
-	a := &Aggregator{P: p, offsets: make([]int, len(p.Cards))}
+	c := &freqCal{p: p, offsets: make([]int, len(p.Cards))}
 	for j, v := range p.Cards {
-		a.offsets[j] = a.total
-		a.total += v
+		c.offsets[j] = c.total
+		c.total += v
 	}
-	k := freqKernel{m: p.M, cards: p.Cards, offsets: a.offsets}
-	a.acc = est.NewIngest(k, est.DefaultStripeCount, a.total, len(p.Cards))
-	return a
+	fw := analysis.Framework{Mech: p.Mech, EpsPerDim: p.EpsPerEntry()}
+	if p.Mech.Bounded() {
+		c.atoms = fw.Binary()
+	} else {
+		c.mom = fw.Moments(nil)
+	}
+	k := freqKernel{m: p.M, cards: p.Cards, offsets: c.offsets}
+	lay := est.Layout{Kind: KindFreq, Dims: c.total, Cards: p.Cards, Sums: c.total, Counts: len(p.Cards)}
+	return &Aggregator{P: p, cal: c, fam: est.NewFamily(k, c, lay, recal.Config{})}
 }
 
 // freqKernel is the frequency family's ingest kernel. A report lists at
@@ -170,21 +192,12 @@ func (k freqKernel) Add(l *est.Lanes, rep est.Report) error {
 }
 
 // Counts returns the per-dimension report counts.
-func (a *Aggregator) Counts() []int64 { return a.CountsInto(nil) }
-
-// CountsInto is Counts into dst (est.VectorFolder, through Flat).
-func (a *Aggregator) CountsInto(dst []int64) []int64 { return a.acc.FoldCounts(dst) }
+func (a *Aggregator) Counts() []int64 { return a.fam.Counts() }
 
 // Estimate returns the naive frequency estimates: per-entry released-frame
 // means mapped back to [0, 1], without simplex projection. A dimension
 // without reports estimates 1/2 in every entry.
-func (a *Aggregator) Estimate() [][]float64 {
-	f := est.GetScratch()
-	f.Sums, f.Counts = a.acc.FoldInto(f.Sums, f.Counts)
-	naive := naiveInto(a, make([]float64, a.total), f.Sums, f.Counts)
-	est.PutScratch(f)
-	return a.rows(naive)
-}
+func (a *Aggregator) Estimate() [][]float64 { return a.rows(a.fam.Estimate()) }
 
 // EstimateEnhanced applies HDR4ME per dimension in the [0, 1] frequency
 // frame (the entry frame of the paper's histogram encoding): the deviation
@@ -197,9 +210,11 @@ func (a *Aggregator) Estimate() [][]float64 {
 // callers can compare; both come from one fold.
 func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]float64) {
 	f := est.GetScratch()
-	f.Sums, f.Counts = a.acc.FoldInto(f.Sums, f.Counts)
-	flat := naiveInto(a, make([]float64, a.total), f.Sums, f.Counts)
-	enh := a.enhanceInto(make([]float64, a.total), flat, f.Counts, cfg)
+	a.fam.SnapshotInto(f)
+	flat, _ := a.fam.EstimateFromInto(nil, *f) // its own fold: the shape holds
+	enh := append([]float64(nil), flat...)
+	step := cfg.Step()
+	a.cal.Enhance(enh, f.Counts, &step)
 	est.PutScratch(f)
 	return a.rows(flat), a.rows(enh)
 }
@@ -209,21 +224,60 @@ func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]flo
 func (a *Aggregator) rows(flat []float64) [][]float64 {
 	out := make([][]float64, len(a.P.Cards))
 	for j, card := range a.P.Cards {
-		off := a.offsets[j]
+		off := a.cal.offsets[j]
 		out[j] = flat[off : off+card : off+card]
 	}
 	return out
 }
 
-// naiveInto writes the flattened naive frequency estimates of the fold
-// (sums, counts) into out — entry (j, k) at offsets[j]+k, the released
-// mean mapped back to [0, 1] as (s/r + 1)/2 — and returns it. Entries of
-// a dimension without reports take 1/2, the image of the released
-// frame's zero mean. It is the one loop behind the naive, windowed,
-// weighted and enhanced estimates of both the Aggregator and Flat.
-func naiveInto[C int64 | float64](a *Aggregator, out, sums []float64, counts []C) []float64 {
-	for j, card := range a.P.Cards {
-		off := a.offsets[j]
+// MakeReport implements est.Reporter: sample m of the d categorical
+// dimensions from t.Cats, histogram-encode each sampled dimension and
+// perturb every entry with ε/(2m).
+func (c *freqCal) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error) {
+	p := c.p
+	if len(t.Cats) != len(p.Cards) {
+		return est.Report{}, fmt.Errorf("freq: tuple has %d dims, protocol says %d", len(t.Cats), len(p.Cards))
+	}
+	for j, cat := range t.Cats {
+		if cat < 0 || cat >= p.Cards[j] {
+			// The raw category is the user's private value: the error
+			// names the dimension and its range, never the value itself
+			// (error strings reach collector logs; ldpflow enforces this).
+			return est.Report{}, fmt.Errorf("freq: category out of range [0, %d) in dimension %d", p.Cards[j], j)
+		}
+	}
+	epsEntry := p.EpsPerEntry()
+	dims := rng.SampleIndices(len(p.Cards), p.M, nil)
+	nvals := 0
+	for _, j := range dims {
+		nvals += p.Cards[j]
+	}
+	rep := est.Report{Dims: dims, Values: make([]float64, 0, nvals)}
+	for _, j := range dims {
+		for k := 0; k < p.Cards[j]; k++ {
+			e := -1.0
+			if k == t.Cats[j] {
+				e = 1.0
+			}
+			rep.Values = append(rep.Values, p.Mech.Perturb(rng, e, epsEntry))
+		}
+	}
+	return rep, nil
+}
+
+// Calibrate implements est.Calibrator: entry (j, k) of the flattened
+// naive estimate is the released mean mapped back to [0, 1] as
+// (s/r + 1)/2. Entries of a dimension without reports take 1/2, the
+// image of the released frame's zero mean.
+func (c *freqCal) Calibrate(dst, sums []float64, counts []int64) { naiveInto(c, dst, sums, counts) }
+
+// CalibrateWeighted implements est.Calibrator over real-valued counts.
+func (c *freqCal) CalibrateWeighted(dst, sums, counts []float64) { naiveInto(c, dst, sums, counts) }
+
+// naiveInto is the one loop behind both.
+func naiveInto[C int64 | float64](c *freqCal, out, sums []float64, counts []C) {
+	for j, card := range c.p.Cards {
+		off := c.offsets[j]
 		seg := out[off : off+card]
 		if counts[j] == 0 {
 			for k := range seg {
@@ -235,37 +289,23 @@ func naiveInto[C int64 | float64](a *Aggregator, out, sums []float64, counts []C
 			seg[k] = (sums[off+k]/float64(counts[j]) + 1) / 2
 		}
 	}
-	return out
 }
 
-// enhanceInto writes the HDR4ME re-calibration of the flattened naive
-// estimate into out (which may alias naive) and returns it: one step,
-// built once, applied entry by entry. Dimensions without reports keep
-// their naive entries.
-func (a *Aggregator) enhanceInto(out, naive []float64, counts []int64, cfg recal.Config) []float64 {
-	copy(out, naive)
-	step := cfg.Step()
-	fw := analysis.Framework{Mech: a.P.Mech, EpsPerDim: a.P.EpsPerEntry()}
-	bounded := a.P.Mech.Bounded()
-	// Unbounded moments ignore the data; bounded ones are re-weighted per
-	// entry, from its naive frequency, over the two atoms' bias and
-	// variance evaluated once here.
-	var mom analysis.Moments
-	var atoms analysis.Binary
-	if bounded {
-		atoms = fw.Binary()
-	} else {
-		mom = fw.Moments(nil)
-	}
-	for j, card := range a.P.Cards {
+// Enhance implements est.Deviator: the HDR4ME re-calibration of the
+// flattened naive estimate, entry by entry. Dimensions without reports
+// keep their naive entries.
+func (c *freqCal) Enhance(out []float64, counts []int64, step *recal.Step) {
+	bounded := c.p.Mech.Bounded()
+	mom := c.mom
+	for j, card := range c.p.Cards {
 		r := float64(counts[j])
 		if r == 0 {
 			continue
 		}
-		seg := out[a.offsets[j] : a.offsets[j]+card]
+		seg := out[c.offsets[j] : c.offsets[j]+card]
 		for k, v := range seg {
 			if bounded {
-				mom = atoms.Moments(mathx.Clamp(v, 1/(10*float64(card)), 1))
+				mom = c.atoms.Moments(mathx.Clamp(v, 1/(10*float64(card)), 1))
 			}
 			dev := mom.At(r)
 			// Map the released-frame Gaussian into the frequency frame:
@@ -273,7 +313,6 @@ func (a *Aggregator) enhanceInto(out, naive []float64, counts []int64, cfg recal
 			seg[k] = step.Apply(v, analysis.Deviation{Delta: dev.Delta / 2, Sigma2: dev.Sigma2 / 4})
 		}
 	}
-	return out
 }
 
 // ProjectSimplex clips frequencies to [0, 1] and renormalizes each

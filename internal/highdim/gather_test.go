@@ -40,7 +40,7 @@ func TestReportGatherChunks(t *testing.T) {
 				}
 				ref := mathx.NewRNG(uint64(u))
 				for i, j := range ref.SampleIndices(p.D, p.M, nil) {
-					want := perturberAt(agg.pert, j).Perturb(ref, row[j])
+					want := perturberAt(agg.cal.pert, j).Perturb(ref, row[j])
 					if rep.Dims[i] != j || math.Float64bits(rep.Values[i]) != math.Float64bits(want) {
 						t.Fatalf("m=%d user %d slot %d: MakeReport (%d, %v), reference (%d, %v)",
 							m, u, i, rep.Dims[i], rep.Values[i], j, want)

@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/hdr4me/hdr4me/internal/analysis"
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
+	"github.com/hdr4me/hdr4me/internal/recal"
 )
 
 // Protocol fixes the parameters every participant must agree on.
@@ -120,13 +122,19 @@ func perturbSample(vals, tuple []float64, dims []uint32, pert []ldp.Perturber, r
 // Aggregator is the collector side: it accumulates reports and produces the
 // naive per-dimension mean estimate θ̂ (§IV-B step 3), applying the
 // calibration step (§IV-B step 2) where the bias is data-independent.
-// Aggregator is safe for concurrent use and implements est.Estimator.
-// Accumulation is lock-striped (est.Ingest): Add pins the serial stripe,
-// AddReports takes one stripe lock per batch, and AcquireLane hands heavy
-// callers their own stripe, so concurrent ingest does not serialize on a
-// single mutex.
+// Every estimator method comes from the embedded est.Family core, which
+// ingests through the mean kernel and estimates, and HDR4ME re-calibrates
+// (§V), through the mean calibrator. It is safe for concurrent use.
 type Aggregator struct {
-	P Protocol
+	*est.Family
+	P   Protocol
+	cal *meanCal
+}
+
+// meanCal is the mean family's est.Deviator: its user-side perturbation
+// at EpsFor(j), its calibration, and its HDR4ME deviations.
+type meanCal struct {
+	p Protocol
 	// alloc optionally overrides the uniform ε/m with a per-dimension
 	// budget (see Allocation); nil means uniform.
 	alloc []float64
@@ -139,19 +147,19 @@ type Aggregator struct {
 	// dimension under an allocation; an estimate only divides and
 	// subtracts.
 	shift []float64
-
-	acc *est.Ingest[meanKernel] // D sum lanes, D count lanes
+	// moms are the Lemma 2/3 moments at EpsFor(j) — under an
+	// uninformative 21-atom uniform prior for a bounded mechanism, since
+	// the collector never touches raw data — one entry under the uniform
+	// budget, one per dimension under an allocation. They do not depend
+	// on the report count, so an enhanced estimate only scales them.
+	moms []analysis.Moments
 }
 
-// NewAggregator returns an empty collector for protocol p.
+// NewAggregator returns an empty collector for protocol p. Its Enhanced
+// serves HDR4ME under recal.DefaultConfig(recal.RegL1); SetEnhance
+// rebinds it.
 func NewAggregator(p Protocol) *Aggregator {
-	eps := []float64{p.EpsPerDim()}
-	return &Aggregator{
-		P:     p,
-		pert:  perturbers(p.Mech, eps),
-		shift: shifts(p.Mech, eps),
-		acc:   est.NewIngest(meanKernel{m: p.M, d: p.D}, est.DefaultStripeCount, p.D, p.D),
-	}
+	return newAggregator(p, []float64{p.EpsPerDim()}, nil)
 }
 
 // NewAllocatedAggregator returns an empty collector whose Observe path
@@ -166,45 +174,106 @@ func NewAllocatedAggregator(p Protocol, alloc Allocation) (*Aggregator, error) {
 	if err := alloc.Validate(p.Eps, p.M); err != nil {
 		return nil, err
 	}
-	a := NewAggregator(p)
-	a.alloc = append([]float64(nil), alloc.Eps...)
-	a.pert = perturbers(p.Mech, a.alloc)
-	a.shift = shifts(p.Mech, a.alloc)
-	return a, nil
+	eps := append([]float64(nil), alloc.Eps...)
+	return newAggregator(p, eps, eps), nil
 }
 
-// perturbers binds mech to each dimension's budget.
-func perturbers(mech ldp.Mechanism, eps []float64) []ldp.Perturber {
-	out := make([]ldp.Perturber, len(eps))
-	for j, e := range eps {
-		out[j] = ldp.At(mech, e)
-	}
-	return out
-}
-
-// shifts evaluates mech's calibration shift at each budget.
-func shifts(mech ldp.Mechanism, eps []float64) []float64 {
-	out := make([]float64, len(eps))
-	if !mech.Bounded() {
+// newAggregator builds the mean family over the per-dimension budgets
+// eps (one entry: uniform); alloc is eps under an allocation, nil
+// otherwise.
+func newAggregator(p Protocol, eps, alloc []float64) *Aggregator {
+	c := &meanCal{p: p, alloc: alloc, pert: make([]ldp.Perturber, len(eps)),
+		shift: make([]float64, len(eps)), moms: make([]analysis.Moments, len(eps))}
+	var prior *analysis.DataSpec
+	if p.Mech.Bounded() {
+		grid := analysis.UniformGridSpec(21)
+		prior = &grid
+	} else {
 		for j, e := range eps {
-			out[j] = mech.Bias(0, e)
+			c.shift[j] = p.Mech.Bias(0, e)
 		}
 	}
-	return out
+	for j, e := range eps {
+		c.pert[j] = ldp.At(p.Mech, e)
+		c.moms[j] = analysis.Framework{Mech: p.Mech, EpsPerDim: e}.Moments(prior)
+	}
+	lay := est.Layout{Kind: KindMean, Dims: p.D, Sums: p.D, Counts: p.D}
+	fam := est.NewFamily(meanKernel{m: p.M, d: p.D}, c, lay, recal.DefaultConfig(recal.RegL1))
+	return &Aggregator{Family: fam, P: p, cal: c}
 }
 
 // EpsFor returns the perturbation budget of dimension j: the allocated
 // εⱼ when an allocation is attached, the uniform ε/m otherwise.
 func (a *Aggregator) EpsFor(j int) float64 {
-	if a.alloc != nil {
-		return a.alloc[j]
+	if a.cal.alloc != nil {
+		return a.cal.alloc[j]
 	}
 	return a.P.EpsPerDim()
 }
 
 // Allocated reports whether a per-dimension allocation is attached, i.e.
 // whether EpsFor can vary with j.
-func (a *Aggregator) Allocated() bool { return a.alloc != nil }
+func (a *Aggregator) Allocated() bool { return a.cal.alloc != nil }
+
+// Add accumulates one report, rejecting malformed ones with an error (the
+// Estimator's AddReport). It pins the serial stripe, so a single-caller
+// stream accumulates with exactly the pre-striping association.
+func (a *Aggregator) Add(rep Report) error { return a.AddReport(rep) }
+
+// MakeReport implements est.Reporter: it samples m of d dimensions and
+// perturbs each with EpsFor(j).
+func (c *meanCal) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error) {
+	if len(t.Values) != c.p.D {
+		return est.Report{}, fmt.Errorf("highdim: tuple has %d dims, protocol says %d", len(t.Values), c.p.D)
+	}
+	rep := est.Report{Dims: rng.SampleIndices(c.p.D, c.p.M, nil), Values: make([]float64, c.p.M)}
+	if err := perturbSample(rep.Values, t.Values, rep.Dims, c.pert, rng); err != nil {
+		return est.Report{}, err
+	}
+	return rep, nil
+}
+
+// Calibrate implements est.Calibrator: the naive aggregation
+// θ̂ⱼ = (1/rⱼ)Σ t*ᵢⱼ less the data-independent bias for unbounded
+// mechanisms (δ = E[N]; zero for every mechanism in this library, but
+// subtracted on principle). Dimensions without reports estimate 0.
+func (c *meanCal) Calibrate(dst, sums []float64, counts []int64) { calibrate(c, dst, sums, counts) }
+
+// CalibrateWeighted implements est.Calibrator over real-valued counts.
+func (c *meanCal) CalibrateWeighted(dst, sums, counts []float64) { calibrate(c, dst, sums, counts) }
+
+// calibrate is the one loop behind both.
+func calibrate[C int64 | float64](c *meanCal, out, sums []float64, counts []C) {
+	for j := range out {
+		out[j] = c.naiveAt(j, sums[j], float64(counts[j]))
+	}
+}
+
+// naiveAt returns dimension j's calibrated naive estimate from its
+// report sum and count r: sum/r less the data-independent bias, and 0
+// for a dimension without reports.
+func (c *meanCal) naiveAt(j int, sum, r float64) float64 {
+	if r == 0 {
+		return 0
+	}
+	if len(c.shift) == 1 {
+		return sum/r - c.shift[0]
+	}
+	return sum/r - c.shift[j]
+}
+
+// Enhance implements est.Deviator: each dimension's deviation is its
+// cached moments at its report count (at least 1), and step
+// re-calibrates its naive value in place.
+func (c *meanCal) Enhance(out []float64, counts []int64, step *recal.Step) {
+	mom := c.moms[0]
+	for j, n := range counts {
+		if len(c.moms) > 1 {
+			mom = c.moms[j]
+		}
+		out[j] = step.Apply(out[j], mom.At(max(float64(n), 1)))
+	}
+}
 
 // meanKernel is the mean family's ingest kernel. A report is paired
 // lists of at most m strictly increasing in-range dimensions and finite
@@ -239,105 +308,4 @@ func (k meanKernel) Add(l *est.Lanes, rep Report) error {
 		counts[j]++
 	}
 	return nil
-}
-
-// Add accumulates one report, rejecting malformed ones with an error. It
-// pins the serial stripe, so a single-caller stream accumulates with
-// exactly the pre-striping association.
-func (a *Aggregator) Add(rep Report) error { return a.acc.AddReport(rep) }
-
-// AddReports implements est.BatchAdder: the whole batch accumulates under
-// one stripe lock (stripe chosen round-robin per call). Malformed reports
-// are skipped, not fatal; accepted counts the rest and err carries the
-// first rejection.
-func (a *Aggregator) AddReports(reps []Report) (int, error) { return a.acc.AddReports(reps) }
-
-// AddColumns implements est.ColumnAdder: a rectangular columnar batch
-// (row-major dims and values) accumulates under one stripe lock without
-// materializing per-report structures. Each row is validated with the
-// exact per-report rules, so the accumulation is bitwise-identical to
-// feeding the same rows through AddReports.
-func (a *Aggregator) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	return a.acc.AddColumns(n, ndims, nvals, dims, vals)
-}
-
-// AcquireLane implements est.LaneProvider: the caller gets its own
-// accumulation stripe for the lifetime of the handle.
-func (a *Aggregator) AcquireLane() est.Lane { return a.acc.AcquireLane() }
-
-// Counts returns a copy of the per-dimension report counts rⱼ.
-func (a *Aggregator) Counts() []int64 { return a.CountsInto(nil) }
-
-// CountsInto implements est.VectorFolder: Counts into dst.
-func (a *Aggregator) CountsInto(dst []int64) []int64 { return a.acc.FoldCounts(dst) }
-
-// Estimate returns the naive aggregation θ̂ⱼ = (1/rⱼ)Σ t*ᵢⱼ, calibrated by
-// the data-independent bias for unbounded mechanisms (δ = E[N]; zero for
-// every mechanism in this library, but subtracted on principle). Dimensions
-// that received no reports estimate 0.
-func (a *Aggregator) Estimate() []float64 { return a.EstimateInto(nil) }
-
-// EstimateInto implements est.VectorFolder: Estimate into dst. The fold
-// it estimates from is pooled scratch, so it allocates nothing once dst
-// has held one estimate.
-func (a *Aggregator) EstimateInto(dst []float64) []float64 {
-	f := est.GetScratch()
-	a.SnapshotInto(f)
-	out := calibrate(a, est.Resize(dst, a.P.D), f.Sums, f.Counts)
-	est.PutScratch(f)
-	return out
-}
-
-// EstimateFrom computes the calibrated naive aggregation from a snapshot
-// of this (or an identically configured) aggregator — the single source
-// of the §IV-B calibration math, shared by Estimate, the collector-side
-// enhancement and consistent Session results.
-func (a *Aggregator) EstimateFrom(s est.Snapshot) ([]float64, error) {
-	return a.EstimateFromInto(nil, s)
-}
-
-// EstimateFromInto implements est.SnapshotEstimator: EstimateFrom into
-// dst.
-func (a *Aggregator) EstimateFromInto(dst []float64, s est.Snapshot) ([]float64, error) {
-	if err := est.CheckMerge(a, s, a.P.D, a.P.D); err != nil {
-		return nil, err
-	}
-	return calibrate(a, est.Resize(dst, a.P.D), s.Sums, s.Counts), nil
-}
-
-// EstimateWeightedInto implements est.WeightedEstimator: the same
-// calibrated aggregation as EstimateFrom computed from real-valued sums
-// and counts, so decayed epoch folds (whose effective counts are
-// non-integer) share the single source of the calibration math.
-func (a *Aggregator) EstimateWeightedInto(dst, sums, counts []float64) ([]float64, error) {
-	if len(sums) != a.P.D || len(counts) != a.P.D {
-		return nil, fmt.Errorf("highdim: weighted fold shape %d/%d, want %d/%d sums/counts",
-			len(sums), len(counts), a.P.D, a.P.D)
-	}
-	return calibrate(a, est.Resize(dst, a.P.D), sums, counts), nil
-}
-
-// calibrate writes the calibrated naive aggregation of (sums, counts)
-// into out and returns it: the one loop behind Estimate, EstimateFrom
-// and the weighted estimate.
-func calibrate[C int64 | float64](a *Aggregator, out, sums []float64, counts []C) []float64 {
-	for j := range out {
-		out[j] = a.NaiveAt(j, sums[j], float64(counts[j]))
-	}
-	return out
-}
-
-// NaiveAt returns dimension j's calibrated naive estimate from its report
-// sum and count r: sum/r less the data-independent bias, and 0 for a
-// dimension without reports. It is the one formula behind every estimate
-// of the family, so a collector that walks a fold itself (the one-pass
-// HDR4ME re-calibration) calibrates exactly as Estimate does.
-func (a *Aggregator) NaiveAt(j int, sum, r float64) float64 {
-	if r == 0 {
-		return 0
-	}
-	if len(a.shift) == 1 {
-		return sum/r - a.shift[0]
-	}
-	return sum/r - a.shift[j]
 }

@@ -2,7 +2,9 @@ package highdim
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -298,5 +300,27 @@ func TestSimulateMatchesClientAggregatorPath(t *testing.T) {
 	// land within an order of magnitude of each other.
 	if m1 > 10*m2+1e-3 || m2 > 10*m1+1e-3 {
 		t.Fatalf("paths diverge: simulate MSE %v vs client path MSE %v", m1, m2)
+	}
+}
+
+// TestPerturbSampleRejectsBeforeAnyDraw: a sampled value outside
+// [−1, 1] (or NaN) is the report path's one value check — an error
+// naming only its dimension, returned before any perturbation draw, so
+// the RNG state is untouched — under a uniform and an allocated budget.
+func TestPerturbSampleRejectsBeforeAnyDraw(t *testing.T) {
+	uniform := []ldp.Perturber{ldp.At(ldp.Piecewise{}, 0.5)}
+	allocated := []ldp.Perturber{ldp.At(ldp.Piecewise{}, 0.2), ldp.At(ldp.Laplace{}, 0.3), ldp.At(ldp.Piecewise{}, 0.4)}
+	for name, pert := range map[string][]ldp.Perturber{"uniform": uniform, "allocated": allocated} {
+		for _, bad := range []float64{1.5, -1.25, math.NaN()} {
+			tuple := []float64{0.25, -0.5, bad}
+			a, b := mathx.NewRNG(17), mathx.NewRNG(17)
+			err := perturbSample(make([]float64, 2), tuple, []uint32{0, 2}, pert, a)
+			if err == nil || !strings.Contains(err.Error(), "dimension 2") || strings.Contains(err.Error(), fmt.Sprint(bad)) {
+				t.Errorf("%s %v: err %v, want one naming dimension 2 and not the value", name, bad, err)
+			}
+			if a.Float64() != b.Float64() {
+				t.Errorf("%s %v: the rejected report drew randomness", name, bad)
+			}
+		}
 	}
 }

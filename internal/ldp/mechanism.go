@@ -60,6 +60,14 @@ func validate(t, eps float64) {
 	}
 }
 
+// validateEps is validate for the budget alone: the check a batch makes
+// once for all its values.
+func validateEps(eps float64) {
+	if !(eps > 0 && eps <= math.MaxFloat64) {
+		invalid(0, eps)
+	}
+}
+
 // invalid panics with validate's message. The message never names the
 // input value: it is a user's private datum, and panic text reaches
 // logs. The budget is public and is named.

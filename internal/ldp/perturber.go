@@ -36,10 +36,13 @@ func (b bound) Perturb(rng *mathx.RNG, t float64) float64 { return b.mech.Pertur
 // idx, drawing from rng exactly as len(idx) successive
 // p.Perturb(rng, src[idx[i]]) calls do, so the outputs are bit for bit
 // the same. dst must hold len(idx) values and must not overlap src. A
-// Piecewise perturber runs one batch kernel; any other runs the
-// per-value loop. The values are read from src where they stand, so a
-// caller hands over its raw tuple and the sampled indices, never a copy
-// of the raw values.
+// Piecewise perturber runs one batch kernel, which checks its budget
+// once and leaves the values to the caller: every src[idx[i]] must lie
+// in [−1, 1], as highdim's report path checks before any draw. Any
+// other perturber runs the per-value loop, which panics on an invalid
+// value as Perturb does. The values are read from src where they
+// stand, so a caller hands over its raw tuple and the sampled indices,
+// never a copy of the raw values.
 func PerturbBatch(p Perturber, rng *mathx.RNG, dst, src []float64, idx []uint32) {
 	if a, ok := p.(*pmAt); ok {
 		a.perturbBatch(rng, dst, src, idx)

@@ -76,15 +76,19 @@ func TestAtValidates(t *testing.T) {
 
 // TestPanicNamesNoValue: an out-of-domain input is a user's private
 // datum, so no perturb path's panic may name it — through the
-// mechanism, its Perturber, or PerturbBatch.
+// mechanism, its Perturber, or the per-value PerturbBatch loop. (The
+// Piecewise batch kernel leaves the values to its caller, which checks
+// them before any draw; see PerturbBatch.)
 func TestPanicNamesNoValue(t *testing.T) {
 	for name, mech := range Registry() {
 		paths := map[string]func(){
 			"Perturb": func() { mech.Perturb(mathx.NewRNG(1), 52000.5, 1) },
 			"At":      func() { At(mech, 1).Perturb(mathx.NewRNG(1), 52000.5) },
-			"PerturbBatch": func() {
+		}
+		if _, kernel := At(mech, 1).(*pmAt); !kernel {
+			paths["PerturbBatch"] = func() {
 				PerturbBatch(At(mech, 1), mathx.NewRNG(1), make([]float64, 2), []float64{0.5, 52000.5}, []uint32{0, 1})
-			},
+			}
 		}
 		for path, call := range paths {
 			func() {
@@ -129,6 +133,26 @@ func TestPerturbBatchMatchesPerturb(t *testing.T) {
 					t.Fatalf("%s ε=%v n=%d: the batch drew a different amount of randomness", name, eps, n)
 				}
 			}
+		}
+	}
+}
+
+// TestPerturbBatchChecksBudgetOnce: the Piecewise batch kernel checks
+// its budget before any draw, so an invalid ε panics with the budget
+// message and leaves the RNG where it was.
+func TestPerturbBatchChecksBudgetOnce(t *testing.T) {
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		a, b := mathx.NewRNG(5), mathx.NewRNG(5)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "privacy budget") {
+					t.Errorf("ε=%v: panic %q, want the budget message", eps, msg)
+				}
+			}()
+			PerturbBatch(At(Piecewise{}, eps), a, make([]float64, 2), []float64{0.5, -0.5}, []uint32{0, 1})
+		}()
+		if a.Float64() != b.Float64() {
+			t.Errorf("ε=%v: the rejected batch drew randomness", eps)
 		}
 	}
 }

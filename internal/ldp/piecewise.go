@@ -109,22 +109,20 @@ func (a *pmAt) Perturb(rng *mathx.RNG, t float64) float64 {
 // order: the same draws and the same bits as the per-value calls. It
 // draws the uniforms of up to pmChunk values in one rng.Float64s call,
 // in the order the per-value calls draw them (u1, u2 of value 0, then of
-// value 1, …), after validating those values, so an invalid value
-// panics before any draw of its chunk. Its loop spells out release's
+// value 1, …). It checks the budget once, before any draw, and not the
+// values: the caller has (see PerturbBatch). Its loop spells out release's
 // operations in release's order rather than calling it: Go does not
 // inline release, and a call per value cost a (1024, 32) report ~80 ns
 // of ~950 (BenchmarkSessionReport). TestPerturbBatchMatchesPerturb holds
 // the two to the same bits.
 func (a *pmAt) perturbBatch(rng *mathx.RNG, dst, src []float64, idx []uint32) {
+	validateEps(a.eps)
 	dst = dst[:len(idx)]
 	q := a.q
 	var u [2 * pmChunk]float64
 	for lo := 0; lo < len(idx); lo += pmChunk {
 		in := idx[lo:min(lo+pmChunk, len(idx))]
 		out := dst[lo : lo+len(in)]
-		for _, j := range in {
-			validate(src[j], a.eps)
-		}
 		draws := u[:2*len(in)]
 		rng.Float64s(draws)
 		for i, j := range in {

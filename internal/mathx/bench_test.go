@@ -7,11 +7,10 @@ import (
 )
 
 // sampleShapes are the (d, m) rows of the sampling ledger. At m = 8, 16
-// and 32 they sit on both sides of orderSample's bitmap/sort rule
-// (⌈d/64⌉ ≤ m²/4): (256,8), (1024,8), (2048,16), (4096,16), (1024,32),
-// (8192,32) and (16384,32) take the bitmap; (2048,8), (8192,16),
-// (32768,32), (65536,32) and (2²⁰,32) sort. The last row spreads the
-// sample's bits over a 128 KB bitmap.
+// and 32 they sit on both sides of orderSample's rule (⌈d/64⌉ ≤ m reads
+// the bitmap word by word, a sparser one through its summary): (256,8),
+// (1024,32) and (32,1) read word by word, the rest through the summary.
+// The last row spreads the sample's bits over a 128 KB bitmap.
 var sampleShapes = []struct{ d, m int }{
 	{32, 1}, {256, 8}, {1024, 8}, {2048, 8}, {2048, 16}, {4096, 16}, {8192, 16},
 	{1024, 32}, {8192, 32}, {16384, 32}, {32768, 32}, {65536, 32}, {1 << 20, 32},
@@ -34,12 +33,12 @@ func BenchmarkSampleIndices(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleOrder times orderSample's two ordering strategies alone
-// on the same real (shuffled) samples: these rows are what the
-// bitmap/sort threshold in orderSample is read from. Each op first marks
-// the sample's members in the bitmap, as SampleIndices' Floyd pass
-// leaves them, at the same cost on both sides; then "bitmap" reads the
-// bitmap back and "sort" sorts the slice and clears the members' bits.
+// BenchmarkSampleOrder times the ordering alone on real (shuffled)
+// samples, orderSample's read-back against slices.Sort: these rows are
+// what orderSample's rule is read from. Each op first marks the sample's
+// members in the bitmap, as SampleIndices' Floyd pass leaves them, at
+// the same cost on both sides; then "bitmap" runs orderSample and "sort"
+// sorts the slice and clears the members' bits.
 // The pool holds enough distinct samples that the branch predictor
 // cannot learn the sequence; with a few hundred it does, and the rows
 // then time a replay rather than the fresh samples SampleIndices orders.
@@ -63,7 +62,7 @@ func BenchmarkSampleOrder(b *testing.B) {
 						bm[j>>6] |= 1 << (j & 63)
 					}
 					if way == "bitmap" {
-						r.orderBitmap(work)
+						r.orderSample(work, sh.d)
 					} else {
 						slices.Sort(work)
 						for _, j := range work {

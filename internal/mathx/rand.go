@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"slices"
 )
 
 // RNG is a deterministic random source with the samplers needed by the LDP
@@ -26,9 +25,10 @@ type RNG struct {
 	pcg  rand.PCG
 	src  rand.Rand // draws from &pcg; for Normal, Exponential and Perm
 	seed uint64
-	// bits is SampleIndices' membership bitmap over [0, d), reused
+	// bits is SampleIndices' membership bitmap over [0, d), and sum its
+	// summary: bit w of sum marks a member in bits[w]. Both are reused
 	// across calls and all zero between them.
-	bits []uint64
+	bits, sum []uint64
 }
 
 // NewRNG returns a deterministic RNG seeded with seed.
@@ -213,9 +213,9 @@ func (r *RNG) poissonPTRS(lambda float64) int {
 // itself, so T₀ is the sample.
 //
 // The draws go into dst first; the Floyd pass marks members in the
-// RNG's bitmap, which orderSample then reads back or sorts past, leaving
-// it all zero. The ordering draws nothing. It allocates only when dst is
-// too small or the bitmap first grows to a larger d.
+// RNG's bitmap, which orderSample then reads back in order, leaving it
+// (and its summary) all zero. The ordering draws nothing. It allocates
+// only when dst is too small or the bitmap first grows to a larger d.
 func (r *RNG) SampleIndices(d, m int, dst []uint32) []uint32 {
 	if uint64(d) > 1<<32 {
 		panic("mathx: SampleIndices domain exceeds 2³²")
@@ -230,6 +230,7 @@ func (r *RNG) SampleIndices(d, m int, dst []uint32) []uint32 {
 	}
 	if words := (d + 63) >> 6; cap(r.bits) < words {
 		r.bits = make([]uint64, words)
+		r.sum = make([]uint64, (words+63)>>6)
 	}
 	bm := r.bits
 	for i := m - 1; i >= 0; i-- {
@@ -244,28 +245,41 @@ func (r *RNG) SampleIndices(d, m int, dst []uint32) []uint32 {
 	return dst
 }
 
-// orderSample sorts the distinct sample dst of [0, d), whose members are
-// the bits set in the RNG's bitmap, in increasing order, and clears those
-// bits. When m ≥ 8 and the bitmap's w = ⌈d/64⌉ words are at most m²/4,
-// it reads the bitmap back in order, in O(w + m); otherwise it calls
-// slices.Sort, in O(m log m), and clears the members' bits one by one.
-// slices.Sort is an insertion sort below 13 elements and mispredicts
-// heavily above, so the break-even w grows faster than m.
-// BenchmarkSampleOrder holds rows on both sides of the rule at m = 8, 16
-// and 32; on a 2-core Xeon the bitmap read-back won at (1024, 8),
-// (4096, 16) and (8192, 32), tied at (16384, 32), and lost at (2048, 8),
-// (8192, 16) and (32768, 32). Either branch returns the same slice. (m²
-// overflows only for a dst larger than memory.)
+// orderSample sorts the sample dst of [0, d), whose members are the bits
+// set in the RNG's bitmap, by reading the bitmap back: word by word when
+// it has at most one word per member (⌈d/64⌉ ≤ m), else led by a
+// summary of the non-empty words, built only then because building it
+// costs a dense read more than it saves. On a 2-core Xeon
+// BenchmarkSampleOrder read ~75 ns at (1024, 32) word by word, and
+// 130–240 ns from (8192, 32) to (65536, 32) and ~500 ns at (2²⁰, 32)
+// through the summary, against ~590 ns for slices.Sort at every m = 32
+// row; no row favoured the sort, so nothing sorts.
 func (r *RNG) orderSample(dst []uint32, d int) {
-	m := len(dst)
-	if m < 8 || (d+63)>>6 > m*m/4 {
-		slices.Sort(dst)
-		for _, j := range dst {
-			r.bits[j>>6] = 0
-		}
+	if (d+63)>>6 <= len(dst) {
+		r.orderBitmap(dst)
 		return
 	}
-	r.orderBitmap(dst)
+	r.summarize(dst, d)
+	r.orderSparse(dst)
+}
+
+// summarize marks the bitmap word of every member of the sample dst of
+// [0, d) in the summary. Up to d = 4096 the summary is one word, built
+// in a register: or-ing each member into it in memory would chain every
+// update through the previous one's store.
+func (r *RNG) summarize(dst []uint32, d int) {
+	if d <= 1<<12 {
+		var w uint64
+		for _, j := range dst {
+			w |= 1 << (j >> 6)
+		}
+		r.sum[0] = w
+		return
+	}
+	sm := r.sum
+	for _, j := range dst {
+		sm[j>>12] |= 1 << (j >> 6 & 63)
+	}
 }
 
 // orderBitmap writes the members of the RNG's bitmap into dst in
@@ -313,5 +327,25 @@ func (r *RNG) orderBitmap(dst []uint32) {
 			dst[k] = uint32(w<<6 | bits.TrailingZeros64(b))
 			k++
 		}
+	}
+}
+
+// orderSparse is orderBitmap for a sparse bitmap, led by the summary: it
+// visits only the words the summary marks, in O(⌈d/4096⌉ + m), and
+// clears the summary too. Those words mostly hold one member each, so
+// the plain loop over a word's members predicts well.
+func (r *RNG) orderSparse(dst []uint32) {
+	bm, sm := r.bits, r.sum
+	k := 0
+	for s := 0; k < len(dst); s++ {
+		for sw := sm[s]; sw != 0; sw &= sw - 1 {
+			w := s<<6 | bits.TrailingZeros64(sw)
+			for b := bm[w]; b != 0; b &= b - 1 {
+				dst[k] = uint32(w<<6 | bits.TrailingZeros64(b))
+				k++
+			}
+			bm[w] = 0
+		}
+		sm[s] = 0
 	}
 }

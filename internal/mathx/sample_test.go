@@ -181,3 +181,21 @@ func TestChildSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleIndicesClearsSummary: a sparse sample's read-back, led by
+// the bitmap summary, leaves the summary all zero as well as the bitmap,
+// so the next call's summary marks only its own words.
+func TestSampleIndicesClearsSummary(t *testing.T) {
+	r := NewRNG(3)
+	for _, sh := range []struct{ d, m int }{{1 << 20, 32}, {65536, 32}, {4096, 16}, {2048, 8}, {1024, 32}} {
+		for trial := 0; trial < 50; trial++ {
+			r.SampleIndices(sh.d, sh.m, nil)
+			checkGuardClear(t, r, sh.d, sh.m)
+			for s, w := range r.sum {
+				if w != 0 {
+					t.Fatalf("(d=%d, m=%d): summary word %d = %#x after the call, want 0", sh.d, sh.m, s, w)
+				}
+			}
+		}
+	}
+}

@@ -110,7 +110,7 @@ func Capture(reg *est.Registry) []QueryRecord {
 			continue // deleted between All and here: gone, not durable
 		}
 		fold := est.GetScratch()
-		est.SnapshotInto(q.Estimator(), fold)
+		q.Estimator().SnapshotInto(fold)
 		rec := QueryRecord{
 			Spec:   q.Spec(),
 			Sealed: q.State() == est.StateSealed,

@@ -1,4 +1,4 @@
-package recal
+package recal_test
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
+	"github.com/hdr4me/hdr4me/internal/recal"
 )
 
 // simulate runs one uniform-budget collection round of ds through
@@ -40,7 +41,7 @@ func TestTheorem3ImprovementProbabilityEmpirically(t *testing.T) {
 		fw := analysis.Framework{Mech: ldp.Laplace{}, EpsPerDim: p.EpsPerDim(), R: float64(ds.NumUsers())}
 		dev := fw.Deviation(nil)
 		joint := analysis.Homogeneous(40, dev)
-		cfg := DefaultConfig(RegL1)
+		cfg := recal.DefaultConfig(recal.RegL1)
 		const trials = 40
 		wins := 0
 		rng := mathx.NewRNG(uint64(1000 * eps))
@@ -50,7 +51,7 @@ func TestTheorem3ImprovementProbabilityEmpirically(t *testing.T) {
 				t.Fatal(err)
 			}
 			est := agg.Estimate()
-			enh := Enhance(est, []analysis.Deviation{dev}, cfg)
+			enh := recal.Enhance(est, []analysis.Deviation{dev}, cfg)
 			if norm2diff(enh, truth) < norm2diff(est, truth) {
 				wins++
 			}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/hdr4me/hdr4me/internal/epoch"
 	"github.com/hdr4me/hdr4me/internal/est"
+	"github.com/hdr4me/hdr4me/internal/highdim"
 )
 
 // epochFactory builds epoch rings around mean aggregators: the factory a
@@ -19,11 +20,7 @@ func epochFactory(t *testing.T, cfg epoch.Config) est.Factory {
 		if err != nil {
 			return nil, err
 		}
-		scratch, err := mk(spec)
-		if err != nil {
-			return nil, err
-		}
-		return epoch.New(inner, scratch, cfg)
+		return epoch.New(inner.(*highdim.Aggregator).Family, cfg)
 	}
 }
 

@@ -30,11 +30,7 @@ func fuzzRingFactory() est.Factory {
 		if err != nil {
 			return nil, err
 		}
-		scratch, err := mk(spec)
-		if err != nil {
-			return nil, err
-		}
-		return epoch.New(inner, scratch, epoch.Config{})
+		return epoch.New(inner.(*highdim.Aggregator).Family, epoch.Config{})
 	}
 }
 

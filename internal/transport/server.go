@@ -518,12 +518,12 @@ func (s *Server) serveConn(conn net.Conn) error {
 			// from it, so the reply allocates nothing.
 			if ft == frameEstimate {
 				vp := floatPool.Get(0)
-				*vp = est.EstimateInto(q.Estimator(), *vp)
+				*vp = q.Estimator().EstimateInto(*vp)
 				err = writeFloats(bw, *vp, status...)
 				floatPool.Put(vp)
 			} else {
 				vp := intPool.Get(0)
-				*vp = est.CountsInto(q.Estimator(), *vp)
+				*vp = q.Estimator().CountsInto(*vp)
 				err = writeInts(bw, *vp, status...)
 				intPool.Put(vp)
 			}
@@ -540,15 +540,11 @@ func (s *Server) serveConn(conn net.Conn) error {
 			}
 			err = writeAck(bw, q != nil && q.Merge(snap) == nil)
 		case frameEnhanced:
-			var en est.Enhancer
-			if q != nil {
-				en, _ = q.Estimator().(est.Enhancer)
-			}
-			if en == nil {
+			if q == nil {
 				err = bw.WriteByte(ackErr)
 				break
 			}
-			err = writeVector(bw, func(dst []float64) ([]float64, error) { return est.EnhancedInto(en, dst) })
+			err = writeVector(bw, q.Estimator().EnhancedInto)
 		case frameEpoch:
 			err = c.serveEpoch(br, bw, q)
 		case frameWindow:
@@ -716,10 +712,10 @@ func writeVector(bw *bufio.Writer, fill func(dst []float64) ([]float64, error)) 
 // writeSnapshotReply answers a SNAPSHOT exchange with ackOK and the
 // estimator's snapshot in one Write. The fold is pooled scratch, encoded
 // straight from its arrays, so the reply allocates nothing.
-func writeSnapshotReply(bw *bufio.Writer, e est.Estimator) error {
+func writeSnapshotReply(bw *bufio.Writer, e est.Core) error {
 	f := est.GetScratch()
 	defer est.PutScratch(f)
-	est.SnapshotInto(e, f)
+	e.SnapshotInto(f)
 	if err := checkSnapshot(*f); err != nil {
 		return err
 	}

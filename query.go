@@ -72,8 +72,12 @@ func DialCollectorContext(ctx context.Context, addr string, opts ...CollectorCli
 }
 
 // estimatorForSpec is the registry factory: one validated QuerySpec in,
-// one fresh estimator out, via the session configuration machinery.
-func estimatorForSpec(spec est.QuerySpec) (est.Estimator, error) {
+// one fresh family core out.
+func estimatorForSpec(spec est.QuerySpec) (est.Estimator, error) { return familyForSpec(spec) }
+
+// familyForSpec builds spec's family core via the session configuration
+// machinery.
+func familyForSpec(spec est.QuerySpec) (*est.Family, error) {
 	var cfg sessionConfig
 	if err := applySpec(&cfg, spec); err != nil {
 		return nil, err

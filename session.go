@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hdr4me/hdr4me/internal/analysis"
 	"github.com/hdr4me/hdr4me/internal/epoch"
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/freq"
@@ -187,12 +186,16 @@ func WithEstimator(e Estimator) Option {
 // one with New; all methods are safe for concurrent use.
 type Session struct {
 	cfg sessionConfig
-	est Estimator
+	// est is the session's estimator under the one Core contract: the
+	// family core, or a WithEstimator injection adapted once in New.
+	est est.Core
+	// fam is the family core behind est (nil for a custom estimator):
+	// Run's one-fold result and EstimateEnhancedWith read it directly.
+	fam *est.Family
 
-	// ring wraps est for continual sessions (any epoch option): ingest
+	// ring wraps fam for continual sessions (any epoch option): ingest
 	// routes through it so rotation triggers count reports, while est
-	// stays the inner family estimator the estimate/enhance type switches
-	// know. Nil for one-shot sessions.
+	// serves the live epoch's reads. Nil for one-shot sessions.
 	ring *epoch.Ring
 	// stopRotate joins the wall-clock rotation ticker (WithEpochDuration).
 	stopRotate func()
@@ -258,30 +261,28 @@ func New(opts ...Option) (*Session, error) {
 	}
 	s := &Session{cfg: cfg, rng: NewRNG(sessionSeed(cfg.seed))}
 	s.obsRoot = s.rng.Child(obsStream)
-	e, err := s.newEstimator()
-	if err != nil {
-		return nil, err
-	}
-	s.est = e
-	// Continual sessions wrap the estimator in an epoch ring; ingest
-	// (lanes included) routes through it so report-count rotation
-	// triggers see every report.
-	ingest := e
-	if cfg.epochs {
-		if s.ring, err = s.buildRing(e); err != nil {
+	if cfg.custom != nil {
+		s.est = est.Adapt(cfg.custom)
+	} else {
+		fam, err := buildEstimator(&cfg)
+		if err != nil {
 			return nil, err
 		}
-		ingest = s.ring
+		s.est, s.fam = fam, fam
 	}
-	// Striped ingest for Observe: only when the estimator both produces
-	// detached reports (so perturbation runs outside any lock) and offers
-	// stripe lanes. All three built-in families do.
-	if _, ok := e.(est.Reporter); ok {
-		if _, ok := e.(est.LaneProvider); ok {
-			s.lanes = make([]est.Lane, sessionLanes)
-			for i := range s.lanes {
-				s.lanes[i] = est.AcquireLane(ingest)
-			}
+	if cfg.epochs {
+		var err error
+		if s.ring, err = s.buildRing(); err != nil {
+			return nil, err
+		}
+	}
+	// Striped ingest for Observe, for the built-in families: reports are
+	// perturbed outside any lock, then land on stripe lanes of the
+	// ingest surface, so report-count rotation triggers see every one.
+	if s.fam != nil {
+		s.lanes = make([]est.Lane, sessionLanes)
+		for i := range s.lanes {
+			s.lanes[i] = s.ingestEst().AcquireLane()
 		}
 	}
 	if cfg.epochDur > 0 {
@@ -362,21 +363,13 @@ func (s *Session) Close() error {
 	return s.closeErr
 }
 
-// newEstimator constructs one estimator instance for the session's family
-// and configuration. Run builds one per worker so shards accumulate
-// lock-free and Merge at the end — the same composition path distributed
-// collectors use.
-func (s *Session) newEstimator() (Estimator, error) {
-	return buildEstimator(&s.cfg)
-}
-
 // buildEstimator is the family-construction core shared by Session and
 // the query-registry factory: one resolved configuration in, one fresh
-// estimator out.
-func buildEstimator(c *sessionConfig) (Estimator, error) {
+// family core out. Run builds one per worker, so shards accumulate
+// lock-free and Merge at the end — the same composition path
+// distributed collectors use.
+func buildEstimator(c *sessionConfig) (*est.Family, error) {
 	switch {
-	case c.custom != nil:
-		return c.custom, nil
 	case c.wholeTuple:
 		md, err := highdim.NewDuchiMD(c.d, c.eps)
 		if err != nil {
@@ -386,7 +379,7 @@ func buildEstimator(c *sessionConfig) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return agg, nil
+		return agg.Family, nil
 	case c.cards != nil:
 		if c.d != 0 && c.d != len(c.cards) {
 			return nil, fmt.Errorf("hdr4me: WithDims d=%d disagrees with %d cardinalities", c.d, len(c.cards))
@@ -404,7 +397,7 @@ func buildEstimator(c *sessionConfig) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return f, nil
+		return f.Family, nil
 	default:
 		m := c.m
 		if m <= 0 {
@@ -423,17 +416,21 @@ func buildEstimator(c *sessionConfig) (Estimator, error) {
 		} else {
 			agg = highdim.NewAggregator(p)
 		}
-		cfg := DefaultEnhanceConfig(RegL1)
 		if c.enhance != nil {
-			cfg = *c.enhance
+			agg.SetEnhance(*c.enhance)
 		}
-		return newMeanEnhancer(agg, cfg), nil
+		return agg.Family, nil
 	}
 }
 
 // Estimator exposes the session's estimator, e.g. for serving it over TCP
-// with NewEstimatorServer.
-func (s *Session) Estimator() Estimator { return s.est }
+// with NewEstimatorServer: the family's, or the WithEstimator injection.
+func (s *Session) Estimator() Estimator {
+	if s.cfg.custom != nil {
+		return s.cfg.custom
+	}
+	return s.est
+}
 
 // Kind returns the estimator family ("mean", "wholetuple", "freq").
 func (s *Session) Kind() string { return s.est.Kind() }
@@ -451,7 +448,7 @@ func (s *Session) Observe(t Tuple) error {
 	rng, idx := s.obsRNG()
 	defer obsRNGs.Put(rng)
 	if s.lanes != nil {
-		rep, err := s.est.(est.Reporter).MakeReport(t, rng)
+		rep, err := s.est.MakeReport(t, rng)
 		if err != nil {
 			return err
 		}
@@ -463,7 +460,7 @@ func (s *Session) Observe(t Tuple) error {
 // ingestEst is where ingest surfaces accumulate: the epoch ring for a
 // continual session (so rotation triggers count every report), the
 // estimator itself otherwise.
-func (s *Session) ingestEst() Estimator {
+func (s *Session) ingestEst() est.Core {
 	if s.ring != nil {
 		return s.ring
 	}
@@ -477,13 +474,9 @@ func (s *Session) ingestEst() Estimator {
 // collector's identically-spec'd estimator aggregates them. Safe for
 // concurrent use, exactly as Observe.
 func (s *Session) Report(t Tuple) (Report, error) {
-	rp, ok := s.est.(est.Reporter)
-	if !ok {
-		return Report{}, fmt.Errorf("hdr4me: %s estimator cannot produce detached reports", s.est.Kind())
-	}
 	rng, _ := s.obsRNG()
 	defer obsRNGs.Put(rng)
-	return rp.MakeReport(t, rng)
+	return s.est.MakeReport(t, rng)
 }
 
 // obsRNGs recycles the per-call RNGs of Observe and Report: each call
@@ -513,11 +506,11 @@ func (s *Session) AddReport(rep Report) error { return s.ingestEst().AddReport(r
 
 // AddReports accumulates a batch of already-perturbed reports through the
 // estimator's batched ingest path: for the built-in families the whole
-// batch lands under one stripe-lock acquisition (est.BatchAdder) instead
-// of one per report. Malformed reports are skipped, not fatal — accepted
+// batch lands under one stripe-lock acquisition instead of one per
+// report. Malformed reports are skipped, not fatal — accepted
 // counts the rest, and err carries the first rejection for diagnostics.
 func (s *Session) AddReports(reps []Report) (accepted int, err error) {
-	return est.AddReports(s.ingestEst(), reps)
+	return s.ingestEst().AddReports(reps)
 }
 
 // Estimate returns the running naive estimate.
@@ -525,31 +518,17 @@ func (s *Session) Estimate() []float64 { return s.est.Estimate() }
 
 // EstimateEnhanced returns the running HDR4ME re-calibrated estimate, or
 // an error for families without an enhancement path (whole-tuple).
-func (s *Session) EstimateEnhanced() ([]float64, error) {
-	en, ok := s.est.(est.Enhancer)
-	if !ok {
-		return nil, fmt.Errorf("hdr4me: %s estimator does not support enhancement", s.est.Kind())
-	}
-	return en.Enhanced()
-}
+func (s *Session) EstimateEnhanced() ([]float64, error) { return s.est.Enhanced() }
 
 // EstimateEnhancedWith re-calibrates the current naive estimate under an
 // alternative enhancement configuration — the same accumulated reports,
 // different collector-side post-processing (e.g. comparing guarded vs
 // always-on without re-running the collection).
 func (s *Session) EstimateEnhancedWith(cfg EnhanceConfig) ([]float64, error) {
-	switch e := s.est.(type) {
-	case *meanEnhancer:
-		rebound := *e
-		rebound.cfg = cfg
-		return rebound.Enhanced()
-	case *freq.Flat:
-		rebound := *e
-		rebound.Cfg = cfg
-		return rebound.Enhanced()
-	default:
+	if s.fam == nil {
 		return nil, fmt.Errorf("hdr4me: %s estimator does not support enhancement", s.est.Kind())
 	}
+	return s.fam.EnhancedWith(cfg)
 }
 
 // Counts returns the per-dimension report counts.
@@ -609,11 +588,10 @@ func (s *Session) PullSnapshotContext(ctx context.Context, addr string) error {
 // Freqs reshapes a flattened frequency-family estimate into per-dimension
 // frequency vectors (feed the result to ProjectSimplex).
 func (s *Session) Freqs(flat []float64) ([][]float64, error) {
-	f, ok := s.est.(*freq.Flat)
-	if !ok {
+	if s.fam == nil || s.fam.Kind() != KindFreq {
 		return nil, fmt.Errorf("hdr4me: Freqs is only available on the frequency family, not %s", s.est.Kind())
 	}
-	return f.Unflatten(flat)
+	return s.fam.Unflatten(flat)
 }
 
 // Result is the outcome of one Session.Run collection round.
@@ -634,7 +612,8 @@ type Result struct {
 // Cancelling ctx aborts promptly with ctx.Err(); for the built-in
 // families no shard is merged, so the session state is untouched. A
 // session built WithEstimator ingests directly into that estimator, so an
-// aborted Run may leave the already-observed prefix in it.
+// aborted Run may leave the already-observed prefix in it, and its
+// Result carries the estimator's live Estimate and Counts only.
 //
 // The mean and whole-tuple families ingest a Dataset; the frequency
 // family ingests a CatDataset.
@@ -666,140 +645,36 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 	// workers observe straight into it; family estimators get one shard
 	// each, merged into the session at the end (no lock contention on the
 	// hot path).
-	into, shard := s.est, s.newEstimator
-	if s.cfg.custom != nil {
+	var into Estimator = s.est
+	shard := func() (Estimator, error) { return buildEstimator(&s.cfg) }
+	if s.fam == nil {
 		into, shard = nil, func() (Estimator, error) { return s.est, nil }
 	}
 	if err := est.Round(ctx, into, src.NumUsers(), s.cfg.workers, runRNG, shard, rows); err != nil {
 		return nil, err
 	}
+	if s.fam == nil { // a custom estimator: its live reads
+		return &Result{Naive: s.est.Estimate(), Counts: s.est.Counts()}, nil
+	}
 
-	// Build the Result from one snapshot so Naive, Counts and (for the
-	// mean family) Enhanced describe the same instant even when streaming
-	// traffic keeps arriving during and after the merge.
-	snap := s.est.Snapshot()
-	res := &Result{Counts: snap.Counts}
+	// Build the Result from one fold so Naive, Counts and Enhanced
+	// describe the same instant even when streaming traffic keeps
+	// arriving during and after the merge.
+	f := est.GetScratch()
+	defer est.PutScratch(f)
+	s.fam.SnapshotInto(f)
+	res := &Result{Counts: s.fam.CountsFromInto(nil, f.Counts)}
 	var err error
-	switch e := s.est.(type) {
-	case *meanEnhancer:
-		if res.Naive, err = e.Aggregator.EstimateFrom(snap); err != nil {
+	if res.Naive, err = s.fam.EstimateFromInto(nil, *f); err != nil {
+		return nil, err
+	}
+	if s.cfg.enhance != nil && s.fam.Enhances() {
+		if res.Enhanced, err = s.fam.EnhancedFromInto(nil, *f); err != nil {
 			return nil, err
-		}
-		if s.cfg.enhance != nil {
-			if res.Enhanced, err = e.enhancedFrom(nil, snap); err != nil {
-				return nil, err
-			}
-		}
-	case *freq.Flat:
-		if res.Naive, err = e.EstimateFrom(snap); err != nil {
-			return nil, err
-		}
-		if s.cfg.enhance != nil {
-			if res.Enhanced, err = e.EnhancedFrom(snap); err != nil {
-				return nil, err
-			}
-		}
-	case *highdim.MDAggregator:
-		if res.Naive, err = e.EstimateFrom(snap); err != nil {
-			return nil, err
-		}
-		// The whole-tuple snapshot stores one total count; Result keeps
-		// the per-dimension shape the other families report.
-		res.Counts = make([]int64, e.Dims())
-		for j := range res.Counts {
-			res.Counts[j] = snap.Counts[0]
-		}
-	default: // custom estimator: no snapshot-decoding knowledge here
-		res.Naive, res.Counts = s.est.Estimate(), s.est.Counts()
-		if _, ok := s.est.(est.Enhancer); ok && s.cfg.enhance != nil {
-			if res.Enhanced, err = s.EstimateEnhanced(); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return res, nil
 }
-
-// meanEnhancer binds a mean-family aggregator to an HDR4ME configuration,
-// deriving collector-side deviations from the §IV framework with an
-// uninformative 21-atom uniform prior and the observed per-dimension
-// report counts (the collector never touches raw data).
-type meanEnhancer struct {
-	*highdim.Aggregator
-	cfg recal.Config
-	// The Lemma 2/3 moments do not depend on the report count, so they are
-	// evaluated once per budget at construction: mom under the uniform
-	// budget, moms[j] per dimension under an allocation (nil otherwise).
-	// A query then only scales them by each dimension's count.
-	mom  analysis.Moments
-	moms []analysis.Moments
-}
-
-func newMeanEnhancer(agg *highdim.Aggregator, cfg recal.Config) *meanEnhancer {
-	m := &meanEnhancer{Aggregator: agg, cfg: cfg}
-	mech := agg.P.Mech
-	var spec *analysis.DataSpec
-	if mech.Bounded() {
-		grid := UniformGridSpec(21)
-		spec = &grid
-	}
-	if !agg.Allocated() {
-		m.mom = analysis.Framework{Mech: mech, EpsPerDim: agg.P.EpsPerDim()}.Moments(spec)
-		return m
-	}
-	m.moms = make([]analysis.Moments, agg.P.D)
-	for j := range m.moms {
-		m.moms[j] = analysis.Framework{Mech: mech, EpsPerDim: agg.EpsFor(j)}.Moments(spec)
-	}
-	return m
-}
-
-// Enhanced implements the est.Enhancer interface.
-func (m *meanEnhancer) Enhanced() ([]float64, error) { return m.EnhancedInto(nil) }
-
-// EnhancedInto implements est.EnhancedFolder: Enhanced written into dst.
-// It works from one pooled fold so the estimate and the report counts
-// weighting its deviations come from the same instant even while
-// reports stream in, and allocates nothing once dst has held one
-// estimate.
-func (m *meanEnhancer) EnhancedInto(dst []float64) ([]float64, error) {
-	f := est.GetScratch()
-	m.Aggregator.SnapshotInto(f)
-	out, err := m.enhancedFrom(dst, *f)
-	est.PutScratch(f)
-	return out, err
-}
-
-// enhancedFrom re-calibrates the snapshot into dst in one pass: each
-// dimension's calibrated naive value (the aggregator's NaiveAt, the
-// formula behind EstimateFrom), its deviation from the cached moments at
-// the dimension's report count (at least 1), and the HDR4ME step.
-func (m *meanEnhancer) enhancedFrom(dst []float64, snap Snapshot) ([]float64, error) {
-	agg := m.Aggregator
-	if err := est.CheckMerge(agg, snap, agg.P.D, agg.P.D); err != nil {
-		return nil, err
-	}
-	out := est.Resize(dst, agg.P.D)
-	step := m.cfg.Step()
-	mom, moms, sums := m.mom, m.moms, snap.Sums
-	for j, c := range snap.Counts {
-		if moms != nil {
-			mom = moms[j]
-		}
-		r := float64(c)
-		rdev := r
-		if rdev < 1 {
-			rdev = 1
-		}
-		out[j] = step.Apply(agg.NaiveAt(j, sums[j], r), mom.At(rdev))
-	}
-	return out, nil
-}
-
-var (
-	_ est.Enhancer       = (*meanEnhancer)(nil)
-	_ est.EnhancedFolder = (*meanEnhancer)(nil)
-)
 
 // NewEstimatorServer wraps any Estimator — a Session's, or a bare
 // aggregator — in a TCP collector. Unlike NewCollectorServer it serves
