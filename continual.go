@@ -190,12 +190,13 @@ func WithEpochRetain(n int) Option {
 
 // ServingEstimator returns the estimator to expose over the wire: the
 // epoch ring for a continual session (so routed EPOCH/WINDOW/DECAY/
-// ROTATE frames work), the plain estimator otherwise.
+// ROTATE frames work), the session's estimator (see Estimator)
+// otherwise.
 func (s *Session) ServingEstimator() Estimator {
 	if s.ring != nil {
 		return s.ring
 	}
-	return s.est
+	return s.Estimator()
 }
 
 // Continual reports whether the session collects in epochs.

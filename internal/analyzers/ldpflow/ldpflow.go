@@ -27,6 +27,9 @@
 // through per-function summaries: a static call to an in-package
 // function is refined by which parameters taint its results, which
 // reach sinks inside it, and which it stores into its slice parameters.
+// A boundary method (MakeReport, Observe) whose tuple parameter reaches
+// a sink is also a finding at its declaration, since its callers reach
+// it through the interface.
 //
 // Accepted gaps, by design: implicit flows (branching on a raw value),
 // taint through captured variables in function literals (tuple-typed
@@ -85,6 +88,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			a.checkFunc(fd.Body)
+			a.checkBoundary(fd)
 			// Function literals get their own pass: captured taint is
 			// not tracked, but tuple-typed values are caught by type.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -128,6 +132,31 @@ func (a *analyzer) checkFunc(body *ast.BlockStmt) {
 	res.Visit(func(n ast.Node, st dataflow.State) {
 		a.visit(n, st, true, sum)
 	})
+}
+
+// checkBoundary reports a report-boundary method (MakeReport, Observe)
+// whose tuple parameter reaches an output sink. Callers reach such a
+// method through the est.Reporter interface — est.Family calls every
+// family's MakeReport through its Calibrator — so no call site in the
+// method's package names it and the interprocedural finding at a
+// caller cannot fire; the declaration carries that finding instead. A
+// directive on the sink line inside does not cover the declaration.
+func (a *analyzer) checkBoundary(fd *ast.FuncDecl) {
+	if fd.Recv == nil || !isReporterBoundary(fd.Name.Name) {
+		return
+	}
+	fn, ok := a.pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return
+	}
+	sum := a.summarize(fn)
+	for i, obj := range paramObjects(a.pass.TypesInfo, fd) {
+		if obj != nil && isTupleType(obj.Type()) && sum.paramToSink&(uint64(1)<<i) != 0 {
+			a.pass.Reportf(fd.Name.Pos(),
+				"raw tuple value reaches an output sink inside %s, a report boundary callers reach through est.Reporter, without LDP randomization", fd.Name.Name)
+			return
+		}
+	}
 }
 
 // summarize computes (memoized) the summary of an in-package function:

@@ -180,3 +180,45 @@ func GatherReport(t Tuple) Report {
 	gather(rep.Values, t.Values)
 	return rep // want "est.Report built from raw tuple values"
 }
+
+// Calibrator mirrors est.Calibrator: the estimator core reaches each
+// family's MakeReport through it, so no call site names an
+// implementation.
+type Calibrator interface {
+	MakeReport(t Tuple) (Report, error)
+}
+
+// Core mirrors est.Family: its Observe dispatches through the
+// interface, which is a report boundary, so the call is clean.
+type Core struct{ cal Calibrator }
+
+func (c Core) Observe(t Tuple) (Report, error) { return c.cal.MakeReport(t) }
+
+// errCal is a family's calibrator whose range error names the raw
+// value: the sink line and the boundary declaration are findings.
+type errCal struct{ m Mech }
+
+func (c errCal) MakeReport(t Tuple) (Report, error) { // want "output sink inside MakeReport, a report boundary"
+	if t.Values[0] > 1 {
+		return Report{}, fmt.Errorf("value %v out of range", t.Values[0]) // want "raw tuple value reaches fmt.Errorf"
+	}
+	return Report{Values: []float64{c.m.Perturb(t.Values[0], 1)}}, nil
+}
+
+// logCal leaks through an in-package helper instead.
+type logCal struct{ m Mech }
+
+func (c logCal) MakeReport(t Tuple) (Report, error) { // want "output sink inside MakeReport, a report boundary"
+	logValue(t.Values[0]) // want "flows into logValue"
+	return Report{Values: []float64{c.m.Perturb(t.Values[0], 1)}}, nil
+}
+
+// dimCal names only the dimension in its error: clean.
+type dimCal struct{ m Mech }
+
+func (c dimCal) MakeReport(t Tuple) (Report, error) {
+	if t.Values[0] > 1 {
+		return Report{}, fmt.Errorf("dimension %d out of range", 0)
+	}
+	return Report{Values: []float64{c.m.Perturb(t.Values[0], 1)}}, nil
+}

@@ -185,15 +185,9 @@ func (r *Ring) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (i
 }
 
 // AcquireLane returns a lane into the live epoch under one stripe of the
-// core. With a report-count trigger the lane counts accepted reports
-// toward it, one atomic add per call; without one it is the core's own
-// lane.
+// core; it counts accepted reports toward the report-count trigger.
 func (r *Ring) AcquireLane() est.Lane {
-	lane := r.Family.AcquireLane()
-	if r.cfg.Every <= 0 {
-		return lane
-	}
-	return ringLane{r: r, lane: lane}
+	return ringLane{r: r, lane: r.Family.AcquireLane()}
 }
 
 type ringLane struct {

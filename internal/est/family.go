@@ -31,6 +31,12 @@ type Core interface {
 	SnapshotInto(dst *Snapshot)
 	// EnhancedInto is Enhanced into dst.
 	EnhancedInto(dst []float64) ([]float64, error)
+	// Enhances reports whether Enhanced re-calibrates rather than errs.
+	Enhances() bool
+	// Striped reports whether MakeReport produces detached reports and
+	// AcquireLane binds stripe-bound lanes, so a caller may perturb
+	// outside any lock and land the report on a lane.
+	Striped() bool
 }
 
 // Calibrator is what a family supplies besides its Kernel: the
@@ -162,9 +168,13 @@ func (f *Family) Unflatten(flat []float64) ([][]float64, error) {
 	return out, nil
 }
 
-// Enhances reports whether Enhanced re-calibrates: whether the family's
-// calibrator is a Deviator.
+// Enhances implements Core: whether the family's calibrator is a
+// Deviator.
 func (f *Family) Enhances() bool { return f.dev != nil }
+
+// Striped implements Core: every family reports through its calibrator
+// and ingests through stripes.
+func (f *Family) Striped() bool { return true }
 
 // MakeReport implements Reporter through the family's calibrator.
 func (f *Family) MakeReport(t Tuple, rng *mathx.RNG) (Report, error) {
@@ -362,32 +372,52 @@ var (
 
 // Adapt returns e's whole contract: e itself when it already implements
 // Core (every built-in family and the epoch ring), otherwise a wrapper
-// that serves e's Estimator methods, its batch path and enhanced
-// estimate when it has them (AddReports and Enhanced, looked up here,
-// once), lanes that pass straight through to it, and copies of its
-// allocating reads in the caller's vector; it refuses detached reports,
-// and the enhanced estimate when e has none. The server, the registry
-// and the Session adapt a custom estimator once, at construction.
+// that serves e's Estimator methods and whichever of its detached
+// reports, batch and columnar paths, lanes and enhanced estimate it has
+// (looked up here, once). What e lacks the wrapper fills in: AddReports
+// one AddReport at a time, AddColumns over per-report views, lanes that
+// pass straight through to e, copies of its allocating reads in the
+// caller's vector, and errors for detached reports and the enhanced
+// estimate. The server, the registry and the Session adapt a custom
+// estimator once, at construction.
 func Adapt(e Estimator) Core {
 	if c, ok := e.(Core); ok {
 		return c
 	}
 	a := &adapted{Estimator: e}
+	a.rep, _ = e.(Reporter)
 	a.batch, _ = e.(BatchAdder)
+	a.cols, _ = e.(ColumnAdder)
+	a.lanes, _ = e.(laneProvider)
 	a.enh, _ = e.(Enhancer)
 	return a
 }
 
-// adapted is a custom Estimator under the Core contract.
+// laneProvider is a custom estimator's own striped ingest: AcquireLane
+// binds the caller to one of its stripes.
+type laneProvider interface{ AcquireLane() Lane }
+
+// adapted is a custom Estimator under the Core contract. A nil field
+// is a path e does not have.
 type adapted struct {
 	Estimator
-	batch BatchAdder // nil: one AddReport per report
-	enh   Enhancer   // nil: no enhanced estimate
+	rep   Reporter
+	batch BatchAdder
+	cols  ColumnAdder
+	lanes laneProvider
+	enh   Enhancer
 }
 
-func (a *adapted) MakeReport(Tuple, *mathx.RNG) (Report, error) {
-	return Report{}, fmt.Errorf("est: %s estimator cannot produce detached reports", a.Kind())
+func (a *adapted) MakeReport(t Tuple, rng *mathx.RNG) (Report, error) {
+	if a.rep == nil {
+		return Report{}, fmt.Errorf("est: %s estimator cannot produce detached reports", a.Kind())
+	}
+	return a.rep.MakeReport(t, rng)
 }
+
+func (a *adapted) Enhances() bool { return a.enh != nil }
+
+func (a *adapted) Striped() bool { return a.rep != nil && a.lanes != nil }
 
 func (a *adapted) Enhanced() ([]float64, error) {
 	if a.enh == nil {
@@ -422,9 +452,12 @@ func (a *adapted) AddReports(reps []Report) (accepted int, err error) {
 	return accepted, err
 }
 
-// AddColumns materializes per-report views over the columns and
-// batch-adds them.
+// AddColumns is e's columnar path, or per-report views over the columns
+// batch-added.
 func (a *adapted) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
+	if a.cols != nil {
+		return a.cols.AddColumns(n, ndims, nvals, dims, vals)
+	}
 	if err := CheckColumns(n, ndims, nvals, len(dims), len(vals)); err != nil {
 		return 0, err
 	}
@@ -435,7 +468,13 @@ func (a *adapted) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64)
 	return a.AddReports(reps)
 }
 
-func (a *adapted) AcquireLane() Lane { return a }
+// AcquireLane is one of e's own lanes, or a pass-through to e.
+func (a *adapted) AcquireLane() Lane {
+	if a.lanes != nil {
+		return a.lanes.AcquireLane()
+	}
+	return a
+}
 
 // EstimateInto and CountsInto copy the allocating reads, whose vectors
 // e may still hold, into dst.

@@ -29,9 +29,10 @@ const (
 	// run: with the one-pass report, pipeline-hd's median Enhanced
 	// latency read 29% above the two-pass report's at 40 frames (5 pairs
 	// of 30 s on a 2-vCPU host) and 2.6% above it at 48 (10 alternating
-	// pairs of 50 s); without the re-check it read 65% above at 48, and
-	// 0.087 ms against 0.28 ms at 56, with the median ack at 9.1 ms
-	// against 8.1 ms (5 alternating pairs of 50 s each).
+	// pairs of 50 s); without the re-check it read 40-65% above at 48
+	// (two sets of 5 alternating pairs of 50 s), and 0.086 ms against
+	// 0.30 ms at 56, with the median ack at 9.1 ms against 8.1 ms (10
+	// alternating pairs of 50 s).
 	defaultMaxPending = 56
 
 	// Retry pacing: shed batches and reconnect attempts back off

@@ -202,8 +202,8 @@ type Session struct {
 
 	// lanes are stripe-bound ingest handles into the estimator's
 	// lock-striped accumulator; Observe rotates over them so concurrent
-	// observers rarely contend on one stripe lock. Nil for estimators
-	// without striped accumulation (custom injections).
+	// observers rarely contend on one stripe lock. Nil for custom
+	// injections without detached reports or stripe lanes.
 	lanes []est.Lane
 
 	mu    sync.Mutex
@@ -276,10 +276,12 @@ func New(opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	// Striped ingest for Observe, for the built-in families: reports are
-	// perturbed outside any lock, then land on stripe lanes of the
-	// ingest surface, so report-count rotation triggers see every one.
-	if s.fam != nil {
+	// Striped ingest for Observe, for every estimator that both produces
+	// detached reports and offers stripe lanes (every built-in family):
+	// reports are perturbed outside any lock, then land on stripe lanes
+	// of the ingest surface, so report-count rotation triggers see every
+	// one.
+	if s.est.Striped() {
 		s.lanes = make([]est.Lane, sessionLanes)
 		for i := range s.lanes {
 			s.lanes[i] = s.ingestEst().AcquireLane()
@@ -613,7 +615,8 @@ type Result struct {
 // families no shard is merged, so the session state is untouched. A
 // session built WithEstimator ingests directly into that estimator, so an
 // aborted Run may leave the already-observed prefix in it, and its
-// Result carries the estimator's live Estimate and Counts only.
+// Result carries the estimator's live Estimate and Counts, plus its
+// Enhanced when the session was built WithEnhance and it has one.
 //
 // The mean and whole-tuple families ingest a Dataset; the frequency
 // family ingests a CatDataset.
@@ -654,7 +657,14 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 		return nil, err
 	}
 	if s.fam == nil { // a custom estimator: its live reads
-		return &Result{Naive: s.est.Estimate(), Counts: s.est.Counts()}, nil
+		res := &Result{Naive: s.est.Estimate(), Counts: s.est.Counts()}
+		if s.cfg.enhance != nil && s.est.Enhances() {
+			var err error
+			if res.Enhanced, err = s.est.Enhanced(); err != nil {
+				return nil, err
+			}
+		}
+		return res, nil
 	}
 
 	// Build the Result from one fold so Naive, Counts and Enhanced
