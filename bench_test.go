@@ -243,7 +243,7 @@ func BenchmarkAblation_DuchiMDvsSampling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mdShard := func() (Estimator, error) { return highdim.NewMDAggregator(m) }
+		mdShard := func() (est.Estimator, error) { return highdim.NewMDAggregator(m) }
 		if err := est.Round(context.Background(), md, ds.NumUsers(), 0, mathx.NewRNG(uint64(i)), mdShard, est.ValueRows(ds)); err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func BenchmarkPerturb_SCDF(b *testing.B)       { benchPerturb(b, SCDF()) }
 // worker.
 func simulateRound(p Protocol, ds Dataset, rng *RNG) (*highdim.Aggregator, error) {
 	agg := highdim.NewAggregator(p)
-	shard := func() (Estimator, error) { return highdim.NewAggregator(p), nil }
+	shard := func() (est.Estimator, error) { return highdim.NewAggregator(p), nil }
 	return agg, est.Round(context.Background(), agg, ds.NumUsers(), 0, rng, shard, est.ValueRows(ds))
 }
 

@@ -61,7 +61,7 @@ type EpochConfig struct {
 // collector epoch to rotate every query and renew the budget together.
 func NewEpochQueryRegistry(acct *Accountant, cfg EpochConfig) (*Registry, error) {
 	ecfg := epoch.Config{Every: cfg.Every, Retain: cfg.Retain, Lateness: cfg.Lateness}
-	factory := func(spec est.QuerySpec) (est.Estimator, error) {
+	factory := func(spec est.QuerySpec) (est.Core, error) {
 		fam, err := familyForSpec(spec)
 		if err != nil {
 			return nil, err
@@ -188,9 +188,9 @@ func WithEpochRetain(n int) Option {
 
 // ---- session surface --------------------------------------------------------
 
-// ServingEstimator returns the estimator to expose over the wire: the
-// epoch ring for a continual session (so routed EPOCH/WINDOW/DECAY/
-// ROTATE frames work), the session's estimator (see Estimator)
+// ServingEstimator returns the estimator core to expose over the wire:
+// the epoch ring for a continual session (so routed EPOCH/WINDOW/DECAY/
+// ROTATE frames work), the session's family core (see Estimator)
 // otherwise.
 func (s *Session) ServingEstimator() Estimator {
 	if s.ring != nil {
@@ -253,10 +253,6 @@ func (s *Session) DecayedEstimate(gamma float64) ([]float64, error) {
 // from New when any epoch option is set.
 func (s *Session) buildRing() (*epoch.Ring, error) {
 	c := &s.cfg
-	if s.fam == nil {
-		// Rotation semantics of an arbitrary estimator are unknowable here.
-		return nil, fmt.Errorf("hdr4me: epoch options cannot wrap a custom estimator")
-	}
 	retain := c.epochRetain
 	if retain < c.window {
 		// A w-epoch window needs w-1 frozen epochs; keep the whole window.

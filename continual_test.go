@@ -134,12 +134,6 @@ func TestEpochOptionsRejectBadValues(t *testing.T) {
 			t.Errorf("%s: bad value accepted", name)
 		}
 	}
-	// Epoch options cannot wrap a custom estimator.
-	donor := continualSession(t)
-	if _, err := New(WithEstimator(donor.Estimator()), WithEpochEvery(10)); err == nil ||
-		!strings.Contains(err.Error(), "custom") {
-		t.Fatal("custom estimator wrapped in a ring")
-	}
 }
 
 func TestContinualCheckpointRoundTrip(t *testing.T) {

@@ -42,9 +42,8 @@
 // scratch and re-calibrates in place, so Estimate, WindowEstimate and
 // Enhanced allocate just the vector they return. A served exchange
 // allocates nothing on the collector: each estimator family writes its
-// estimate, counts or enhanced estimate into a pooled vector (an
-// estimator without that form, such as a custom WithEstimator, falls
-// back to its allocating method), the SNAPSHOT reply encodes straight
+// estimate, counts or enhanced estimate into a pooled vector, the
+// SNAPSHOT reply encodes straight
 // from a pooled fold, and every reply goes out in one Write from a
 // pooled buffer. A client round trip then allocates exactly what it
 // returns: one vector for Estimate, Counts, Enhanced, WindowEstimate and

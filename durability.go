@@ -63,10 +63,10 @@ func WithCheckpointInterval(d time.Duration) Option {
 
 // checkpointSpec describes this session's estimator for the checkpoint
 // file. Sessions whose configuration a QuerySpec cannot express — a
-// custom injected estimator, a per-dimension budget allocation — refuse
-// to checkpoint: a partial record (kind/dims only) would let a restore
-// silently fold data collected under different privacy parameters,
-// exactly what the compatibility check exists to prevent.
+// per-dimension budget allocation — refuse to checkpoint: a partial
+// record (kind/dims only) would let a restore silently fold data
+// collected under different privacy parameters, exactly what the
+// compatibility check exists to prevent.
 func (s *Session) checkpointSpec() (QuerySpec, error) {
 	spec, err := s.Spec()
 	if err != nil {
@@ -101,7 +101,7 @@ func (s *Session) SaveCheckpoint() error {
 	// encodes it, so it goes back to the pool once the file is written.
 	fold := est.GetScratch()
 	defer est.PutScratch(fold)
-	s.est.SnapshotInto(fold)
+	s.fam.SnapshotInto(fold)
 	rec := persist.QueryRecord{Spec: spec, Snap: *fold}
 	if s.ring != nil {
 		cur, entries := s.ring.State()

@@ -340,8 +340,8 @@ type CollectorStats = transport.ServerStats
 var ErrCollectorOverloaded = transport.ErrOverloaded
 
 // NewCollectorServer wraps a mean-family aggregator in a TCP collector.
-// NewEstimatorServer is the generalization serving any Estimator family
-// (and the ENHANCED frame where supported).
+// NewEstimatorServer is the generalization serving a Session's core of
+// any family (and the ENHANCED frame where supported).
 func NewCollectorServer(agg *Aggregator) *CollectorServer { return transport.NewServer(agg) }
 
 // CollectorClientOption configures a plain CollectorClient at dial time.

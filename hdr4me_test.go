@@ -3,6 +3,8 @@ package hdr4me
 import (
 	"context"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -157,6 +159,62 @@ func TestFacadeNetworkedCollection(t *testing.T) {
 	}
 	if len(est) != 4 {
 		t.Fatalf("estimate dims = %d", len(est))
+	}
+}
+
+// TestServeEstimatorWithoutEnhancement serves a whole-tuple session's
+// core, whose family has no enhancement, through NewEstimatorServer:
+// reports sent over the wire land in the session, Estimate, Counts and
+// PullSnapshot answer what the session answers in process, and
+// Enhanced gets the rejection status while the connection keeps
+// serving.
+func TestServeEstimatorWithoutEnhancement(t *testing.T) {
+	sess, err := New(WithWholeTuple(), WithBudget(1), WithDims(3, 3), WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewEstimatorServer(sess.Estimator())
+	srv.Logf = t.Logf
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := DialCollector(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	reps := make([]Report, 3)
+	for i := range reps {
+		if reps[i], err = sess.Report(Tuple{Values: []float64{0.5, -0.25, float64(i) / 4}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Send(reps[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cl.SendBatch(reps[1:]); err != nil || n != 2 {
+		t.Fatalf("SendBatch accepted %d: %v", n, err)
+	}
+
+	est, err := cl.Estimate()
+	if err != nil || !reflect.DeepEqual(est, sess.Estimate()) {
+		t.Fatalf("Estimate over the wire %v (%v), in process %v", est, err, sess.Estimate())
+	}
+	counts, err := cl.Counts()
+	if err != nil || !reflect.DeepEqual(counts, []int64{3, 3, 3}) {
+		t.Fatalf("Counts over the wire %v (%v), want 3 reports in each dimension", counts, err)
+	}
+	snap, err := cl.PullSnapshot()
+	if err != nil || !reflect.DeepEqual(snap, sess.Snapshot()) {
+		t.Fatalf("PullSnapshot over the wire %+v (%v), in process %+v", snap, err, sess.Snapshot())
+	}
+	if got, err := cl.Enhanced(); err == nil || !strings.Contains(err.Error(), "cannot serve an enhanced estimate") {
+		t.Fatalf("Enhanced of a family without one: %v, %v; want the rejection", got, err)
+	}
+	if again, err := cl.Estimate(); err != nil || !reflect.DeepEqual(again, est) {
+		t.Fatalf("Estimate after the rejected Enhanced: %v, %v", again, err)
 	}
 }
 

@@ -54,7 +54,7 @@ func BenchmarkEpochIngest(b *testing.B) {
 				mode = "ring"
 			}
 			b.Run(fmt.Sprintf("%s/%s", mode, path), func(b *testing.B) {
-				var target est.Estimator
+				var target est.Core
 				if ring {
 					target = newRing(b)
 				} else {
@@ -62,7 +62,7 @@ func BenchmarkEpochIngest(b *testing.B) {
 				}
 				add := func([]est.Report) (int, error) { return est.AddReports(target, reps) }
 				if lane {
-					l := est.AcquireLane(target)
+					l := target.AcquireLane()
 					add = l.AddReports
 				}
 				b.ReportAllocs()

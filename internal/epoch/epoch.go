@@ -433,7 +433,7 @@ func (r *Ring) DecayedEstimateInto(dst []float64, gamma float64) ([]float64, err
 // copied: frozen epochs are immutable, so they stay valid however the
 // ring moves on, and the caller must not modify them. The live epoch's
 // accumulation is NOT included — it is the core's Snapshot, which the
-// checkpoint captures through the ordinary est.Estimator path.
+// checkpoint captures through the ordinary est.Core path.
 func (r *Ring) State() (cur uint64, entries []Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -441,20 +441,16 @@ func (r *Ring) State() (cur uint64, entries []Entry) {
 }
 
 // SetState restores a checkpointed ring: the live epoch id and the
-// frozen entries (validated against the core's shape and
-// required to be contiguous ids ending at cur−1). The live epoch's
-// accumulation is restored separately via Merge. Entries beyond the
+// frozen entries (each refused unless the core's Merge would accept its
+// snapshot, and required to be contiguous ids ending at cur−1). The live
+// epoch's accumulation is restored separately via Merge. Entries beyond the
 // retention cap are compacted, oldest first, exactly as rotation would.
 // The ring keeps the entries' snapshots, as frozen epochs it never
 // writes; the caller must not modify them afterwards.
 func (r *Ring) SetState(cur uint64, entries []Entry) error {
-	shape := r.Family.Snapshot()
 	for i, e := range entries {
-		if e.Snap.Kind != shape.Kind ||
-			len(e.Snap.Sums) != len(shape.Sums) || len(e.Snap.Counts) != len(shape.Counts) {
-			return fmt.Errorf("epoch: entry %d (epoch %d) has shape %s/%d/%d, ring wants %s/%d/%d",
-				i, e.ID, e.Snap.Kind, len(e.Snap.Sums), len(e.Snap.Counts),
-				shape.Kind, len(shape.Sums), len(shape.Counts))
+		if err := r.Family.Check(e.Snap); err != nil {
+			return fmt.Errorf("epoch: entry %d (epoch %d): %w", i, e.ID, err)
 		}
 		if want := cur - uint64(len(entries)) + uint64(i); e.ID != want {
 			return fmt.Errorf("epoch: entry %d has id %d, want contiguous id %d before live epoch %d",

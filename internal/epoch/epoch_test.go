@@ -417,6 +417,24 @@ func TestSetStateRoundTrip(t *testing.T) {
 	if err := bad.SetState(5, []Entry{{ID: 1, Snap: entries[0].Snap}, {ID: 3, Snap: entries[1].Snap}}); err == nil {
 		t.Fatal("non-contiguous entry ids accepted")
 	}
+
+	// An entry with the ring's lane widths but other cardinalities is
+	// refused, as Merge refuses it.
+	f, err := freq.NewFlat(freq.Protocol{Mech: ldp.Laplace{}, Eps: 2, Cards: []int{2, 6}, M: 2}, recal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fring, err := New(f.Family, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := est.Snapshot{Kind: f.Kind(), Dims: 8, Cards: []int{4, 4}, Sums: make([]float64, 8), Counts: make([]int64, 2)}
+	if fring.Merge(cross) == nil {
+		t.Fatal("Merge accepted cards [4 4] into a [2 6] ring")
+	}
+	if fring.SetState(1, []Entry{{ID: 0, Snap: cross}}) == nil {
+		t.Fatal("SetState accepted cards [4 4] into a [2 6] ring")
+	}
 }
 
 // TestRingDelegation: the ring keeps the wrapped core's surface — kind,

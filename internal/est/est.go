@@ -18,9 +18,10 @@
 // report against its grammar and folds it into the *Lanes it is handed
 // (see stripes.go), and a Calibrator: its MakeReport, its Calibrate from a
 // fold to the naive estimate and, to be re-calibrated, its Enhance loop
-// over the per-entry deviations. Core is that whole contract; Adapt
-// wraps a custom Estimator in it once, so the registry, the server, the
-// epoch ring and the Session never probe for optional interfaces.
+// over the per-entry deviations. Core is that whole contract, and every
+// served estimator is a Family or an epoch ring embedding one, so the
+// registry, the server, the ring and the Session never probe for
+// optional interfaces.
 package est
 
 import (
@@ -159,16 +160,8 @@ type Lane interface {
 	ColumnAdder
 }
 
-// AddReports batch-adds into any estimator under the BatchAdder
-// contract: through its Core, or one AddReport at a time for a custom
-// estimator (see Adapt).
-func AddReports(e Estimator, reps []Report) (accepted int, err error) {
-	return Adapt(e).AddReports(reps)
-}
-
-// AcquireLane returns an ingest lane for e: a striped lane for every
-// built-in family, a pass-through for a custom estimator.
-func AcquireLane(e Estimator) Lane { return Adapt(e).AcquireLane() }
+// AddReports batch-adds into c under the BatchAdder contract.
+func AddReports(c Core, reps []Report) (accepted int, err error) { return c.AddReports(reps) }
 
 // Reporter is implemented by estimators whose user-side perturbation can
 // run detached from accumulation: MakeReport perturbs one raw tuple into

@@ -10,10 +10,10 @@ import (
 // Core is the whole estimator contract the collector serves: the
 // Estimator methods plus detached reports, the batch, columnar and lane
 // ingest paths, the reads into a caller's vector and the HDR4ME
-// re-calibrated estimate. Family implements it once for every built-in
-// family, epoch.Ring by embedding a Family, and Adapt for any other
-// Estimator, so the registry, the server, the ring and the Session
-// call it without probing for optional interfaces.
+// re-calibrated estimate. Family implements it once for every family,
+// and epoch.Ring implements it by embedding a Family, so the registry,
+// the server, the ring and the Session call it without probing for
+// optional interfaces.
 type Core interface {
 	Estimator
 	Reporter
@@ -31,12 +31,6 @@ type Core interface {
 	SnapshotInto(dst *Snapshot)
 	// EnhancedInto is Enhanced into dst.
 	EnhancedInto(dst []float64) ([]float64, error)
-	// Enhances reports whether Enhanced re-calibrates rather than errs.
-	Enhances() bool
-	// Striped reports whether MakeReport produces detached reports and
-	// AcquireLane binds stripe-bound lanes, so a caller may perturb
-	// outside any lock and land the report on a lane.
-	Striped() bool
 }
 
 // Calibrator is what a family supplies besides its Kernel: the
@@ -44,7 +38,7 @@ type Core interface {
 // fold to the naive estimate. Calibrate and CalibrateWeighted write the
 // estimate of the fold (sums, counts) into dst, which has the family's
 // Dims entries; the weighted form takes the real-valued effective
-// counts of a decayed epoch fold. Every built-in family's estimate is a
+// counts of a decayed epoch fold. Every family's estimate is a
 // pure per-entry function of sum/count ratios, so the two agree for
 // weight 1.
 type Calibrator interface {
@@ -168,13 +162,9 @@ func (f *Family) Unflatten(flat []float64) ([][]float64, error) {
 	return out, nil
 }
 
-// Enhances implements Core: whether the family's calibrator is a
-// Deviator.
+// Enhances reports whether Enhanced re-calibrates rather than errs:
+// whether the family's calibrator is a Deviator.
 func (f *Family) Enhances() bool { return f.dev != nil }
-
-// Striped implements Core: every family reports through its calibrator
-// and ingests through stripes.
-func (f *Family) Striped() bool { return true }
 
 // MakeReport implements Reporter through the family's calibrator.
 func (f *Family) MakeReport(t Tuple, rng *mathx.RNG) (Report, error) {
@@ -233,15 +223,18 @@ func (f *Family) Rotate() Snapshot {
 // Merge implements Estimator: a peer snapshot of the same family and
 // configuration folds into the merge lane, never into a report stripe.
 func (f *Family) Merge(s Snapshot) error {
-	if err := f.check(s); err != nil {
+	if err := f.Check(s); err != nil {
 		return err
 	}
 	f.acc.Merge(s.Sums, s.Counts)
 	return nil
 }
 
-// check validates a snapshot's shape against the family's.
-func (f *Family) check(s Snapshot) error {
+// Check validates a snapshot's shape against the family's: its kind, its
+// sum and count lane widths and its cardinalities. Merge, the estimates
+// from a snapshot and the epoch ring's restore all refuse what it
+// refuses.
+func (f *Family) Check(s Snapshot) error {
 	if err := CheckMerge(f, s, f.lay.Sums, f.lay.Counts); err != nil {
 		return err
 	}
@@ -273,7 +266,7 @@ func (f *Family) EstimateInto(dst []float64) []float64 {
 // an identically configured) family into dst. The snapshot may be
 // pooled scratch: nothing of it is retained or returned.
 func (f *Family) EstimateFromInto(dst []float64, s Snapshot) ([]float64, error) {
-	if err := f.check(s); err != nil {
+	if err := f.Check(s); err != nil {
 		return nil, err
 	}
 	dst = Resize(dst, f.lay.Dims)
@@ -369,117 +362,3 @@ var (
 	_ Core    = (*Family)(nil)
 	_ Rotator = (*Family)(nil)
 )
-
-// Adapt returns e's whole contract: e itself when it already implements
-// Core (every built-in family and the epoch ring), otherwise a wrapper
-// that serves e's Estimator methods and whichever of its detached
-// reports, batch and columnar paths, lanes and enhanced estimate it has
-// (looked up here, once). What e lacks the wrapper fills in: AddReports
-// one AddReport at a time, AddColumns over per-report views, lanes that
-// pass straight through to e, copies of its allocating reads in the
-// caller's vector, and errors for detached reports and the enhanced
-// estimate. The server, the registry and the Session adapt a custom
-// estimator once, at construction.
-func Adapt(e Estimator) Core {
-	if c, ok := e.(Core); ok {
-		return c
-	}
-	a := &adapted{Estimator: e}
-	a.rep, _ = e.(Reporter)
-	a.batch, _ = e.(BatchAdder)
-	a.cols, _ = e.(ColumnAdder)
-	a.lanes, _ = e.(laneProvider)
-	a.enh, _ = e.(Enhancer)
-	return a
-}
-
-// laneProvider is a custom estimator's own striped ingest: AcquireLane
-// binds the caller to one of its stripes.
-type laneProvider interface{ AcquireLane() Lane }
-
-// adapted is a custom Estimator under the Core contract. A nil field
-// is a path e does not have.
-type adapted struct {
-	Estimator
-	rep   Reporter
-	batch BatchAdder
-	cols  ColumnAdder
-	lanes laneProvider
-	enh   Enhancer
-}
-
-func (a *adapted) MakeReport(t Tuple, rng *mathx.RNG) (Report, error) {
-	if a.rep == nil {
-		return Report{}, fmt.Errorf("est: %s estimator cannot produce detached reports", a.Kind())
-	}
-	return a.rep.MakeReport(t, rng)
-}
-
-func (a *adapted) Enhances() bool { return a.enh != nil }
-
-func (a *adapted) Striped() bool { return a.rep != nil && a.lanes != nil }
-
-func (a *adapted) Enhanced() ([]float64, error) {
-	if a.enh == nil {
-		return nil, fmt.Errorf("est: %s estimator does not support enhancement", a.Kind())
-	}
-	return a.enh.Enhanced()
-}
-
-// EnhancedInto copies Enhanced's vector, which e may still hold, into
-// dst.
-func (a *adapted) EnhancedInto(dst []float64) ([]float64, error) {
-	out, err := a.Enhanced()
-	if err != nil {
-		return nil, err
-	}
-	return append(dst[:0], out...), nil
-}
-
-func (a *adapted) AddReports(reps []Report) (accepted int, err error) {
-	if a.batch != nil {
-		return a.batch.AddReports(reps)
-	}
-	for _, rep := range reps {
-		if aerr := a.AddReport(rep); aerr != nil {
-			if err == nil {
-				err = aerr
-			}
-			continue
-		}
-		accepted++
-	}
-	return accepted, err
-}
-
-// AddColumns is e's columnar path, or per-report views over the columns
-// batch-added.
-func (a *adapted) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
-	if a.cols != nil {
-		return a.cols.AddColumns(n, ndims, nvals, dims, vals)
-	}
-	if err := CheckColumns(n, ndims, nvals, len(dims), len(vals)); err != nil {
-		return 0, err
-	}
-	reps := make([]Report, n)
-	for i := range reps {
-		reps[i] = Report{Dims: dims[i*ndims : (i+1)*ndims], Values: vals[i*nvals : (i+1)*nvals]}
-	}
-	return a.AddReports(reps)
-}
-
-// AcquireLane is one of e's own lanes, or a pass-through to e.
-func (a *adapted) AcquireLane() Lane {
-	if a.lanes != nil {
-		return a.lanes.AcquireLane()
-	}
-	return a
-}
-
-// EstimateInto and CountsInto copy the allocating reads, whose vectors
-// e may still hold, into dst.
-func (a *adapted) EstimateInto(dst []float64) []float64 { return append(dst[:0], a.Estimate()...) }
-
-func (a *adapted) CountsInto(dst []int64) []int64 { return append(dst[:0], a.Counts()...) }
-
-func (a *adapted) SnapshotInto(dst *Snapshot) { *dst = a.Snapshot() }

@@ -17,7 +17,7 @@ import (
 // rows with every malformed shape the family rejects.
 type ingestFamily struct {
 	name  string
-	fresh func(t *testing.T) est.Estimator
+	fresh func(t *testing.T) est.Core
 	batch func(t *testing.T) []est.Report
 }
 
@@ -49,27 +49,27 @@ func ingestFamilies() []ingestFamily {
 		{Dims: []uint32{0, 5}, Values: []float64{0.5, -inf}},
 	}
 	meanShort := []est.Report{{Dims: []uint32{4}, Values: []float64{0.75}}, {}}
-	meanBatch := func(e est.Estimator) func(t *testing.T) []est.Report {
+	meanBatch := func(e est.Core) func(t *testing.T) []est.Report {
 		return func(t *testing.T) []est.Report {
 			return interleave(validRows(t, e.(est.Reporter), 24, 6, nil), append(meanBad, meanShort...))
 		}
 	}
-	meanUniform := func(t *testing.T) est.Estimator { return highdim.NewAggregator(meanP) }
-	meanAllocated := func(t *testing.T) est.Estimator {
+	meanUniform := func(t *testing.T) est.Core { return highdim.NewAggregator(meanP) }
+	meanAllocated := func(t *testing.T) est.Core {
 		a, err := highdim.NewAllocatedAggregator(meanP, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return a
 	}
-	wholeTuple := func(t *testing.T) est.Estimator {
+	wholeTuple := func(t *testing.T) est.Core {
 		a, err := highdim.NewMDAggregator(md)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return a
 	}
-	frequency := func(t *testing.T) est.Estimator {
+	frequency := func(t *testing.T) est.Core {
 		f, err := freq.NewFlat(freqP, recal.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -235,9 +235,9 @@ func errText(err error) string {
 func TestIngestPathParity(t *testing.T) {
 	paths := []struct {
 		name string
-		add  func(t *testing.T, e est.Estimator, reps []est.Report) (int, error)
+		add  func(t *testing.T, e est.Core, reps []est.Report) (int, error)
 	}{
-		{"AddReport", func(_ *testing.T, e est.Estimator, reps []est.Report) (accepted int, err error) {
+		{"AddReport", func(_ *testing.T, e est.Core, reps []est.Report) (accepted int, err error) {
 			for _, rep := range reps {
 				if aerr := e.AddReport(rep); aerr != nil {
 					if err == nil {
@@ -249,17 +249,17 @@ func TestIngestPathParity(t *testing.T) {
 			}
 			return accepted, err
 		}},
-		{"AddReports", func(_ *testing.T, e est.Estimator, reps []est.Report) (int, error) {
+		{"AddReports", func(_ *testing.T, e est.Core, reps []est.Report) (int, error) {
 			return e.(est.BatchAdder).AddReports(reps)
 		}},
-		{"AddColumns", func(_ *testing.T, e est.Estimator, reps []est.Report) (int, error) {
+		{"AddColumns", func(_ *testing.T, e est.Core, reps []est.Report) (int, error) {
 			return addColumnRuns(reps, e.(est.ColumnAdder).AddColumns)
 		}},
-		{"lane.AddReports", func(_ *testing.T, e est.Estimator, reps []est.Report) (int, error) {
-			return est.AcquireLane(e).AddReports(reps)
+		{"lane.AddReports", func(_ *testing.T, e est.Core, reps []est.Report) (int, error) {
+			return e.AcquireLane().AddReports(reps)
 		}},
-		{"lane.AddColumns", func(t *testing.T, e est.Estimator, reps []est.Report) (int, error) {
-			l := est.AcquireLane(e)
+		{"lane.AddColumns", func(t *testing.T, e est.Core, reps []est.Report) (int, error) {
+			l := e.AcquireLane()
 			if _, ok := l.(est.ColumnAdder); !ok {
 				t.Fatalf("%s lane does not implement est.ColumnAdder", e.Kind())
 			}
@@ -317,7 +317,7 @@ func TestAddColumnsOverflowingShape(t *testing.T) {
 			before := e.Snapshot()
 			adders := map[string]est.ColumnAdder{
 				"estimator": e.(est.ColumnAdder),
-				"lane":      est.AcquireLane(e).(est.ColumnAdder),
+				"lane":      e.AcquireLane().(est.ColumnAdder),
 			}
 			for name, ca := range adders {
 				for _, sh := range shapes {
@@ -363,7 +363,7 @@ func TestLaneIngestAllocs(t *testing.T) {
 			}
 			ndims, nvals := len(run[0].Dims), len(run[0].Values)
 
-			lane := est.AcquireLane(e)
+			lane := e.AcquireLane()
 			if allocs := testing.AllocsPerRun(100, func() {
 				if acc, err := lane.AddReports(valid); acc != len(valid) {
 					t.Fatalf("AddReports accepted %d of %d: %v", acc, len(valid), err)

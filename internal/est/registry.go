@@ -17,8 +17,8 @@ import (
 // the name single-tenant servers register their estimator under.
 const DefaultName = "default"
 
-// Factory builds an estimator for a validated, normalized QuerySpec.
-type Factory func(spec QuerySpec) (Estimator, error)
+// Factory builds an estimator core for a validated, normalized QuerySpec.
+type Factory func(spec QuerySpec) (Core, error)
 
 // Admission is the budget gate consulted before a query goes live. Admit
 // charges the spec's ε against the per-user budget and errors when the
@@ -64,8 +64,7 @@ func (s QueryState) String() string {
 	return fmt.Sprintf("QueryState(%d)", int32(s))
 }
 
-// Query is one live entry of a Registry: a named estimator, adapted to
-// the Core contract once at registration (see Adapt), plus its
+// Query is one live entry of a Registry: a named estimator core plus its
 // lifecycle state. Mutating calls (AddReport, Merge) go through the Query
 // so sealing takes effect immediately; reads go straight to the estimator
 // and keep working on sealed queries. Safe for concurrent use.
@@ -105,9 +104,9 @@ func (q *Query) AddReport(rep Report) error {
 }
 
 // AddReports accumulates a batch of reports with one lifecycle check and
-// (for the built-in families) one accumulation-lock acquisition for the
-// whole batch. The return contract is BatchAdder's: rejected reports are
-// skipped and counted out of accepted, err carries the first rejection.
+// one accumulation-lock acquisition for the whole batch. The return
+// contract is BatchAdder's: rejected reports are skipped and counted out
+// of accepted, err carries the first rejection.
 func (q *Query) AddReports(reps []Report) (int, error) {
 	if st := q.State(); st != StateOpen {
 		return 0, fmt.Errorf("est: query %q is %s, not accepting reports", q.spec.Name, st)
@@ -116,11 +115,11 @@ func (q *Query) AddReports(reps []Report) (int, error) {
 }
 
 // AcquireLane binds the caller to one accumulation stripe of the query's
-// estimator (round-robin; a pass-through for a custom estimator). The
-// returned lane re-checks the query lifecycle on every call, so sealing
-// still takes effect immediately on connections holding lanes.
+// estimator (round-robin). The returned lane re-checks the query
+// lifecycle on every call, so sealing still takes effect immediately on
+// connections holding lanes.
 func (q *Query) AcquireLane() Lane {
-	return queryLane{q: q, lane: AcquireLane(q.est)}
+	return queryLane{q: q, lane: q.est.AcquireLane()}
 }
 
 // queryLane gates a stripe-bound lane behind the query lifecycle.
@@ -199,10 +198,10 @@ func (r *Registry) Open(spec QuerySpec) (*Query, error) {
 	return r.admit(spec, nil)
 }
 
-// Attach registers a pre-built estimator under spec.Name — the path for
-// in-process sessions that already own their estimator. Only the name is
+// Attach registers a pre-built estimator core under spec.Name — the path
+// for in-process sessions that already own their core. Only the name is
 // required; when spec.Eps > 0 the admission policy still charges it.
-func (r *Registry) Attach(spec QuerySpec, e Estimator) (*Query, error) {
+func (r *Registry) Attach(spec QuerySpec, e Core) (*Query, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("est: query spec has no name")
 	}
@@ -217,7 +216,7 @@ func (r *Registry) Attach(spec QuerySpec, e Estimator) (*Query, error) {
 
 // admit runs the shared register path: budget charge, optional estimator
 // construction, insertion. Caller passes e != nil to skip the factory.
-func (r *Registry) admit(spec QuerySpec, e Estimator) (*Query, error) {
+func (r *Registry) admit(spec QuerySpec, e Core) (*Query, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, taken := r.queries[spec.Name]; taken {
@@ -239,7 +238,7 @@ func (r *Registry) admit(spec QuerySpec, e Estimator) (*Query, error) {
 		}
 	}
 	r.gens++
-	q := &Query{spec: spec.clone(), est: Adapt(e), gen: r.gens}
+	q := &Query{spec: spec.clone(), est: e, gen: r.gens}
 	r.queries[spec.Name] = q
 	return q, nil
 }

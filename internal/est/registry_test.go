@@ -7,48 +7,32 @@ import (
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/mathx"
+	"github.com/hdr4me/hdr4me/internal/recal"
 )
 
-// stubEstimator is a minimal estimator for registry lifecycle tests: it
-// counts reports and merges and serves a fixed-shape estimate.
-type stubEstimator struct {
-	mu      sync.Mutex
-	reports int
-	merges  int
+// stubCal calibrates a fold to its sums: just enough of a family for
+// the registry lifecycle tests.
+type stubCal struct{}
+
+func (stubCal) MakeReport(t Tuple, _ *mathx.RNG) (Report, error) {
+	return Report{Values: t.Values}, nil
+}
+func (stubCal) Calibrate(dst, sums []float64, _ []int64) { copy(dst, sums) }
+func (stubCal) CalibrateWeighted(dst, sums, _ []float64) { copy(dst, sums) }
+
+// newStub returns a one-dimensional "stub" family core over
+// round_test.go's noisyKernel.
+func newStub() *Family {
+	return NewFamily(noisyKernel{}, stubCal{}, Layout{Kind: "stub", Dims: 1, Sums: 1, Counts: 1}, recal.Config{})
 }
 
-func (s *stubEstimator) Kind() string { return "stub" }
-func (s *stubEstimator) Dims() int    { return 1 }
-func (s *stubEstimator) Observe(Tuple, *mathx.RNG) error {
-	return fmt.Errorf("stub: no observe")
-}
-func (s *stubEstimator) AddReport(Report) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reports++
-	return nil
-}
-func (s *stubEstimator) Estimate() []float64 { return []float64{0} }
-func (s *stubEstimator) Counts() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return []int64{int64(s.reports)}
-}
-func (s *stubEstimator) Snapshot() Snapshot { return Snapshot{Kind: "stub", Dims: 1} }
-func (s *stubEstimator) Merge(Snapshot) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.merges++
-	return nil
-}
-
-// stubFactory builds stub estimators, optionally failing.
+// stubFactory builds stub cores, optionally failing.
 func stubFactory(fail bool) Factory {
-	return func(QuerySpec) (Estimator, error) {
+	return func(QuerySpec) (Core, error) {
 		if fail {
 			return nil, fmt.Errorf("stub: construction failed")
 		}
-		return &stubEstimator{}, nil
+		return newStub(), nil
 	}
 }
 
@@ -138,7 +122,7 @@ func TestRegistrySendAfterSealRejected(t *testing.T) {
 	if err := q.AddReport(Report{}); err != nil {
 		t.Fatalf("AddReport while open: %v", err)
 	}
-	if err := q.Merge(Snapshot{}); err != nil {
+	if err := q.Merge(q.Estimator().Snapshot()); err != nil {
 		t.Fatalf("Merge while open: %v", err)
 	}
 	if err := r.Seal("metrics"); err != nil {
@@ -150,7 +134,7 @@ func TestRegistrySendAfterSealRejected(t *testing.T) {
 	if err := q.AddReport(Report{}); err == nil || !strings.Contains(err.Error(), "sealed") {
 		t.Fatalf("AddReport after seal = %v, want sealed rejection", err)
 	}
-	if err := q.Merge(Snapshot{}); err == nil || !strings.Contains(err.Error(), "sealed") {
+	if err := q.Merge(q.Estimator().Snapshot()); err == nil || !strings.Contains(err.Error(), "sealed") {
 		t.Fatalf("Merge after seal = %v, want sealed rejection", err)
 	}
 	// Reads keep working on sealed queries.
@@ -242,7 +226,7 @@ func TestRegistryAttach(t *testing.T) {
 	if _, err := r.Open(validSpec("a")); err == nil {
 		t.Fatalf("Open without factory succeeded")
 	}
-	e := &stubEstimator{}
+	e := newStub()
 	q, err := r.Attach(QuerySpec{Name: DefaultName}, e)
 	if err != nil {
 		t.Fatalf("Attach: %v", err)

@@ -49,12 +49,7 @@ func CatRows(ds interface {
 // polls ctx every 32 users. Once every worker has stopped, Round returns
 // the first error in worker order, or merges each shard's Snapshot into
 // into in worker order. The result is therefore a pure function of rng,
-// n and workers.
-//
-// An estimator that cannot be rebuilt per worker is shared instead: shard
-// returns it to every worker, which observe straight into it, and into is
-// nil so that nothing is merged. A failed or canceled round then leaves
-// the observed prefix in it; with per-worker shards it leaves into
+// n and workers. A worker's error or a cancellation leaves into
 // untouched.
 func Round(ctx context.Context, into Estimator, n, workers int, rng *mathx.RNG, shard func() (Estimator, error), rows Rows) error {
 	if workers <= 0 {
@@ -94,9 +89,6 @@ func Round(ctx context.Context, into Estimator, n, workers int, rng *mathx.RNG, 
 		if err != nil {
 			return err
 		}
-	}
-	if into == nil {
-		return nil
 	}
 	for _, sh := range shards {
 		if err := into.Merge(sh.Snapshot()); err != nil {

@@ -17,52 +17,39 @@ import (
 	"github.com/hdr4me/hdr4me/internal/epoch"
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/mathx"
+	"github.com/hdr4me/hdr4me/internal/recal"
 	"github.com/hdr4me/hdr4me/internal/transport"
 )
 
-// fakeEst is a minimal additive estimator: AddReport lands Values[i] on
-// Sums[Dims[i]], Merge adds a peer snapshot. Enough to prove restore
-// reproduces state without dragging in a real family.
-type fakeEst struct {
-	kind   string
-	sums   []float64
-	counts []int64
-}
+// fakeKernel is a minimal additive family's kernel: it lands Values[i]
+// on lane Dims[i]. Enough to prove restore reproduces state without
+// dragging in a real family.
+type fakeKernel struct{ d int }
 
-func newFake(kind string, d int) *fakeEst {
-	return &fakeEst{kind: kind, sums: make([]float64, d), counts: make([]int64, d)}
-}
-
-func (f *fakeEst) Kind() string { return f.kind }
-func (f *fakeEst) Dims() int    { return len(f.sums) }
-func (f *fakeEst) Observe(t est.Tuple, rng *mathx.RNG) error {
-	return fmt.Errorf("fake: no observe")
-}
-func (f *fakeEst) AddReport(rep est.Report) error {
-	for i, d := range rep.Dims {
-		if int(d) >= len(f.sums) {
+func (k fakeKernel) Add(l *est.Lanes, rep est.Report) error {
+	for _, d := range rep.Dims {
+		if int(d) >= k.d {
 			return fmt.Errorf("fake: dim %d out of range", d)
 		}
-		f.sums[d] += rep.Values[i]
-		f.counts[d]++
+	}
+	for i, d := range rep.Dims {
+		l.Sums[d].Add(rep.Values[i])
+		l.Counts[d]++
 	}
 	return nil
 }
-func (f *fakeEst) Estimate() []float64 { return append([]float64(nil), f.sums...) }
-func (f *fakeEst) Counts() []int64     { return append([]int64(nil), f.counts...) }
-func (f *fakeEst) Snapshot() est.Snapshot {
-	return est.Snapshot{Kind: f.kind, Dims: len(f.sums),
-		Sums: append([]float64(nil), f.sums...), Counts: append([]int64(nil), f.counts...)}
+
+// fakeCal estimates a fold by its sums.
+type fakeCal struct{}
+
+func (fakeCal) MakeReport(est.Tuple, *mathx.RNG) (est.Report, error) {
+	return est.Report{}, fmt.Errorf("fake: no reports")
 }
-func (f *fakeEst) Merge(s est.Snapshot) error {
-	if err := est.CheckMerge(f, s, len(f.sums), len(f.counts)); err != nil {
-		return err
-	}
-	for j := range f.sums {
-		f.sums[j] += s.Sums[j]
-		f.counts[j] += s.Counts[j]
-	}
-	return nil
+func (fakeCal) Calibrate(dst, sums []float64, _ []int64) { copy(dst, sums) }
+func (fakeCal) CalibrateWeighted(dst, sums, _ []float64) { copy(dst, sums) }
+
+func newFake(kind string, d int) *est.Family {
+	return est.NewFamily(fakeKernel{d}, fakeCal{}, est.Layout{Kind: kind, Dims: d, Sums: d, Counts: d}, recal.Config{})
 }
 
 // fakeAdmission charges ε against a ceiling, recording every admit.
@@ -81,7 +68,7 @@ func (a *fakeAdmission) Admit(spec est.QuerySpec) error {
 }
 func (a *fakeAdmission) Release(spec est.QuerySpec) { a.spent -= spec.Eps }
 
-func fakeFactory(spec est.QuerySpec) (est.Estimator, error) {
+func fakeFactory(spec est.QuerySpec) (est.Core, error) {
 	d := spec.D
 	if spec.Kind == est.KindFreq {
 		d = 0

@@ -162,7 +162,7 @@ func TestBufferedClientCloseFlushes(t *testing.T) {
 	if err := bc.Add(est.Report{}); err == nil {
 		t.Fatal("Add after Close must fail")
 	}
-	if got := srv.Est.Counts()[0]; got != 5 {
+	if got := srv.Registry().Default().Estimator().Counts()[0]; got != 5 {
 		t.Fatalf("close flushed %d reports, want 5", got)
 	}
 }
@@ -355,14 +355,14 @@ func TestMergeKindMismatchNACK(t *testing.T) {
 // TestSnapshotRoundTripOverWireForEveryFamily pulls a snapshot from a
 // server of each estimator family and merges it into a fresh local peer.
 func TestSnapshotRoundTripOverWireForEveryFamily(t *testing.T) {
-	freshMean := func() est.Estimator {
+	freshMean := func() est.Core {
 		p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 3, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return highdim.NewAggregator(p)
 	}
-	freshFreq := func() est.Estimator {
+	freshFreq := func() est.Core {
 		f, err := freq.NewFlat(freq.Protocol{Mech: ldp.Laplace{}, Eps: 1, Cards: []int{2, 3}, M: 2},
 			recal.DefaultConfig(recal.RegL1))
 		if err != nil {
@@ -370,7 +370,7 @@ func TestSnapshotRoundTripOverWireForEveryFamily(t *testing.T) {
 		}
 		return f
 	}
-	freshWT := func() est.Estimator {
+	freshWT := func() est.Core {
 		md, err := highdim.NewDuchiMD(3, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -383,7 +383,7 @@ func TestSnapshotRoundTripOverWireForEveryFamily(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		fresh func() est.Estimator
+		fresh func() est.Core
 		rep   est.Report
 	}{
 		{"mean", freshMean, est.Report{Dims: []uint32{0, 2}, Values: []float64{0.5, -0.5}}},
@@ -415,7 +415,7 @@ func TestSnapshotRoundTripOverWireForEveryFamily(t *testing.T) {
 			if err := peer.Merge(snap); err != nil {
 				t.Fatalf("merge pulled snapshot: %v", err)
 			}
-			want, got := srv.Est.Estimate(), peer.Estimate()
+			want, got := srv.Registry().Default().Estimator().Estimate(), peer.Estimate()
 			for j := range want {
 				if math.Abs(got[j]-want[j]) > 1e-12 {
 					t.Fatalf("dim %d: peer %v, server %v", j, got[j], want[j])
@@ -554,7 +554,7 @@ func TestBufferedClientCopiesEveryReport(t *testing.T) {
 			if err := bc.Close(); err != nil {
 				t.Fatal(err)
 			}
-			s := srv.Est.Snapshot()
+			s := srv.Registry().Default().Estimator().Snapshot()
 			if s.Sums[1] != 0.5 || s.Sums[2] != 0.25 || s.Sums[3] != -0.25 {
 				t.Fatalf("collector sums %v; want [_ 0.5 0.25 -0.25]: the batch shipped the caller's reused slice", s.Sums)
 			}

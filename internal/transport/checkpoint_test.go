@@ -142,7 +142,7 @@ func TestDrainFinishesWhenClientsLeave(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	counts := srv.Est.Counts()
+	counts := srv.Registry().Default().Estimator().Counts()
 	if counts[0] != 1 || counts[1] != 1 {
 		t.Fatalf("counts after drain = %v, want the pre-drain report retained", counts)
 	}

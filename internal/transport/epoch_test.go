@@ -15,7 +15,7 @@ import (
 func epochFactory(t *testing.T, cfg epoch.Config) est.Factory {
 	t.Helper()
 	mk := meanFactory(t)
-	return func(spec est.QuerySpec) (est.Estimator, error) {
+	return func(spec est.QuerySpec) (est.Core, error) {
 		inner, err := mk(spec)
 		if err != nil {
 			return nil, err

@@ -18,14 +18,14 @@ import (
 // fuzzRingFactory builds continual (epoch-ring) mean estimators without
 // a testing.T, so the fuzz target can rebuild a registry per run.
 func fuzzRingFactory() est.Factory {
-	mk := func(spec est.QuerySpec) (est.Estimator, error) {
+	mk := func(spec est.QuerySpec) (est.Core, error) {
 		p, err := highdim.NewProtocol(ldp.Piecewise{}, spec.Eps, spec.D, spec.M)
 		if err != nil {
 			return nil, err
 		}
 		return highdim.NewAggregator(p), nil
 	}
-	return func(spec est.QuerySpec) (est.Estimator, error) {
+	return func(spec est.QuerySpec) (est.Core, error) {
 		inner, err := mk(spec)
 		if err != nil {
 			return nil, err

@@ -10,7 +10,6 @@ import (
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
-	"github.com/hdr4me/hdr4me/internal/mathx"
 )
 
 // TestMaxConnsShedsExcessConnections: with the connection gate at 2,
@@ -78,31 +77,63 @@ func TestMaxConnsShedsExcessConnections(t *testing.T) {
 	}
 }
 
-// blockingEstimator parks every batch in AddReports until released,
-// holding the server's in-flight gate open for as long as a test needs.
-type blockingEstimator struct {
-	entered chan struct{} // signaled once per AddReports entry
-	release chan struct{} // closed to let all parked batches finish
-	dims    int
+// blockingCore is a mean family core whose lanes park every batch in
+// their batch entry until released, holding the server's in-flight gate
+// open for as long as a test needs.
+type blockingCore struct {
+	*est.Family
+	entered chan struct{} // signaled once per parked batch
+	release chan struct{} // closed by free to let all parked batches finish
+	free    func()
 }
 
-func (e *blockingEstimator) Kind() string { return "blocking-test" }
-func (e *blockingEstimator) Dims() int    { return e.dims }
-func (e *blockingEstimator) Observe(est.Tuple, *mathx.RNG) error {
-	return errors.New("not implemented")
+// newBlockingCore returns a blocking core over a d = 4, m = 1 mean
+// family. Its entered channel buffers n signals, so the batches that
+// land after the release signal without a reader.
+func newBlockingCore(t *testing.T, n int) *blockingCore {
+	t.Helper()
+	p, err := highdim.NewProtocol(ldp.Laplace{}, 1, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &blockingCore{Family: highdim.NewAggregator(p).Family, entered: make(chan struct{}, n), release: make(chan struct{})}
+	c.free = sync.OnceFunc(func() { close(c.release) })
+	return c
 }
-func (e *blockingEstimator) AddReport(est.Report) error { return nil }
-func (e *blockingEstimator) AddReports(reps []est.Report) (int, error) {
-	e.entered <- struct{}{}
-	<-e.release
-	return len(reps), nil
+
+// AcquireLane is the server's way into ingest: a family lane that parks.
+func (c *blockingCore) AcquireLane() est.Lane { return blockingLane{c.Family.AcquireLane(), c} }
+
+// awaitParked waits for a batch to park in a lane, failing the test
+// rather than hanging the package when none arrives.
+func (c *blockingCore) awaitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-c.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no batch parked in the core's lane within 5s")
+	}
 }
-func (e *blockingEstimator) Estimate() []float64 { return make([]float64, e.dims) }
-func (e *blockingEstimator) Counts() []int64     { return make([]int64, e.dims) }
-func (e *blockingEstimator) Snapshot() est.Snapshot {
-	return est.Snapshot{Kind: e.Kind(), Dims: e.dims}
+
+type blockingLane struct {
+	est.Lane
+	c *blockingCore
 }
-func (e *blockingEstimator) Merge(est.Snapshot) error { return nil }
+
+func (l blockingLane) park() {
+	l.c.entered <- struct{}{}
+	<-l.c.release
+}
+
+func (l blockingLane) AddReports(reps []est.Report) (int, error) {
+	l.park()
+	return l.Lane.AddReports(reps)
+}
+
+func (l blockingLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64) (int, error) {
+	l.park()
+	return l.Lane.AddColumns(n, ndims, nvals, dims, vals)
+}
 
 // testReports builds n minimal in-range reports.
 func testReports(n int) []est.Report {
@@ -114,15 +145,11 @@ func testReports(n int) []est.Report {
 }
 
 // TestMaxInflightShedsBatchUnderLoad: while one connection's batch is
-// parked inside the estimator, a second batch that would push the
+// parked inside the core's ingest, a second batch that would push the
 // in-flight total past the gate is shed with the retryable NACK —
 // without waiting behind the stuck batch.
 func TestMaxInflightShedsBatchUnderLoad(t *testing.T) {
-	be := &blockingEstimator{
-		entered: make(chan struct{}, 8),
-		release: make(chan struct{}),
-		dims:    4,
-	}
+	be := newBlockingCore(t, 8)
 	srv := NewServer(be)
 	srv.Logf = t.Logf
 	srv.MaxInflight = 1000
@@ -131,6 +158,7 @@ func TestMaxInflightShedsBatchUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(be.free) // before Close: a parked batch must not pin it
 
 	cl1, err := Dial(addr.String())
 	if err != nil {
@@ -143,13 +171,13 @@ func TestMaxInflightShedsBatchUnderLoad(t *testing.T) {
 	}
 	defer cl2.Close()
 
-	// Connection 1 parks 900 reports inside the estimator.
+	// Connection 1 parks 900 reports inside the core's lane.
 	done := make(chan error, 1)
 	go func() {
 		_, err := cl1.SendBatch(testReports(900))
 		done <- err
 	}()
-	<-be.entered // the batch is inside AddReports, gate at 900/1000
+	be.awaitParked(t) // the batch is inside AddReports, gate at 900/1000
 
 	// Connection 2's 200-report batch must be shed quickly, not queued
 	// behind the parked batch.
@@ -167,7 +195,7 @@ func TestMaxInflightShedsBatchUnderLoad(t *testing.T) {
 	}
 
 	// Release the parked batch; both connections converge.
-	close(be.release)
+	be.free()
 	if err := <-done; err != nil {
 		t.Fatalf("parked batch: %v", err)
 	}
@@ -182,11 +210,7 @@ func TestMaxInflightShedsBatchUnderLoad(t *testing.T) {
 // with the retryable NACK, leaves the ring untouched, and the connection
 // keeps serving once the pressure clears.
 func TestMaxInflightShedsEpochBatch(t *testing.T) {
-	be := &blockingEstimator{
-		entered: make(chan struct{}, 8),
-		release: make(chan struct{}),
-		dims:    4,
-	}
+	be := newBlockingCore(t, 8)
 	reg := est.NewRegistry(epochFactory(t, epoch.Config{}), nil)
 	if _, err := reg.Attach(est.QuerySpec{Name: est.DefaultName}, be); err != nil {
 		t.Fatal(err)
@@ -205,8 +229,7 @@ func TestMaxInflightShedsEpochBatch(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	// Runs before srv.Close, so a failing assertion cannot leave the
 	// parked batch pinning Close forever.
-	release := sync.OnceFunc(func() { close(be.release) })
-	t.Cleanup(release)
+	t.Cleanup(be.free)
 
 	cl1, err := Dial(addr.String())
 	if err != nil {
@@ -225,7 +248,7 @@ func TestMaxInflightShedsEpochBatch(t *testing.T) {
 		_, err := cl1.SendBatch(testReports(900))
 		done <- err
 	}()
-	<-be.entered // the batch is inside AddReports, gate at 900/1000
+	be.awaitParked(t) // the batch is inside AddReports, gate at 900/1000
 
 	late := make([]est.Report, 200)
 	for i := range late {
@@ -246,7 +269,7 @@ func TestMaxInflightShedsEpochBatch(t *testing.T) {
 		}
 	}
 
-	release()
+	be.free()
 	if err := <-done; err != nil {
 		t.Fatalf("parked batch: %v", err)
 	}
@@ -262,11 +285,7 @@ func TestMaxInflightShedsEpochBatch(t *testing.T) {
 // shed under overload must retry with backoff and converge once the
 // pressure clears, with nothing lost and nothing double-counted.
 func TestBufferedClientRetriesShedBatches(t *testing.T) {
-	be := &blockingEstimator{
-		entered: make(chan struct{}, 64),
-		release: make(chan struct{}),
-		dims:    4,
-	}
+	be := newBlockingCore(t, 64)
 	srv := NewServer(be)
 	srv.Logf = t.Logf
 	srv.MaxInflight = 1000
@@ -275,6 +294,7 @@ func TestBufferedClientRetriesShedBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(be.free) // before Close: a parked batch must not pin it
 
 	// Park 900 reports to hold the gate nearly shut.
 	cl1, err := Dial(addr.String())
@@ -287,7 +307,7 @@ func TestBufferedClientRetriesShedBatches(t *testing.T) {
 		_, err := cl1.SendBatch(testReports(900))
 		parked <- err
 	}()
-	<-be.entered
+	be.awaitParked(t)
 
 	// The buffered client's 200-report batch is shed; it must keep
 	// retrying. Clear the pressure shortly after, from a goroutine so
@@ -298,7 +318,7 @@ func TestBufferedClientRetriesShedBatches(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(200 * time.Millisecond)
-		close(be.release)
+		be.free()
 	}()
 	for _, rep := range testReports(200) {
 		if err := bc.Add(rep); err != nil {

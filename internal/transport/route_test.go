@@ -30,7 +30,7 @@ func meanAgg(t *testing.T, d int) *highdim.Aggregator {
 // meanFactory builds mean aggregators from specs (D only).
 func meanFactory(t *testing.T) est.Factory {
 	t.Helper()
-	return func(spec est.QuerySpec) (est.Estimator, error) {
+	return func(spec est.QuerySpec) (est.Core, error) {
 		p, err := highdim.NewProtocol(ldp.Piecewise{}, spec.Eps, spec.D, spec.M)
 		if err != nil {
 			return nil, err

@@ -28,7 +28,7 @@ const (
 
 // Server is a TCP collector: it accepts report frames from any number of
 // concurrent client connections and routes them into the named queries of
-// an est.Registry — each query its own est.Estimator (the
+// an est.Registry — each query its own est.Core (the
 // sampling-protocol mean aggregator, the whole-tuple aggregator and the
 // frequency reducer all speak the same wire shape). Un-routed frames
 // resolve to the registry's default query, so a single-tenant server
@@ -38,11 +38,6 @@ const (
 // composition), OPENQUERY (remote query registration) and SELECT-routed
 // exchanges against any named query.
 type Server struct {
-	// Est is the default query's estimator (nil for a registry server
-	// without a default query). Kept for single-tenant callers and tests;
-	// routing always goes through the registry.
-	Est est.Estimator
-
 	// Logf receives per-connection errors; defaults to log.Printf.
 	Logf func(format string, args ...any)
 
@@ -166,34 +161,28 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// NewServer wraps a single estimator in a collector server: a registry
-// with e as its default query (no factory, no admission — the multi-query
-// surface needs NewRegistryServer).
-func NewServer(e est.Estimator) *Server {
+// NewServer wraps a single estimator core in a collector server: a
+// registry with e as its default query (no factory, no admission — the
+// multi-query surface needs NewRegistryServer).
+func NewServer(e est.Core) *Server {
 	reg := est.NewRegistry(nil, nil)
 	if _, err := reg.Attach(est.QuerySpec{Name: est.DefaultName}, e); err != nil {
 		// Attach of a non-nil estimator under a fresh name cannot fail.
 		panic(fmt.Sprintf("transport: default query: %v", err))
 	}
-	srv := NewRegistryServer(reg)
-	srv.Est = e
-	return srv
+	return NewRegistryServer(reg)
 }
 
 // NewRegistryServer wraps a registry of named queries in a collector
 // server. Legacy un-routed frames resolve to the registry's default query
 // (est.DefaultName), if one is registered.
 func NewRegistryServer(reg *est.Registry) *Server {
-	srv := &Server{
+	return &Server{
 		Logf:  log.Printf,
 		reg:   reg,
 		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
-	if d := reg.Default(); d != nil {
-		srv.Est = d.Estimator()
-	}
-	return srv
 }
 
 // Registry exposes the registry this server routes into.

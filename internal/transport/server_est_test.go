@@ -280,74 +280,3 @@ func TestServerEnhancedMidIngest(t *testing.T) {
 	}
 	<-done
 }
-
-// heldEstimator is a custom estimator without the Into forms whose
-// Estimate, Counts and Enhanced return slices it keeps holding.
-type heldEstimator struct {
-	est      []float64
-	counts   []int64
-	enhanced []float64
-}
-
-func (e *heldEstimator) Kind() string                        { return "held-test" }
-func (e *heldEstimator) Dims() int                           { return len(e.est) }
-func (e *heldEstimator) Observe(est.Tuple, *mathx.RNG) error { return nil }
-func (e *heldEstimator) AddReport(est.Report) error          { return nil }
-func (e *heldEstimator) Estimate() []float64                 { return e.est }
-func (e *heldEstimator) Counts() []int64                     { return e.counts }
-func (e *heldEstimator) Enhanced() ([]float64, error)        { return e.enhanced, nil }
-func (e *heldEstimator) Snapshot() est.Snapshot              { return est.Snapshot{Kind: e.Kind(), Dims: e.Dims()} }
-func (e *heldEstimator) Merge(est.Snapshot) error            { return nil }
-
-// TestServerFallsBackForEstimatorsWithoutInto serves a custom estimator
-// that has no Into forms and returns slices it still holds: the
-// collector answers with its vectors and copies them into its pooled
-// reply vectors rather than pooling the estimator's own, so replies for
-// another query, which reuse the pool, leave the custom estimator's
-// slices untouched.
-func TestServerFallsBackForEstimatorsWithoutInto(t *testing.T) {
-	held := &heldEstimator{est: []float64{0.25, -0.5, 1}, counts: []int64{3, 4, 5}, enhanced: []float64{0.125, 0, 0.75}}
-	reg := est.NewRegistry(nil, nil)
-	if _, err := reg.Attach(est.QuerySpec{Name: "held"}, held); err != nil {
-		t.Fatal(err)
-	}
-	other, err := freq.NewFlat(freq.Protocol{Mech: ldp.Laplace{}, Eps: 1, Cards: []int{2}, M: 1}, recal.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Attach(est.QuerySpec{Name: "other"}, other); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(listenRegistry(t, reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	hq, oq := cl.Query("held"), cl.Query("other")
-	for round := 0; round < 4; round++ {
-		got, err := hq.Estimate()
-		if err != nil || !sameVec(got, []float64{0.25, -0.5, 1}) {
-			t.Fatalf("round %d: estimate %v, %v", round, got, err)
-		}
-		counts, err := hq.Counts()
-		if err != nil || len(counts) != 3 || counts[0] != 3 || counts[1] != 4 || counts[2] != 5 {
-			t.Fatalf("round %d: counts %v, %v", round, counts, err)
-		}
-		if got, err = hq.Enhanced(); err != nil || !sameVec(got, []float64{0.125, 0, 0.75}) {
-			t.Fatalf("round %d: enhanced %v, %v", round, got, err)
-		}
-		// Replies for the other query refill the pooled vectors.
-		if _, err := oq.Estimate(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := oq.Counts(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := oq.Enhanced(); err != nil {
-			t.Fatal(err)
-		}
-		if !sameVec(held.est, []float64{0.25, -0.5, 1}) || held.counts[0] != 3 || !sameVec(held.enhanced, []float64{0.125, 0, 0.75}) {
-			t.Fatalf("round %d: a reply wrote into the custom estimator's own slices: %v %v %v", round, held.est, held.counts, held.enhanced)
-		}
-	}
-}

@@ -73,7 +73,7 @@ func DialCollectorContext(ctx context.Context, addr string, opts ...CollectorCli
 
 // estimatorForSpec is the registry factory: one validated QuerySpec in,
 // one fresh family core out.
-func estimatorForSpec(spec est.QuerySpec) (est.Estimator, error) { return familyForSpec(spec) }
+func estimatorForSpec(spec est.QuerySpec) (est.Core, error) { return familyForSpec(spec) }
 
 // familyForSpec builds spec's family core via the session configuration
 // machinery.
@@ -134,15 +134,11 @@ func NewFromSpec(spec QuerySpec, opts ...Option) (*Session, error) {
 
 // Spec reconstructs the QuerySpec describing this session's estimator
 // (Name left empty — set it before registering the spec). It errors for
-// sessions whose configuration a QuerySpec cannot express: a custom
-// injected estimator, or a per-dimension budget allocation — a spec
-// built by silently dropping either would stand up a collector that
-// debiases with the wrong budgets.
+// a session whose configuration a QuerySpec cannot express, a
+// per-dimension budget allocation: a spec built by silently dropping it
+// would stand up a collector that debiases with the wrong budgets.
 func (s *Session) Spec() (QuerySpec, error) {
 	c := &s.cfg
-	if c.custom != nil {
-		return QuerySpec{}, fmt.Errorf("hdr4me: a custom estimator (kind %s) has no QuerySpec", c.custom.Kind())
-	}
 	if c.alloc != nil {
 		return QuerySpec{}, fmt.Errorf("hdr4me: a per-dimension budget allocation cannot be expressed in a QuerySpec")
 	}

@@ -19,11 +19,11 @@ import (
 	"github.com/hdr4me/hdr4me/internal/transport"
 )
 
-// Estimator is the unified collector abstraction: the sampled-dimension
-// mean protocol, the Duchi whole-tuple mechanism, and the frequency
-// reducer all implement it, so transport servers, sessions and future
-// backends compose with any of them.
-type Estimator = est.Estimator
+// Estimator is the unified collector abstraction: the estimator core of
+// the sampled-dimension mean protocol, the Duchi whole-tuple mechanism
+// or the frequency reducer — one family core, or an epoch ring around
+// one — which transport servers and sessions serve alike.
+type Estimator = est.Core
 
 // Tuple is one user's raw record; numeric estimators read Values, the
 // frequency estimator reads Cats.
@@ -60,7 +60,6 @@ type sessionConfig struct {
 	workers    int
 	enhance    *EnhanceConfig
 	seed       *uint64 // nil: unpredictable, drawn from crypto/rand
-	custom     Estimator
 	stateDir   string
 	ckptEvery  time.Duration
 
@@ -168,33 +167,18 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithEstimator injects a custom Estimator, bypassing family construction;
-// mechanism/budget/dimension options are then ignored.
-func WithEstimator(e Estimator) Option {
-	return func(c *sessionConfig) error {
-		if e == nil {
-			return fmt.Errorf("hdr4me: nil estimator")
-		}
-		c.custom = e
-		return nil
-	}
-}
-
 // Session is the unified collection pipeline: one object that batch-
 // simulates (Run), ingests streaming traffic (Observe/AddReport), serves
 // running estimates, and composes across shards (Snapshot/Merge). Build
 // one with New; all methods are safe for concurrent use.
 type Session struct {
 	cfg sessionConfig
-	// est is the session's estimator under the one Core contract: the
-	// family core, or a WithEstimator injection adapted once in New.
-	est est.Core
-	// fam is the family core behind est (nil for a custom estimator):
-	// Run's one-fold result and EstimateEnhancedWith read it directly.
+	// fam is the session's family core: it perturbs reports and serves
+	// every read.
 	fam *est.Family
 
 	// ring wraps fam for continual sessions (any epoch option): ingest
-	// routes through it so rotation triggers count reports, while est
+	// routes through it so rotation triggers count reports, while fam
 	// serves the live epoch's reads. Nil for one-shot sessions.
 	ring *epoch.Ring
 	// stopRotate joins the wall-clock rotation ticker (WithEpochDuration).
@@ -202,8 +186,7 @@ type Session struct {
 
 	// lanes are stripe-bound ingest handles into the estimator's
 	// lock-striped accumulator; Observe rotates over them so concurrent
-	// observers rarely contend on one stripe lock. Nil for custom
-	// injections without detached reports or stripe lanes.
+	// observers rarely contend on one stripe lock.
 	lanes []est.Lane
 
 	mu    sync.Mutex
@@ -259,33 +242,23 @@ func New(opts ...Option) (*Session, error) {
 	if cfg.alloc != nil && (cfg.wholeTuple || cfg.cards != nil) {
 		return nil, fmt.Errorf("hdr4me: WithAllocation applies only to the sampled-dimension mean family")
 	}
-	s := &Session{cfg: cfg, rng: NewRNG(sessionSeed(cfg.seed))}
-	s.obsRoot = s.rng.Child(obsStream)
-	if cfg.custom != nil {
-		s.est = est.Adapt(cfg.custom)
-	} else {
-		fam, err := buildEstimator(&cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.est, s.fam = fam, fam
+	fam, err := buildEstimator(&cfg)
+	if err != nil {
+		return nil, err
 	}
+	s := &Session{cfg: cfg, fam: fam, rng: NewRNG(sessionSeed(cfg.seed))}
+	s.obsRoot = s.rng.Child(obsStream)
 	if cfg.epochs {
-		var err error
 		if s.ring, err = s.buildRing(); err != nil {
 			return nil, err
 		}
 	}
-	// Striped ingest for Observe, for every estimator that both produces
-	// detached reports and offers stripe lanes (every built-in family):
-	// reports are perturbed outside any lock, then land on stripe lanes
-	// of the ingest surface, so report-count rotation triggers see every
-	// one.
-	if s.est.Striped() {
-		s.lanes = make([]est.Lane, sessionLanes)
-		for i := range s.lanes {
-			s.lanes[i] = s.ingestEst().AcquireLane()
-		}
+	// Striped ingest for Observe: reports are perturbed outside any lock,
+	// then land on stripe lanes of the ingest surface, so report-count
+	// rotation triggers see every one.
+	s.lanes = make([]est.Lane, sessionLanes)
+	for i := range s.lanes {
+		s.lanes[i] = s.ingestEst().AcquireLane()
 	}
 	if cfg.epochDur > 0 {
 		s.stopRotate = StartCheckpointer(cfg.epochDur, func() error {
@@ -294,8 +267,8 @@ func New(opts ...Option) (*Session, error) {
 		}, nil)
 	}
 	if cfg.stateDir != "" {
-		// Fail fast: durability needs a serializable spec (no custom
-		// estimators, no per-dimension allocations) — see checkpointSpec.
+		// Fail fast: durability needs a serializable spec (no
+		// per-dimension allocations) — see checkpointSpec.
 		if _, err := s.checkpointSpec(); err != nil {
 			return nil, err
 		}
@@ -425,38 +398,29 @@ func buildEstimator(c *sessionConfig) (*est.Family, error) {
 	}
 }
 
-// Estimator exposes the session's estimator, e.g. for serving it over TCP
-// with NewEstimatorServer: the family's, or the WithEstimator injection.
-func (s *Session) Estimator() Estimator {
-	if s.cfg.custom != nil {
-		return s.cfg.custom
-	}
-	return s.est
-}
+// Estimator exposes the session's family core, e.g. for serving it over
+// TCP with NewEstimatorServer.
+func (s *Session) Estimator() Estimator { return s.fam }
 
 // Kind returns the estimator family ("mean", "wholetuple", "freq").
-func (s *Session) Kind() string { return s.est.Kind() }
+func (s *Session) Kind() string { return s.fam.Kind() }
 
 // Observe perturbs one raw tuple user-side with the session's randomness
 // and accumulates the resulting report. Safe for concurrent use: each call
 // claims its own deterministic substream with one atomic add and perturbs
 // without a lock, so concurrent observers do not serialize on the mechanism —
-// and for the built-in families accumulation rotates deterministically
-// over stripe lanes of the lock-striped estimator, so concurrent
-// observers rarely contend on the accumulation lock either. The rotation
-// is a pure function of the observation counter, so a fixed seed still
-// yields a fixed estimate.
+// and accumulation rotates deterministically over stripe lanes of the
+// lock-striped estimator, so concurrent observers rarely contend on the
+// accumulation lock either. The rotation is a pure function of the
+// observation counter, so a fixed seed still yields a fixed estimate.
 func (s *Session) Observe(t Tuple) error {
 	rng, idx := s.obsRNG()
 	defer obsRNGs.Put(rng)
-	if s.lanes != nil {
-		rep, err := s.est.MakeReport(t, rng)
-		if err != nil {
-			return err
-		}
-		return s.lanes[idx%uint64(len(s.lanes))].AddReport(rep)
+	rep, err := s.fam.MakeReport(t, rng)
+	if err != nil {
+		return err
 	}
-	return s.ingestEst().Observe(t, rng)
+	return s.lanes[idx%uint64(len(s.lanes))].AddReport(rep)
 }
 
 // ingestEst is where ingest surfaces accumulate: the epoch ring for a
@@ -466,7 +430,7 @@ func (s *Session) ingestEst() est.Core {
 	if s.ring != nil {
 		return s.ring
 	}
-	return s.est
+	return s.fam
 }
 
 // Report perturbs one raw tuple with the session's randomness and returns
@@ -478,7 +442,7 @@ func (s *Session) ingestEst() est.Core {
 func (s *Session) Report(t Tuple) (Report, error) {
 	rng, _ := s.obsRNG()
 	defer obsRNGs.Put(rng)
-	return s.est.MakeReport(t, rng)
+	return s.fam.MakeReport(t, rng)
 }
 
 // obsRNGs recycles the per-call RNGs of Observe and Report: each call
@@ -507,41 +471,38 @@ const (
 func (s *Session) AddReport(rep Report) error { return s.ingestEst().AddReport(rep) }
 
 // AddReports accumulates a batch of already-perturbed reports through the
-// estimator's batched ingest path: for the built-in families the whole
-// batch lands under one stripe-lock acquisition instead of one per
-// report. Malformed reports are skipped, not fatal — accepted
-// counts the rest, and err carries the first rejection for diagnostics.
+// estimator's batched ingest path: the whole batch lands under one
+// stripe-lock acquisition instead of one per report. Malformed reports
+// are skipped, not fatal — accepted counts the rest, and err carries the
+// first rejection for diagnostics.
 func (s *Session) AddReports(reps []Report) (accepted int, err error) {
 	return s.ingestEst().AddReports(reps)
 }
 
 // Estimate returns the running naive estimate.
-func (s *Session) Estimate() []float64 { return s.est.Estimate() }
+func (s *Session) Estimate() []float64 { return s.fam.Estimate() }
 
 // EstimateEnhanced returns the running HDR4ME re-calibrated estimate, or
 // an error for families without an enhancement path (whole-tuple).
-func (s *Session) EstimateEnhanced() ([]float64, error) { return s.est.Enhanced() }
+func (s *Session) EstimateEnhanced() ([]float64, error) { return s.fam.Enhanced() }
 
 // EstimateEnhancedWith re-calibrates the current naive estimate under an
 // alternative enhancement configuration — the same accumulated reports,
 // different collector-side post-processing (e.g. comparing guarded vs
 // always-on without re-running the collection).
 func (s *Session) EstimateEnhancedWith(cfg EnhanceConfig) ([]float64, error) {
-	if s.fam == nil {
-		return nil, fmt.Errorf("hdr4me: %s estimator does not support enhancement", s.est.Kind())
-	}
 	return s.fam.EnhancedWith(cfg)
 }
 
 // Counts returns the per-dimension report counts.
-func (s *Session) Counts() []int64 { return s.est.Counts() }
+func (s *Session) Counts() []int64 { return s.fam.Counts() }
 
 // Snapshot copies the accumulated state for shipping to a peer collector.
-func (s *Session) Snapshot() Snapshot { return s.est.Snapshot() }
+func (s *Session) Snapshot() Snapshot { return s.fam.Snapshot() }
 
 // Merge folds a peer collector's snapshot (same family and configuration)
 // into this session.
-func (s *Session) Merge(snap Snapshot) error { return s.est.Merge(snap) }
+func (s *Session) Merge(snap Snapshot) error { return s.fam.Merge(snap) }
 
 // PushSnapshot ships this session's snapshot to a parent collector server
 // at addr over the MERGE wire frame: the leaf-to-root direction of a shard
@@ -590,8 +551,8 @@ func (s *Session) PullSnapshotContext(ctx context.Context, addr string) error {
 // Freqs reshapes a flattened frequency-family estimate into per-dimension
 // frequency vectors (feed the result to ProjectSimplex).
 func (s *Session) Freqs(flat []float64) ([][]float64, error) {
-	if s.fam == nil || s.fam.Kind() != KindFreq {
-		return nil, fmt.Errorf("hdr4me: Freqs is only available on the frequency family, not %s", s.est.Kind())
+	if s.fam.Kind() != KindFreq {
+		return nil, fmt.Errorf("hdr4me: Freqs is only available on the frequency family, not %s", s.fam.Kind())
 	}
 	return s.fam.Unflatten(flat)
 }
@@ -611,12 +572,8 @@ type Result struct {
 // population across the session's workers. Each worker accumulates into
 // its own shard estimator and the shards Merge into the session at the
 // end, so Run composes with streaming traffic arriving concurrently.
-// Cancelling ctx aborts promptly with ctx.Err(); for the built-in
-// families no shard is merged, so the session state is untouched. A
-// session built WithEstimator ingests directly into that estimator, so an
-// aborted Run may leave the already-observed prefix in it, and its
-// Result carries the estimator's live Estimate and Counts, plus its
-// Enhanced when the session was built WithEnhance and it has one.
+// Cancelling ctx aborts promptly with ctx.Err(); no shard is merged, so
+// the session state is untouched.
 //
 // The mean and whole-tuple families ingest a Dataset; the frequency
 // family ingests a CatDataset.
@@ -625,7 +582,7 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 		return nil, fmt.Errorf("hdr4me: nil source")
 	}
 	var rows est.Rows
-	if s.est.Kind() == KindFreq {
+	if s.fam.Kind() == KindFreq {
 		cds, ok := src.(CatDataset)
 		if !ok {
 			return nil, fmt.Errorf("hdr4me: frequency session needs a CatDataset source, have %T", src)
@@ -634,7 +591,7 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 	} else {
 		ds, ok := src.(Dataset)
 		if !ok {
-			return nil, fmt.Errorf("hdr4me: %s session needs a Dataset source, have %T", s.est.Kind(), src)
+			return nil, fmt.Errorf("hdr4me: %s session needs a Dataset source, have %T", s.fam.Kind(), src)
 		}
 		rows = est.ValueRows(ds)
 	}
@@ -644,27 +601,11 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 	s.epoch++
 	s.mu.Unlock()
 
-	// A custom injected estimator cannot be re-constructed per worker, so
-	// workers observe straight into it; family estimators get one shard
-	// each, merged into the session at the end (no lock contention on the
-	// hot path).
-	var into Estimator = s.est
-	shard := func() (Estimator, error) { return buildEstimator(&s.cfg) }
-	if s.fam == nil {
-		into, shard = nil, func() (Estimator, error) { return s.est, nil }
-	}
-	if err := est.Round(ctx, into, src.NumUsers(), s.cfg.workers, runRNG, shard, rows); err != nil {
+	// Each worker gets its own shard, merged into the session at the end
+	// (no lock contention on the hot path).
+	shard := func() (est.Estimator, error) { return buildEstimator(&s.cfg) }
+	if err := est.Round(ctx, s.fam, src.NumUsers(), s.cfg.workers, runRNG, shard, rows); err != nil {
 		return nil, err
-	}
-	if s.fam == nil { // a custom estimator: its live reads
-		res := &Result{Naive: s.est.Estimate(), Counts: s.est.Counts()}
-		if s.cfg.enhance != nil && s.est.Enhances() {
-			var err error
-			if res.Enhanced, err = s.est.Enhanced(); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
 	}
 
 	// Build the Result from one fold so Naive, Counts and Enhanced
@@ -686,10 +627,10 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 	return res, nil
 }
 
-// NewEstimatorServer wraps any Estimator — a Session's, or a bare
-// aggregator — in a TCP collector. Unlike NewCollectorServer it serves
-// every estimator family and, when the estimator supports enhancement,
-// the ENHANCED frame.
+// NewEstimatorServer wraps a Session's estimator core (Estimator, or
+// ServingEstimator for a continual session) in a TCP collector. Unlike
+// NewCollectorServer it serves every estimator family and, when the
+// family supports enhancement, the ENHANCED frame.
 func NewEstimatorServer(e Estimator) *CollectorServer {
 	return transport.NewServer(e)
 }

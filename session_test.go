@@ -376,7 +376,6 @@ func TestSessionOptionValidation(t *testing.T) {
 		{"allocation and wholetuple", []Option{WithBudget(1), WithDims(2, 0), WithWholeTuple(), WithAllocation(UniformAllocation(1, 2, 2))}},
 		{"cards vs dims", []Option{WithMechanism(Laplace()), WithBudget(1), WithCards([]int{2, 2}), WithDims(3, 1)}},
 		{"empty cards", []Option{WithMechanism(Laplace()), WithBudget(1), WithCards(nil)}},
-		{"nil estimator", []Option{WithEstimator(nil)}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.opts...); err == nil {
@@ -403,24 +402,6 @@ func TestSessionOptionValidation(t *testing.T) {
 	}
 	if _, err := m.Freqs(nil); err == nil {
 		t.Fatal("Freqs on a mean session must fail")
-	}
-}
-
-func TestSessionCustomEstimator(t *testing.T) {
-	agg := NewAggregator(Protocol{Mech: Laplace(), Eps: 1, D: 3, M: 3})
-	s, err := New(WithEstimator(agg), WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := NewUniformDataset(300, 3, 8)
-	res, err := s.Run(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, c := range res.Counts {
-		if c != 300 {
-			t.Fatalf("custom estimator count[%d] = %d, want 300 (no double counting)", j, c)
-		}
 	}
 }
 
